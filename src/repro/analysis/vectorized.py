@@ -18,7 +18,7 @@ pure-Python reference that stays in the tree as the differential oracle
   a boolean reduction; problem rows are recovered with ``np.nonzero``
   and only the first ``max_problems + 1`` messages are ever formatted.
 * :func:`pack_stream_numpy` — the packed-stream compiler
-  (:func:`~repro.parallel.packed.pack_stream`).  The per-item Python
+  (:func:`~repro.parallel.packed.pack_stream_python`).  The per-item Python
   loop survives only to evolve the known-size table; the inner
   per-block expansion becomes repeat/arange arithmetic.
 
@@ -1279,16 +1279,8 @@ def _cdf_pair(
 
 _INVALID_FLAG_BITS = ~_VALID_FLAG_BITS & 0xFF
 
-_KNOWN_KIND_LUT = None  # built on first use (numpy may be absent at import)
-
-
-def _known_kind_lut():
-    global _KNOWN_KIND_LUT
-    if _KNOWN_KIND_LUT is None:
-        lut = np.zeros(256, np.bool_)
-        lut[np.array(sorted(KIND_LABELS), np.int64)] = True
-        _KNOWN_KIND_LUT = lut
-    return _KNOWN_KIND_LUT
+_KNOWN_KIND_LUT = np.zeros(256, np.bool_)
+_KNOWN_KIND_LUT[np.array(sorted(KIND_LABELS), np.int64)] = True
 
 
 class VectorizedValidator:
@@ -1353,7 +1345,7 @@ class VectorizedValidator:
         prev[0] = self._last_time
         prev[1:] = times[:-1]
 
-        known = _known_kind_lut()[kinds]
+        known = _KNOWN_KIND_LUT[kinds]
         is_open = kinds == KIND_OPEN
         is_seek = kinds == KIND_SEEK
         is_close = kinds == KIND_CLOSE

@@ -551,8 +551,8 @@ def make_replacement(name: str, capacity: int) -> ReplacementPolicy:
     return REPLACEMENT_POLICIES[validate_replacement(name)](capacity)
 
 
-#: Ambient replacement-policy default, mirroring the engine context
-#: (:func:`~repro.trace.npview.engine_context`): the experiment entry
+#: Ambient replacement-policy default, mirroring the jobs context
+#: (:func:`~repro.parallel.executor.jobs_context`): the experiment entry
 #: points take only a trace, so ``repro-fs experiment --policy`` travels
 #: to the sweeps beneath them through this context.
 _AMBIENT: ContextVar[str] = ContextVar("repro-replacement", default="lru")

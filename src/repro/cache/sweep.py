@@ -2,23 +2,21 @@
 
 Each sweep decomposes into independent (stream, configuration) jobs.
 With ``jobs=1`` (the default) every configuration runs through the
-reference :class:`BlockCacheSimulator` in-process — the oracle path,
-whatever the engine.  With ``jobs>1`` the stream is compiled once per
+reference :class:`BlockCacheSimulator` in-process — the oracle path.
+With ``jobs>1`` the stream is compiled once per
 block size into a :class:`~repro.parallel.packed.PackedStream`,
 write-through columns collapse into a single one-pass curve
-(:func:`~repro.parallel.veccache.stack_curve` — the numpy kernel when
-the engine allows, else :func:`~repro.parallel.stack.simulate_stack`),
+(:func:`~repro.parallel.veccache.stack_curve` — the numpy kernel, or
+:func:`~repro.parallel.stack.simulate_stack` on an input it declines),
 and the remaining configurations replay the packed stream on a process
 pool (:func:`~repro.parallel.executor.run_jobs`).  All paths produce
 bit-identical metrics (asserted by ``tests/test_parallel.py`` and
 ``tests/test_veccache.py``); results come back as small dataclasses
 with ``render()`` methods that print the paper's table layouts.
 
-*engine* selects the worker-side kernels (``None`` defers to the
-ambient :func:`~repro.trace.npview.engine_context`); *pack_dir* spills
-each compiled stream to a shared ``.bpack`` file so the payload workers
-receive is a path, not pickled arrays — every process maps the same
-page-cache copy (see :mod:`repro.parallel.bpack`).
+*pack_dir* spills each compiled stream to a shared ``.bpack`` file so
+the payload workers receive is a path, not pickled arrays — every
+process maps the same page-cache copy (see :mod:`repro.parallel.bpack`).
 
 Flush-back scans are anchored at the trace start in both paths (see
 :meth:`BlockCacheSimulator.run` on why).
@@ -37,7 +35,6 @@ from ..parallel.executor import resolve_jobs, run_jobs
 from ..parallel.packed import PackedStream, cached_packed_stream
 from ..parallel.veccache import replay_packed, stack_curve
 from ..trace.log import TraceLog
-from ..trace.npview import current_engine
 from .metrics import CacheMetrics
 from .policies import (
     DELAYED_WRITE,
@@ -104,15 +101,12 @@ def _sweep_worker(payload, job):
     are ``("sim", packkey, cache_bytes, policy, replacement)`` returning
     one :class:`CacheMetrics`, or ``("stack", packkey, sizes)`` returning
     one metrics object per size (write-through LRU only — the one
-    configuration family the Mattson curve answers).  Both dispatch through
-    the engine-aware front doors, so a worker runs the numpy kernels
-    exactly when the payload's engine allows.
+    configuration family the Mattson curve answers).
     """
-    packed = payload["packed"][job[1]]
-    engine = payload["engine"]
+    packed = payload[job[1]]
     if job[0] == "stack":
         sizes = job[2]
-        curve = stack_curve(packed, sizes, engine=engine)
+        curve = stack_curve(packed, sizes)
         return [curve.metrics(size) for size in sizes]
     _, _, cache_bytes, policy, replacement = job
     return replay_packed(
@@ -121,7 +115,6 @@ def _sweep_worker(payload, job):
         policy,
         replacement=replacement,
         flush_epoch=packed.start_time,
-        engine=engine,
     ).metrics
 
 
@@ -136,30 +129,24 @@ class _SweepPayload:
     from the pickled state, so ``spawn`` workers resolve their own).
     """
 
-    __slots__ = ("packed", "engine", "_resolved")
+    __slots__ = ("packed", "_resolved")
 
-    def __init__(self, packed: dict, engine: str):
+    def __init__(self, packed: dict):
         self.packed = packed
-        self.engine = engine
         self._resolved = None
 
     def __getstate__(self):
-        return (self.packed, self.engine)
+        return self.packed
 
     def __setstate__(self, state):
-        self.packed, self.engine = state
+        self.packed = state
         self._resolved = None
 
     def __payload_resolve__(self):
         if self._resolved is None:
             self._resolved = {
-                "packed": {
-                    key: value
-                    if isinstance(value, PackedStream)
-                    else cached_bpack(value)
-                    for key, value in self.packed.items()
-                },
-                "engine": self.engine,
+                key: value if isinstance(value, PackedStream) else cached_bpack(value)
+                for key, value in self.packed.items()
             }
         return self._resolved
 
@@ -184,10 +171,6 @@ def _pack_ref(packed: PackedStream, pack_dir, trace_name: str):
     if not os.path.exists(path):
         write_bpack(packed, path)
     return path
-
-
-def _resolve_sweep_engine(engine: str | None) -> str:
-    return engine if engine is not None else current_engine()
 
 
 def _resolve_replacement(replacement: str | None) -> str:
@@ -237,7 +220,6 @@ def cache_size_policy_sweep(
     policies: tuple[PolicySpec, ...] = PAPER_POLICIES,
     block_size: int = 4096,
     jobs: int | None = None,
-    engine: str | None = None,
     pack_dir=None,
     replacement: str | None = None,
 ) -> CachePolicySweep:
@@ -249,7 +231,6 @@ def cache_size_policy_sweep(
     default LRU — the paper's policy).
     """
     n = resolve_jobs(jobs)
-    eng = _resolve_sweep_engine(engine)
     repl = _resolve_replacement(replacement)
     sweep = CachePolicySweep(
         trace_name=log.name,
@@ -273,10 +254,8 @@ def cache_size_policy_sweep(
                 )
         return sweep
 
-    packed = cached_packed_stream(log, block_size, engine=eng)
-    payload = _SweepPayload(
-        {block_size: _pack_ref(packed, pack_dir, log.name)}, eng
-    )
+    packed = cached_packed_stream(log, block_size)
+    payload = _SweepPayload({block_size: _pack_ref(packed, pack_dir, log.name)})
     stack_policies = [
         p
         for p in policies
@@ -359,13 +338,11 @@ def block_size_sweep(
     cache_sizes: tuple[int, ...] = PAPER_BLOCK_SWEEP_CACHES,
     policy: PolicySpec = DELAYED_WRITE,
     jobs: int | None = None,
-    engine: str | None = None,
     pack_dir=None,
     replacement: str | None = None,
 ) -> BlockSizeSweep:
     """Reproduce Figure 6 / Table VII on *log*."""
     n = resolve_jobs(jobs)
-    eng = _resolve_sweep_engine(engine)
     repl = _resolve_replacement(replacement)
     sweep = BlockSizeSweep(
         trace_name=log.name,
@@ -388,9 +365,9 @@ def block_size_sweep(
                 )
         return sweep
 
-    packed = {bs: cached_packed_stream(log, bs, engine=eng) for bs in block_sizes}
+    packed = {bs: cached_packed_stream(log, bs) for bs in block_sizes}
     payload = _SweepPayload(
-        {bs: _pack_ref(p, pack_dir, log.name) for bs, p in packed.items()}, eng
+        {bs: _pack_ref(p, pack_dir, log.name) for bs, p in packed.items()}
     )
     use_stack = policy.policy is WritePolicy.WRITE_THROUGH and repl == "lru"
     jobs_list: list[tuple] = []
@@ -451,13 +428,11 @@ def paging_comparison(
     block_size: int = 4096,
     policy: PolicySpec = DELAYED_WRITE,
     jobs: int | None = None,
-    engine: str | None = None,
     pack_dir=None,
     replacement: str | None = None,
 ) -> PagingComparison:
     """Reproduce Figure 7 on *log*."""
     n = resolve_jobs(jobs)
-    eng = _resolve_sweep_engine(engine)
     repl = _resolve_replacement(replacement)
     comparison = PagingComparison(
         trace_name=log.name, cache_sizes=tuple(cache_sizes)
@@ -483,21 +458,16 @@ def paging_comparison(
     payload = _SweepPayload(
         {
             "plain": _pack_ref(
-                cached_packed_stream(
-                    log, block_size, include_paging=False, engine=eng
-                ),
+                cached_packed_stream(log, block_size, include_paging=False),
                 pack_dir,
                 f"{log.name}-plain",
             ),
             "paged": _pack_ref(
-                cached_packed_stream(
-                    log, block_size, include_paging=True, engine=eng
-                ),
+                cached_packed_stream(log, block_size, include_paging=True),
                 pack_dir,
                 f"{log.name}-paged",
             ),
-        },
-        eng,
+        }
     )
     jobs_list: list[tuple] = []
     for size in cache_sizes:

@@ -34,7 +34,6 @@ and ``analyze`` accept it directly and stream it segment by segment.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from pathlib import Path
@@ -78,7 +77,6 @@ from ..trace.intervals import interval_stats
 from ..trace.io_binary import read_binary, write_binary
 from ..trace.io_text import read_text, write_text
 from ..trace.log import TraceLog
-from ..trace.npview import ENGINES, engine_context, numpy_available
 from ..trace.stats import compute_stats
 from ..trace.validate import DEFAULT_MAX_PROBLEMS, validate
 from ..workload.generator import generate, generate_many
@@ -216,9 +214,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         # in-RAM validator uses, so the report is identical.
         from ..corpus import validate_corpus
 
-        report = validate_corpus(
-            args.trace, max_problems=args.max_problems, engine=args.engine
-        )
+        report = validate_corpus(args.trace, max_problems=args.max_problems)
         print(report)
         for problem in report.problems:
             print(f"  {problem}")
@@ -232,7 +228,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         subject = read_binary_columns(args.trace)
     else:
         subject = _load_trace(args.trace)
-    report = validate(subject, max_problems=args.max_problems, engine=args.engine)
+    report = validate(subject, max_problems=args.max_problems)
     print(report)
     for problem in report.problems:
         print(f"  {problem}")
@@ -271,16 +267,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # section — every section is a field of the fused report.
         from ..corpus import analyze_corpus
 
-        print(_render_onepass_section(
-            analyze_corpus(args.trace, engine=args.engine), args.report
-        ))
+        print(_render_onepass_section(analyze_corpus(args.trace), args.report))
         return 0
     log = _load_trace(args.trace)
     wanted = args.report
     if wanted == "all":
         # The full report comes from the fused single-pass analyzer; the
         # per-report branches below keep exercising the reference modules.
-        print(analyze_onepass(log, engine=args.engine).render())
+        print(analyze_onepass(log).render())
         return 0
     if wanted in ("activity", "all"):
         print(analyze_activity(log).render())
@@ -334,7 +328,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jobs = _jobs(args)
     kwargs = dict(
         jobs=jobs,
-        engine=args.engine,
         pack_dir=args.pack_cache,
         replacement=args.policy,
     )
@@ -410,11 +403,10 @@ def _cmd_export_figures(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     log = _load_trace(args.trace)
     jobs = _jobs(args)
-    # The registry's entry points take only a trace; the engine and
-    # replacement-policy choices reach the sweeps beneath them (table6,
-    # fig5, fig7...) ambiently, exactly like the jobs count does through
-    # run_one/run_all.
-    with engine_context(args.engine), replacement_context(args.policy):
+    # The registry's entry points take only a trace; the replacement
+    # policy reaches the sweeps beneath them (table6, fig5, fig7...)
+    # ambiently, exactly like the jobs count does through run_one/run_all.
+    with replacement_context(args.policy):
         if args.all:
             for result in run_all(log, jobs=jobs):
                 print(result)
@@ -718,11 +710,7 @@ def _cmd_corpus_verify(args: argparse.Namespace) -> int:
         with CorpusReader(args.corpus) as reader:
             checked = reader.verify()
         # Then the sharded stats re-derivation, one job per segment.
-        map_segments(
-            functools.partial(verify_segment_job, engine=args.engine),
-            args.corpus,
-            jobs=_jobs(args),
-        )
+        map_segments(verify_segment_job, args.corpus, jobs=_jobs(args))
     except CorpusError as error:
         print(f"corrupt: {error}", file=sys.stderr)
         return 1
@@ -736,23 +724,6 @@ def _cmd_convert_strace(args: argparse.Namespace) -> int:
     print(stats.summary())
     print(f"wrote {args.output} ({len(log)} events)")
     return 0
-
-
-def _engine_arg(text: str) -> str:
-    if text == "numpy" and not numpy_available():
-        raise argparse.ArgumentTypeError(
-            "numpy engine requested but numpy is unavailable "
-            "(not installed, or disabled via REPRO_NO_NUMPY)"
-        )
-    return text
-
-
-def _add_engine_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--engine", choices=ENGINES, default="auto", type=_engine_arg,
-        help="scan implementation: auto picks the numpy fast path when "
-        "available, python/numpy force one side (results are identical)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -799,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_MAX_PROBLEMS,
                    help="cap on reported problems before truncation "
                    f"(default: {DEFAULT_MAX_PROBLEMS})")
-    _add_engine_arg(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("analyze", help="reference-pattern analysis")
@@ -810,7 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "lifetimes", "users", "burstiness", "all"],
         default="all",
     )
-    _add_engine_arg(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="one block-cache simulation")
@@ -836,7 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of shared .bpack packed-stream files; "
                    "workers mmap these instead of receiving pickled "
                    "arrays (created and reused across runs)")
-    _add_engine_arg(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -896,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=list(REPLACEMENT_NAMES), default="lru",
                    help="block replacement policy for the cache exhibits "
                    "(the paper's is lru)")
-    _add_engine_arg(p)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(
@@ -1028,7 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes for the per-segment pass "
                    "(default: CPU count, capped)")
-    _add_engine_arg(c)
     c.set_defaults(func=_cmd_corpus_verify)
 
     p = sub.add_parser("convert-strace", help="convert strace -f -ttt output")

@@ -49,16 +49,13 @@ def write_segment_packs(
     block_size: int,
     out_dir: _PathLike,
     include_paging: bool = False,
-    engine: str = "auto",
     overwrite: bool = False,
 ) -> list[str]:
     """Compile every segment of the corpus at *src* into ``.bpack`` shards.
 
     Returns the shard paths in segment order.  Existing shards are left
     alone unless *overwrite* is set (the writes are atomic, so a present
-    file is a complete one).  *engine* picks the stream compiler —
-    either way the bytes on disk are identical, which is what the
-    engine-differential fuzz pillar pins.
+    file is a complete one).
     """
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -70,12 +67,7 @@ def write_segment_packs(
             if overwrite or not os.path.exists(path):
                 log = cols.to_log()
                 stream = build_stream(log, include_paging=include_paging)
-                packed = pack_stream(
-                    stream,
-                    block_size,
-                    start_time=log.start_time,
-                    engine=engine,
-                )
+                packed = pack_stream(stream, block_size, start_time=log.start_time)
                 write_bpack(packed, path)
             paths.append(path)
     return paths

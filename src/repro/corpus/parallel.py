@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence, Union
 
 from ..parallel.executor import run_jobs
 from ..trace.columns import TraceColumns
-from ..trace.npview import resolve_engine
+from ..trace.npview import column_views, np
 from .format import CorpusError
 from .reader import CorpusReader
 
@@ -81,9 +81,7 @@ def segment_kind_counts(
     return {kind: n for kind in range(1, 8) if (n := cols.kinds.count(kind))}
 
 
-def verify_segment_job(
-    cols: TraceColumns, stat: Any, index: int, engine: str = "auto"
-) -> str:
+def verify_segment_job(cols: TraceColumns, stat: Any, index: int) -> str:
     """Re-derive one segment's footer statistics from its data.
 
     Returns ``"ok"``; a mismatch raises :class:`CorpusError`.  Note this
@@ -91,8 +89,9 @@ def verify_segment_job(
     the crc check lives in :meth:`CorpusReader.verify_segment` (workers
     re-reading the segment through a fresh reader exercise that path via
     ``map_segments(verify_segment_job, ..., )`` only indirectly, so
-    ``corpus verify`` runs the reader-level check too).  *engine* picks
-    how the min/max/histogram scans run; both raise identical errors.
+    ``corpus verify`` runs the reader-level check too).  The footer it
+    checks against is what :class:`~repro.corpus.writer.CorpusWriter`
+    computed when it wrote the segment.
     """
     n = len(cols.kinds)
     if n != stat.count:
@@ -100,33 +99,20 @@ def verify_segment_job(
             f"segment {index}: {n} rows decoded but footer recorded "
             f"{stat.count}"
         )
-    if resolve_engine(engine) == "numpy":
-        from ..trace.npview import column_views, np
-
-        v = column_views(cols)
-        checks = (
-            ("first time", float(v.times[0]), stat.time_first),
-            ("last time", float(v.times[n - 1]), stat.time_last),
-            ("min user id", int(v.user_ids.min()), stat.user_lo),
-            ("max user id", int(v.user_ids.max()), stat.user_hi),
-            ("min file id", int(v.file_ids.min()), stat.file_lo),
-            ("max file id", int(v.file_ids.max()), stat.file_hi),
-        )
-        hist = tuple(
-            np.bincount(v.flags, minlength=len(stat.flag_hist))[
-                : len(stat.flag_hist)
-            ].tolist()
-        )
-    else:
-        checks = (
-            ("first time", cols.times[0], stat.time_first),
-            ("last time", cols.times[n - 1], stat.time_last),
-            ("min user id", min(cols.user_ids), stat.user_lo),
-            ("max user id", max(cols.user_ids), stat.user_hi),
-            ("min file id", min(cols.file_ids), stat.file_lo),
-            ("max file id", max(cols.file_ids), stat.file_hi),
-        )
-        hist = tuple(cols.flags.count(v) for v in range(len(stat.flag_hist)))
+    v = column_views(cols)
+    checks = (
+        ("first time", float(v.times[0]), stat.time_first),
+        ("last time", float(v.times[n - 1]), stat.time_last),
+        ("min user id", int(v.user_ids.min()), stat.user_lo),
+        ("max user id", int(v.user_ids.max()), stat.user_hi),
+        ("min file id", int(v.file_ids.min()), stat.file_lo),
+        ("max file id", int(v.file_ids.max()), stat.file_hi),
+    )
+    hist = tuple(
+        np.bincount(v.flags, minlength=len(stat.flag_hist))[
+            : len(stat.flag_hist)
+        ].tolist()
+    )
     for label, got, want in checks:
         if got != want:
             raise CorpusError(

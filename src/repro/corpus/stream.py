@@ -1,13 +1,14 @@
 """Streaming analysis and validation over a corpus, segment by segment.
 
 Both entry points fold segments through the same state machines the
-in-RAM paths use — :class:`~repro.analysis.onepass.OnePassCollector` and
-the validator's ``_OpenTracker`` — so their results are **bit-identical**
-to loading the whole corpus into one ``TraceColumns`` and running
-``analyze_onepass`` / ``validate_columns`` on it, while peak memory
-stays O(segment) plus O(live analysis state).  The whole-trace facts the
-analyzer needs up front (start time and duration, which size the
-burstiness windows) come from the footer index, not from event data.
+in-RAM paths use — :class:`~repro.analysis.vectorized.VectorizedCollector`
+and :class:`~repro.analysis.vectorized.VectorizedValidator` — so their
+results are **bit-identical** to loading the whole corpus into one
+``TraceColumns`` and running ``analyze_onepass`` / ``validate_columns``
+on it, while peak memory stays O(segment) plus O(live analysis state).
+The whole-trace facts the analyzer needs up front (start time and
+duration, which size the burstiness windows) come from the footer
+index, not from event data.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import os
 from typing import Union
 
 from ..analysis.onepass import OnePassCollector, OnePassReport
-from ..trace.npview import resolve_engine
-from ..trace.validate import (
-    DEFAULT_MAX_PROBLEMS,
-    ValidationReport,
-    _OpenTracker,
-    validate_columns_into,
+from ..analysis.vectorized import (
+    VectorFallback,
+    VectorizedCollector,
+    VectorizedValidator,
 )
+from ..trace.validate import DEFAULT_MAX_PROBLEMS, ValidationReport
 from .reader import CorpusReader
 
 __all__ = ["analyze_corpus", "validate_corpus"]
@@ -41,40 +41,36 @@ def analyze_corpus(
     long_window: float = 600.0,
     short_window: float = 10.0,
     burst_window: float = 10.0,
-    engine: str = "auto",
 ) -> OnePassReport:
     """Run the full one-pass analysis over a corpus without loading it.
 
     *src* is a :class:`CorpusReader` (left open) or a path (opened and
     closed here).  The report is bit-identical to
     ``analyze_onepass(reader.to_columns())`` — checked continuously by
-    the fuzz harness's corpus pillar.  *engine* picks the scan
-    implementation; the numpy path views each segment's columns zero-copy
-    (straight into the mmap) and falls back to the Python collector by
-    re-reading the corpus when the input needs it.
+    the fuzz harness's corpus pillar.  The numpy collector views each
+    segment's columns zero-copy (straight into the mmap); when it cannot
+    replicate the input bit for bit, the Python collector re-reads the
+    corpus.
     """
     reader, own = _open(src)
     try:
         stats = reader.stats
         start = stats[0].time_first if stats else 0.0
         duration = (stats[-1].time_last - start) if stats else 0.0
-        if resolve_engine(engine) == "numpy":
-            from ..analysis.vectorized import VectorFallback, VectorizedCollector
-
-            try:
-                collector = VectorizedCollector(
-                    reader.name,
-                    start,
-                    duration,
-                    long_window=long_window,
-                    short_window=short_window,
-                    burst_window=burst_window,
-                )
-                for cols in reader.iter_segments():
-                    collector.feed(cols)
-                return collector.finish()
-            except VectorFallback:
-                pass  # segments re-iterate cleanly; rerun in Python
+        try:
+            collector = VectorizedCollector(
+                reader.name,
+                start,
+                duration,
+                long_window=long_window,
+                short_window=short_window,
+                burst_window=burst_window,
+            )
+            for cols in reader.iter_segments():
+                collector.feed(cols)
+            return collector.finish()
+        except VectorFallback:
+            pass  # segments re-iterate cleanly; rerun in Python
         collector = OnePassCollector(
             reader.name,
             start,
@@ -94,37 +90,21 @@ def analyze_corpus(
 def validate_corpus(
     src: _ReaderOrPath,
     max_problems: int = DEFAULT_MAX_PROBLEMS,
-    engine: str = "auto",
 ) -> ValidationReport:
     """Check every tracer invariant across a corpus, segment by segment.
 
-    Problem messages carry global event indices (the tracker state and
+    Problem messages carry global event indices (the validator state and
     the index base persist across segment boundaries), so the report
-    matches ``validate_columns(reader.to_columns())`` exactly.  *engine*
-    picks the implementation; both produce identical reports.
+    matches ``validate_columns(reader.to_columns())`` exactly.
     """
     reader, own = _open(src)
     try:
-        if resolve_engine(engine) == "numpy":
-            from ..analysis.vectorized import VectorizedValidator
-
-            validator = VectorizedValidator(
-                len(reader), max_problems=max_problems
-            )
-            base = 0
-            for cols in reader.iter_segments():
-                validator.feed(cols, base)
-                base += len(cols.kinds)
-            return validator.finish()
-        report = ValidationReport(
-            event_count=len(reader), max_problems=max_problems
-        )
-        tracker = _OpenTracker(report)
+        validator = VectorizedValidator(len(reader), max_problems=max_problems)
         base = 0
         for cols in reader.iter_segments():
-            validate_columns_into(cols, tracker, base)
+            validator.feed(cols, base)
             base += len(cols.kinds)
-        return tracker.finish()
+        return validator.finish()
     finally:
         if own:
             reader.close()

@@ -26,11 +26,11 @@ inputs:
 * :mod:`repro.fuzz.engines` — the vectorized-engine pillar: the numpy
   kernels of :mod:`repro.analysis.vectorized` (analyzer, validator,
   packed-stream compiler) versus their pure-Python twins, required
-  bit-identical (skipped when numpy is not installed);
+  bit-identical;
 * :mod:`repro.fuzz.policies` — the replacement-policy pillar: every zoo
   policy (:mod:`repro.cache.replacement`) replayed through the full
-  simulator and the packed replayer, the engine dispatcher's two legs,
-  and a three-way arc/lru/2q no-reuse oracle, all bit-identical;
+  simulator and the packed replayer, the engine dispatcher against the
+  packed replay, and a three-way arc/lru/2q no-reuse oracle, all bit-identical;
 * :mod:`repro.fuzz.shrink` — ddmin-style reduction of failing event and
   op sequences, and the on-disk repro corpus;
 * :mod:`repro.fuzz.runner` — the budgeted driver behind ``repro-fs

@@ -4,18 +4,20 @@ Every numpy kernel in :mod:`repro.analysis.vectorized` claims
 bit-identity with its pure-Python twin; this pillar is the machine check
 of that claim on every seeded trace:
 
-* :func:`~repro.analysis.onepass.analyze_onepass` with
-  ``engine="numpy"`` vs ``engine="python"``, field for field including
-  the users dict order — single-shot and chunk-fed (the corpus segment
-  shape) at seed-chosen chunk sizes;
-* :func:`~repro.trace.validate.validate_columns` on the clean trace
-  *and* on a deterministically spoiled copy (mutations drawn from the
-  round seed hit every problem family: time regressions, out-of-range
-  and NaN times, unknown kinds, bad flag bytes, negative fields,
-  duplicated open ids), at several ``max_problems`` including the
-  suppression boundary;
-* :func:`~repro.parallel.packed.pack_stream` with both engines, row for
-  row, at two block sizes;
+* :func:`~repro.analysis.vectorized.analyze_columns_numpy` vs
+  :func:`~repro.analysis.onepass.analyze_columns_python`, field for
+  field including the users dict order — single-shot and chunk-fed (the
+  corpus segment shape) at seed-chosen chunk sizes;
+* :func:`~repro.analysis.vectorized.validate_columns_numpy` vs
+  :func:`~repro.trace.validate.validate_columns_python` on the clean
+  trace *and* on a deterministically spoiled copy (mutations drawn from
+  the round seed hit every problem family: time regressions,
+  out-of-range and NaN times, unknown kinds, bad flag bytes, negative
+  fields, duplicated open ids), at several ``max_problems`` including
+  the suppression boundary;
+* :func:`~repro.analysis.vectorized.pack_stream_numpy` vs
+  :func:`~repro.parallel.packed.pack_stream_python`, row for row, at two
+  block sizes;
 * the vectorized cache engine (:mod:`repro.parallel.veccache`) vs the
   one-pass stack oracle: the full miss/hit/eviction curve at
   seed-chosen cache sizes (small ones included — they maximize hole
@@ -24,8 +26,9 @@ of that claim on every seeded trace:
   write-through replay vs :func:`~repro.parallel.packed.simulate_packed`
   at one seed-chosen capacity.
 
-Everything here is a no-op without numpy — the pillar checks an
-equivalence, and with one side missing there is nothing to compare.
+A kernel may decline an input by raising
+:class:`~repro.analysis.vectorized.VectorFallback`; production then
+runs the reference, so there is nothing to compare and the check passes.
 """
 
 from __future__ import annotations
@@ -33,16 +36,22 @@ from __future__ import annotations
 import random
 from array import array
 
-from ..analysis.onepass import analyze_onepass
+from ..analysis.onepass import analyze_columns_python
+from ..analysis.vectorized import (
+    VectorFallback,
+    VectorizedCollector,
+    analyze_columns_numpy,
+    pack_stream_numpy,
+    validate_columns_numpy,
+)
 from ..cache.policies import WRITE_THROUGH
 from ..cache.stream import build_stream
-from ..parallel.packed import pack_stream, simulate_packed
+from ..parallel.packed import pack_stream_python, simulate_packed
 from ..parallel.stack import simulate_stack
 from ..parallel.veccache import simulate_packed_numpy, stack_curve_numpy
 from ..trace.columns import KIND_CLOSE, KIND_OPEN, KIND_SEEK, TraceColumns
 from ..trace.log import TraceLog
-from ..trace.npview import numpy_available
-from ..trace.validate import validate_columns
+from ..trace.validate import validate_columns_python
 
 __all__ = ["check_engines", "check_engines_all"]
 
@@ -95,8 +104,6 @@ def _slice_columns(cols: TraceColumns, lo: int, hi: int) -> TraceColumns:
 
 
 def _chunked_report(cols: TraceColumns, size: int):
-    from ..analysis.vectorized import VectorizedCollector
-
     n = len(cols)
     start = cols.times[0] if n else 0.0
     duration = (cols.times[-1] - start) if n else 0.0
@@ -155,8 +162,8 @@ def _spoiled_copy(cols: TraceColumns, rng: random.Random) -> TraceColumns:
 
 
 def _validators_differ(cols: TraceColumns, max_problems: int, label: str) -> str | None:
-    fast = validate_columns(cols, max_problems=max_problems, engine="numpy")
-    ref = validate_columns(cols, max_problems=max_problems, engine="python")
+    fast = validate_columns_numpy(cols, max_problems)
+    ref = validate_columns_python(cols, max_problems)
     if fast != ref:
         return (
             f"{label}: numpy validator disagrees at "
@@ -168,27 +175,26 @@ def _validators_differ(cols: TraceColumns, max_problems: int, label: str) -> str
 def check_engines(log: TraceLog, seed: str = "0") -> str | None:
     """Compare every vectorized kernel against its Python twin on *log*.
 
-    Returns ``None`` (including when numpy is unavailable) or a
-    first-divergence description.  Deterministic per ``(log, seed)``.
+    Returns ``None`` or a first-divergence description.  Deterministic
+    per ``(log, seed)``.
     """
-    if not numpy_available():
-        return None
     rng = random.Random(f"engines:{seed}")
     cols = TraceColumns.from_log(log)
     n = len(cols)
 
     # Analyzer: single shot, then chunk-fed like a segmented corpus.
-    ref = analyze_onepass(cols, engine="python")
-    detail = _reports_differ(analyze_onepass(cols, engine="numpy"), ref, "analyze")
+    ref = analyze_columns_python(cols)
+    size = rng.randrange(1, n) if n > 1 else 0
+    try:
+        detail = _reports_differ(analyze_columns_numpy(cols), ref, "analyze")
+        if detail is None and size:
+            detail = _reports_differ(
+                _chunked_report(cols, size), ref, f"analyze[chunk={size}]"
+            )
+    except VectorFallback:
+        detail = None  # production reruns the reference: nothing to compare
     if detail is not None:
         return detail
-    if n > 1:
-        size = rng.randrange(1, n)
-        detail = _reports_differ(
-            _chunked_report(cols, size), ref, f"analyze[chunk={size}]"
-        )
-        if detail is not None:
-            return detail
 
     # Validator: the clean trace, then a spoiled copy at several caps
     # (the spoiled run crosses the suppression boundary).
@@ -207,8 +213,11 @@ def check_engines(log: TraceLog, seed: str = "0") -> str | None:
     # Packed-stream compiler: row-for-row equality at two block sizes.
     stream = build_stream(log)
     for bs in _PACK_BLOCK_SIZES:
-        fast = pack_stream(stream, bs, start_time=log.start_time, engine="numpy")
-        ref_p = pack_stream(stream, bs, start_time=log.start_time, engine="python")
+        ref_p = pack_stream_python(stream, bs, start_time=log.start_time)
+        try:
+            fast = pack_stream_numpy(stream, bs, start_time=log.start_time)
+        except VectorFallback:
+            fast = ref_p
         if fast != ref_p:
             return f"pack_stream(block_size={bs}): numpy engine diverges"
         detail = _curves_differ(ref_p, rng, f"veccache[bs={bs}]")
@@ -219,8 +228,6 @@ def check_engines(log: TraceLog, seed: str = "0") -> str | None:
 
 def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
     """The vectorized cache engine vs the stack/replay oracles."""
-    from ..analysis.vectorized import VectorFallback
-
     bs = packed.block_size
     # Seed-chosen capacities, small ones first: a 1-2 block cache keeps
     # the stack boundary pointers inside the hole churn, which is where

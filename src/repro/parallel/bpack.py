@@ -27,7 +27,7 @@ The numeric columns lead and the header is 8-byte sized, so a reader
 can ``memoryview.cast`` them with zero copies; the byte column trails.
 Columns are stored little-endian; a big-endian host byteswaps copies on
 the way in and out (the file never changes with the host).  Everything
-here is numpy-free — the python engine leg shares ``.bpack`` files too.
+here is numpy-free, so the Python replay reads ``.bpack`` files too.
 
 :func:`read_bpack` returns a :class:`PackedStream` whose ``keys`` and
 ``times`` are memoryviews into the mmap (they keep the mapping alive)

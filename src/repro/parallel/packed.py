@@ -34,7 +34,6 @@ from ..cache.policies import DELAYED_WRITE, PolicySpec, WritePolicy
 from ..cache.replacement import make_replacement, validate_replacement
 from ..cache.stream import Invalidation, StreamItem, cached_stream, memoize_per_log
 from ..trace.log import TraceLog
-from ..trace.npview import resolve_engine
 
 __all__ = [
     "OP_READ",
@@ -45,6 +44,7 @@ __all__ = [
     "PackedStream",
     "PackedRun",
     "pack_stream",
+    "pack_stream_python",
     "cached_packed_stream",
     "simulate_packed",
 ]
@@ -87,22 +87,28 @@ def pack_stream(
     stream: list[StreamItem],
     block_size: int,
     start_time: float = 0.0,
-    engine: str = "auto",
 ) -> PackedStream:
     """Compile *stream* (from ``build_stream``) for *block_size*.
 
-    *engine* selects the implementation: ``"auto"`` expands blocks with
-    the numpy fast path when available (bit-identical packed streams;
-    fuzz pillar 5 checks this continuously), ``"python"``/``"numpy"``
-    force one side.
+    The numpy kernel expands the blocks; :func:`pack_stream_python`
+    reruns the compile only when the kernel declines the input (the
+    packed streams are bit-identical; fuzz pillar 5 checks this).
     """
-    if resolve_engine(engine) == "numpy":
-        from ..analysis.vectorized import VectorFallback, pack_stream_numpy
+    from ..analysis.vectorized import VectorFallback, pack_stream_numpy
 
-        try:
-            return pack_stream_numpy(stream, block_size, start_time)
-        except VectorFallback:
-            pass
+    try:
+        return pack_stream_numpy(stream, block_size, start_time)
+    except VectorFallback:
+        return pack_stream_python(stream, block_size, start_time)
+
+
+def pack_stream_python(
+    stream: list[StreamItem],
+    block_size: int,
+    start_time: float = 0.0,
+) -> PackedStream:
+    """The pure-Python reference of
+    :func:`~repro.analysis.vectorized.pack_stream_numpy`."""
     if block_size <= 0:
         raise ValueError(f"block size must be positive, got {block_size}")
     bs = block_size
@@ -171,25 +177,15 @@ def cached_packed_stream(
     log: TraceLog,
     block_size: int,
     include_paging: bool = False,
-    engine: str = "auto",
 ) -> PackedStream:
-    """Memoized :func:`pack_stream` per ``(log, block_size, paging, engine)``.
-
-    The memo key carries the *resolved* engine, so a process mixing
-    ``--engine python`` and ``--engine numpy`` runs can never be served
-    the other engine's compile (they are bit-identical by contract —
-    fuzz pillar 5 — but a differential harness must not have its two
-    sides silently collapsed into one), while repeated ``auto`` calls
-    still share one entry.
-    """
+    """Memoized :func:`pack_stream` per ``(log, block_size, paging)``."""
     return memoize_per_log(
         log,
-        ("packed", block_size, include_paging, resolve_engine(engine)),
+        ("packed", block_size, include_paging),
         lambda: pack_stream(
             cached_stream(log, include_paging=include_paging),
             block_size,
             start_time=log.start_time,
-            engine=engine,
         ),
     )
 
@@ -264,7 +260,6 @@ def simulate_packed(
     dirty_drop = dirty_set.discard
 
     inf = float("inf")
-    timed = flushing or checkpoint_time is not None
     cp_at = checkpoint_time if checkpoint_time is not None else inf
     interval = policy.flush_interval or 0.0
     if flushing:
@@ -277,204 +272,91 @@ def simulate_packed(
     else:
         next_flush = inf
 
-    keys = packed.keys.tolist()
-
-    # Three loop bodies over the same rows: a generic timed one (flush
-    # scans, checkpoints, FIFO), and two branch-free specializations for
-    # the sweeps' hot cases — LRU delayed-write and LRU write-through
-    # with no clock at all.  They must stay behaviorally identical; the
-    # differential suite runs all of them against the reference.
-    if timed or not lru:
-        for op, key, t in zip(packed.ops, keys, packed.times.tolist()):
-            if t >= cp_at:
-                checkpoint = CacheMetrics(
-                    read_accesses=reads,
-                    write_accesses=writes,
-                    disk_reads=disk_reads,
-                    disk_writes=disk_writes,
-                    evictions=evictions,
-                    invalidated_blocks=invalidated,
-                    dirty_blocks_created=dirty_created,
-                    dirty_blocks_discarded=dirty_discarded,
-                    read_elisions=elisions,
-                )
-                cp_at = inf
-            while t >= next_flush:
-                if dirty_set:
-                    disk_writes += len(dirty_set)
-                    dirty_set.clear()
-                next_flush += interval
-            if op == OP_INVALIDATE:
-                if invalidate_on_delete:
-                    fid = key >> KEY_SHIFT
-                    s = by_file.get(fid)
-                    if s:
-                        doomed = sorted(k for k in s if k >= key)
-                        if doomed:
-                            for k in doomed:
-                                pop(k)
-                                if dirty_has(k):
-                                    dirty_drop(k)
-                                    dirty_discarded += 1
-                                s.discard(k)
-                            invalidated += len(doomed)
-                            if not s:
-                                del by_file[fid]
-                continue
-            if get(key) is not None:
-                # Hit.
-                if lru:
-                    move(key)
-                if op:
-                    writes += 1
-                    if write_through:
-                        disk_writes += 1
-                    elif not dirty_has(key):
-                        dirty_add(key)
-                        dirty_created += 1
-                else:
-                    reads += 1
-                continue
-            # Miss.
+    # One loop serves LRU and FIFO, timed or not: with no flush and no
+    # checkpoint both clocks stay at infinity.  The zoo policies have
+    # their own loop below.
+    for op, key, t in zip(packed.ops, packed.keys.tolist(), packed.times.tolist()):
+        if t >= cp_at:
+            checkpoint = CacheMetrics(
+                read_accesses=reads,
+                write_accesses=writes,
+                disk_reads=disk_reads,
+                disk_writes=disk_writes,
+                evictions=evictions,
+                invalidated_blocks=invalidated,
+                dirty_blocks_created=dirty_created,
+                dirty_blocks_discarded=dirty_discarded,
+                read_elisions=elisions,
+            )
+            cp_at = inf
+        while t >= next_flush:
+            if dirty_set:
+                disk_writes += len(dirty_set)
+                dirty_set.clear()
+            next_flush += interval
+        if op == OP_INVALIDATE:
+            if invalidate_on_delete:
+                fid = key >> KEY_SHIFT
+                s = by_file.get(fid)
+                if s:
+                    doomed = sorted(k for k in s if k >= key)
+                    if doomed:
+                        for k in doomed:
+                            pop(k)
+                            if dirty_has(k):
+                                dirty_drop(k)
+                                dirty_discarded += 1
+                            s.discard(k)
+                        invalidated += len(doomed)
+                        if not s:
+                            del by_file[fid]
+            continue
+        if get(key) is not None:
+            # Hit.
+            if lru:
+                move(key)
             if op:
                 writes += 1
-                if op == OP_WRITE_COVERED and read_elision:
-                    elisions += 1
-                else:
-                    disk_reads += 1
                 if write_through:
                     disk_writes += 1
-                else:
-                    dirty_created += 1
+                elif not dirty_has(key):
                     dirty_add(key)
+                    dirty_created += 1
             else:
                 reads += 1
+            continue
+        # Miss.
+        if op:
+            writes += 1
+            if op == OP_WRITE_COVERED and read_elision:
+                elisions += 1
+            else:
                 disk_reads += 1
-            cache[key] = True
-            fid = key >> KEY_SHIFT
-            s = by_file.get(fid)
-            if s is None:
-                s = by_file[fid] = set()
-            s.add(key)
-            if len(cache) > capacity:
-                vkey, _ = popitem(False)
-                evictions += 1
-                if dirty_has(vkey):
-                    dirty_drop(vkey)
-                    disk_writes += 1
-                vfid = vkey >> KEY_SHIFT
-                vs = by_file[vfid]
-                vs.discard(vkey)
-                if not vs:
-                    del by_file[vfid]
-    elif write_through:
-        # LRU write-through, untimed: nothing is ever dirty.
-        for op, key in zip(packed.ops, keys):
-            if op == OP_INVALIDATE:
-                if invalidate_on_delete:
-                    fid = key >> KEY_SHIFT
-                    s = by_file.get(fid)
-                    if s:
-                        doomed = sorted(k for k in s if k >= key)
-                        if doomed:
-                            for k in doomed:
-                                pop(k)
-                                s.discard(k)
-                            invalidated += len(doomed)
-                            if not s:
-                                del by_file[fid]
-                continue
-            if get(key) is not None:
-                move(key)
-                if op:
-                    writes += 1
-                    disk_writes += 1
-                else:
-                    reads += 1
-                continue
-            if op:
-                writes += 1
+            if write_through:
                 disk_writes += 1
-                if op == OP_WRITE_COVERED and read_elision:
-                    elisions += 1
-                else:
-                    disk_reads += 1
             else:
-                reads += 1
-                disk_reads += 1
-            cache[key] = True
-            fid = key >> KEY_SHIFT
-            s = by_file.get(fid)
-            if s is None:
-                s = by_file[fid] = set()
-            s.add(key)
-            if len(cache) > capacity:
-                vkey, _ = popitem(False)
-                evictions += 1
-                vfid = vkey >> KEY_SHIFT
-                vs = by_file[vfid]
-                vs.discard(vkey)
-                if not vs:
-                    del by_file[vfid]
-    else:
-        # LRU delayed-write, untimed: disk writes happen only at eviction.
-        for op, key in zip(packed.ops, keys):
-            if op == OP_INVALIDATE:
-                if invalidate_on_delete:
-                    fid = key >> KEY_SHIFT
-                    s = by_file.get(fid)
-                    if s:
-                        doomed = sorted(k for k in s if k >= key)
-                        if doomed:
-                            for k in doomed:
-                                pop(k)
-                                if dirty_has(k):
-                                    dirty_drop(k)
-                                    dirty_discarded += 1
-                                s.discard(k)
-                            invalidated += len(doomed)
-                            if not s:
-                                del by_file[fid]
-                continue
-            if get(key) is not None:
-                move(key)
-                if op:
-                    writes += 1
-                    if not dirty_has(key):
-                        dirty_add(key)
-                        dirty_created += 1
-                else:
-                    reads += 1
-                continue
-            if op:
-                writes += 1
-                if op == OP_WRITE_COVERED and read_elision:
-                    elisions += 1
-                else:
-                    disk_reads += 1
                 dirty_created += 1
                 dirty_add(key)
-            else:
-                reads += 1
-                disk_reads += 1
-            cache[key] = True
-            fid = key >> KEY_SHIFT
-            s = by_file.get(fid)
-            if s is None:
-                s = by_file[fid] = set()
-            s.add(key)
-            if len(cache) > capacity:
-                vkey, _ = popitem(False)
-                evictions += 1
-                if dirty_has(vkey):
-                    dirty_drop(vkey)
-                    disk_writes += 1
-                vfid = vkey >> KEY_SHIFT
-                vs = by_file[vfid]
-                vs.discard(vkey)
-                if not vs:
-                    del by_file[vfid]
-
+        else:
+            reads += 1
+            disk_reads += 1
+        cache[key] = True
+        fid = key >> KEY_SHIFT
+        s = by_file.get(fid)
+        if s is None:
+            s = by_file[fid] = set()
+        s.add(key)
+        if len(cache) > capacity:
+            vkey, _ = popitem(False)
+            evictions += 1
+            if dirty_has(vkey):
+                dirty_drop(vkey)
+                disk_writes += 1
+            vfid = vkey >> KEY_SHIFT
+            vs = by_file[vfid]
+            vs.discard(vkey)
+            if not vs:
+                del by_file[vfid]
     metrics = CacheMetrics(
         read_accesses=reads,
         write_accesses=writes,

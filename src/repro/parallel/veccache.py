@@ -37,9 +37,8 @@ wavelet matrix over the removal sequence (``O(log n)`` vectorized
 passes for the whole batch).
 
 Like every other kernel pair, bit-identity is the contract:
-``stack_curve(..., engine="auto")`` runs the numpy kernel when it can
-and silently reruns the Python oracle on :class:`VectorFallback`;
-``engine="numpy"`` with numpy unavailable raises instead of degrading.
+:func:`stack_curve` runs the numpy kernel and reruns the Python oracle
+only when the kernel raises :class:`VectorFallback` on its input.
 :func:`simulate_packed_numpy` rides the same machinery for the
 write-through/LRU configurations (the only ones whose disk traffic is
 content-determined — see the ``stack`` module docstring), so a sweep's
@@ -53,7 +52,7 @@ from heapq import heappop, heappush
 from ..cache.metrics import CacheMetrics
 from ..cache.policies import DELAYED_WRITE, WRITE_THROUGH, PolicySpec, WritePolicy
 from ..cache.replacement import validate_replacement
-from ..trace.npview import np, resolve_engine
+from ..trace.npview import np
 from .packed import (
     KEY_SHIFT,
     OP_INVALIDATE,
@@ -94,28 +93,25 @@ def stack_curve(
     read_elision: bool = True,
     invalidate_on_delete: bool = True,
     checkpoint_time: float | None = None,
-    engine: str = "auto",
 ) -> StackCurve:
-    """One-pass curve for every size, on the fastest engine that can.
+    """One-pass curve for every size.
 
-    ``"auto"`` uses the numpy kernel when available (bit-identical
-    curves), falling back to :func:`simulate_stack` when the kernel
-    declines the input; ``"python"``/``"numpy"`` force one side.
+    The numpy kernel computes it; :func:`simulate_stack` reruns it only
+    when the kernel declines the input (the curves are bit-identical).
     """
-    if resolve_engine(engine) == "numpy":
-        from ..analysis.vectorized import VectorFallback
+    from ..analysis.vectorized import VectorFallback
 
-        try:
-            return stack_curve_numpy(
-                packed,
-                cache_sizes,
-                policy,
-                read_elision=read_elision,
-                invalidate_on_delete=invalidate_on_delete,
-                checkpoint_time=checkpoint_time,
-            )
-        except VectorFallback:
-            pass
+    try:
+        return stack_curve_numpy(
+            packed,
+            cache_sizes,
+            policy,
+            read_elision=read_elision,
+            invalidate_on_delete=invalidate_on_delete,
+            checkpoint_time=checkpoint_time,
+        )
+    except VectorFallback:
+        pass
     return simulate_stack(
         packed,
         cache_sizes,
@@ -136,30 +132,29 @@ def replay_packed(
     invalidate_on_delete: bool = True,
     checkpoint_time: float | None = None,
     flush_epoch: float | None = None,
-    engine: str = "auto",
 ) -> PackedRun:
     """One configuration replay, vectorized when the policy allows.
 
     Write-through LRU configurations are curve evaluations (dirty state
     never exists), so the numpy kernel answers them from depth arrays;
-    every other policy/replacement keeps the exact Python replay.
+    every other policy/replacement makes the kernel decline, and the
+    exact Python replay runs.
     """
-    if resolve_engine(engine) == "numpy":
-        from ..analysis.vectorized import VectorFallback
+    from ..analysis.vectorized import VectorFallback
 
-        try:
-            return simulate_packed_numpy(
-                packed,
-                cache_bytes,
-                policy,
-                replacement=replacement,
-                read_elision=read_elision,
-                invalidate_on_delete=invalidate_on_delete,
-                checkpoint_time=checkpoint_time,
-                flush_epoch=flush_epoch,
-            )
-        except VectorFallback:
-            pass
+    try:
+        return simulate_packed_numpy(
+            packed,
+            cache_bytes,
+            policy,
+            replacement=replacement,
+            read_elision=read_elision,
+            invalidate_on_delete=invalidate_on_delete,
+            checkpoint_time=checkpoint_time,
+            flush_epoch=flush_epoch,
+        )
+    except VectorFallback:
+        pass
     return simulate_packed(
         packed,
         cache_bytes,
@@ -227,8 +222,6 @@ def stack_curve_numpy(
     checkpoint_time: float | None = None,
 ) -> StackCurve:
     """Vectorized :func:`~repro.parallel.stack.simulate_stack`."""
-    if np is None:  # pragma: no cover - guarded by resolve_engine at call sites
-        raise RuntimeError("numpy is not available")
     if policy.policy is not WritePolicy.WRITE_THROUGH:
         raise ValueError(
             "the one-pass stack simulator is exact only under write-through; "

@@ -13,7 +13,7 @@ project-wide call graph (:mod:`repro.statics.callgraph`) and an
 intraprocedural taint interpreter (:mod:`repro.statics.dataflow`) power
 rules that follow values through assignments and modules — RNG
 provenance, time-unit mixing, and the cross-module engine-parity
-contract around every ``resolve_engine`` dispatch.
+contract around every ``try``/``except VectorFallback`` dispatch.
 
 Entry points::
 
@@ -46,8 +46,9 @@ REP-H003   warning   no per-event loops over trace columns outside the
                      reference-oracle modules (vectorize instead)
 REP-S001   error     trace schema agrees across records/columns/io_binary
 REP-S002   error     corpus on-disk schema digest matches SCHEMA_DIGESTS
-REP-E001   error     every engine dispatch keeps a pure-python oracle twin
-                     with a matching signature (call-graph checked)
+REP-E001   error     every ``VectorFallback`` dispatch keeps a pure-python
+                     oracle twin with a matching signature (call-graph
+                     checked)
 REP-E002   error     every engine dispatch has a fuzz-pillar differential
 REP-A000   error     suppressions must name a rule id and a justification
 REP-A001   error     no stale suppressions (allow comments matching nothing)

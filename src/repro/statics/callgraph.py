@@ -2,11 +2,12 @@
 
 The per-module rules see one file at a time; the engine-parity family
 (:mod:`repro.statics.rules_engines`) needs to know *who calls whom
-across the tree*: which functions gate on
-:func:`repro.trace.npview.resolve_engine`, which fast-path kernels those
-gates reach, and whether any :mod:`repro.fuzz` pillar exercises the
-pair.  This module builds that view from the same import/scope tracking
-:class:`~repro.statics.context.ModuleContext` already does per file.
+across the tree*: which functions dispatch to a fast-path kernel inside
+a ``try`` that falls back on ``VectorFallback``, which kernels those
+dispatches reach, and whether any :mod:`repro.fuzz` pillar exercises
+the pair.  This module builds that view from the same import/scope
+tracking :class:`~repro.statics.context.ModuleContext` already does per
+file.
 
 Construction is two-phase so the expensive half caches:
 
@@ -14,7 +15,7 @@ Construction is two-phase so the expensive half caches:
    text: the module's import map, its top-level symbols (functions,
    classes, methods, with parameter lists), every call/reference site
    with its *unresolved* dotted origin, and any engine-dispatch
-   structure (``if resolve_engine(...) == "numpy":`` branches).  Facts
+   structure (``try: ... except VectorFallback:`` blocks).  Facts
    serialize to JSON keyed by a content digest, which is what
    ``repro-fs lint --callgraph-cache`` stores between runs.
 2. :class:`CallGraph` assembly — cross-file: relative imports are
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import config
 from .context import ModuleContext
 
 __all__ = [
@@ -51,7 +51,12 @@ __all__ = [
 ]
 
 #: Bump when the serialized fact layout changes; stale caches rebuild.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
+
+#: The exception a fast-path kernel raises to decline an input; a ``try``
+#: that catches it is an engine dispatch (matched on the last dotted
+#: segment).
+_FALLBACK_EXCEPTION = "VectorFallback"
 
 #: How many ``__init__`` re-export hops to follow before giving up.
 _ALIAS_DEPTH = 6
@@ -81,8 +86,8 @@ class CallSite:
     resolved: bool
     path: str
     lineno: int
-    #: "numpy" inside an engine-dispatch numpy branch, "fallback"
-    #: elsewhere inside a dispatch function, "" outside dispatchers.
+    #: "numpy" inside a dispatch's ``try`` body, "fallback" elsewhere
+    #: inside a dispatch function, "" outside dispatchers.
     branch: str = ""
     #: True for a function passed by value rather than called.
     ref: bool = False
@@ -90,14 +95,14 @@ class CallSite:
 
 @dataclass(frozen=True, slots=True)
 class DispatchSite:
-    """One ``if resolve_engine(...) == "numpy":`` gate."""
+    """One ``try: <kernel> except VectorFallback: ...`` block."""
 
     qname: str  # the dispatch function
     module: str
     path: str
     lineno: int
-    #: True when a pure-Python path exists: the gate has an ``else``
-    #: branch or statements follow it in the same block.
+    #: True when a pure-Python path exists: the handler does more than
+    #: ``pass``, or statements follow the ``try`` in the same block.
     has_fallback: bool
 
 
@@ -134,30 +139,20 @@ def _params_of(
     return tuple(names)
 
 
-def _is_gate_call(ctx: ModuleContext, node: ast.expr) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    resolved = ctx.resolve(node.func)
-    if resolved is None:
-        return False
-    return resolved.rsplit(".", 1)[-1] in config.ENGINE_GATE_NAMES
-
-
-def _numpy_gate_test(ctx: ModuleContext, test: ast.expr) -> bool:
-    """True for ``resolve_engine(...) == "numpy"`` (either operand order)."""
-    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-        return False
-    if not isinstance(test.ops[0], ast.Eq):
-        return False
-    left, right = test.left, test.comparators[0]
-    for gate, other in ((left, right), (right, left)):
-        if (
-            _is_gate_call(ctx, gate)
-            and isinstance(other, ast.Constant)
-            and other.value == "numpy"
-        ):
+def _catches_fallback(ctx: ModuleContext, handler: ast.ExceptHandler) -> bool:
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    for kind in kinds:
+        resolved = ctx.resolve(kind) if kind is not None else None
+        if resolved and resolved.rsplit(".", 1)[-1] == _FALLBACK_EXCEPTION:
             return True
     return False
+
+
+def _fallback_handlers(ctx: ModuleContext, node: ast.AST) -> list[ast.ExceptHandler]:
+    """The handlers of *node*, if a ``try``, that catch ``VectorFallback``."""
+    if not isinstance(node, ast.Try):
+        return []
+    return [h for h in node.handlers if _catches_fallback(ctx, h)]
 
 
 class _FactCollector:
@@ -259,9 +254,7 @@ class _FactCollector:
     def _branch_map(self, fn: ast.AST, sym: SymbolInfo) -> dict[int, str]:
         """``id(node) -> branch tag`` for nodes inside a dispatch function."""
         gates = [
-            node
-            for node in ast.walk(fn)
-            if isinstance(node, ast.If) and _numpy_gate_test(self.ctx, node.test)
+            node for node in ast.walk(fn) if _fallback_handlers(self.ctx, node)
         ]
         if not gates:
             return {}
@@ -275,7 +268,11 @@ class _FactCollector:
             for node in ast.walk(fn)
         }
         gate = gates[0]
-        has_fallback = bool(gate.orelse)
+        has_fallback = any(
+            not isinstance(stmt, ast.Pass)
+            for handler in _fallback_handlers(self.ctx, gate)
+            for stmt in handler.body
+        )
         if not has_fallback:
             parent = self.ctx.parent(gate)
             for attr in ("body", "orelse", "finalbody"):

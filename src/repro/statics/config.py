@@ -19,7 +19,6 @@ __all__ = [
     "COLUMN_RULE_EXEMPT_PACKAGES",
     "UNIT_PACKAGES",
     "RNG_PARAM_NAMES",
-    "ENGINE_GATE_NAMES",
     "FAST_PATH_SUFFIXES",
     "FAST_PATH_PREFIXES",
     "FUZZ_PACKAGES",
@@ -144,10 +143,6 @@ UNIT_PACKAGES: tuple[str, ...] = (
 #: determinism).  Annotations mentioning Random/Generator count too.
 RNG_PARAM_NAMES: tuple[str, ...] = ("rng", "rnd", "prng", "generator")
 
-#: Functions whose ``== "numpy"`` comparison marks an engine-dispatch
-#: gate for the call graph (matched on the last dotted segment).
-ENGINE_GATE_NAMES: tuple[str, ...] = ("resolve_engine",)
-
 #: Naming conventions for vectorized fast paths; the engine-parity
 #: rules pair every ``*_numpy`` function / ``Vectorized*`` class with
 #: its pure-Python oracle twin via the dispatch sites.
@@ -175,7 +170,6 @@ _OVERRIDABLE: dict[str, str] = {
     "determinism_packages": "DETERMINISM_PACKAGES",
     "unit_packages": "UNIT_PACKAGES",
     "rng_param_names": "RNG_PARAM_NAMES",
-    "engine_gate_names": "ENGINE_GATE_NAMES",
     "fast_path_suffixes": "FAST_PATH_SUFFIXES",
     "fast_path_prefixes": "FAST_PATH_PREFIXES",
     "fuzz_packages": "FUZZ_PACKAGES",

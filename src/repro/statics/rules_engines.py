@@ -1,14 +1,15 @@
 """Engine-parity rules (cross-module, call-graph based).
 
 The repo's fast-path discipline (DESIGN.md §12–13) is a three-way
-contract around every ``resolve_engine`` dispatch:
+contract around every engine dispatch, a ``try`` that calls a kernel
+and catches ``VectorFallback``:
 
-1. the numpy branch calls a convention-named kernel (``*_numpy`` /
+1. the ``try`` body calls a convention-named kernel (``*_numpy`` /
    ``Vectorized*``);
-2. a pure-Python **oracle twin** remains reachable when numpy is
-   absent, accepting the same knobs (the slow path *is* the spec);
-3. a :mod:`repro.fuzz` pillar drives both engines differentially, so
-   "bit-identical" stays an enforced property rather than a comment.
+2. a pure-Python **oracle twin** runs when the kernel declines its
+   input, accepting the same knobs (the slow path *is* the spec);
+3. a :mod:`repro.fuzz` pillar drives kernel and oracle differentially,
+   so "bit-identical" stays an enforced property rather than a comment.
 
 Until now only humans checked 2 and 3 at review time.  These rules
 check them from the project call graph
@@ -18,8 +19,10 @@ check them from the project call graph
   has no pure-Python fallback path, when a fast-path kernel takes a
   parameter that neither the dispatcher nor any fallback callee
   accepts (signature drift: a knob the oracle can no longer mirror),
-  or when a public convention-named kernel is never referenced from
-  any dispatch numpy branch (an orphan fast path nothing can reach).
+  or when no production code calls a public convention-named kernel
+  (an orphan fast path nothing can reach).  A kernel that never
+  declines, such as the validator, needs no dispatch: its caller runs
+  it directly.
 * ``REP-E002`` — differential coverage.  Fires when no module in the
   fuzz packages calls (or passes by reference) either the dispatch
   function or one of its fast-path kernels.
@@ -95,7 +98,7 @@ def _finding(
 
 
 def _fast_callees(graph: CallGraph, qname: str) -> list[str]:
-    """Resolved convention-named callees inside the numpy branch."""
+    """Resolved convention-named callees inside the dispatch's ``try``."""
     out: list[str] = []
     for site in graph.callees_of(qname):
         if site.branch != "numpy" or not site.resolved:
@@ -106,10 +109,17 @@ def _fast_callees(graph: CallGraph, qname: str) -> list[str]:
     return out
 
 
+def _production_callers(graph: CallGraph, qname: str) -> bool:
+    return any(
+        config.in_packages(mod, ("repro",))
+        and not config.in_packages(mod, config.FUZZ_PACKAGES)
+        for mod in graph.calling_modules(qname)
+    )
+
+
 def check_engine_parity(files: Iterable[str | Path]) -> Iterator[Finding]:
     """``REP-E001``: fallback exists, signatures match, no orphans."""
     graph = shared_graph(files)
-    numpy_branch_targets: set[str] = set()
     for dispatch in graph.iter_dispatches():
         if not dispatch.has_fallback:
             yield _finding(
@@ -117,9 +127,9 @@ def check_engine_parity(files: Iterable[str | Path]) -> Iterator[Finding]:
                 dispatch.lineno,
                 "REP-E001",
                 f"`{dispatch.qname}` dispatches to numpy but has no "
-                "pure-Python fallback path (no `else` branch and no "
-                "trailing statements); the oracle twin is the spec — "
-                "keep it reachable",
+                "pure-Python fallback path (its `VectorFallback` handler "
+                "only passes and no statements follow the `try`); the "
+                "oracle twin is the spec — keep it reachable",
             )
         # Knobs the python side accepts: the dispatcher's own signature
         # plus everything any fallback-branch callee takes.
@@ -133,15 +143,12 @@ def check_engine_parity(files: Iterable[str | Path]) -> Iterator[Finding]:
                 if sym is not None:
                     pool.update(_strip(p) for p in sym.params)
         for fast in _fast_callees(graph, dispatch.qname):
-            numpy_branch_targets.add(fast)
             fast_sym = graph.symbol(fast)
             if fast_sym is None:
                 continue
             params = [_strip(p) for p in fast_sym.params]
-            # The leading positional is the data (columns/stream/packed)
-            # and `engine` is the dispatcher's own knob.
-            checkable = [p for p in params[1:] if p != "engine"]
-            missing = sorted(p for p in checkable if p not in pool)
+            # The leading positional is the data (columns/stream/packed).
+            missing = sorted(p for p in params[1:] if p not in pool)
             if missing:
                 yield _finding(
                     dispatch.path,
@@ -152,24 +159,25 @@ def check_engine_parity(files: Iterable[str | Path]) -> Iterator[Finding]:
                     "nor any pure-Python fallback callee accepts; the "
                     "oracle twin's signature has drifted",
                 )
-    # Orphans: a public convention-named kernel no dispatch can reach.
+    # Orphans: a public convention-named kernel that no production code
+    # (a dispatch, or any caller outside the fuzz pillars and tests)
+    # calls.
     if graph.dispatches:
-        for site in (s for s in graph.calls if s.branch == "numpy" and s.resolved):
-            numpy_branch_targets.add(site.callee)
         for qname, sym in sorted(graph.symbols.items()):
             if sym.kind == "method" or not _is_fast_name(sym.name):
                 continue
             if sym.name.rsplit(".", 1)[-1].startswith("_"):
                 continue
-            if qname not in numpy_branch_targets:
-                yield _finding(
-                    sym.path,
-                    sym.lineno,
-                    "REP-E001",
-                    f"public fast path `{qname}` is never referenced from "
-                    "any `resolve_engine` numpy branch; either wire it "
-                    "into a dispatcher or mark it private",
-                )
+            if _production_callers(graph, qname):
+                continue
+            yield _finding(
+                sym.path,
+                sym.lineno,
+                "REP-E001",
+                f"public fast path `{qname}` is called from no dispatch "
+                "and no other production code; either wire it in or "
+                "mark it private",
+            )
 
 
 def check_fuzz_coverage(files: Iterable[str | Path]) -> Iterator[Finding]:

@@ -266,8 +266,30 @@ def _read_header(fh: IO[bytes]) -> tuple[str, str, int]:
     return name, desc, count
 
 
+def _trailing_payload(count: int, at: int | None) -> BinaryTraceError:
+    where = "" if at is None else f" at byte {at}"
+    return BinaryTraceError(
+        f"payload left after the {count} events the header counts{where}: "
+        "a torn write (the count is patched only when the writer closes) "
+        "or a corrupt count"
+    )
+
+
+def _check_consumed(fh: IO[bytes], count: int) -> None:
+    """Raise when bytes follow the last of the *count* records."""
+    try:
+        at = fh.tell()
+    except (OSError, ValueError):
+        at = None
+    if fh.read(1):
+        raise _trailing_payload(count, at)
+
+
 def read_binary(src: _PathOrFile) -> TraceLog:
-    """Read a binary trace file into a :class:`TraceLog`."""
+    """Read a binary trace file into a :class:`TraceLog`.
+
+    The records must end exactly where the stream does.
+    """
     own = not hasattr(src, "read")
     fh: IO[bytes] = open(src, "rb") if own else src  # type: ignore[assignment]
     try:
@@ -276,6 +298,7 @@ def read_binary(src: _PathOrFile) -> TraceLog:
         for i in range(count):
             tag = _read_exact(fh, 1, f"the tag of event {i + 1} of {count}")[0]
             events.append(_unpack_event(tag, fh))
+        _check_consumed(fh, count)
         return TraceLog(name=name, description=desc, events=events)
     finally:
         if own:
@@ -288,7 +311,8 @@ class BinaryTraceStream:
     Returned by :func:`iter_binary`: exposes the header fields
     (``name``, ``description``, ``count``) immediately and decodes
     records lazily as it is iterated, so a trace far larger than RAM can
-    be consumed with O(1) memory.  Use as a context manager (or call
+    be consumed with O(1) memory; a full iteration raises if payload
+    follows the last record.  Use as a context manager (or call
     :meth:`close`) to release the file handle.
     """
 
@@ -312,6 +336,7 @@ class BinaryTraceStream:
             event = _unpack_event(tag, self._fh)
             self._consumed += 1
             yield event
+        _check_consumed(self._fh, self.count)
 
     def close(self) -> None:
         if self._own:
@@ -422,7 +447,8 @@ def read_binary_columns(src: _PathOrFile) -> TraceColumns:
 
     Decodes the record payload with ``unpack_from`` over one contiguous
     buffer — no per-event objects, no per-record ``read`` calls.  Reads the
-    remainder of the stream, so pass a handle positioned at the magic.
+    remainder of the stream, so pass a handle positioned at the magic; the
+    records must end exactly where the stream does.
     """
     own = not hasattr(src, "read")
     fh: IO[bytes] = open(src, "rb") if own else src  # type: ignore[assignment]
@@ -541,6 +567,8 @@ def read_binary_columns(src: _PathOrFile) -> TraceColumns:
             f"field value in event {i + 1} of {count} exceeds the signed "
             "64-bit range of the columnar store; corrupt trace file"
         ) from None
+    if off < len(payload):
+        raise _trailing_payload(count, None if payload_at is None else payload_at + off)
     return TraceColumns(
         name=name,
         description=desc,

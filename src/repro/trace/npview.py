@@ -13,105 +13,41 @@ native-endian by construction, and :class:`~repro.corpus.reader.CorpusReader`
 already normalizes segment columns to native order (zero-copy casts on
 little-endian hosts, byteswapped copies on big-endian ones).
 
-numpy is strictly optional.  :func:`numpy_available` is the single
-gate: it is False when numpy is not importable *or* when the
-``REPRO_NO_NUMPY`` environment variable is set, and every dispatch site
-(:func:`resolve_engine`) honors it, so the pure-Python paths keep
-working — and keep being exercised — without numpy installed.
+numpy is a required dependency: every dispatch site runs its numpy
+kernel, and the pure-Python reference runs only when the kernel raises
+:class:`~repro.analysis.vectorized.VectorFallback` on an input it cannot
+reproduce bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .columns import TraceColumns
 
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
 __all__ = [
-    "ENGINES",
     "ColumnViews",
     "as_f64",
     "as_i64",
     "as_u8",
     "column_views",
-    "current_engine",
-    "engine_context",
-    "numpy_available",
+    "np",
     "resolve_engine",
 ]
 
-#: The engine names every ``engine=`` parameter and ``--engine`` flag accepts.
-ENGINES = ("auto", "python", "numpy")
 
+def resolve_engine(engine: str = "auto") -> str:
+    """``"numpy"``, the one engine, for ``"auto"`` or ``"numpy"``.
 
-def numpy_available() -> bool:
-    """True when the numpy fast path may be used.
-
-    ``REPRO_NO_NUMPY=1`` (any non-empty value) disables it even with
-    numpy installed — the escape hatch for debugging and for the CI leg
-    that keeps the fallback path honest.
+    Kept for benchmark scripts that record which engine they timed;
+    nothing in the package dispatches on it.
     """
-    return np is not None and not os.environ.get("REPRO_NO_NUMPY")
-
-
-def resolve_engine(engine: str) -> str:
-    """Map an ``auto``/``python``/``numpy`` request to a concrete engine.
-
-    ``auto`` picks numpy when available, else python.  Requesting
-    ``numpy`` explicitly when it cannot run is an error, not a silent
-    fallback — the caller asked for the fast path and should know.
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    if engine == "auto":
-        return "numpy" if numpy_available() else "python"
-    if engine == "numpy" and not numpy_available():
-        raise RuntimeError(
-            "numpy engine requested but numpy is unavailable "
-            "(not installed, or disabled via REPRO_NO_NUMPY)"
-        )
-    return engine
-
-
-_ambient_engine: str | None = None
-
-
-def current_engine() -> str:
-    """The ambient engine name: the innermost :func:`engine_context`,
-    else ``"auto"`` (resolve at use time, so ``REPRO_NO_NUMPY`` and
-    import availability are honored wherever the choice lands)."""
-    return _ambient_engine if _ambient_engine is not None else "auto"
-
-
-@contextmanager
-def engine_context(engine: str) -> Iterator[str]:
-    """Establish the ambient engine for nested dispatch sites.
-
-    Mirrors :func:`repro.parallel.executor.jobs_context`: a ``--engine``
-    flag set at the CLI reaches sweeps buried under the experiment
-    registry, whose entry points take only a trace.  The name is
-    validated here but resolved lazily at each dispatch site.
-    """
-    global _ambient_engine
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    previous = _ambient_engine
-    _ambient_engine = engine
-    try:
-        yield engine
-    finally:
-        _ambient_engine = previous
+    if engine not in ("auto", "numpy"):
+        raise ValueError(f"unknown engine {engine!r}; numpy is the only engine")
+    return "numpy"
 
 
 def as_f64(column):
@@ -164,7 +100,5 @@ class ColumnViews:
 
 
 def column_views(cols: "TraceColumns") -> ColumnViews:
-    """Zero-copy numpy views over *cols* (requires numpy)."""
-    if np is None:  # pragma: no cover - guarded by callers
-        raise RuntimeError("numpy is not available")
+    """Zero-copy numpy views over *cols*."""
     return ColumnViews(cols)

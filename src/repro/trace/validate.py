@@ -37,7 +37,6 @@ from .columns import (
 )
 from .io_binary import MAX_TRACE_TIME
 from .log import TraceLog
-from .npview import resolve_engine
 from .records import CloseEvent, OpenEvent, SeekEvent, TruncateEvent
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "validate",
     "validate_columns",
     "validate_columns_into",
+    "validate_columns_python",
 ]
 
 DEFAULT_MAX_PROBLEMS = 50
@@ -149,18 +149,16 @@ class _OpenTracker:
 def validate(
     log: TraceLog | TraceColumns,
     max_problems: int = DEFAULT_MAX_PROBLEMS,
-    engine: str = "auto",
 ) -> ValidationReport:
     """Check *log* against the tracer invariants and return a report.
 
     Accepts either an event-object :class:`TraceLog` or a columnar
     :class:`TraceColumns` view (dispatched to :func:`validate_columns`,
-    which never materializes event objects).  *engine* selects the scan
-    implementation for the columnar path; the event-object walk has no
-    flat buffers to vectorize and always runs in Python.
+    which never materializes event objects).  The event-object walk has
+    no flat buffers to vectorize and runs in Python.
     """
     if isinstance(log, TraceColumns):
-        return validate_columns(log, max_problems=max_problems, engine=engine)
+        return validate_columns(log, max_problems=max_problems)
     report = ValidationReport(
         event_count=len(log.events), max_problems=max_problems
     )
@@ -182,25 +180,27 @@ def validate(
 def validate_columns(
     cols: TraceColumns,
     max_problems: int = DEFAULT_MAX_PROBLEMS,
-    engine: str = "auto",
 ) -> ValidationReport:
     """Check a columnar trace directly against the tracer invariants.
 
-    Walks the flat columns — no event objects are built — and layers on
+    Checks the flat columns — no event objects are built — and layers on
     the storage-level checks: u32 centisecond time range, known kind
-    tags, and flag bytes holding only defined bits.  *engine* selects the
-    implementation: ``"auto"`` uses the numpy fast path when available,
-    ``"python"``/``"numpy"`` force one side; both produce identical
-    reports (fuzz pillar 5 checks this continuously).
+    tags, and flag bytes holding only defined bits.  The numpy kernel
+    accepts every input; :func:`validate_columns_python` is its Python
+    reference (fuzz pillar 5 checks that they agree).
     """
-    if resolve_engine(engine) == "numpy":
-        # Imported lazily: analysis.vectorized imports this module.
-        from ..analysis.vectorized import VectorFallback, validate_columns_numpy
+    # Imported lazily: analysis.vectorized imports this module.
+    from ..analysis.vectorized import validate_columns_numpy
 
-        try:
-            return validate_columns_numpy(cols, max_problems)
-        except VectorFallback:
-            pass
+    return validate_columns_numpy(cols, max_problems)
+
+
+def validate_columns_python(
+    cols: TraceColumns,
+    max_problems: int = DEFAULT_MAX_PROBLEMS,
+) -> ValidationReport:
+    """The pure-Python reference of :func:`validate_columns`: one
+    :func:`validate_columns_into` pass over *cols*."""
     report = ValidationReport(event_count=len(cols), max_problems=max_problems)
     tracker = _OpenTracker(report)
     validate_columns_into(cols, tracker)

@@ -1,30 +1,22 @@
-"""Tests for the zero-copy numpy views and the engine dispatch contract.
+"""Tests for the zero-copy numpy views and the vectorized kernels' edges.
 
-The vectorized engine's whole correctness story rests on two claims this
-module pins down: the views really alias the column buffers (no copies,
-native dtypes, writability inherited from the source — read-only over
-``bytes`` and mmapped ``.bcorpus`` segments), and the
-``auto``/``python``/``numpy`` dispatch honors the ``REPRO_NO_NUMPY``
-kill switch everywhere.  The numpy-dependent classes skip cleanly on
-the no-numpy CI leg.
+The vectorized engine's whole correctness story rests on the views
+really aliasing the column buffers (no copies, native dtypes,
+writability inherited from the source — read-only over ``bytes`` and
+mmapped ``.bcorpus`` segments), and on every kernel matching its
+pure-Python reference on the smallest inputs.
 """
 
 import sys
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.trace.columns import TraceColumns
 from repro.trace.log import TraceLog
-from repro.trace.npview import ENGINES, numpy_available, resolve_engine
+from repro.trace.npview import resolve_engine
 from repro.trace.records import AccessMode, CloseEvent, OpenEvent
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the no-numpy CI leg
-    np = None
-
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 
 
 def _tiny_log() -> TraceLog:
@@ -56,34 +48,16 @@ def _mutable_columns(log: TraceLog) -> TraceColumns:
 
 class TestEngineResolution:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("fortran")
+        for name in ("fortran", "python"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                resolve_engine(name)
 
-    def test_python_always_resolves(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert resolve_engine("python") == "python"
-
-    def test_kill_switch_disables_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert not numpy_available()
-        assert resolve_engine("auto") == "python"
-
-    def test_explicit_numpy_when_unavailable_is_an_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        with pytest.raises(RuntimeError, match="numpy engine requested"):
-            resolve_engine("numpy")
-
-    def test_auto_follows_availability(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-        expected = "numpy" if numpy_available() else "python"
-        assert resolve_engine("auto") == expected
-        assert (np is not None) == numpy_available()
-
-    def test_engine_names_are_the_cli_choices(self):
-        assert ENGINES == ("auto", "python", "numpy")
+    def test_auto_follows_availability(self):
+        # numpy is required, so it is always available and always chosen.
+        assert resolve_engine("auto") == "numpy"
+        assert resolve_engine("numpy") == "numpy"
 
 
-@needs_numpy
 class TestZeroCopyViews:
     def test_dtypes_endianness_and_alignment(self, small_trace):
         from repro.trace.npview import column_views
@@ -171,46 +145,37 @@ class TestZeroCopyViews:
         assert seen == len(cols)
 
 
-@needs_numpy
 class TestVectorizedKernelEdges:
     """Empty and single-event traces through every vectorized kernel."""
 
     @pytest.mark.parametrize("n_events", [0, 1, 2])
-    def test_tiny_traces_match_python(self, monkeypatch, n_events):
+    def test_tiny_traces_match_python(self, n_events):
         from repro.fuzz.engines import check_engines
 
-        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
         log = TraceLog(name="edge", events=_tiny_log().events[:n_events])
         assert check_engines(log, seed=f"edge:{n_events}") is None
 
     def test_empty_columns_through_each_kernel(self):
-        from repro.analysis.onepass import analyze_onepass
+        from repro.analysis.onepass import analyze_columns_python
         from repro.analysis.vectorized import (
             analyze_columns_numpy,
             pack_stream_numpy,
             validate_columns_numpy,
         )
-        from repro.parallel.packed import pack_stream
-        from repro.trace.validate import validate_columns
+        from repro.parallel.packed import pack_stream_python
+        from repro.trace.validate import validate_columns_python
 
         empty = TraceColumns()
-        assert analyze_columns_numpy(empty) == analyze_onepass(
-            empty, engine="python"
-        )
-        assert validate_columns_numpy(empty) == validate_columns(
-            empty, engine="python"
-        )
-        assert pack_stream_numpy([], 1024) == pack_stream(
-            [], 1024, engine="python"
-        )
+        assert analyze_columns_numpy(empty) == analyze_columns_python(empty)
+        assert validate_columns_numpy(empty) == validate_columns_python(empty)
+        assert pack_stream_numpy([], 1024) == pack_stream_python([], 1024)
 
-    def test_fuzz_traces_match_python(self, monkeypatch):
+    def test_fuzz_traces_match_python(self):
         import random
 
         from repro.fuzz.engines import check_engines
         from repro.fuzz.gen import random_trace
 
-        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
         for i in range(3):
             log = random_trace(random.Random(f"npview:{i}"), 80)
             assert check_engines(log, seed=f"npview:{i}") is None

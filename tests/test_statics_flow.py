@@ -149,10 +149,12 @@ def test_callgraph_dispatch_detection(tmp_path):
     path = _write(
         tmp_path,
         "repro/vec/mod.py",
-        "from repro.trace.npview import resolve_engine\n\n\n"
-        "def work(cols, engine='auto'):\n"
-        "    if resolve_engine(engine) == 'numpy':\n"
+        "from repro.analysis.vectorized import VectorFallback\n\n\n"
+        "def work(cols):\n"
+        "    try:\n"
         "        return fast_numpy(cols)\n"
+        "    except VectorFallback:\n"
+        "        pass\n"
         "    return slow(cols)\n\n\n"
         "def fast_numpy(cols):\n    return 1\n\n\n"
         "def slow(cols):\n    return 2\n",
@@ -168,12 +170,36 @@ def test_callgraph_dispatch_detection(tmp_path):
     assert branches["slow"] == "fallback"
 
 
+def test_callgraph_dispatch_fallback_in_handler(tmp_path):
+    path = _write(
+        tmp_path,
+        "repro/vec/mod.py",
+        "from repro.analysis import vectorized\n\n\n"
+        "def work(cols):\n"
+        "    try:\n"
+        "        return fast_numpy(cols)\n"
+        "    except (ValueError, vectorized.VectorFallback):\n"
+        "        return slow(cols)\n\n\n"
+        "def fast_numpy(cols):\n    return 1\n\n\n"
+        "def slow(cols):\n    return 2\n\n\n"
+        "def other(cols):\n"
+        "    try:\n"
+        "        return fast_numpy(cols)\n"
+        "    except ValueError:\n"
+        "        return slow(cols)\n",
+    )
+    facts = extract_facts(path)
+    (dispatch,) = facts.dispatches  # `other` catches no VectorFallback
+    assert dispatch.qname == "repro.vec.mod.work"
+    assert dispatch.has_fallback
+
+
 def test_callgraph_cache_roundtrip_and_invalidation(tmp_path):
     src = _write(tmp_path, "repro/cached.py", "def f():\n    return 1\n")
     cache = tmp_path / "graph-cache.json"
     load_or_build([src], cache=cache)
     data = json.loads(cache.read_text(encoding="utf-8"))
-    assert data["version"] == 2
+    assert data["version"] == 3
     # Prove the cache is consulted: inject a symbol under the still-valid
     # digest and observe it surface in the rebuilt graph...
     entry = data["files"][0]
@@ -407,12 +433,14 @@ def _engine_tree(
         "def scan_python(cols, window, scale=1.0):\n    return 1\n",
     )
     gate = (
-        "from repro.trace.npview import resolve_engine\n"
+        "from repro.analysis.vectorized import VectorFallback\n"
         "from .kernels import scan_numpy\n"
         "from .oracle import scan_python\n\n\n"
-        "def scan(cols, window, scale=1.0, engine='auto'):\n"
-        "    if resolve_engine(engine) == 'numpy':\n"
+        "def scan(cols, window, scale=1.0):\n"
+        "    try:\n"
         "        return scan_numpy(cols, window)\n"
+        "    except VectorFallback:\n"
+        "        pass\n"
     )
     if fallback:
         gate += "    return scan_python(cols, window, scale=scale)\n"
@@ -421,11 +449,10 @@ def _engine_tree(
         _write(root, "repro/fuzz/__init__.py", "")
         if fuzz_calls:
             pillar = (
-                "from ..vec.dispatch import scan\n\n\n"
+                "from ..vec.kernels import scan_numpy\n"
+                "from ..vec.oracle import scan_python\n\n\n"
                 "def check(cols):\n"
-                "    a = scan(cols, 4, engine='python')\n"
-                "    b = scan(cols, 4, engine='numpy')\n"
-                "    return a == b\n"
+                "    return scan_numpy(cols, 4) == scan_python(cols, 4)\n"
             )
         else:
             pillar = "def check(cols):\n    return True\n"
@@ -642,7 +669,7 @@ def test_cli_callgraph_cache_written(tmp_path):
     rc = main(["lint", str(root), "--callgraph-cache", str(cache)])
     assert rc == 0
     data = json.loads(cache.read_text(encoding="utf-8"))
-    assert data["version"] == 2
+    assert data["version"] == 3
     assert data["files"]
 
 
@@ -671,7 +698,13 @@ def test_lint_paths_override_widens_scope(tmp_path):
 def test_tree_dispatches_all_paired_and_fuzzed():
     files = collect_files([REPO_SRC])
     graph = shared_graph(files)
-    assert len(graph.dispatches) >= 8
+    assert {
+        "repro.analysis.onepass.analyze_onepass",
+        "repro.corpus.stream.analyze_corpus",
+        "repro.parallel.packed.pack_stream",
+        "repro.parallel.veccache.replay_packed",
+        "repro.parallel.veccache.stack_curve",
+    } <= {d.qname for d in graph.dispatches}
     known = "repro.parallel.packed.pack_stream"
     fast = [
         c.callee

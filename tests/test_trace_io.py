@@ -6,6 +6,7 @@ import pytest
 
 from repro.trace.columns import TraceColumns
 from repro.trace.io_binary import (
+    _FLUSH_BYTES,
     MAX_TRACE_TIME,
     BinaryTraceError,
     BinaryTraceWriter,
@@ -321,3 +322,54 @@ class TestIterBinary:
         path.write_bytes(b"NOTATRACE")
         with pytest.raises(BinaryTraceError, match="magic"):
             iter_binary(str(path))
+
+
+def _iter_all(path):
+    with iter_binary(path) as stream:
+        return list(stream)
+
+
+#: Every .btrace reader, as a path -> events function.
+_BTRACE_READERS = {
+    "read_binary": lambda path: read_binary(path).events,
+    "read_binary_columns": lambda path: read_binary_columns(path).to_log().events,
+    "iter_binary": _iter_all,
+}
+
+
+class TestTornTrace:
+    """A writer that dies before ``close()`` leaves the header count at 0
+    with records after it; every reader must say so, not return nothing."""
+
+    @pytest.mark.parametrize("reader", _BTRACE_READERS)
+    def test_unclosed_writer_is_an_error_not_an_empty_trace(self, tmp_path, reader):
+        path = tmp_path / "torn.btrace"
+        writer = BinaryTraceWriter(str(path), name="torn")
+        try:
+            for event in ALL_EVENT_SAMPLES * (_FLUSH_BYTES // 80):  # > 2 MB
+                writer.write(event)
+            writer._fh.flush()  # a buffer flush has reached the file
+            assert path.stat().st_size > _FLUSH_BYTES
+            with pytest.raises(
+                BinaryTraceError, match=r"payload left after the 0 events .* at byte \d+"
+            ):
+                _BTRACE_READERS[reader](str(path))
+        finally:
+            writer._fh.close()
+
+    @pytest.mark.parametrize("reader", _BTRACE_READERS)
+    def test_closed_writer_reads_back(self, tmp_path, reader):
+        path = tmp_path / "whole.btrace"
+        with BinaryTraceWriter(str(path), name="whole") as writer:
+            for event in ALL_EVENT_SAMPLES:
+                writer.write(event)
+        assert _BTRACE_READERS[reader](str(path)) == ALL_EVENT_SAMPLES
+
+    def test_trailing_bytes_name_their_offset(self):
+        buf = io.BytesIO()
+        end = write_binary(sample_log(), buf)
+        data = buf.getvalue() + b"\x00"
+        with pytest.raises(BinaryTraceError, match=f"at byte {end}"):
+            read_binary(io.BytesIO(data))
+        with pytest.raises(BinaryTraceError, match=f"at byte {end}"):
+            read_binary_columns(io.BytesIO(data))

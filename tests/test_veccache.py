@@ -7,7 +7,7 @@ so any divergence would corrupt Figure 5/6/7 exhibits.  These tests pin
 that equivalence where the kernel is most at risk — hole-heavy streams,
 empty and single-block edges — plus the ``.bpack`` on-disk format, the
 zero-copy sweep fan-out (``pack_dir``/payload resolution), the
-engine-keyed memo, and the ``--engine``/``--pack-cache`` CLI plumbing.
+packed-stream memo, and the ``--pack-cache`` CLI plumbing.
 """
 
 from __future__ import annotations
@@ -39,7 +39,11 @@ from repro.parallel.bpack import (
     write_bpack,
 )
 from repro.parallel.executor import resolve_payload
-from repro.parallel.packed import cached_packed_stream, pack_stream
+from repro.parallel.packed import (
+    cached_packed_stream,
+    pack_stream,
+    pack_stream_python,
+)
 from repro.parallel.stack import simulate_stack
 from repro.parallel.veccache import (
     replay_packed,
@@ -47,12 +51,6 @@ from repro.parallel.veccache import (
     stack_curve,
     stack_curve_numpy,
 )
-from repro.trace.npview import current_engine, engine_context, numpy_available
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable"
-)
-
 SIZES = (4096, 8 * 4096, 64 * 4096)
 KNOBS = (
     {},
@@ -108,7 +106,6 @@ def _assert_curves_identical(packed, sizes, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-@needs_numpy
 class TestHoleHeavyDifferential:
     @pytest.mark.parametrize("kwargs", KNOBS)
     def test_matches_oracle_across_knobs(self, kwargs):
@@ -131,7 +128,6 @@ class TestHoleHeavyDifferential:
             _assert_curves_identical(packed, sizes)
 
 
-@needs_numpy
 class TestEdgeCases:
     def test_empty_stream(self):
         packed = pack_stream([], 4096)
@@ -170,26 +166,31 @@ class TestEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# Dispatchers and the ambient engine
+# Dispatchers
 # ---------------------------------------------------------------------------
 
 
 class TestDispatch:
     def test_python_engine_is_the_oracle(self):
-        packed = pack_stream(_hole_heavy_stream(), 4096)
+        # A file id past the kernel's key range makes it decline, and
+        # the dispatcher answers with the oracle's curve.
+        items = [
+            Transfer(time=float(i), file_id=(1 << 32) + i % 3, user_id=1,
+                     start=0, end=8192, is_write=i % 2 == 0)
+            for i in range(12)
+        ]
+        packed = pack_stream(items, 4096)
         ref = simulate_stack(packed, SIZES, WRITE_THROUGH)
-        got = stack_curve(packed, SIZES, WRITE_THROUGH, engine="python")
+        got = stack_curve(packed, SIZES, WRITE_THROUGH)
         for size in SIZES:
             assert got.metrics(size) == ref.metrics(size)
 
-    @needs_numpy
     def test_auto_engine_matches_python(self):
         packed = pack_stream(_hole_heavy_stream(), 4096)
+        ref = simulate_stack(packed, SIZES, WRITE_THROUGH)
+        got = stack_curve(packed, SIZES)
         for size in SIZES:
-            assert (
-                stack_curve(packed, SIZES, engine="auto").metrics(size)
-                == stack_curve(packed, SIZES, engine="python").metrics(size)
-            )
+            assert got.metrics(size) == ref.metrics(size)
 
     def test_replay_stateful_policy_falls_back(self):
         from repro.cache.policies import DELAYED_WRITE
@@ -200,7 +201,6 @@ class TestDispatch:
         got = replay_packed(packed, 8 * 4096, DELAYED_WRITE, flush_epoch=0.0)
         assert got == ref
 
-    @needs_numpy
     def test_simulate_packed_numpy_rejects_stateful(self):
         from repro.analysis.vectorized import VectorFallback
         from repro.cache.policies import DELAYED_WRITE
@@ -209,42 +209,19 @@ class TestDispatch:
         with pytest.raises(VectorFallback):
             simulate_packed_numpy(packed, 8 * 4096, DELAYED_WRITE)
 
-    def test_engine_context_is_ambient_and_restored(self):
-        assert current_engine() == "auto"
-        with engine_context("python"):
-            assert current_engine() == "python"
-            with engine_context("numpy"):
-                assert current_engine() == "numpy"
-            assert current_engine() == "python"
-        assert current_engine() == "auto"
-
-    def test_engine_context_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with engine_context("fortran"):
-                pass
-
 
 # ---------------------------------------------------------------------------
-# Engine-keyed packed-stream memo
+# Packed-stream memo
 # ---------------------------------------------------------------------------
 
 
 class TestEngineKeyedMemo:
     def test_same_engine_shares_one_entry(self, small_trace):
-        a = cached_packed_stream(small_trace, 4096, engine="python")
-        assert cached_packed_stream(small_trace, 4096, engine="python") is a
-
-    @needs_numpy
-    def test_engines_never_collapse(self, small_trace):
-        py = cached_packed_stream(small_trace, 4096, engine="python")
-        fast = cached_packed_stream(small_trace, 4096, engine="numpy")
-        assert fast is not py  # differential harness keeps two sides
-        assert fast == py  # ... which are bit-identical by contract
-
-    @needs_numpy
-    def test_auto_shares_the_resolved_entry(self, small_trace):
-        fast = cached_packed_stream(small_trace, 4096, engine="numpy")
-        assert cached_packed_stream(small_trace, 4096, engine="auto") is fast
+        a = cached_packed_stream(small_trace, 4096)
+        assert cached_packed_stream(small_trace, 4096) is a
+        assert a == pack_stream_python(
+            build_stream(small_trace), 4096, start_time=small_trace.start_time
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +340,12 @@ SWEEP_SIZES = (64 * 1024, 394 * 1024)
 
 
 class TestSweepFanout:
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
-    def test_policy_sweep_parity(self, small_trace, tmp_path, engine):
-        if engine == "numpy" and not numpy_available():
-            pytest.skip("numpy unavailable")
+    def test_policy_sweep_parity(self, small_trace, tmp_path):
         serial = cache_size_policy_sweep(
             small_trace, cache_sizes=SWEEP_SIZES, jobs=1
         )
         packed = cache_size_policy_sweep(
-            small_trace, cache_sizes=SWEEP_SIZES, jobs=2,
-            engine=engine, pack_dir=tmp_path,
+            small_trace, cache_sizes=SWEEP_SIZES, jobs=2, pack_dir=tmp_path,
         )
         assert packed.results == serial.results
         assert any(p.endswith(".bpack") for p in os.listdir(tmp_path))
@@ -446,27 +419,16 @@ class TestCLIEngine:
     def test_sweep_engine_and_pack_cache(self, trace_file, tmp_path, capsys):
         pack_dir = tmp_path / "packs"
         assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "2",
-                     "--engine", "python",
                      "--pack-cache", str(pack_dir)]) == 0
         assert "write-through" in capsys.readouterr().out
         assert any(
             name.endswith(".bpack") for name in os.listdir(pack_dir)
         )
 
-    @needs_numpy
     def test_sweep_numpy_engine_matches_python(self, trace_file, capsys):
-        assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "2",
-                     "--engine", "numpy"]) == 0
+        # --jobs 2 replays packed streams on the numpy kernels; --jobs 1
+        # runs the reference BlockCacheSimulator.
+        assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "2"]) == 0
         fast = capsys.readouterr().out
-        assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "2",
-                     "--engine", "python"]) == 0
+        assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "1"]) == 0
         assert capsys.readouterr().out == fast
-
-    def test_experiment_engine_flag(self, trace_file, capsys):
-        assert main(["experiment", trace_file, "--id", "table6",
-                     "--jobs", "2", "--engine", "python"]) == 0
-
-    def test_rejects_unknown_engine(self, trace_file):
-        with pytest.raises(SystemExit):
-            main(["sweep", trace_file, "--kind", "policy",
-                  "--engine", "fortran"])

@@ -1,0 +1,152 @@
+"""The input-driven fallback at every engine dispatcher.
+
+Each dispatcher runs its numpy kernel and reruns the pure-Python
+reference only when the kernel raises :class:`VectorFallback` on an
+input it cannot reproduce bit for bit.  For every dispatcher, one input
+here makes the kernel decline; the test checks that it does, and that
+the dispatcher's answer equals the reference's.  The delayed-write
+``replay_packed`` fallback is covered in ``tests/test_veccache.py``.
+"""
+
+from __future__ import annotations
+
+import random
+from array import array
+
+import pytest
+
+from repro.analysis.onepass import analyze_columns_python, analyze_onepass
+from repro.analysis.vectorized import (
+    VectorFallback,
+    VectorizedCollector,
+    analyze_columns_numpy,
+    pack_stream_numpy,
+)
+from repro.cache.policies import WRITE_THROUGH
+from repro.cache.stream import Transfer, build_stream
+from repro.corpus import CorpusReader, analyze_corpus
+from repro.corpus.writer import pack_columns
+from repro.fuzz.gen import random_trace
+from repro.parallel.packed import pack_stream, pack_stream_python, simulate_packed
+from repro.parallel.stack import simulate_stack
+from repro.parallel.veccache import (
+    replay_packed,
+    simulate_packed_numpy,
+    stack_curve,
+    stack_curve_numpy,
+)
+from repro.trace.columns import TraceColumns
+
+SIZES = (4096, 8 * 4096, 64 * 4096)
+
+
+def _regressing_columns() -> TraceColumns:
+    """A random trace with one timestamp moved before its predecessor."""
+    cols = TraceColumns.from_log(random_trace(random.Random("fallback"), 120))
+    times = array("d", cols.times)
+    mid = len(times) // 2
+    times[mid] = times[mid - 1] - 5.0
+    return TraceColumns(
+        name=cols.name,
+        kinds=cols.kinds,
+        times=times,
+        open_ids=cols.open_ids,
+        file_ids=cols.file_ids,
+        user_ids=cols.user_ids,
+        sizes=cols.sizes,
+        positions=cols.positions,
+        flags=cols.flags,
+    )
+
+
+def _wide_file_ids_packed():
+    """A packed stream whose file ids lie past the cache kernel's range."""
+    items = [
+        Transfer(time=float(i), file_id=(1 << 32) + i % 3, user_id=1,
+                 start=(i % 4) * 4096, end=(i % 4 + 2) * 4096,
+                 is_write=i % 3 == 0)
+        for i in range(40)
+    ]
+    return pack_stream(items, 4096)
+
+
+def _analyze_onepass(tmp_path):
+    cols = _regressing_columns()
+    return (
+        lambda: analyze_columns_numpy(cols),
+        lambda: analyze_onepass(cols),
+        lambda: analyze_columns_python(cols),
+    )
+
+
+def _analyze_corpus(tmp_path):
+    cols = _regressing_columns()
+    path = tmp_path / "regress.bcorpus"
+    pack_columns(cols, path, segment_events=32)
+
+    def kernel():
+        with CorpusReader(path) as reader:
+            collector = VectorizedCollector(
+                reader.name, cols.times[0], cols.times[-1] - cols.times[0]
+            )
+            for segment in reader.iter_segments():
+                collector.feed(segment)
+            return collector.finish()
+
+    return (
+        kernel,
+        lambda: analyze_corpus(path),
+        lambda: analyze_columns_python(cols),
+    )
+
+
+def _pack_stream(tmp_path):
+    stream = build_stream(random_trace(random.Random("fallback-pack"), 80))
+    block_size = (1 << 32) + 4096
+    return (
+        lambda: pack_stream_numpy(stream, block_size),
+        lambda: pack_stream(stream, block_size),
+        lambda: pack_stream_python(stream, block_size),
+    )
+
+
+def _curve_metrics(curve):
+    return [(curve.metrics(s), curve.checkpoint(s)) for s in SIZES]
+
+
+def _stack_curve(tmp_path):
+    packed = _wide_file_ids_packed()
+    return (
+        lambda: stack_curve_numpy(packed, SIZES),
+        lambda: _curve_metrics(stack_curve(packed, SIZES, checkpoint_time=20.0)),
+        lambda: _curve_metrics(
+            simulate_stack(packed, SIZES, WRITE_THROUGH, checkpoint_time=20.0)
+        ),
+    )
+
+
+def _replay_write_through(tmp_path):
+    packed = _wide_file_ids_packed()
+    return (
+        lambda: simulate_packed_numpy(packed, 8 * 4096, WRITE_THROUGH),
+        lambda: replay_packed(packed, 8 * 4096, WRITE_THROUGH),
+        lambda: simulate_packed(packed, 8 * 4096, WRITE_THROUGH),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _analyze_onepass,
+        _analyze_corpus,
+        _pack_stream,
+        _stack_curve,
+        _replay_write_through,
+    ],
+    ids=lambda case: case.__name__.lstrip("_"),
+)
+def test_declined_input_gets_the_reference_answer(case, tmp_path):
+    kernel, dispatcher, reference = case(tmp_path)
+    with pytest.raises(VectorFallback):
+        kernel()
+    assert dispatcher() == reference()
