@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -45,26 +46,50 @@ def base_columns() -> TraceColumns:
     return TraceColumns.from_log(log)
 
 
-def _pack(base: TraceColumns, path: str) -> int:
+@pytest.fixture(scope="module")
+def tiles(base_columns) -> list[TraceColumns]:
+    """*base_columns* repeated end to end, each copy shifted in time past
+    the previous one.  Sorted times keep the corpus on the numpy
+    collector's streaming path; unshifted copies would make it decline
+    (unsorted timestamps) and fall back to loading the whole corpus."""
+    base = base_columns
+    span = base.times[-1] - base.times[0] + 1.0
+    return [
+        TraceColumns(
+            name=base.name,
+            kinds=base.kinds,
+            times=array("d", (t + k * span for t in base.times)),
+            open_ids=base.open_ids,
+            file_ids=base.file_ids,
+            user_ids=base.user_ids,
+            sizes=base.sizes,
+            positions=base.positions,
+            flags=base.flags,
+        )
+        for k in range(REPEATS)
+    ]
+
+
+def _pack(tiles: list[TraceColumns], path: str) -> int:
     with CorpusWriter(path, name="bench", segment_events=SEGMENT_EVENTS) as w:
-        for _ in range(REPEATS):
-            w.append_columns(base)
+        for tile in tiles:
+            w.append_columns(tile)
         events = w.events_written
     return events
 
 
 @pytest.fixture(scope="module")
-def corpus_path(base_columns, tmp_path_factory) -> str:
+def corpus_path(tiles, tmp_path_factory) -> str:
     path = str(tmp_path_factory.mktemp("corpus") / "bench.bcorpus")
-    _pack(base_columns, path)
+    _pack(tiles, path)
     return path
 
 
-def test_corpus_pack_throughput(base_columns, tmp_path, benchmark):
+def test_corpus_pack_throughput(base_columns, tiles, tmp_path, benchmark):
     """Regression-gated: bulk column packing, events/s to disk."""
     out = tmp_path / "pack.bcorpus"
     events = benchmark.pedantic(
-        lambda: _pack(base_columns, str(out)), rounds=ROUNDS, iterations=1
+        lambda: _pack(tiles, str(out)), rounds=ROUNDS, iterations=1
     )
     benchmark.extra_info["events"] = events
     if benchmark.stats is not None:  # absent under --benchmark-disable

@@ -4,8 +4,8 @@ Three kernels ride here, each a whole-column reimplementation of a
 pure-Python reference that stays in the tree as the differential oracle
 (fuzz pillar 5 compares them continuously):
 
-* :class:`VectorizedCollector` — the one-pass analyzer
-  (:class:`~repro.analysis.onepass.OnePassCollector`).  Open/close/seek
+* :class:`VectorizedCollector` — the reference-pattern analyzer
+  (:func:`~repro.analysis.onepass.analyze_columns_python`).  Open/close/seek
   session matching runs as a segmented cumulative-maximum over the
   oid-grouped sub-rows; runs, per-access statistics, window activity,
   burstiness and every CDF are whole-column arithmetic.  The report's
@@ -59,6 +59,7 @@ from ..trace.columns import (
 )
 from ..trace.io_binary import MAX_TRACE_TIME
 from ..trace.npview import column_views, np
+from ..trace.records import AccessMode
 from ..trace.validate import (
     DEFAULT_MAX_PROBLEMS,
     ValidationReport,
@@ -69,7 +70,7 @@ from .activity import ActivityReport, WindowedActivity, _mean_std
 from .burstiness import assemble_burstiness
 from .cdf import Cdf
 from .lifetimes import Lifetime
-from .onepass import _MODE, OnePassReport
+from .onepass import OnePassReport
 from .popularity import popularity_from_accesses
 from .sequentiality import SequentialityReport
 from .users import UserSummary
@@ -87,6 +88,9 @@ __all__ = [
 #: float64, so int sums, int->float casts and dict-key merges replicate
 #: the reference's mixed int/float arithmetic bit for bit.
 _F64_EXACT = 1 << 53
+
+#: Open-row mode bits -> AccessMode (bit pattern 0 never reaches here).
+_MODE = (None, AccessMode.READ, AccessMode.WRITE, AccessMode.READ_WRITE)
 
 # Lifetime mini-loop event tags (merged in row order).
 _LT_KILL = 0  # unlink / truncate-to-zero / truncating open
@@ -186,10 +190,10 @@ class _LiveSession:
 
 
 class VectorizedCollector:
-    """Drop-in vectorized :class:`~repro.analysis.onepass.OnePassCollector`.
+    """The reference-pattern analyzer, fed one columnar chunk at a time.
 
-    Same constructor contract: *start*/*duration* describe the whole
-    trace that will be fed.  ``feed`` may be called once (the in-RAM
+    *start*/*duration* describe the whole trace that will be fed (they
+    size the burstiness windows before the first event arrives).  ``feed`` may be called once (the in-RAM
     path) or per corpus segment; cross-segment session state is carried
     in Python dicts that are only consolidated when a second ``feed``
     actually arrives, so the single-chunk hot path never pays for them.

@@ -31,8 +31,7 @@ exact :class:`~repro.cache.metrics.CacheMetrics` equality.
 Which policies admit one-pass Mattson curves is a property of the
 priority function: LRU's priority (recency) is independent of cache
 contents, so one stack pass yields the whole miss-ratio curve
-(:mod:`repro.parallel.stack`, vectorized in
-:mod:`repro.parallel.veccache`).  LFU-with-aging is also a stack
+(:mod:`repro.parallel.veccache`).  LFU-with-aging is also a stack
 algorithm (its priority — decayed frequency, then recency — is a pure
 function of the reference string; the inclusion property tests assert
 the consequence), but the curve machinery is LRU-shaped, so every

@@ -1,37 +1,39 @@
 """Parameter sweeps over the cache simulator (Figures 5–7, Tables VI–VII).
 
 Each sweep decomposes into independent (stream, configuration) jobs.
-With ``jobs=1`` (the default) every configuration runs through the
-reference :class:`BlockCacheSimulator` in-process — the oracle path.
-With ``jobs>1`` the stream is compiled once per
-block size into a :class:`~repro.parallel.packed.PackedStream`,
-write-through columns collapse into a single one-pass curve
-(:func:`~repro.parallel.veccache.stack_curve` — the numpy kernel, or
-:func:`~repro.parallel.stack.simulate_stack` on an input it declines),
-and the remaining configurations replay the packed stream on a process
-pool (:func:`~repro.parallel.executor.run_jobs`).  All paths produce
-bit-identical metrics (asserted by ``tests/test_parallel.py`` and
-``tests/test_veccache.py``); results come back as small dataclasses
-with ``render()`` methods that print the paper's table layouts.
+The stream is compiled once per block size into a
+:class:`~repro.parallel.packed.PackedStream`; write-through LRU columns
+collapse into a single one-pass curve
+(:func:`~repro.parallel.veccache.stack_curve`), and the remaining
+configurations replay the packed stream
+(:func:`~repro.parallel.veccache.replay_packed`).
+:func:`~repro.parallel.executor.run_jobs` runs the jobs in-process at
+``jobs=1`` and on a process pool otherwise — ``jobs`` sets parallelism
+only, never which code computes a cell.  Every cell is bit-identical to
+a :class:`~repro.cache.simulator.BlockCacheSimulator` run of the same
+configuration (asserted by ``tests/test_parallel.py``); results come
+back as small dataclasses with ``render()`` methods that print the
+paper's table layouts.
 
 *pack_dir* spills each compiled stream to a shared ``.bpack`` file so
 the payload workers receive is a path, not pickled arrays — every
 process maps the same page-cache copy (see :mod:`repro.parallel.bpack`).
 
-Flush-back scans are anchored at the trace start in both paths (see
-:meth:`BlockCacheSimulator.run` on why).
+Flush-back scans are anchored at the trace start (see
+``BlockCacheSimulator.run`` on why).
 """
 
 from __future__ import annotations
 
 import os
 import re
+import struct
 import zlib
 from dataclasses import dataclass, field
 
 from ..analysis.report import render_table
 from ..parallel.bpack import cached_bpack, write_bpack
-from ..parallel.executor import resolve_jobs, run_jobs
+from ..parallel.executor import run_jobs
 from ..parallel.packed import PackedStream, cached_packed_stream
 from ..parallel.veccache import replay_packed, stack_curve
 from ..trace.log import TraceLog
@@ -45,8 +47,7 @@ from .policies import (
     WritePolicy,
 )
 from .replacement import current_replacement, validate_replacement
-from .simulator import BlockCacheSimulator
-from .stream import StreamItem, Transfer, cached_stream
+from .stream import StreamItem, Transfer
 
 __all__ = [
     "PAPER_CACHE_SIZES",
@@ -155,15 +156,18 @@ def _pack_ref(packed: PackedStream, pack_dir, trace_name: str):
     """*packed* itself, or its path inside the shared ``.bpack`` cache.
 
     Filenames carry the trace name, the block size, the row count and a
-    content crc, so a stale or colliding cache entry can never be
-    mistaken for this stream — a miss writes the file (atomically), a
-    hit reuses it byte-for-byte.
+    crc over every column and the start time (the flush-epoch anchor),
+    so a stale or colliding cache entry can never be mistaken for this
+    stream — a miss writes the file (atomically), a hit reuses it
+    byte-for-byte.
     """
     if pack_dir is None:
         return packed
     os.makedirs(pack_dir, exist_ok=True)
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", trace_name) or "trace"
-    fp = zlib.crc32(bytes(packed.keys), zlib.crc32(bytes(packed.ops)))
+    fp = zlib.crc32(struct.pack("<d", packed.start_time))
+    for column in (packed.ops, packed.keys, packed.times):
+        fp = zlib.crc32(bytes(column), fp)
     name = (
         f"{safe}-bs{packed.block_size}-{len(packed)}r-{fp:08x}.bpack"
     )
@@ -230,7 +234,6 @@ def cache_size_policy_sweep(
     to the ambient :func:`~repro.cache.replacement.replacement_context`,
     default LRU — the paper's policy).
     """
-    n = resolve_jobs(jobs)
     repl = _resolve_replacement(replacement)
     sweep = CachePolicySweep(
         trace_name=log.name,
@@ -239,21 +242,6 @@ def cache_size_policy_sweep(
         policies=tuple(policies),
         replacement=repl,
     )
-    if n <= 1:
-        stream = cached_stream(log)
-        for size in cache_sizes:
-            for policy in policies:
-                sim = BlockCacheSimulator(
-                    cache_bytes=size,
-                    block_size=block_size,
-                    policy=policy,
-                    replacement=repl,
-                )
-                sweep.results[(size, policy.label)] = sim.run(
-                    stream, flush_epoch=log.start_time
-                )
-        return sweep
-
     packed = cached_packed_stream(log, block_size)
     payload = _SweepPayload({block_size: _pack_ref(packed, pack_dir, log.name)})
     stack_policies = [
@@ -270,7 +258,7 @@ def cache_size_policy_sweep(
                 continue
             jobs_list.append(("sim", block_size, size, policy, repl))
     for job, result in zip(
-        jobs_list, run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=n)
+        jobs_list, run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=jobs)
     ):
         if job[0] == "stack":
             for size, metrics in zip(job[2], result):
@@ -342,29 +330,12 @@ def block_size_sweep(
     replacement: str | None = None,
 ) -> BlockSizeSweep:
     """Reproduce Figure 6 / Table VII on *log*."""
-    n = resolve_jobs(jobs)
     repl = _resolve_replacement(replacement)
     sweep = BlockSizeSweep(
         trace_name=log.name,
         block_sizes=tuple(block_sizes),
         cache_sizes=tuple(cache_sizes),
     )
-    if n <= 1:
-        stream = cached_stream(log)
-        for bs in block_sizes:
-            sweep.no_cache[bs] = count_block_accesses(stream, bs)
-            for cache in cache_sizes:
-                sim = BlockCacheSimulator(
-                    cache_bytes=cache,
-                    block_size=bs,
-                    policy=policy,
-                    replacement=repl,
-                )
-                sweep.results[(bs, cache)] = sim.run(
-                    stream, flush_epoch=log.start_time
-                )
-        return sweep
-
     packed = {bs: cached_packed_stream(log, bs) for bs in block_sizes}
     payload = _SweepPayload(
         {bs: _pack_ref(p, pack_dir, log.name) for bs, p in packed.items()}
@@ -380,7 +351,7 @@ def block_size_sweep(
                 jobs_list.append(("sim", bs, cache, policy, repl))
     for job, result in zip(
         jobs_list,
-        run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=n),
+        run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=jobs),
     ):
         if job[0] == "stack":
             for cache, metrics in zip(job[2], result):
@@ -432,29 +403,10 @@ def paging_comparison(
     replacement: str | None = None,
 ) -> PagingComparison:
     """Reproduce Figure 7 on *log*."""
-    n = resolve_jobs(jobs)
     repl = _resolve_replacement(replacement)
     comparison = PagingComparison(
         trace_name=log.name, cache_sizes=tuple(cache_sizes)
     )
-    if n <= 1:
-        plain = cached_stream(log, include_paging=False)
-        paged = cached_stream(log, include_paging=True)
-        for size in cache_sizes:
-            comparison.ignored[size] = BlockCacheSimulator(
-                cache_bytes=size,
-                block_size=block_size,
-                policy=policy,
-                replacement=repl,
-            ).run(plain, flush_epoch=log.start_time)
-            comparison.simulated[size] = BlockCacheSimulator(
-                cache_bytes=size,
-                block_size=block_size,
-                policy=policy,
-                replacement=repl,
-            ).run(paged, flush_epoch=log.start_time)
-        return comparison
-
     payload = _SweepPayload(
         {
             "plain": _pack_ref(
@@ -474,7 +426,7 @@ def paging_comparison(
         jobs_list.append(("sim", "plain", size, policy, repl))
         jobs_list.append(("sim", "paged", size, policy, repl))
     for job, result in zip(
-        jobs_list, run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=n)
+        jobs_list, run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=jobs)
     ):
         _, variant, size, _, _ = job
         table = comparison.ignored if variant == "plain" else comparison.simulated

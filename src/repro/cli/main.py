@@ -800,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the grid as CSV", default=None)
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CPU count, capped; "
-                   "1 forces the serial reference path)")
+                   "1 runs in-process)")
     p.add_argument("--pack-cache", default=None, metavar="DIR",
                    help="directory of shared .bpack packed-stream files; "
                    "workers mmap these instead of receiving pickled "
@@ -860,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every exhibit")
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CPU count, capped; "
-                   "1 forces the serial reference path)")
+                   "1 runs in-process)")
     p.add_argument("--policy", choices=list(REPLACEMENT_NAMES), default="lru",
                    help="block replacement policy for the cache exhibits "
                    "(the paper's is lru)")

@@ -9,6 +9,11 @@ on it, while peak memory stays O(segment) plus O(live analysis state).
 The whole-trace facts the analyzer needs up front (start time and
 duration, which size the burstiness windows) come from the footer
 index, not from event data.
+
+The one deliberate exception: when the numpy collector declines a
+corpus, :func:`analyze_corpus` loads it whole and runs the pure-Python
+specification (:func:`~repro.analysis.onepass.analyze_columns_python`),
+so memory is then O(corpus).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import os
 from typing import Union
 
-from ..analysis.onepass import OnePassCollector, OnePassReport
+from ..analysis.onepass import OnePassReport, analyze_columns_python
 from ..analysis.vectorized import (
     VectorFallback,
     VectorizedCollector,
@@ -47,44 +52,54 @@ def analyze_corpus(
     *src* is a :class:`CorpusReader` (left open) or a path (opened and
     closed here).  The report is bit-identical to
     ``analyze_onepass(reader.to_columns())`` — checked continuously by
-    the fuzz harness's corpus pillar.  The numpy collector views each
-    segment's columns zero-copy (straight into the mmap); when it cannot
-    replicate the input bit for bit, the Python collector re-reads the
-    corpus.
+    the fuzz harness's corpus pillar.  :func:`analyze_corpus_numpy`
+    streams the segments; when it cannot replicate the input bit for
+    bit, the whole corpus is loaded and the pure-Python specification
+    runs on it.
     """
     reader, own = _open(src)
     try:
-        stats = reader.stats
-        start = stats[0].time_first if stats else 0.0
-        duration = (stats[-1].time_last - start) if stats else 0.0
         try:
-            collector = VectorizedCollector(
-                reader.name,
-                start,
-                duration,
-                long_window=long_window,
-                short_window=short_window,
-                burst_window=burst_window,
+            return analyze_corpus_numpy(
+                reader, long_window, short_window, burst_window
             )
-            for cols in reader.iter_segments():
-                collector.feed(cols)
-            return collector.finish()
         except VectorFallback:
-            pass  # segments re-iterate cleanly; rerun in Python
-        collector = OnePassCollector(
-            reader.name,
-            start,
-            duration,
-            long_window=long_window,
-            short_window=short_window,
-            burst_window=burst_window,
-        )
-        for cols in reader.iter_segments():
-            collector.feed(cols)
-        return collector.finish()
+            # Degraded mode, declined inputs only: O(corpus) memory.
+            return analyze_columns_python(
+                reader.to_columns(), long_window, short_window, burst_window
+            )
     finally:
         if own:
             reader.close()
+
+
+def analyze_corpus_numpy(
+    reader: CorpusReader,
+    long_window: float = 600.0,
+    short_window: float = 10.0,
+    burst_window: float = 10.0,
+) -> OnePassReport:
+    """Fold every segment through one :class:`VectorizedCollector`.
+
+    Each segment's columns are viewed zero-copy (straight into the
+    mmap); the burstiness windows are sized from the footer index.
+    Raises :class:`VectorFallback` when the input needs the pure-Python
+    path.
+    """
+    stats = reader.stats
+    start = stats[0].time_first if stats else 0.0
+    duration = (stats[-1].time_last - start) if stats else 0.0
+    collector = VectorizedCollector(
+        reader.name,
+        start,
+        duration,
+        long_window=long_window,
+        short_window=short_window,
+        burst_window=burst_window,
+    )
+    for cols in reader.iter_segments():
+        collector.feed(cols)
+    return collector.finish()
 
 
 def validate_corpus(

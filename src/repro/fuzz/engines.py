@@ -5,9 +5,10 @@ bit-identity with its pure-Python twin; this pillar is the machine check
 of that claim on every seeded trace:
 
 * :func:`~repro.analysis.vectorized.analyze_columns_numpy` vs
-  :func:`~repro.analysis.onepass.analyze_columns_python`, field for
-  field including the users dict order — single-shot and chunk-fed (the
-  corpus segment shape) at seed-chosen chunk sizes;
+  :func:`~repro.analysis.onepass.analyze_columns_python` (the per-module
+  analyzers), field for field including the users dict order —
+  single-shot and chunk-fed (the corpus segment shape) at seed-chosen
+  chunk sizes;
 * :func:`~repro.analysis.vectorized.validate_columns_numpy` vs
   :func:`~repro.trace.validate.validate_columns_python` on the clean
   trace *and* on a deterministically spoiled copy (mutations drawn from
@@ -18,13 +19,15 @@ of that claim on every seeded trace:
 * :func:`~repro.analysis.vectorized.pack_stream_numpy` vs
   :func:`~repro.parallel.packed.pack_stream_python`, row for row, at two
   block sizes;
-* the vectorized cache engine (:mod:`repro.parallel.veccache`) vs the
-  one-pass stack oracle: the full miss/hit/eviction curve at
-  seed-chosen cache sizes (small ones included — they maximize hole
-  traffic), exact :class:`~repro.cache.metrics.CacheMetrics` per size,
-  checkpoint snapshots and both simulator knobs; plus the batched
-  write-through replay vs :func:`~repro.parallel.packed.simulate_packed`
-  at one seed-chosen capacity.
+* the vectorized cache engine (:mod:`repro.parallel.veccache`) vs
+  :func:`~repro.parallel.veccache.stack_curve_python` (one
+  :func:`~repro.parallel.packed.simulate_packed` replay per size): the
+  full miss/hit/eviction curve at seed-chosen cache sizes (small ones
+  included — they maximize hole traffic), exact
+  :class:`~repro.cache.metrics.CacheMetrics` per size, checkpoint
+  snapshots and both simulator knobs; plus the batched write-through
+  replay vs :func:`~repro.parallel.packed.simulate_packed` at one
+  seed-chosen capacity.
 
 A kernel may decline an input by raising
 :class:`~repro.analysis.vectorized.VectorFallback`; production then
@@ -46,9 +49,12 @@ from ..analysis.vectorized import (
 )
 from ..cache.policies import WRITE_THROUGH
 from ..cache.stream import build_stream
-from ..parallel.packed import pack_stream_python, simulate_packed
-from ..parallel.stack import simulate_stack
-from ..parallel.veccache import simulate_packed_numpy, stack_curve_numpy
+from ..parallel.packed import pack_stream_python
+from ..parallel.veccache import (
+    simulate_packed_numpy,
+    stack_curve_numpy,
+    stack_curve_python,
+)
 from ..trace.columns import KIND_CLOSE, KIND_OPEN, KIND_SEEK, TraceColumns
 from ..trace.log import TraceLog
 from ..trace.validate import validate_columns_python
@@ -227,7 +233,7 @@ def check_engines(log: TraceLog, seed: str = "0") -> str | None:
 
 
 def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
-    """The vectorized cache engine vs the stack/replay oracles."""
+    """The vectorized cache engine vs per-size packed replays."""
     bs = packed.block_size
     # Seed-chosen capacities, small ones first: a 1-2 block cache keeps
     # the stack boundary pointers inside the hole churn, which is where
@@ -242,26 +248,20 @@ def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
         lo = packed.times[0]
         hi = packed.times[-1]
         knobs["checkpoint_time"] = lo + rng.random() * (hi - lo)
-    ref = simulate_stack(packed, sizes, WRITE_THROUGH, **knobs)
+    ref = stack_curve_python(packed, sizes, WRITE_THROUGH, **knobs)
     try:
         fast = stack_curve_numpy(packed, sizes, WRITE_THROUGH, **knobs)
     except VectorFallback:
         # The kernel declined this input (out-of-range keys); dispatch
-        # would rerun the oracle, so there is nothing to compare.
+        # would rerun the specification, so there is nothing to compare.
         return None
     for size in sizes:
         if fast.metrics(size) != ref.metrics(size):
             return f"{label}: curve metrics diverge at {size} bytes"
         if fast.checkpoint(size) != ref.checkpoint(size):
             return f"{label}: curve checkpoint diverges at {size} bytes"
+    # The reference curve is already one simulate_packed replay per size.
     cache_bytes = rng.choice(sizes)
-    rep_ref = simulate_packed(
-        packed,
-        cache_bytes,
-        WRITE_THROUGH,
-        flush_epoch=packed.start_time,
-        **knobs,
-    )
     rep_fast = simulate_packed_numpy(
         packed,
         cache_bytes,
@@ -269,9 +269,9 @@ def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
         flush_epoch=packed.start_time,
         **knobs,
     )
-    if rep_fast.metrics != rep_ref.metrics:
+    if rep_fast.metrics != ref.metrics(cache_bytes):
         return f"{label}: write-through replay diverges at {cache_bytes} bytes"
-    if rep_fast.checkpoint != rep_ref.checkpoint:
+    if rep_fast.checkpoint != ref.checkpoint(cache_bytes):
         return f"{label}: write-through replay checkpoint diverges"
     return None
 

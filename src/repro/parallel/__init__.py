@@ -6,16 +6,16 @@ Three layers, composable but independent:
   into flat arrays and replay them through a tight single-loop simulator
   (bit-identical metrics to the reference
   :class:`~repro.cache.simulator.BlockCacheSimulator`);
-* :mod:`.stack` — one-pass Mattson stack analysis (extended with
-  deletion holes) producing the whole cache-size curve in a single
-  traversal, exact under write-through;
+* :mod:`.veccache` — the whole write-through LRU cache-size curve from
+  one pass (Mattson stack analysis extended with deletion holes), as a
+  numpy kernel with a per-size :func:`simulate_packed` specification;
 * :mod:`.executor` — fan independent (payload, job) pairs out to a
   process pool, payload shipped once, results in deterministic order,
-  serial fallback when ``jobs=1`` or the pool dies.
+  in-process when ``jobs=1`` or the pool dies.
 
-The sweeps in :mod:`repro.cache.sweep` keep the reference simulator as
-their ``jobs=1`` path, so the fast paths are continuously differentially
-tested against it.
+The sweeps in :mod:`repro.cache.sweep` run these paths at every
+``jobs`` value; ``jobs`` sets parallelism only.  The reference
+simulator stays the specification the tests compare them with.
 """
 
 from .executor import auto_jobs, jobs_context, resolve_jobs, run_jobs
@@ -26,7 +26,7 @@ from .packed import (
     pack_stream,
     simulate_packed,
 )
-from .stack import StackCurve, simulate_stack
+from .veccache import StackCurve, stack_curve
 
 __all__ = [
     "auto_jobs",
@@ -39,5 +39,5 @@ __all__ = [
     "pack_stream",
     "simulate_packed",
     "StackCurve",
-    "simulate_stack",
+    "stack_curve",
 ]

@@ -19,8 +19,7 @@ or past the truncation point" scan into a plain integer comparison.
 
 :func:`simulate_packed` is differentially tested to produce *bit-identical*
 :class:`~repro.cache.metrics.CacheMetrics` against the reference
-simulator (``tests/test_parallel.py``); the reference path stays the
-oracle and the ``jobs=1`` sweep path.
+simulator (``tests/test_parallel.py``), which stays the specification.
 """
 
 from __future__ import annotations

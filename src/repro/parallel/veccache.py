@@ -1,18 +1,46 @@
-"""Vectorized Mattson curves: the cache-simulation half at column speed.
+"""LRU miss-ratio curves: every cache size from one pass over a stream.
 
-:func:`~repro.parallel.stack.simulate_stack` already collapses a whole
-cache-size sweep into one pass, but it still interprets the packed
-stream one op at a time in Python.  This module recomputes the
-*identical* curve — exact :class:`~repro.cache.metrics.CacheMetrics`
-at every tracked size, checkpoint included — with whole-column numpy
-kernels.  ``simulate_stack`` stays in the tree as the differential
-oracle (fuzz pillar 5 and ``tests/test_veccache.py`` compare them
-continuously), exactly as ``analysis/vectorized.py`` treats the
-one-pass analyzer.
+Every cache-size sweep in the paper replays the same stream once per
+cache size, yet LRU caches obey the *inclusion property*: the content of
+a C-block cache is always a subset of a larger one's, so one traversal
+that tracks each block's reuse depth yields hit/miss counts for **all**
+sizes at once (Mattson et al., "Evaluation techniques for storage
+hierarchies", IBM Systems Journal 1970).
 
-The reference's stack is a list of slots (live blocks and deletion
-holes) whose stamps strictly decrease with depth, so every per-op
-decision it makes reduces to *counting stamps*:
+**Deletion holes.**  The classical algorithm assumes blocks are never
+removed.  Our streams delete: unlinks and truncations invalidate cached
+blocks, and with them plain inclusion breaks (a block evicted from a
+small cache may survive in a large one, so the caches are no longer
+nested prefixes of one recency list).  The fix is to keep deleted
+blocks' *positions* as **holes**:
+
+* the stack is a list of slots, each a live block or a hole, whose
+  stamps strictly decrease with depth;
+* invariant: the C-block cache holds exactly the live blocks among the
+  first C slots;
+* delete = mark the block's slot as a hole, in place;
+* access = push the block to the front and remove the *shallowest* hole
+  (the accessed block's old slot becomes a hole first, so a plain
+  move-to-front is the common no-hole case).
+
+Only slots above the removed hole shift down, so a live slot pushed
+across depth C is an eviction at capacity C (the shallowest hole is by
+definition below no other hole, so crossing slots are always live).
+
+**Which metrics a curve carries.**  Hits and misses, evictions,
+invalidations and read elisions depend only on cache *content*, which
+LRU keeps identical under every write policy — the policies differ only
+in when dirty data reaches the disk.  Under **write-through** no block
+is ever dirty and every write is a disk write, so the curve holds the
+full :class:`~repro.cache.metrics.CacheMetrics` of
+:class:`~repro.cache.simulator.BlockCacheSimulator` at every size.  For
+the other policies disk writes need per-capacity dirty state, and the
+sweeps run one :func:`~repro.parallel.packed.simulate_packed` replay
+per configuration.
+
+**The kernel.**  :func:`stack_curve_numpy` computes the curve with
+whole-column numpy passes.  Every per-op decision of the hole stack
+reduces to *counting stamps*:
 
 * Each pushing access mints stamp ``u`` and removes exactly one older
   stamp ``r_u`` from the stack (the consumed hole, the moved slot's old
@@ -36,13 +64,15 @@ column expression); and all ``T`` queries answered in one batch by a
 wavelet matrix over the removal sequence (``O(log n)`` vectorized
 passes for the whole batch).
 
-Like every other kernel pair, bit-identity is the contract:
-:func:`stack_curve` runs the numpy kernel and reruns the Python oracle
-only when the kernel raises :class:`VectorFallback` on its input.
-:func:`simulate_packed_numpy` rides the same machinery for the
-write-through/LRU configurations (the only ones whose disk traffic is
-content-determined — see the ``stack`` module docstring), so a sweep's
-per-configuration replays collapse into curve evaluations too.
+**The specification.**  :func:`stack_curve_python` builds the same
+curve from one write-through LRU :func:`simulate_packed` replay per
+size.  Bit-identity is the contract (``tests/test_veccache.py`` and
+fuzz pillar 5 compare them): :func:`stack_curve` runs the kernel and
+reruns the specification only when the kernel raises
+:class:`VectorFallback` on its input.  :func:`simulate_packed_numpy`
+rides the same machinery for single write-through LRU configurations,
+so a sweep's per-configuration replays collapse into curve evaluations
+too.
 """
 
 from __future__ import annotations
@@ -62,13 +92,14 @@ from .packed import (
     PackedStream,
     simulate_packed,
 )
-from .stack import StackCurve, simulate_stack
 
 __all__ = [
+    "StackCurve",
     "replay_packed",
     "simulate_packed_numpy",
     "stack_curve",
     "stack_curve_numpy",
+    "stack_curve_python",
 ]
 
 #: Row counts must stay addressable alongside a shifted file id in one
@@ -85,6 +116,51 @@ def _require(condition: bool, why: str) -> None:
         raise VectorFallback(why)
 
 
+class StackCurve:
+    """Per-cache-size metrics of one write-through LRU curve."""
+
+    __slots__ = ("block_size", "cache_sizes", "_index", "_final", "_checkpoint")
+
+    def __init__(
+        self,
+        block_size: int,
+        cache_sizes: tuple[int, ...],
+        index: dict[int, int],
+        final: list[CacheMetrics],
+        checkpoint: list[CacheMetrics] | None,
+    ):
+        self.block_size = block_size
+        self.cache_sizes = cache_sizes
+        self._index = index
+        self._final = final
+        self._checkpoint = checkpoint
+
+    def metrics(self, cache_bytes: int) -> CacheMetrics:
+        return self._final[self._index[cache_bytes]]
+
+    def checkpoint(self, cache_bytes: int) -> CacheMetrics | None:
+        if self._checkpoint is None:
+            return None
+        return self._checkpoint[self._index[cache_bytes]]
+
+
+def _curve_capacities(
+    block_size: int, cache_sizes: tuple[int, ...], policy: PolicySpec
+) -> tuple[list[int], dict[int, int]]:
+    """Sorted distinct capacities (blocks) and each size's slot in them."""
+    if policy.policy is not WritePolicy.WRITE_THROUGH:
+        raise ValueError(
+            "a one-pass curve is exact only under write-through; "
+            f"got {policy.label!r} — use simulate_packed per configuration"
+        )
+    caps = sorted({size // block_size for size in cache_sizes})
+    if not caps:
+        raise ValueError("no cache sizes given")
+    if caps[0] < 1:
+        raise ValueError("cache smaller than one block")
+    return caps, {size: caps.index(size // block_size) for size in cache_sizes}
+
+
 def stack_curve(
     packed: PackedStream,
     cache_sizes: tuple[int, ...],
@@ -94,10 +170,11 @@ def stack_curve(
     invalidate_on_delete: bool = True,
     checkpoint_time: float | None = None,
 ) -> StackCurve:
-    """One-pass curve for every size.
+    """Write-through LRU metrics for every size in *cache_sizes*.
 
-    The numpy kernel computes it; :func:`simulate_stack` reruns it only
-    when the kernel declines the input (the curves are bit-identical).
+    The numpy kernel computes the curve; :func:`stack_curve_python`
+    reruns it only when the kernel declines the input (the curves are
+    bit-identical).
     """
     from ..analysis.vectorized import VectorFallback
 
@@ -111,14 +188,48 @@ def stack_curve(
             checkpoint_time=checkpoint_time,
         )
     except VectorFallback:
-        pass
-    return simulate_stack(
-        packed,
-        cache_sizes,
-        policy,
-        read_elision=read_elision,
-        invalidate_on_delete=invalidate_on_delete,
-        checkpoint_time=checkpoint_time,
+        return stack_curve_python(
+            packed,
+            cache_sizes,
+            policy,
+            read_elision=read_elision,
+            invalidate_on_delete=invalidate_on_delete,
+            checkpoint_time=checkpoint_time,
+        )
+
+
+def stack_curve_python(
+    packed: PackedStream,
+    cache_sizes: tuple[int, ...],
+    policy: PolicySpec = WRITE_THROUGH,
+    *,
+    read_elision: bool = True,
+    invalidate_on_delete: bool = True,
+    checkpoint_time: float | None = None,
+) -> StackCurve:
+    """The pure-Python specification of :func:`stack_curve_numpy`: one
+    write-through LRU :func:`simulate_packed` replay per capacity."""
+    bs = packed.block_size
+    sizes = tuple(cache_sizes)
+    caps, index = _curve_capacities(bs, sizes, policy)
+    runs = [
+        simulate_packed(
+            packed,
+            cap * bs,
+            WRITE_THROUGH,
+            read_elision=read_elision,
+            invalidate_on_delete=invalidate_on_delete,
+            checkpoint_time=checkpoint_time,
+        )
+        for cap in caps
+    ]
+    checkpoint = [run.checkpoint for run in runs]
+    return StackCurve(
+        block_size=bs,
+        cache_sizes=sizes,
+        index=index,
+        final=[run.metrics for run in runs],
+        checkpoint=None if checkpoint[0] is None else checkpoint,
     )
 
 
@@ -221,21 +332,12 @@ def stack_curve_numpy(
     invalidate_on_delete: bool = True,
     checkpoint_time: float | None = None,
 ) -> StackCurve:
-    """Vectorized :func:`~repro.parallel.stack.simulate_stack`."""
-    if policy.policy is not WritePolicy.WRITE_THROUGH:
-        raise ValueError(
-            "the one-pass stack simulator is exact only under write-through; "
-            f"got {policy.label!r} — use simulate_packed per configuration"
-        )
+    """The curve of :func:`stack_curve_python`, from whole-column passes
+    over the hole stack described in the module docstring."""
     bs = packed.block_size
     sizes = tuple(cache_sizes)
-    caps_list = sorted({size // bs for size in sizes})
-    if not caps_list:
-        raise ValueError("no cache sizes given")
-    if caps_list[0] < 1:
-        raise ValueError("cache smaller than one block")
+    caps_list, index = _curve_capacities(bs, sizes, policy)
     m = len(caps_list)
-    index = {size: caps_list.index(size // bs) for size in sizes}
     caps = np.asarray(caps_list, dtype=np.int64)
 
     ops = np.frombuffer(packed.ops, dtype=np.uint8)
@@ -249,7 +351,7 @@ def stack_curve_numpy(
             "packed keys outside the vector kernel's encodable range",
         )
 
-    # Checkpoint cut: the oracle snapshots before the first row whose
+    # Checkpoint cut: a replay snapshots before the first row whose
     # timestamp reaches checkpoint_time (NaN never compares true there,
     # matching `t >= cp_at`).  Every counter below increments at a known
     # row, so the snapshot is the same histogram restricted to rows < cut.
@@ -320,7 +422,7 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
 
     # First qualifying invalidation row after each access: the earliest
     # inval row j > row(i) with inv_fid == fid(key) and inv_key <= key
-    # (the oracle's "kill every live k >= inv_key of this file" scan).
+    # (the hole stack's "kill every live k >= inv_key of this file" scan).
     # Only accesses with a same-file invalidation still ahead take part
     # in the binary descent.
     first_inv_row = np.full(na, n, dtype=np.int64)  # n == "never"
@@ -455,8 +557,8 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
     )
 
     # Eviction depth per push: consumed-hole depth (band-filtered pushes
-    # keep a bin-0 sentinel), or stack size + 1 on growth (the reference
-    # evicts at every boundary the stack covers).
+    # keep a bin-0 sentinel), or stack size + 1 on growth (a growing
+    # stack evicts at every boundary it covers).
     depth_push = np.ones(len(pu), dtype=np.int64)
     depth_push[sel_ev] = (q_ev + 1 - a_ev) - t_ev
     if bool(growth.any()):

@@ -66,7 +66,6 @@ HOT_MODULES: tuple[str, ...] = (
     "repro.cache.simulator",
     "repro.cache.stream",
     "repro.parallel.packed",
-    "repro.parallel.stack",
     "repro.netfs.events",
     "repro.trace.columns",
     "repro.trace.records",
@@ -108,12 +107,10 @@ COLUMN_ATTRS: frozenset[str] = TRACE_COLUMN_ATTRS | PACKED_COLUMN_ATTRS
 #: it through :mod:`repro.analysis.vectorized` or justify it with a
 #: ``repro: allow[REP-H003]`` comment.
 COLUMN_ORACLE_MODULES: tuple[str, ...] = (
-    "repro.analysis.onepass",
     "repro.corpus.reader",
     "repro.corpus.stream",
     "repro.corpus.writer",
     "repro.parallel.packed",
-    "repro.parallel.stack",
     "repro.trace.columns",
     "repro.trace.io_binary",
     "repro.trace.validate",

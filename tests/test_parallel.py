@@ -1,12 +1,12 @@
 """Differential tests for :mod:`repro.parallel`.
 
-The packed fast path and the one-pass stack simulator are only worth
-having if they are *bit-identical* to the reference
-:class:`~repro.cache.simulator.BlockCacheSimulator` — the sweeps swap
-them in silently, so any divergence would corrupt exhibits.  These tests
-pin that equivalence across policies, sizes, knobs, checkpoints and
-flush anchoring, plus the executor's ordering/fallback contracts and the
-CLI's ``--jobs`` plumbing.
+The packed fast path and the one-pass write-through curve are only
+worth having if they are *bit-identical* to the reference
+:class:`~repro.cache.simulator.BlockCacheSimulator` — the sweeps run
+them at every ``jobs`` value, so any divergence would corrupt exhibits.
+These tests pin that equivalence across policies, sizes, knobs,
+checkpoints and flush anchoring, plus the executor's ordering/fallback
+contracts and the CLI's ``--jobs`` plumbing.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.parallel.packed import (
     pack_stream,
     simulate_packed,
 )
-from repro.parallel.stack import simulate_stack
+from repro.parallel.veccache import stack_curve
 from repro.trace.records import UnlinkEvent
 
 ALL_POLICIES = (WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE)
@@ -205,20 +205,20 @@ class TestPackedEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# The one-pass stack simulator
+# The one-pass write-through curve
 # ---------------------------------------------------------------------------
 
 
 class TestStackCurve:
     def test_matches_reference_across_paper_sizes(self, stream, packed):
-        curve = simulate_stack(packed, PAPER_CACHE_SIZES)
+        curve = stack_curve(packed, PAPER_CACHE_SIZES)
         for size in PAPER_CACHE_SIZES:
             sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
             assert curve.metrics(size) == sim.run(stream)
 
     def test_checkpoints_match(self, small_trace, stream, packed):
         cp = small_trace.start_time + small_trace.duration / 2
-        curve = simulate_stack(packed, PAPER_CACHE_SIZES, checkpoint_time=cp)
+        curve = stack_curve(packed, PAPER_CACHE_SIZES, checkpoint_time=cp)
         for size in (PAPER_CACHE_SIZES[0], PAPER_CACHE_SIZES[-1]):
             sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
             ref = sim.run(stream, checkpoint_time=cp)
@@ -229,13 +229,13 @@ class TestStackCurve:
         items = _invalidation_heavy_stream()
         packed = pack_stream(items, 4096)
         sizes = (8 * 1024, 16 * 1024, 64 * 1024, 1 << 20)
-        curve = simulate_stack(packed, sizes)
+        curve = stack_curve(packed, sizes)
         for size in sizes:
             sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
             assert curve.metrics(size) == sim.run(items)
 
     def test_no_read_elision(self, stream, packed):
-        curve = simulate_stack(packed, (390 * 1024,), read_elision=False)
+        curve = stack_curve(packed, (390 * 1024,), read_elision=False)
         sim = BlockCacheSimulator(cache_bytes=390 * 1024,
                                   policy=WRITE_THROUGH, read_elision=False)
         assert curve.metrics(390 * 1024) == sim.run(stream)
@@ -243,10 +243,10 @@ class TestStackCurve:
     def test_rejects_stateful_write_policies(self, packed):
         for policy in (FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE):
             with pytest.raises(ValueError):
-                simulate_stack(packed, (64 * 1024,), policy=policy)
+                stack_curve(packed, (64 * 1024,), policy=policy)
 
     def test_unknown_size_rejected(self, packed):
-        curve = simulate_stack(packed, (64 * 1024,))
+        curve = stack_curve(packed, (64 * 1024,))
         with pytest.raises(KeyError):
             curve.metrics(999)
 
@@ -311,27 +311,74 @@ class TestExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps: parallel == serial
+# Sweeps: every cell == a reference simulator run, at every jobs value
 # ---------------------------------------------------------------------------
+
+
+def _simulated(log, cache_bytes, policy, block_size=4096, replacement="lru",
+               include_paging=False):
+    """One reference-simulator cell, anchored like the sweeps."""
+    sim = BlockCacheSimulator(cache_bytes=cache_bytes, block_size=block_size,
+                              policy=policy, replacement=replacement)
+    stream = cached_stream(log, include_paging=include_paging)
+    return sim.run(stream, flush_epoch=log.start_time)
 
 
 class TestSweepParity:
     def test_policy_sweep(self, small_trace):
-        serial = cache_size_policy_sweep(small_trace, jobs=1)
-        parallel = cache_size_policy_sweep(small_trace, jobs=2)
-        assert serial.results == parallel.results
+        for jobs in (1, 2):
+            sweep = cache_size_policy_sweep(small_trace, jobs=jobs)
+            for size in PAPER_CACHE_SIZES:
+                for policy in ALL_POLICIES:
+                    assert sweep.results[(size, policy.label)] == _simulated(
+                        small_trace, size, policy
+                    ), (jobs, size, policy.label)
+
+    def test_policy_sweep_non_lru(self, small_trace):
+        for jobs in (1, 2):
+            sweep = cache_size_policy_sweep(
+                small_trace, cache_sizes=SIZES, jobs=jobs, replacement="2q"
+            )
+            for size in SIZES:
+                for policy in ALL_POLICIES:
+                    assert sweep.results[(size, policy.label)] == _simulated(
+                        small_trace, size, policy, replacement="2q"
+                    ), (jobs, size, policy.label)
 
     def test_block_size_sweep(self, small_trace):
-        serial = block_size_sweep(small_trace, jobs=1)
-        parallel = block_size_sweep(small_trace, jobs=2)
-        assert serial.results == parallel.results
-        assert serial.no_cache == parallel.no_cache
+        stream = cached_stream(small_trace)
+        for jobs in (1, 2):
+            sweep = block_size_sweep(small_trace, jobs=jobs)
+            for bs in sweep.block_sizes:
+                assert sweep.no_cache[bs] == count_block_accesses(stream, bs)
+                for cache in sweep.cache_sizes:
+                    assert sweep.results[(bs, cache)] == _simulated(
+                        small_trace, cache, DELAYED_WRITE, block_size=bs
+                    ), (jobs, bs, cache)
+
+    def test_block_size_sweep_write_through(self, small_trace):
+        # Write-through LRU cells come from one curve per block size.
+        for jobs in (1, 2):
+            sweep = block_size_sweep(
+                small_trace, block_sizes=(1024, 8192), policy=WRITE_THROUGH,
+                jobs=jobs,
+            )
+            for bs in sweep.block_sizes:
+                for cache in sweep.cache_sizes:
+                    assert sweep.results[(bs, cache)] == _simulated(
+                        small_trace, cache, WRITE_THROUGH, block_size=bs
+                    ), (jobs, bs, cache)
 
     def test_paging_comparison(self, small_trace):
-        serial = paging_comparison(small_trace, jobs=1)
-        parallel = paging_comparison(small_trace, jobs=2)
-        assert serial.ignored == parallel.ignored
-        assert serial.simulated == parallel.simulated
+        for jobs in (1, 2):
+            comparison = paging_comparison(small_trace, jobs=jobs)
+            for size in PAPER_CACHE_SIZES:
+                assert comparison.ignored[size] == _simulated(
+                    small_trace, size, DELAYED_WRITE
+                ), (jobs, size)
+                assert comparison.simulated[size] == _simulated(
+                    small_trace, size, DELAYED_WRITE, include_paging=True
+                ), (jobs, size)
 
 
 # ---------------------------------------------------------------------------

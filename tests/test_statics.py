@@ -647,8 +647,16 @@ def test_column_comprehension_and_zip_flagged(tmp_path):
 
 def test_column_loop_allowed_in_oracle_modules(tmp_path):
     source = "def f(cols):\n    for t in cols.times:\n        print(t)\n"
-    for oracle in ("repro/trace/validate.py", "repro/analysis/onepass.py"):
+    for oracle in ("repro/trace/validate.py", "repro/corpus/reader.py"):
         assert _lint_source(tmp_path, oracle, source).ok
+
+
+def test_column_loop_flagged_in_onepass(tmp_path):
+    # The analyzer's specification reads event objects, not columns, so
+    # a per-row column loop there is a hot-path regression again.
+    source = "def f(cols):\n    for t in cols.times:\n        print(t)\n"
+    report = _lint_source(tmp_path, "repro/analysis/onepass.py", source)
+    assert _rule_ids(report) == ["REP-H003"]
 
 
 def test_column_loop_suppressed_with_allow_comment(tmp_path):
@@ -688,9 +696,10 @@ def test_packed_column_loop_and_tolist_alias_flagged(tmp_path):
     assert _rule_ids(report) == ["REP-H003", "REP-H003"]
 
 
-def test_packed_column_loop_allowed_in_stack_oracle_and_statics(tmp_path):
+def test_packed_column_loop_allowed_in_packed_oracle_and_statics(tmp_path):
     source = "def f(packed):\n    for k in packed.keys:\n        print(k)\n"
-    assert _lint_source(tmp_path, "repro/parallel/stack.py", source).ok
+    assert _lint_source(tmp_path, "repro/parallel/packed.py", source).ok
+    assert not _lint_source(tmp_path, "repro/parallel/veccache.py", source).ok
     # The linter's own AST walks (`node.ops`, `node.keys`) collide with
     # the packed column names; the package is exempt.
     assert _lint_source(tmp_path, "repro/statics/newrule.py", source).ok

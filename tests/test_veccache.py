@@ -1,9 +1,11 @@
 """Differential tests for the vectorized cache engine and its plumbing.
 
-:mod:`repro.parallel.veccache` claims bit-identity with the one-pass
-stack oracle (:func:`~repro.parallel.stack.simulate_stack`) and the
-packed replayer; the sweeps and the CLI swap the fast path in silently,
-so any divergence would corrupt Figure 5/6/7 exhibits.  These tests pin
+:mod:`repro.parallel.veccache` claims bit-identity with its
+specification, one write-through LRU
+:func:`~repro.parallel.packed.simulate_packed` replay per cache size
+(:func:`~repro.parallel.veccache.stack_curve_python`); the sweeps and
+the CLI run the fast path silently, so any divergence would corrupt
+Figure 5/6/7 exhibits.  These tests pin
 that equivalence where the kernel is most at risk — hole-heavy streams,
 empty and single-block edges — plus the ``.bpack`` on-disk format, the
 zero-copy sweep fan-out (``pack_dir``/payload resolution), the
@@ -12,14 +14,16 @@ packed-stream memo, and the ``--pack-cache`` CLI plumbing.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 
 import pytest
 
-from repro.cache.policies import WRITE_THROUGH
+from repro.cache.policies import FLUSH_30S, WRITE_THROUGH
 from repro.cache.stream import Invalidation, Transfer, build_stream
 from repro.cache.sweep import (
+    _pack_ref,
     block_size_sweep,
     cache_size_policy_sweep,
     paging_comparison,
@@ -43,14 +47,17 @@ from repro.parallel.packed import (
     cached_packed_stream,
     pack_stream,
     pack_stream_python,
+    simulate_packed,
 )
-from repro.parallel.stack import simulate_stack
 from repro.parallel.veccache import (
     replay_packed,
     simulate_packed_numpy,
     stack_curve,
     stack_curve_numpy,
+    stack_curve_python,
 )
+from repro.trace.log import TraceLog
+
 SIZES = (4096, 8 * 4096, 64 * 4096)
 KNOBS = (
     {},
@@ -64,7 +71,7 @@ def _hole_heavy_stream():
     """Unlink/truncation-dominated: more invalidation rows than access
     rows, files deleted mid-flight and immediately recreated, truncation
     points walking through partially-cached files.  This maximizes hole
-    traffic on the oracle stack — exactly where the vectorized
+    traffic on the hole stack — exactly where the vectorized
     removal-sequence reconstruction can go wrong."""
     items = []
     t = 0.0
@@ -94,7 +101,7 @@ def _hole_heavy_stream():
 
 
 def _assert_curves_identical(packed, sizes, **kwargs):
-    ref = simulate_stack(packed, sizes, WRITE_THROUGH, **kwargs)
+    ref = stack_curve_python(packed, sizes, WRITE_THROUGH, **kwargs)
     fast = stack_curve_numpy(packed, sizes, WRITE_THROUGH, **kwargs)
     for size in sizes:
         assert fast.metrics(size) == ref.metrics(size), f"size={size}"
@@ -173,28 +180,27 @@ class TestEdgeCases:
 class TestDispatch:
     def test_python_engine_is_the_oracle(self):
         # A file id past the kernel's key range makes it decline, and
-        # the dispatcher answers with the oracle's curve.
+        # the dispatcher answers with one packed replay per size.
         items = [
             Transfer(time=float(i), file_id=(1 << 32) + i % 3, user_id=1,
                      start=0, end=8192, is_write=i % 2 == 0)
             for i in range(12)
         ]
         packed = pack_stream(items, 4096)
-        ref = simulate_stack(packed, SIZES, WRITE_THROUGH)
         got = stack_curve(packed, SIZES, WRITE_THROUGH)
         for size in SIZES:
-            assert got.metrics(size) == ref.metrics(size)
+            ref = simulate_packed(packed, size, WRITE_THROUGH)
+            assert got.metrics(size) == ref.metrics
 
     def test_auto_engine_matches_python(self):
         packed = pack_stream(_hole_heavy_stream(), 4096)
-        ref = simulate_stack(packed, SIZES, WRITE_THROUGH)
         got = stack_curve(packed, SIZES)
         for size in SIZES:
-            assert got.metrics(size) == ref.metrics(size)
+            ref = simulate_packed(packed, size, WRITE_THROUGH)
+            assert got.metrics(size) == ref.metrics
 
     def test_replay_stateful_policy_falls_back(self):
         from repro.cache.policies import DELAYED_WRITE
-        from repro.parallel.packed import simulate_packed
 
         packed = pack_stream(_hole_heavy_stream(), 4096)
         ref = simulate_packed(packed, 8 * 4096, DELAYED_WRITE, flush_epoch=0.0)
@@ -252,8 +258,8 @@ class TestBpack:
         path = tmp_path / "s.bpack"
         write_bpack(packed, path)
         disk = read_bpack(path)
-        ref = simulate_stack(packed, SIZES, WRITE_THROUGH)
-        got = simulate_stack(disk, SIZES, WRITE_THROUGH)
+        ref = stack_curve(packed, SIZES, WRITE_THROUGH)
+        got = stack_curve(disk, SIZES, WRITE_THROUGH)
         for size in SIZES:
             assert got.metrics(size) == ref.metrics(size)
 
@@ -386,6 +392,27 @@ class TestSweepFanout:
         assert sorted(tmp_path.iterdir()) == shards
         assert [s.stat().st_mtime_ns for s in shards] == stamps
 
+    def test_pack_dir_keys_on_times(self, small_trace, tmp_path):
+        # Same accesses at different times: equal keys/ops columns, but
+        # flush-back results differ, so the shards must not be shared.
+        slow = TraceLog(
+            name=small_trace.name,
+            description=small_trace.description,
+            events=[dataclasses.replace(e, time=e.time * 3)
+                    for e in small_trace.events],
+        )
+        fast_p = cached_packed_stream(small_trace, 4096)
+        slow_p = cached_packed_stream(slow, 4096)
+        assert (fast_p.ops, fast_p.keys) == (slow_p.ops, slow_p.keys)
+        assert _pack_ref(fast_p, tmp_path, "t") != _pack_ref(slow_p, tmp_path, "t")
+
+        args = dict(cache_sizes=(390 * 1024,), policies=(FLUSH_30S,), jobs=2)
+        first = cache_size_policy_sweep(small_trace, pack_dir=tmp_path, **args)
+        second = cache_size_policy_sweep(slow, pack_dir=tmp_path, **args)
+        fresh = cache_size_policy_sweep(slow, **args)
+        assert second.results == fresh.results
+        assert fresh.results != first.results
+
     def test_resolve_payload_protocol(self):
         class Plain:
             pass
@@ -426,8 +453,7 @@ class TestCLIEngine:
         )
 
     def test_sweep_numpy_engine_matches_python(self, trace_file, capsys):
-        # --jobs 2 replays packed streams on the numpy kernels; --jobs 1
-        # runs the reference BlockCacheSimulator.
+        # --jobs 1 runs the same jobs as --jobs 2, in-process.
         assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "2"]) == 0
         fast = capsys.readouterr().out
         assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "1"]) == 0

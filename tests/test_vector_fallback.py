@@ -1,10 +1,12 @@
 """The input-driven fallback at every engine dispatcher.
 
 Each dispatcher runs its numpy kernel and reruns the pure-Python
-reference only when the kernel raises :class:`VectorFallback` on an
+specification only when the kernel raises :class:`VectorFallback` on an
 input it cannot reproduce bit for bit.  For every dispatcher, one input
 here makes the kernel decline; the test checks that it does, and that
-the dispatcher's answer equals the reference's.  The delayed-write
+the dispatcher's answer equals the specification's: the per-module
+analyzers (:func:`analyze_columns_python`), :func:`pack_stream_python`,
+or one :func:`simulate_packed` replay per cache size.  The delayed-write
 ``replay_packed`` fallback is covered in ``tests/test_veccache.py``.
 """
 
@@ -18,17 +20,16 @@ import pytest
 from repro.analysis.onepass import analyze_columns_python, analyze_onepass
 from repro.analysis.vectorized import (
     VectorFallback,
-    VectorizedCollector,
     analyze_columns_numpy,
     pack_stream_numpy,
 )
 from repro.cache.policies import WRITE_THROUGH
 from repro.cache.stream import Transfer, build_stream
 from repro.corpus import CorpusReader, analyze_corpus
+from repro.corpus.stream import analyze_corpus_numpy
 from repro.corpus.writer import pack_columns
 from repro.fuzz.gen import random_trace
 from repro.parallel.packed import pack_stream, pack_stream_python, simulate_packed
-from repro.parallel.stack import simulate_stack
 from repro.parallel.veccache import (
     replay_packed,
     simulate_packed_numpy,
@@ -86,12 +87,7 @@ def _analyze_corpus(tmp_path):
 
     def kernel():
         with CorpusReader(path) as reader:
-            collector = VectorizedCollector(
-                reader.name, cols.times[0], cols.times[-1] - cols.times[0]
-            )
-            for segment in reader.iter_segments():
-                collector.feed(segment)
-            return collector.finish()
+            return analyze_corpus_numpy(reader)
 
     return (
         kernel,
@@ -110,19 +106,21 @@ def _pack_stream(tmp_path):
     )
 
 
-def _curve_metrics(curve):
-    return [(curve.metrics(s), curve.checkpoint(s)) for s in SIZES]
-
-
 def _stack_curve(tmp_path):
     packed = _wide_file_ids_packed()
-    return (
-        lambda: stack_curve_numpy(packed, SIZES),
-        lambda: _curve_metrics(stack_curve(packed, SIZES, checkpoint_time=20.0)),
-        lambda: _curve_metrics(
-            simulate_stack(packed, SIZES, WRITE_THROUGH, checkpoint_time=20.0)
-        ),
-    )
+
+    def dispatched():
+        curve = stack_curve(packed, SIZES, checkpoint_time=20.0)
+        return [(curve.metrics(s), curve.checkpoint(s)) for s in SIZES]
+
+    def replayed():
+        runs = [
+            simulate_packed(packed, s, WRITE_THROUGH, checkpoint_time=20.0)
+            for s in SIZES
+        ]
+        return [(run.metrics, run.checkpoint) for run in runs]
+
+    return (lambda: stack_curve_numpy(packed, SIZES), dispatched, replayed)
 
 
 def _replay_write_through(tmp_path):
