@@ -17,8 +17,7 @@ Subcommands::
     repro-fs filter    a5.trace --users 1,2 -o pair.trace
     repro-fs merge     a.trace b.trace -o merged.trace
     repro-fs system    --profile A5 --all
-    repro-fs lint      src tests --format json|sarif [--changed [REF]]
-                       [--baseline PATH] [--update-baseline] [--callgraph-cache PATH]
+    repro-fs lint      src tests --format json|sarif [--output PATH]
     repro-fs fuzz      --seed 1 --budget 2000 [--corpus corpus/]
     repro-fs convert-strace strace.log -o out.trace
     repro-fs corpus    pack a5.btrace -o a5.bcorpus [--segment-events N]
@@ -486,153 +485,31 @@ def _cmd_system(args: argparse.Namespace) -> int:
     return 0
 
 
-def _statics_config() -> dict:
-    """`[tool.repro.statics]` from the nearest pyproject.toml, if any.
-
-    Supplies *defaults* for `repro-fs lint` (explicit flags win).  Needs
-    tomllib (3.11+); on 3.10 the config is simply not consulted, which
-    only affects defaults — CI passes --baseline and paths explicitly.
-    """
-    try:
-        import tomllib
-    except ImportError:
-        return {}
-    directory = Path.cwd()
-    for candidate in (directory, *directory.parents):
-        pyproject = candidate / "pyproject.toml"
-        if not pyproject.is_file():
-            continue
-        try:
-            with open(pyproject, "rb") as fh:
-                data = tomllib.load(fh)
-        except (OSError, tomllib.TOMLDecodeError):
-            return {}
-        config = data.get("tool", {}).get("repro", {}).get("statics", {})
-        if config:
-            # Paths in the config are relative to the pyproject's dir.
-            config = dict(config, root=candidate)
-        return config
-    return {}
-
-
-def _changed_files(ref: str, root: Path) -> list[Path] | None:
-    """Files touched vs. the merge-base with *ref*, plus untracked ones.
-
-    Returns ``None`` when git is unavailable or *ref* does not resolve
-    (the caller reports the error; guessing a scope would silently lint
-    the wrong files).
-    """
-    import subprocess
-
-    def run(*argv: str):
-        try:
-            return subprocess.run(
-                ["git", *argv], cwd=root, capture_output=True, text=True
-            )
-        except OSError:
-            return None
-
-    base = run("merge-base", ref, "HEAD")
-    if base is None or base.returncode != 0:
-        return None
-    diff = run("diff", "--name-only", base.stdout.strip())
-    untracked = run("ls-files", "--others", "--exclude-standard")
-    if diff is None or diff.returncode != 0 or untracked is None:
-        return None
-    names = {
-        line.strip()
-        for line in (diff.stdout + "\n" + untracked.stdout).splitlines()
-        if line.strip()
-    }
-    return [root / name for name in sorted(names)]
+#: What ``repro-fs lint`` scans when given no paths (those that exist).
+_LINT_DEFAULT_PATHS = ("src", "tests")
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from ..statics import (
-        collect_files,
         lint_paths,
-        load_baseline,
         render_json,
         render_sarif,
         render_text,
         rule_catalog,
-        write_baseline,
     )
 
     if args.list_rules:
         for rule_id, severity, title in rule_catalog():
             print(f"{rule_id}  {severity:7s}  {title}")
         return 0
-    if args.changed is not None and args.update_baseline:
-        print(
-            "lint: --update-baseline needs a whole-tree run; "
-            "drop --changed",
-            file=sys.stderr,
-        )
-        return 2
-    config = _statics_config()
-    root = config.get("root")
-    paths = args.paths
-    if not paths:
-        configured = [root / p for p in config.get("paths", [])] if root else []
-        paths = [p for p in configured if p.exists()] or ["src"]
-    baseline_path = args.baseline
-    if baseline_path is None and root is not None and "baseline" in config:
-        candidate = root / config["baseline"]
-        if candidate.is_file():
-            baseline_path = candidate
-    baseline = load_baseline(baseline_path) if baseline_path else None
-
-    # [tool.repro.statics] lattice/scope overrides (everything that is
-    # not a CLI-level default); --callgraph-cache wins over the config.
-    overrides = {
-        key: value
-        for key, value in config.items()
-        if key not in ("root", "paths", "baseline")
-    }
-    if args.callgraph_cache is not None:
-        overrides["callgraph_cache"] = args.callgraph_cache
-
-    scoped = False
-    if args.changed is not None:
-        git_root = Path(root) if root is not None else Path.cwd()
-        changed = _changed_files(args.changed, git_root)
-        if changed is None:
-            print(
-                f"lint: could not diff against {args.changed!r} "
-                "(not a git checkout, or unknown ref)",
-                file=sys.stderr,
-            )
-            return 2
-        changed_keys = {p.resolve() for p in changed}
-        paths = [
-            p for p in collect_files(paths) if p.resolve() in changed_keys
-        ]
-        scoped = True
-
+    # With no paths given and neither default present, lint_paths
+    # reports the missing src rather than passing on zero files.
+    paths = args.paths or [p for p in _LINT_DEFAULT_PATHS if Path(p).exists()]
     try:
-        report = lint_paths(
-            paths, baseline=baseline, overrides=overrides, scoped=scoped
-        )
-    except ValueError as exc:
+        report = lint_paths(paths or _LINT_DEFAULT_PATHS)
+    except FileNotFoundError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, report.findings)
-        print(f"wrote {args.write_baseline} ({count} grandfathered finding(s))")
-        return 0
-    if args.update_baseline:
-        if baseline_path is None:
-            print(
-                "lint: no baseline to update; pass --baseline or set "
-                "[tool.repro.statics] baseline in pyproject.toml",
-                file=sys.stderr,
-            )
-            return 2
-        grandfathered = report.findings + report.baselined
-        count = write_baseline(baseline_path, grandfathered)
-        print(f"wrote {baseline_path} ({count} grandfathered finding(s))")
-        return 0
     render = {
         "json": render_json,
         "sarif": render_sarif,
@@ -911,36 +788,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "paths", nargs="*", default=[],
-        help="files or directories to lint (default: the "
-        "[tool.repro.statics] paths from pyproject.toml, else src)",
+        help="files or directories to lint (default: src and tests, "
+        "whichever exist)",
     )
     p.add_argument(
         "--format", choices=["text", "json", "sarif"], default="text"
-    )
-    p.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="JSON baseline of grandfathered findings to ignore "
-        "(default: the [tool.repro.statics] baseline from pyproject.toml)",
-    )
-    p.add_argument(
-        "--write-baseline", default=None, metavar="PATH",
-        help="write the current findings as a new baseline and exit 0",
-    )
-    p.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the effective baseline file with the current "
-        "unsuppressed findings (instead of hand-editing it) and exit 0",
-    )
-    p.add_argument(
-        "--changed", nargs="?", const="origin/main", default=None,
-        metavar="REF",
-        help="lint only files touched vs. the merge-base with REF "
-        "(default origin/main); whole-program rules are skipped",
-    )
-    p.add_argument(
-        "--callgraph-cache", default=None, metavar="PATH",
-        help="persist per-file call-graph facts here between runs "
-        "(digest-validated; used by the cross-module engine rules)",
     )
     p.add_argument(
         "--output", default=None, metavar="PATH",

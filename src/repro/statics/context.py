@@ -21,7 +21,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["Suppression", "ModuleContext", "module_name_for"]
@@ -234,9 +234,6 @@ class ModuleContext:
             return root
         parts.append(origin)
         return ".".join(reversed(parts))
-
-    def is_imported_module(self, name: str) -> bool:
-        return name in self.imports
 
     # -- suppression ------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The lint engine: collect files, run rules, apply suppressions/baseline.
+"""The lint engine: collect files, run rules, apply suppressions.
 
 The engine is deterministic end to end (files sorted, findings sorted),
 for the obvious reason that a determinism linter had better not flake.
@@ -6,36 +6,30 @@ for the obvious reason that a determinism linter had better not flake.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import config
 from .context import ModuleContext
 from .findings import Finding, Severity
-from .registry import CROSS_RULES, RULES, rule
+from .registry import CROSS_RULES, RULES, rule, rule_catalog
 
 # Importing the rule modules populates the registry.
 from . import rules_determinism  # noqa: F401
-from . import rules_engines  # noqa: F401
 from . import rules_hotpath  # noqa: F401
 from . import rules_parallel  # noqa: F401
-from . import rules_rng  # noqa: F401
 from . import rules_schema  # noqa: F401
-from . import rules_units  # noqa: F401
 
 __all__ = ["LintReport", "collect_files", "lint_paths"]
 
-#: Engine-generated rule ids that are valid suppression targets even
-#: though they have no registered check function: ``REP-A001`` (stale
-#: suppression) and ``REP-A002`` (unparsable/unreadable file).
-_ENGINE_RULE_IDS = frozenset({"REP-A001", "REP-A002"})
+
+def _known_rule_ids() -> set[str]:
+    return {rule_id for rule_id, _severity, _title in rule_catalog()}
 
 
 @rule("REP-A000", "malformed suppression comment")
 def check_suppression_hygiene(ctx: ModuleContext) -> Iterator[Finding]:
-    known = set(RULES) | set(CROSS_RULES) | _ENGINE_RULE_IDS
+    known = _known_rule_ids()
     for line, supp in sorted(ctx.suppressions.items()):
         if not supp.justification:
             yield Finding(
@@ -66,7 +60,6 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
 
     @property
@@ -77,23 +70,29 @@ class LintReport:
     def suppressed_count(self) -> int:
         return len(self.suppressed)
 
-    @property
-    def baselined_count(self) -> int:
-        return len(self.baselined)
-
 
 def collect_files(paths: Iterable[str | Path]) -> list[Path]:
-    """Expand *paths* into a sorted, de-duplicated list of .py files."""
+    """Expand *paths* into a sorted, de-duplicated list of .py files.
+
+    Inside a directory, ``__pycache__`` and hidden directories are
+    skipped; the directory named in *paths* is scanned whatever its own
+    path looks like (``..``, ``.ci``).  A path that does not exist
+    raises :class:`FileNotFoundError` rather than scanning nothing.
+    """
     seen: set[Path] = set()
     out: list[Path] = []
     for raw in paths:
         path = Path(raw)
+        if not path.exists():
+            raise FileNotFoundError(f"no such file or directory: {raw}")
         if path.is_dir():
             candidates = sorted(
                 p
                 for p in path.rglob("*.py")
-                if "__pycache__" not in p.parts
-                and not any(part.startswith(".") for part in p.parts[:-1])
+                if not any(
+                    part == "__pycache__" or part.startswith(".")
+                    for part in p.relative_to(path).parts[:-1]
+                )
             )
         elif path.suffix == ".py":
             candidates = [path]
@@ -123,12 +122,10 @@ def _stale_suppression_findings(
 ) -> list[Finding]:
     """``REP-A001``: allow comments that matched no finding this run.
 
-    Only meaningful on a whole-tree run — a rule that did not fire in a
-    partial scan says nothing — so the engine skips this when
-    ``config.SCOPED_RUN`` is set.  Suppressions naming only unknown
-    rule ids are REP-A000's to report, not stale.
+    Suppressions naming only unknown rule ids are REP-A000's to report,
+    not stale.
     """
-    known = set(RULES) | set(CROSS_RULES) | _ENGINE_RULE_IDS
+    known = _known_rule_ids()
     out: list[Finding] = []
     for ctx in contexts.values():
         for line, supp in sorted(ctx.suppressions.items()):
@@ -152,36 +149,8 @@ def _stale_suppression_findings(
     return out
 
 
-def lint_paths(
-    paths: Iterable[str | Path],
-    baseline: set[str] | None = None,
-    overrides: dict[str, object] | None = None,
-    scoped: bool = False,
-) -> LintReport:
-    """Lint every .py file under *paths*; returns the full report.
-
-    *baseline* is a set of grandfathered fingerprints (see
-    :mod:`repro.statics.baseline`); matching findings are reported
-    separately and do not fail the run.  *overrides* maps
-    ``[tool.repro.statics]`` lattice/scope options onto
-    :mod:`repro.statics.config` for the duration of this run.
-    *scoped* marks a partial scan (``--changed``): whole-program rules
-    (stale suppressions, engine parity) are skipped.
-    """
-    effective = dict(overrides or {})
-    if scoped:
-        effective["scoped_run"] = True
-    saved = config.apply_overrides(effective) if effective else {}
-    try:
-        return _lint_paths_inner(paths, baseline)
-    finally:
-        config.restore(saved)
-
-
-def _lint_paths_inner(
-    paths: Iterable[str | Path],
-    baseline: set[str] | None,
-) -> LintReport:
+def lint_paths(paths: Iterable[str | Path]) -> LintReport:
+    """Lint every .py file under *paths*; returns the full report."""
     files = collect_files(paths)
     report = LintReport(files_scanned=len(files))
     contexts: dict[str, ModuleContext] = {}
@@ -213,8 +182,6 @@ def _lint_paths_inner(
     for cross in CROSS_RULES.values():
         raw_findings.extend(cross.check(files))
 
-    baseline = baseline or set()
-
     def _apply(finding: Finding) -> None:
         ctx = contexts.get(finding.path)
         supp = (
@@ -234,8 +201,6 @@ def _lint_paths_inner(
                     suppressed_by=supp.justification,
                 )
             )
-        elif finding.fingerprint in baseline:
-            report.baselined.append(finding)
         else:
             report.findings.append(finding)
 
@@ -244,21 +209,10 @@ def _lint_paths_inner(
 
     # Staleness is judged after every rule finding has had its chance
     # to consume a suppression; the stale findings themselves can be
-    # suppressed (on their own line) or baselined like any other.
-    if not config.SCOPED_RUN:
-        for finding in _stale_suppression_findings(contexts):
-            _apply(finding)
+    # suppressed (on their own line) like any other.
+    for finding in _stale_suppression_findings(contexts):
+        _apply(finding)
 
     report.findings.sort(key=lambda f: f.sort_key())
     report.suppressed.sort(key=lambda f: f.sort_key())
-    report.baselined.sort(key=lambda f: f.sort_key())
     return report
-
-
-def parse_ok(source: str) -> bool:
-    """Convenience for tests: does *source* parse at all?"""
-    try:
-        ast.parse(source)
-        return True
-    except SyntaxError:
-        return False

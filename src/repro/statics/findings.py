@@ -1,10 +1,9 @@
 """Lint findings.
 
 A :class:`Finding` is one rule violation at one source location.  Its
-*message* deliberately excludes the line number: the baseline mechanism
-(:mod:`repro.statics.baseline`) fingerprints findings by
-``(rule, path, message)`` so that grandfathered findings survive
-unrelated edits that shift line numbers.
+*message* deliberately excludes the line number: the JSON and SARIF
+reporters fingerprint findings by ``(rule, path, message)`` so that code
+scanning tracks one finding across unrelated edits that shift lines.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline file."""
+        """Line-number-free identity (SARIF ``partialFingerprints``)."""
         raw = f"{self.rule_id}|{self.path}|{self.message}"
         return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
 

@@ -7,6 +7,9 @@ scanned files — that is how the trace-schema drift check sees
 
 Rules register themselves at import time via the decorators; the engine
 imports the rule modules and iterates :data:`RULES` / :data:`CROSS_RULES`.
+The findings the engine raises itself are declared in
+:data:`ENGINE_RULES`, so :func:`rule_catalog` lists every id the linter
+can emit.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "CrossRule",
     "RULES",
     "CROSS_RULES",
+    "ENGINE_RULES",
     "rule",
     "cross_rule",
     "rule_catalog",
@@ -55,6 +59,12 @@ class CrossRule:
 RULES: dict[str, Rule] = {}
 CROSS_RULES: dict[str, CrossRule] = {}
 
+#: Findings the engine emits with no check function: (severity, title).
+ENGINE_RULES: dict[str, tuple[Severity, str]] = {
+    "REP-A001": (Severity.ERROR, "stale suppression comment"),
+    "REP-A002": (Severity.ERROR, "file does not parse or cannot be read"),
+}
+
 
 def rule(rule_id: str, title: str, severity: Severity = Severity.ERROR):
     """Register a per-module rule; the decorated function is its check."""
@@ -81,7 +91,11 @@ def cross_rule(rule_id: str, title: str, severity: Severity = Severity.ERROR):
 
 
 def rule_catalog() -> list[tuple[str, str, str]]:
-    """(id, severity, title) rows for every registered rule."""
+    """(id, severity, title) rows for every rule id the linter can emit."""
     rows = [(r.id, str(r.severity), r.title) for r in RULES.values()]
     rows += [(r.id, str(r.severity), r.title) for r in CROSS_RULES.values()]
+    rows += [
+        (rule_id, str(severity), title)
+        for rule_id, (severity, title) in ENGINE_RULES.items()
+    ]
     return sorted(rows)

@@ -19,8 +19,7 @@ def render_text(report: LintReport) -> str:
         f"{len(report.findings)} finding(s) "
         f"({errors} error(s), {warnings} warning(s)) in "
         f"{report.files_scanned} file(s); "
-        f"{report.suppressed_count} suppressed, "
-        f"{report.baselined_count} baselined"
+        f"{report.suppressed_count} suppressed"
     )
     lines.append(summary)
     return "\n".join(lines)
@@ -31,7 +30,6 @@ def render_json(report: LintReport) -> str:
         "version": 1,
         "files_scanned": report.files_scanned,
         "suppressed": report.suppressed_count,
-        "baselined": report.baselined_count,
         "findings": [
             {
                 "rule": f.rule_id,
@@ -48,20 +46,11 @@ def render_json(report: LintReport) -> str:
     return json.dumps(payload, indent=2)
 
 
-#: Engine-generated rule ids with no registered check (kept in the
-#: SARIF driver catalog so results always reference a declared rule).
-_ENGINE_RULES = (
-    ("REP-A001", "error", "stale suppression comment"),
-    ("REP-A002", "error", "file does not parse or cannot be read"),
-)
-
-
 def render_sarif(report: LintReport) -> str:
     """SARIF 2.1.0, the schema GitHub code scanning ingests.
 
-    Suppressed and baselined findings are omitted — SARIF is the
-    PR-annotation surface, and those are by definition accepted."""
-    catalog = list(rule_catalog()) + list(_ENGINE_RULES)
+    Suppressed findings are omitted — SARIF is the PR-annotation
+    surface, and those are by definition accepted."""
     rules = [
         {
             "id": rule_id,
@@ -71,7 +60,7 @@ def render_sarif(report: LintReport) -> str:
                 "level": "error" if severity == "error" else "warning"
             },
         }
-        for rule_id, severity, title in sorted(set(catalog))
+        for rule_id, severity, title in rule_catalog()
     ]
     index = {entry["id"]: i for i, entry in enumerate(rules)}
     results = [

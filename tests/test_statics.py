@@ -22,16 +22,32 @@ from repro.statics import (
     collect_files,
     config,
     lint_paths,
-    load_baseline,
     render_json,
+    render_sarif,
     render_text,
     rule_catalog,
-    write_baseline,
 )
 from repro.statics.context import ModuleContext, module_name_for
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 TRACE_DIR = REPO_SRC / "repro" / "trace"
+
+#: Every rule id the linter can emit.
+LINT_RULE_IDS = {
+    "REP-A000",
+    "REP-A001",
+    "REP-A002",
+    "REP-D001",
+    "REP-D002",
+    "REP-D003",
+    "REP-H001",
+    "REP-H002",
+    "REP-H003",
+    "REP-P001",
+    "REP-P002",
+    "REP-S001",
+    "REP-S002",
+}
 
 
 def _write(root: Path, relpath: str, source: str) -> Path:
@@ -83,21 +99,38 @@ def test_collect_files_skips_pycache_and_dedupes(tmp_path):
     assert [f.name for f in files] == ["a.py"]
 
 
+def test_collect_files_scans_a_dot_dot_path(tmp_path, monkeypatch):
+    _write(
+        tmp_path, "pkg/repro/cache/mod.py", "import time\nt0 = time.time()\n"
+    )
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    report = lint_paths(["../pkg"])
+    assert report.files_scanned == 1
+    assert _rule_ids(report) == ["REP-D001"]
+
+
+def test_collect_files_scans_a_hidden_directory_argument(tmp_path):
+    # Hidden directories *below* the argument are still skipped.
+    root = tmp_path / ".ci"
+    for relpath in ("repro/cache/mod.py", ".venv/repro/cache/mod.py"):
+        _write(root, relpath, "import time\nt0 = time.time()\n")
+    report = lint_paths([root])
+    assert report.files_scanned == 1
+    assert _rule_ids(report) == ["REP-D001"]
+
+
+def test_missing_path_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    with pytest.raises(FileNotFoundError):
+        lint_paths([missing])
+    assert main(["lint", str(missing)]) == 2
+    assert "no such file or directory" in capsys.readouterr().err
+
+
 def test_rule_catalog_covers_documented_ids():
     ids = {rule_id for rule_id, _severity, _title in rule_catalog()}
-    assert {
-        "REP-D001",
-        "REP-D002",
-        "REP-D003",
-        "REP-P001",
-        "REP-P002",
-        "REP-H001",
-        "REP-H002",
-        "REP-H003",
-        "REP-S001",
-        "REP-S002",
-        "REP-A000",
-    } <= ids
+    assert ids == LINT_RULE_IDS
 
 
 # -- REP-D001: wall clock ---------------------------------------------------
@@ -452,36 +485,27 @@ def test_suppression_for_other_rule_does_not_mask(tmp_path):
     assert "REP-D001" in _rule_ids(report)
 
 
-# -- baseline ---------------------------------------------------------------
+# -- REP-A001: stale suppressions -------------------------------------------
 
 
-def test_baseline_round_trip_and_grandfathering(tmp_path):
-    fixture = _write(
+def test_stale_suppression_flagged(tmp_path):
+    report = _lint_source(
         tmp_path,
-        "repro/cache/clocky.py",
-        "import time\nt0 = time.time()\n",
+        "repro/cache/stale.py",
+        "x = 1  # repro: allow[REP-D001] -- historical\n",
     )
-    first = lint_paths([fixture])
-    assert not first.ok
+    assert _rule_ids(report) == ["REP-A001"]
+    assert "stale" in report.findings[0].message
 
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings)
-    fingerprints = load_baseline(baseline_path)
-    assert fingerprints == {f.fingerprint for f in first.findings}
 
-    second = lint_paths([fixture], baseline=fingerprints)
-    assert second.ok
-    assert second.baselined_count == 1
-
-    # A *new* finding still fails against the old baseline.
-    fixture.write_text(
-        "import time\nt0 = time.time()\nt1 = time.monotonic()\n",
-        encoding="utf-8",
+def test_used_suppression_not_stale(tmp_path):
+    report = _lint_source(
+        tmp_path,
+        "repro/cache/used.py",
+        "import time\nt0 = time.time()  # repro: allow[REP-D001] -- fixture\n",
     )
-    third = lint_paths([fixture], baseline=fingerprints)
-    assert not third.ok
-    assert third.baselined_count == 1
-    assert len(third.findings) == 1
+    assert report.ok
+    assert report.suppressed_count == 1
 
 
 def test_fingerprint_survives_line_shifts(tmp_path):
@@ -548,62 +572,62 @@ def test_cli_lint_exit_codes(tmp_path, capsys):
     assert "REP-D001" in out
 
 
-def test_cli_lint_json_and_baseline_flow(tmp_path, capsys):
-    dirty = _write(
-        tmp_path,
-        "repro/cache/mod.py",
-        "import time\nt0 = time.time()\n",
-    )
-    baseline = tmp_path / "baseline.json"
-    assert main(
-        ["lint", str(dirty), "--write-baseline", str(baseline)]
-    ) == 0
-    capsys.readouterr()
-    rc = main(
-        ["lint", str(dirty), "--baseline", str(baseline), "--format", "json"]
-    )
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["baselined"] == 1
-    assert payload["findings"] == []
-
-
-def test_cli_lint_reads_pyproject_defaults(tmp_path, monkeypatch, capsys):
-    # With no paths/--baseline on the command line, [tool.repro.statics]
-    # in the nearest pyproject.toml supplies both (3.11+; on 3.10 the
-    # config is skipped and the default `src` path scans nothing here —
-    # either way the run is clean).
+def test_cli_lint_defaults_to_src_and_tests(tmp_path, monkeypatch, capsys):
     _write(
         tmp_path,
-        "pyproject.toml",
-        "[tool.repro.statics]\n"
-        'baseline = "lint-baseline.json"\n'
-        'paths = ["code"]\n',
-    )
-    dirty = _write(
-        tmp_path,
-        "code/repro/cache/mod.py",
+        "tests/repro/cache/mod.py",
         "import time\nt0 = time.time()\n",
     )
     monkeypatch.chdir(tmp_path)
-    assert main(
-        ["lint", str(dirty), "--write-baseline", "lint-baseline.json"]
-    ) == 0
-    capsys.readouterr()
-    assert main(["lint", "--format", "json"]) == 0
+    assert main(["lint", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    try:
-        import tomllib  # noqa: F401
-    except ImportError:
-        return
     assert payload["files_scanned"] == 1
-    assert payload["baselined"] == 1
+    (finding,) = payload["findings"]
+    assert finding["rule"] == "REP-D001"
+    assert Path(finding["path"]).parts[0] == "tests"
 
 
 def test_cli_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "REP-D001" in out and "REP-S001" in out
+    assert {line.split()[0] for line in out.splitlines()} == LINT_RULE_IDS
+
+
+def test_sarif_payload_shape(tmp_path):
+    report = _lint_source(
+        tmp_path,
+        "repro/cache/clocky.py",
+        "import time\nt0 = time.time()\n",
+    )
+    payload = json.loads(render_sarif(report))
+    assert payload["version"] == "2.1.0"
+    run = payload["runs"][0]
+    assert run["tool"]["driver"]["name"] == "repro-statics"
+    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
+    assert rule_ids == LINT_RULE_IDS
+    (result,) = run["results"]
+    assert result["ruleId"] == "REP-D001"
+    assert result["level"] == "error"
+    location = result["locations"][0]["physicalLocation"]
+    assert location["artifactLocation"]["uri"].endswith("clocky.py")
+    assert location["region"]["startLine"] == 2
+    assert result["partialFingerprints"]["reproStaticsFingerprint/v1"]
+
+
+def test_cli_sarif_output_file(tmp_path, capsys):
+    dirty = _write(
+        tmp_path,
+        "repro/cache/mod.py",
+        "import time\nt0 = time.time()\n",
+    )
+    out = tmp_path / "statics.sarif"
+    rc = main(
+        ["lint", str(dirty), "--format", "sarif", "--output", str(out)]
+    )
+    assert rc == 1
+    assert "wrote" in capsys.readouterr().out
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["runs"][0]["results"]
 
 
 # -- REP-H003: per-event loops over trace columns ---------------------------

@@ -8,12 +8,15 @@ the dispatcher's answer equals the specification's: the per-module
 analyzers (:func:`analyze_columns_python`), :func:`pack_stream_python`,
 or one :func:`simulate_packed` replay per cache size.  The delayed-write
 ``replay_packed`` fallback is covered in ``tests/test_veccache.py``.
+An inventory of ``src/repro`` keeps the list of dispatchers complete.
 """
 
 from __future__ import annotations
 
+import ast
 import random
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,7 @@ from repro.parallel.veccache import (
 from repro.trace.columns import TraceColumns
 
 SIZES = (4096, 8 * 4096, 64 * 4096)
+REPO_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def _regressing_columns() -> TraceColumns:
@@ -132,19 +136,48 @@ def _replay_write_through(tmp_path):
     )
 
 
+#: Each dispatcher that catches VectorFallback, and its declining case.
+CASES = {
+    "analyze_onepass": _analyze_onepass,
+    "analyze_corpus": _analyze_corpus,
+    "pack_stream": _pack_stream,
+    "stack_curve": _stack_curve,
+    "replay_packed": _replay_write_through,
+}
+
+
 @pytest.mark.parametrize(
-    "case",
-    [
-        _analyze_onepass,
-        _analyze_corpus,
-        _pack_stream,
-        _stack_curve,
-        _replay_write_through,
-    ],
-    ids=lambda case: case.__name__.lstrip("_"),
+    "case", list(CASES.values()), ids=lambda case: case.__name__.lstrip("_")
 )
 def test_declined_input_gets_the_reference_answer(case, tmp_path):
     kernel, dispatcher, reference = case(tmp_path)
     with pytest.raises(VectorFallback):
         kernel()
     assert dispatcher() == reference()
+
+
+def _catches_vector_fallback(node: ast.AST) -> bool:
+    """An ``except`` clause naming VectorFallback, alone or in a tuple."""
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    return any(
+        getattr(name, "id", getattr(name, "attr", None)) == "VectorFallback"
+        for name in ast.walk(node.type)
+    )
+
+
+def test_every_dispatcher_has_a_case():
+    # The fuzz pillars catch VectorFallback to compare kernel and
+    # reference directly; every other catch is a production dispatcher.
+    dispatchers = []
+    for path in sorted(REPO_PACKAGE.rglob("*.py")):
+        if path.relative_to(REPO_PACKAGE).parts[0] == "fuzz":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        dispatchers += [
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(_catches_vector_fallback, ast.walk(fn)))
+        ]
+    assert sorted(dispatchers) == sorted(CASES)
