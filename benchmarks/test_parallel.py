@@ -3,11 +3,12 @@
 Two jobs ride here:
 
 * **Acceptance** — the Table VI policy sweep at ``jobs=4`` must equal
-  the ``jobs=1`` sweep, and the one-pass write-through curve must
-  reproduce the reference simulator's miss counts *exactly* at every
-  paper cache size.  Both sweeps run the same packed path, so their
-  time ratio (best-of-3) measures only process parallelism; it is
-  printed, not asserted.
+  the ``jobs=1`` sweep, and the one-pass LRU curve must reproduce the
+  reference simulator's metrics *exactly* at every paper cache size
+  under all four write policies.  Table VI under LRU is one curve job,
+  which the executor runs in-process at every ``jobs`` value, so the
+  two sweeps' time ratio (best-of-3) is about 1; it is printed, not
+  asserted.
 * **Timing** — ``test_sweep_throughput`` records the sweep's rate.
   It has no committed baseline: the pipeline benchmark
   (``benchmarks/pipeline``) times this layer end to end as
@@ -20,8 +21,11 @@ import time
 
 from repro.cache.simulator import BlockCacheSimulator
 from repro.cache.stream import build_stream
-from repro.cache.sweep import PAPER_CACHE_SIZES, cache_size_policy_sweep
-from repro.cache.policies import WRITE_THROUGH
+from repro.cache.sweep import (
+    PAPER_CACHE_SIZES,
+    PAPER_POLICIES,
+    cache_size_policy_sweep,
+)
 from repro.parallel.packed import cached_packed_stream, simulate_packed
 from repro.parallel.veccache import stack_curve
 
@@ -52,17 +56,22 @@ def test_sweep_speedup_jobs4_vs_serial(trace):
 
 
 def test_stack_curve_exact_at_paper_sizes(trace, bench_once, benchmark):
-    """Acceptance: the one-pass curve == reference WT miss counts."""
+    """Acceptance: the one-pass curve == the reference simulator, for
+    every Table VI cell."""
     stream = build_stream(trace)
     packed = cached_packed_stream(trace, 4096)
 
-    curve = bench_once(stack_curve, packed, PAPER_CACHE_SIZES)
-    for size in PAPER_CACHE_SIZES:
-        sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
-        ref = sim.run(stream)
-        got = curve.metrics(size)
-        assert got == ref, f"stack curve diverged at {size} bytes"
-        assert got.read_accesses + got.write_accesses == packed.n_accesses
+    curve = bench_once(
+        stack_curve, packed, PAPER_CACHE_SIZES, PAPER_POLICIES,
+        flush_epoch=packed.start_time,
+    )
+    for policy in PAPER_POLICIES:
+        for size in PAPER_CACHE_SIZES:
+            sim = BlockCacheSimulator(cache_bytes=size, policy=policy)
+            ref = sim.run(stream, flush_epoch=trace.start_time)
+            got = curve.metrics(size, policy)
+            assert got == ref, f"stack curve diverged at {size} bytes, {policy.label}"
+            assert got.read_accesses + got.write_accesses == packed.n_accesses
     benchmark.extra_info["accesses"] = packed.n_accesses
     if benchmark.stats is not None:  # absent under --benchmark-disable
         benchmark.extra_info["accesses_per_s"] = round(

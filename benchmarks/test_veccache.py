@@ -7,9 +7,8 @@ Two jobs ride here, mirroring ``test_parallel.py``:
   want) must stay *bit-identical* to its specification, one packed
   replay per size, checked at a few grid sizes; and the write-through
   sweep with shared ``.bpack`` streams at ``jobs=4`` must equal the
-  ``jobs=1`` sweep cell for cell.  Both sweeps run the same packed
-  path, so their time ratio measures only process parallelism and is
-  reported, not asserted.
+  ``jobs=1`` sweep cell for cell.  Both sweeps run the same single
+  curve job, so their time ratio is reported, not asserted.
 * **Regression gate** — every benchmark here is compared by
   ``benchmarks/check_regression.py`` against ``benchmarks/BENCH_6.json``
   (``--gate veccache``).
@@ -34,9 +33,8 @@ from repro.parallel.veccache import stack_curve_numpy
 DENSE_CAPS = sorted({round(4096 ** (i / 511)) for i in range(512)})
 DENSE_SIZES = tuple(c * 4096 for c in DENSE_CAPS)
 
-#: A write-through miss-ratio sweep: 20 cache sizes, one policy — the
-#: configuration family whose replays the batched fast path collapses
-#: into curve evaluations.
+#: A write-through miss-ratio sweep: 20 cache sizes, one policy, one
+#: curve job.
 WT_SWEEP_SIZES = tuple(sorted(
     {(16 << 10) * (1 << i) for i in range(10)}
     | {(24 << 10) * (1 << i) for i in range(10)}

@@ -103,7 +103,11 @@ class OnePassReport:
     def render(self) -> str:
         """The full report, section for section what ``repro-fs analyze
         all`` prints."""
-        dead = [lt for lt in self.lifetimes if lt.lifetime is not None]
+        # Both counts come from the lifetime CDF (every new file is in its
+        # total, every death in its cumulative weight), so rendering
+        # never materializes a kernel report's lifetime objects.
+        by_files = self.lifetime_by_files
+        died = int(by_files.cum[-1]) if by_files.cum else 0
         return "\n".join(
             [
                 self.activity.render(),
@@ -112,7 +116,7 @@ class OnePassReport:
                 size_summary(self.size_by_accesses, self.size_by_bytes),
                 render_user_table(self.users),
                 self.burstiness.render(),
-                f"{len(self.lifetimes)} new files, {len(dead)} died during "
+                f"{int(by_files.total)} new files, {died} died during "
                 f"the trace; {100 * self.daemon_spike:.0f}% of lifetimes in "
                 "the 179-181 s daemon band",
             ]

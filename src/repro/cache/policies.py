@@ -16,6 +16,7 @@ The paper evaluates four policies:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 __all__ = ["WritePolicy", "PolicySpec", "WRITE_THROUGH", "FLUSH_30S", "FLUSH_5MIN", "DELAYED_WRITE"]
@@ -38,8 +39,11 @@ class PolicySpec:
 
     def __post_init__(self):
         if self.policy is WritePolicy.FLUSH_BACK:
-            if not self.flush_interval or self.flush_interval <= 0:
-                raise ValueError("flush-back needs a positive flush_interval")
+            interval = self.flush_interval
+            if not interval or not math.isfinite(interval) or interval <= 0:
+                raise ValueError(
+                    f"flush-back needs a positive, finite flush_interval, got {interval!r}"
+                )
         elif self.flush_interval is not None:
             raise ValueError(f"{self.policy.value} takes no flush interval")
 

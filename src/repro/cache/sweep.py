@@ -2,15 +2,17 @@
 
 Each sweep decomposes into independent (stream, configuration) jobs.
 The stream is compiled once per block size into a
-:class:`~repro.parallel.packed.PackedStream`; write-through LRU columns
-collapse into a single one-pass curve
-(:func:`~repro.parallel.veccache.stack_curve`), and the remaining
-configurations replay the packed stream
-(:func:`~repro.parallel.veccache.replay_packed`).
+:class:`~repro.parallel.packed.PackedStream`.  Every LRU cell comes
+from a one-pass curve (:func:`~repro.parallel.veccache.stack_curve`),
+which gives all sizes under all write policies at once: Table VI is one
+job for all 24 cells, Table VII one per block size and Figure 7 one per
+variant.  The other replacement policies keep one packed replay per
+cell (:func:`~repro.parallel.veccache.replay_packed`).
 :func:`~repro.parallel.executor.run_jobs` runs the jobs in-process at
-``jobs=1`` and on a process pool otherwise — ``jobs`` sets parallelism
-only, never which code computes a cell.  Every cell is bit-identical to
-a :class:`~repro.cache.simulator.BlockCacheSimulator` run of the same
+``jobs=1`` or when there is one job, and on a process pool otherwise —
+``jobs`` sets parallelism only, never which code computes a cell.
+Every cell is bit-identical to a
+:class:`~repro.cache.simulator.BlockCacheSimulator` run of the same
 configuration (asserted by ``tests/test_parallel.py``); results come
 back as small dataclasses with ``render()`` methods that print the
 paper's table layouts.
@@ -44,7 +46,6 @@ from .policies import (
     FLUSH_5MIN,
     WRITE_THROUGH,
     PolicySpec,
-    WritePolicy,
 )
 from .replacement import current_replacement, validate_replacement
 from .stream import StreamItem, Transfer
@@ -96,19 +97,20 @@ def _size_label(nbytes: int) -> str:
 
 
 def _sweep_worker(payload, job):
-    """One sweep job: a packed replay or a whole stack curve.
+    """One sweep job: an LRU curve or a single packed replay.
 
     Module-level so the executor can ship it to worker processes.  Jobs
-    are ``("sim", packkey, cache_bytes, policy, replacement)`` returning
-    one :class:`CacheMetrics`, or ``("stack", packkey, sizes)`` returning
-    one metrics object per size (write-through LRU only — the one
-    configuration family the Mattson curve answers).
+    are ``("curve", packkey, sizes, policies)``, returning per policy a
+    list of metrics, one per size, or ``("sim", packkey, cache_bytes,
+    policy, replacement)``, returning one :class:`CacheMetrics`.
     """
     packed = payload[job[1]]
-    if job[0] == "stack":
-        sizes = job[2]
-        curve = stack_curve(packed, sizes)
-        return [curve.metrics(size) for size in sizes]
+    if job[0] == "curve":
+        _, _, sizes, policies = job
+        curve = stack_curve(
+            packed, sizes, policies, flush_epoch=packed.start_time
+        )
+        return [[curve.metrics(size, p) for size in sizes] for p in policies]
     _, _, cache_bytes, policy, replacement = job
     return replay_packed(
         packed,
@@ -117,6 +119,33 @@ def _sweep_worker(payload, job):
         replacement=replacement,
         flush_epoch=packed.start_time,
     ).metrics
+
+
+def _cell_jobs(packkey, cache_sizes, policies, replacement: str) -> list[tuple]:
+    """The jobs for every (size, policy) cell of one packed stream: one
+    curve under LRU, one replay per cell otherwise."""
+    if replacement == "lru":
+        return [("curve", packkey, tuple(cache_sizes), tuple(policies))]
+    return [
+        ("sim", packkey, size, policy, replacement)
+        for size in cache_sizes
+        for policy in policies
+    ]
+
+
+def _run_cells(jobs_list: list[tuple], payload, jobs: int | None):
+    """Run *jobs_list*; yield ``(packkey, cache_bytes, policy, metrics)``
+    for every cell."""
+    results = run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=jobs)
+    for job, result in zip(jobs_list, results):
+        if job[0] == "curve":
+            _, key, sizes, policies = job
+            for policy, column in zip(policies, result):
+                for size, metrics in zip(sizes, column):
+                    yield key, size, policy, metrics
+        else:
+            _, key, size, policy, _ = job
+            yield key, size, policy, result
 
 
 class _SweepPayload:
@@ -244,29 +273,9 @@ def cache_size_policy_sweep(
     )
     packed = cached_packed_stream(log, block_size)
     payload = _SweepPayload({block_size: _pack_ref(packed, pack_dir, log.name)})
-    stack_policies = [
-        p
-        for p in policies
-        if p.policy is WritePolicy.WRITE_THROUGH and repl == "lru"
-    ]
-    jobs_list: list[tuple] = []
-    if stack_policies:
-        jobs_list.append(("stack", block_size, tuple(cache_sizes)))
-    for size in cache_sizes:
-        for policy in policies:
-            if policy.policy is WritePolicy.WRITE_THROUGH and repl == "lru":
-                continue
-            jobs_list.append(("sim", block_size, size, policy, repl))
-    for job, result in zip(
-        jobs_list, run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=jobs)
-    ):
-        if job[0] == "stack":
-            for size, metrics in zip(job[2], result):
-                for policy in stack_policies:
-                    sweep.results[(size, policy.label)] = metrics
-        else:
-            _, _, size, policy, _ = job
-            sweep.results[(size, policy.label)] = result
+    jobs_list = _cell_jobs(block_size, cache_sizes, policies, repl)
+    for _, size, policy, metrics in _run_cells(jobs_list, payload, jobs):
+        sweep.results[(size, policy.label)] = metrics
     return sweep
 
 
@@ -340,25 +349,12 @@ def block_size_sweep(
     payload = _SweepPayload(
         {bs: _pack_ref(p, pack_dir, log.name) for bs, p in packed.items()}
     )
-    use_stack = policy.policy is WritePolicy.WRITE_THROUGH and repl == "lru"
     jobs_list: list[tuple] = []
     for bs in block_sizes:
         sweep.no_cache[bs] = packed[bs].n_accesses
-        if use_stack:
-            jobs_list.append(("stack", bs, tuple(cache_sizes)))
-        else:
-            for cache in cache_sizes:
-                jobs_list.append(("sim", bs, cache, policy, repl))
-    for job, result in zip(
-        jobs_list,
-        run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=jobs),
-    ):
-        if job[0] == "stack":
-            for cache, metrics in zip(job[2], result):
-                sweep.results[(job[1], cache)] = metrics
-        else:
-            _, bs, cache, _, _ = job
-            sweep.results[(bs, cache)] = result
+        jobs_list += _cell_jobs(bs, cache_sizes, (policy,), repl)
+    for bs, cache, _, metrics in _run_cells(jobs_list, payload, jobs):
+        sweep.results[(bs, cache)] = metrics
     return sweep
 
 
@@ -421,14 +417,12 @@ def paging_comparison(
             ),
         }
     )
-    jobs_list: list[tuple] = []
-    for size in cache_sizes:
-        jobs_list.append(("sim", "plain", size, policy, repl))
-        jobs_list.append(("sim", "paged", size, policy, repl))
-    for job, result in zip(
-        jobs_list, run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=jobs)
-    ):
-        _, variant, size, _, _ = job
+    jobs_list = [
+        job
+        for variant in ("plain", "paged")
+        for job in _cell_jobs(variant, cache_sizes, (policy,), repl)
+    ]
+    for variant, size, _, metrics in _run_cells(jobs_list, payload, jobs):
         table = comparison.ignored if variant == "plain" else comparison.simulated
-        table[size] = result
+        table[size] = metrics
     return comparison

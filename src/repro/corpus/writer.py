@@ -12,7 +12,9 @@ bytes, one ``crc32`` per column chunk) and recorded for the footer.
 :class:`~repro.trace.io_binary.TraceSpool`: a ``TraceLog``-shaped sink
 the workload generator can write through with O(segment) memory, so
 ``generate(..., spool="out.bcorpus")`` emits a sharded corpus directly
-without ever holding the whole trace.
+without ever holding the whole trace.  Rows reach the column buffers
+through :meth:`CorpusWriter.append_row`; the kernel tracer emits them
+there directly, so a spooled trace builds no event objects at all.
 
 :func:`pack_trace` streams an existing ``.btrace``/``.trace`` file (or
 an in-memory log/columns) into a corpus, also with bounded memory.
@@ -20,6 +22,7 @@ an in-memory log/columns) into a corpus, also with bounded memory.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import zlib
@@ -149,8 +152,6 @@ class CorpusWriter:
 
     def append(self, event: TraceEvent) -> None:
         """Append one event (same column mapping as ``TraceColumns.from_log``)."""
-        if self._closed:
-            raise CorpusError("corpus writer is closed")
         kind = oid = fid = uid = size = pos = fl = 0
         if isinstance(event, OpenEvent):
             kind = KIND_OPEN
@@ -193,14 +194,30 @@ class CorpusWriter:
             raise CorpusError(
                 f"cannot serialize event of type {type(event).__name__}"
             )
+        self.append_row(kind, event.time, oid, fid, uid, size, pos, fl)
+
+    def append_row(
+        self,
+        kind: int,
+        time: float,
+        open_id: int,
+        file_id: int,
+        user_id: int,
+        size: int,
+        position: int,
+        flags: int,
+    ) -> None:
+        """Append one event given as its column values."""
+        if self._closed:
+            raise CorpusError("corpus writer is closed")
         self._kinds.append(kind)
-        self._flags.append(fl)
-        self._times.append(event.time)
-        self._open_ids.append(oid)
-        self._file_ids.append(fid)
-        self._user_ids.append(uid)
+        self._flags.append(flags)
+        self._times.append(time)
+        self._open_ids.append(open_id)
+        self._file_ids.append(file_id)
+        self._user_ids.append(user_id)
         self._sizes.append(size)
-        self._positions.append(pos)
+        self._positions.append(position)
         self.events_written += 1
         if len(self._kinds) >= self.segment_events:
             self.flush_segment()
@@ -324,11 +341,15 @@ class CorpusSpool:
     """A ``TraceLog``-shaped sink that spools events into a corpus.
 
     The corpus twin of :class:`~repro.trace.io_binary.TraceSpool`: quacks
-    like a log for producers (``name``/``description``, an ``events``
-    list, a time-ordered ``append``) while draining full segments to a
-    lazily created :class:`CorpusWriter`, so memory stays O(segment)
-    however long the synthesis runs.  The buffer *is* one segment:
-    ``buffer_events`` doubles as the corpus ``segment_events``.
+    like a log for producers (``name``/``description``, a time-ordered
+    ``append``) while its :class:`CorpusWriter` drains each full segment,
+    so memory stays O(segment) however long the synthesis runs.  The
+    buffer *is* one segment: ``buffer_events`` doubles as the corpus
+    ``segment_events``, and events wait as rows in the writer's column
+    buffers.  :meth:`append_row` takes an event as its row, which is how
+    :class:`~repro.unixfs.tracer.KernelTracer` spools without building
+    event objects.  The writer opens at the first event, so a
+    description set before then still reaches the header.
     """
 
     def __init__(
@@ -344,58 +365,79 @@ class CorpusSpool:
         self.name = name
         self.description = description
         self.buffer_events = buffer_events
-        self.events: list[TraceEvent] = []
-        self.events_spooled = 0
-        self.peak_buffered = 0
         self._writer: CorpusWriter | None = None
-        self._last_time: float | None = None
+        self._last_time = -math.inf
         self._closed = False
 
-    def append(self, event: TraceEvent) -> None:
+    def _open(self) -> CorpusWriter:
+        self._writer = CorpusWriter(
+            self._dest,
+            name=self.name,
+            description=self.description,
+            segment_events=self.buffer_events,
+        )
+        return self._writer
+
+    def _in_order(self, time: float) -> None:
         if self._closed:
             raise CorpusError("corpus spool is closed")
-        if self._last_time is not None and event.time < self._last_time:
+        if time < self._last_time:
             raise ValueError(
-                f"event at t={event.time} appended after t={self._last_time}; "
+                f"event at t={time} appended after t={self._last_time}; "
                 "trace events must be in time order"
             )
-        self._last_time = event.time
-        self.events.append(event)
-        if len(self.events) > self.peak_buffered:
-            self.peak_buffered = len(self.events)
-        if len(self.events) >= self.buffer_events:
-            self._drain()
+        self._last_time = time
+
+    def append(self, event: TraceEvent) -> None:
+        self._in_order(event.time)
+        (self._writer or self._open()).append(event)
+
+    def append_row(
+        self,
+        kind: int,
+        time: float,
+        open_id: int,
+        file_id: int,
+        user_id: int,
+        size: int,
+        position: int,
+        flags: int,
+    ) -> None:
+        """Append one event given as its column values."""
+        self._in_order(time)
+        (self._writer or self._open()).append_row(
+            kind, time, open_id, file_id, user_id, size, position, flags
+        )
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
         for event in events:
             self.append(event)
 
     def __len__(self) -> int:
-        return self.events_spooled + len(self.events)
+        return self._writer.events_written if self._writer is not None else 0
+
+    @property
+    def events_spooled(self) -> int:
+        """Events already written out in full segments."""
+        if self._writer is None:
+            return 0
+        return self._writer.events_written - self._writer.buffered_events
+
+    @property
+    def peak_buffered(self) -> int:
+        """Most events ever waiting at once: the buffer fills to
+        ``buffer_events`` and drains as one segment."""
+        return min(len(self), self.buffer_events)
 
     @property
     def segments_spooled(self) -> int:
         return self._writer.segments_written if self._writer is not None else 0
 
-    def _drain(self) -> None:
-        if self._writer is None:
-            self._writer = CorpusWriter(
-                self._dest,
-                name=self.name,
-                description=self.description,
-                segment_events=self.buffer_events,
-            )
-        self._writer.extend(self.events)
-        self.events_spooled += len(self.events)
-        self.events.clear()
-
     def close(self) -> None:
         """Drain the buffer and finalize the corpus (valid even if empty)."""
         if self._closed:
             return
-        self._drain()
-        assert self._writer is not None  # _drain always creates it
-        self._writer.close()
+        (self._writer or self._open()).close()
         self._closed = True
 
     def __enter__(self) -> "CorpusSpool":

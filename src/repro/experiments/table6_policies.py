@@ -4,9 +4,8 @@ The paper fixed LRU replacement and swept write policies (Table VI).
 This exhibit holds the best write policy fixed (delayed-write, the
 paper's winner) and sweeps the *replacement* policy instead, across the
 three paper machines plus a modern strace-captured compile pipeline.
-Every cell is an exact packed replay (:func:`replay_packed`) — the
-non-LRU zoo policies are replay-only, so the numpy curve kernel
-declines them and both engines answer identically (DESIGN.md §16).
+Every cell is an exact packed replay (:func:`replay_packed`); the
+non-LRU zoo policies are replay-only (DESIGN.md §16).
 """
 
 from __future__ import annotations

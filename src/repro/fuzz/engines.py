@@ -21,13 +21,12 @@ of that claim on every seeded trace:
   block sizes;
 * the vectorized cache engine (:mod:`repro.parallel.veccache`) vs
   :func:`~repro.parallel.veccache.stack_curve_python` (one
-  :func:`~repro.parallel.packed.simulate_packed` replay per size): the
-  full miss/hit/eviction curve at seed-chosen cache sizes (small ones
-  included — they maximize hole traffic), exact
-  :class:`~repro.cache.metrics.CacheMetrics` per size, checkpoint
-  snapshots and both simulator knobs; plus the batched write-through
-  replay vs :func:`~repro.parallel.packed.simulate_packed` at one
-  seed-chosen capacity.
+  :func:`~repro.parallel.packed.simulate_packed` replay per size and
+  policy): the full miss/hit/eviction curve at seed-chosen cache sizes
+  (small ones included — they maximize hole traffic) under seed-chosen
+  write policies and flush anchor, exact
+  :class:`~repro.cache.metrics.CacheMetrics` per size and policy,
+  checkpoint snapshots and both simulator knobs.
 
 A kernel may decline an input by raising
 :class:`~repro.analysis.vectorized.VectorFallback`; production then
@@ -47,14 +46,17 @@ from ..analysis.vectorized import (
     pack_stream_numpy,
     validate_columns_numpy,
 )
-from ..cache.policies import WRITE_THROUGH
+from ..cache.policies import (
+    DELAYED_WRITE,
+    FLUSH_5MIN,
+    FLUSH_30S,
+    WRITE_THROUGH,
+    PolicySpec,
+    WritePolicy,
+)
 from ..cache.stream import build_stream
 from ..parallel.packed import pack_stream_python
-from ..parallel.veccache import (
-    simulate_packed_numpy,
-    stack_curve_numpy,
-    stack_curve_python,
-)
+from ..parallel.veccache import stack_curve_numpy, stack_curve_python
 from ..trace.columns import KIND_CLOSE, KIND_OPEN, KIND_SEEK, TraceColumns
 from ..trace.log import TraceLog
 from ..trace.validate import validate_columns_python
@@ -233,46 +235,41 @@ def check_engines(log: TraceLog, seed: str = "0") -> str | None:
 
 
 def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
-    """The vectorized cache engine vs per-size packed replays."""
+    """The vectorized cache engine vs per-size, per-policy packed replays."""
     bs = packed.block_size
     # Seed-chosen capacities, small ones first: a 1-2 block cache keeps
     # the stack boundary pointers inside the hole churn, which is where
     # the vectorized removal-sequence reconstruction can go wrong.
     caps = sorted({1, 2, rng.randrange(1, 64), rng.randrange(1, 2048)})
     sizes = tuple(c * bs for c in caps)
+    # Seed-chosen write policies: the paper's four plus a flush interval
+    # short enough to fall between the rows of a small trace.
+    short = PolicySpec(WritePolicy.FLUSH_BACK, rng.choice((2.0, 7.5, 20.0)))
+    pool = (WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE, short)
+    policies = tuple(rng.sample(pool, rng.randrange(1, len(pool) + 1)))
     knobs = {
         "read_elision": rng.random() < 0.5,
         "invalidate_on_delete": rng.random() < 0.5,
+        "flush_epoch": packed.start_time if rng.random() < 0.5 else None,
     }
     if rng.random() < 0.5 and len(packed.times):
         lo = packed.times[0]
         hi = packed.times[-1]
         knobs["checkpoint_time"] = lo + rng.random() * (hi - lo)
-    ref = stack_curve_python(packed, sizes, WRITE_THROUGH, **knobs)
+    ref = stack_curve_python(packed, sizes, policies, **knobs)
     try:
-        fast = stack_curve_numpy(packed, sizes, WRITE_THROUGH, **knobs)
+        fast = stack_curve_numpy(packed, sizes, policies, **knobs)
     except VectorFallback:
         # The kernel declined this input (out-of-range keys); dispatch
         # would rerun the specification, so there is nothing to compare.
         return None
-    for size in sizes:
-        if fast.metrics(size) != ref.metrics(size):
-            return f"{label}: curve metrics diverge at {size} bytes"
-        if fast.checkpoint(size) != ref.checkpoint(size):
-            return f"{label}: curve checkpoint diverges at {size} bytes"
-    # The reference curve is already one simulate_packed replay per size.
-    cache_bytes = rng.choice(sizes)
-    rep_fast = simulate_packed_numpy(
-        packed,
-        cache_bytes,
-        WRITE_THROUGH,
-        flush_epoch=packed.start_time,
-        **knobs,
-    )
-    if rep_fast.metrics != ref.metrics(cache_bytes):
-        return f"{label}: write-through replay diverges at {cache_bytes} bytes"
-    if rep_fast.checkpoint != ref.checkpoint(cache_bytes):
-        return f"{label}: write-through replay checkpoint diverges"
+    for policy in policies:
+        for size in sizes:
+            where = f"{size} bytes, {policy.label}"
+            if fast.metrics(size, policy) != ref.metrics(size, policy):
+                return f"{label}: curve metrics diverge at {where}"
+            if fast.checkpoint(size, policy) != ref.checkpoint(size, policy):
+                return f"{label}: curve checkpoint diverges at {where}"
     return None
 
 

@@ -9,9 +9,9 @@ standing bit-identical claims:
 * :func:`~repro.analysis.onepass.analyze_onepass` vs the nine
   per-module reference analyses, field for field (:func:`check_analysis`);
 * :class:`~repro.cache.simulator.BlockCacheSimulator` vs
-  :func:`~repro.parallel.packed.simulate_packed` across write policies,
-  and vs :func:`~repro.parallel.veccache.stack_curve` under
-  write-through (:func:`check_cache`).
+  :func:`~repro.parallel.packed.simulate_packed` and
+  :func:`~repro.parallel.veccache.stack_curve` across write policies
+  (:func:`check_cache`).
 """
 
 from __future__ import annotations
@@ -217,9 +217,12 @@ def check_cache(
     cache_sizes: tuple[int, ...] = ORACLE_CACHE_SIZES,
     block_size: int = ORACLE_BLOCK_SIZE,
 ) -> str | None:
-    """Reference simulator vs packed replayer vs write-through curve."""
+    """Reference simulator vs packed replayer vs LRU curve."""
     stream = build_stream(log)
     packed = pack_stream(stream, block_size, start_time=log.start_time)
+    curve = stack_curve(
+        packed, cache_sizes, _ORACLE_POLICIES, flush_epoch=log.start_time
+    )
     for policy in _ORACLE_POLICIES:
         for cache_bytes in cache_sizes:
             ref = BlockCacheSimulator(
@@ -229,25 +232,17 @@ def check_cache(
             fast = simulate_packed(
                 packed, cache_bytes, policy, flush_epoch=log.start_time
             )
-            if ref.metrics != fast.metrics:
-                return (
-                    f"simulate_packed diverges from BlockCacheSimulator "
-                    f"(policy={policy.label}, cache={cache_bytes}): "
-                    f"{_metrics_diff(ref.metrics, fast.metrics)}"
-                )
-    curve = stack_curve(packed, cache_sizes)
-    for cache_bytes in cache_sizes:
-        ref = BlockCacheSimulator(
-            cache_bytes=cache_bytes, block_size=block_size, policy=WRITE_THROUGH
-        )
-        ref.run(stream, flush_epoch=log.start_time)
-        stacked = curve.metrics(cache_bytes)
-        if ref.metrics != stacked:
-            return (
-                f"stack_curve diverges from BlockCacheSimulator "
-                f"(write-through, cache={cache_bytes}): "
-                f"{_metrics_diff(ref.metrics, stacked)}"
-            )
+            stacked = curve.metrics(cache_bytes, policy)
+            for name, got in (
+                ("simulate_packed", fast.metrics),
+                ("stack_curve", stacked),
+            ):
+                if ref.metrics != got:
+                    return (
+                        f"{name} diverges from BlockCacheSimulator "
+                        f"(policy={policy.label}, cache={cache_bytes}): "
+                        f"{_metrics_diff(ref.metrics, got)}"
+                    )
     return None
 
 

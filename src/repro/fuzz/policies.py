@@ -12,11 +12,6 @@ just the paper's LRU.  This pillar is the machine check:
   hosts at seed-chosen capacities, write policies and semantics knobs
   (checkpoint included) — metrics and checkpoint snapshots must match
   field for field;
-* the engine dispatcher (:func:`~repro.parallel.veccache.replay_packed`)
-  must answer identically to the packed replay — the numpy kernel
-  either serves the LRU write-through curve exactly or declines and the
-  oracle reruns, so a difference means a dispatch bug, not an
-  approximation;
 * a three-way sanity oracle: on a no-reuse workload (every key touched
   once) ARC, LRU and 2Q must produce *identical* metrics — with no
   reuse there is nothing for adaptivity or ghost lists to exploit, so
@@ -33,7 +28,6 @@ from ..cache.replacement import REPLACEMENT_NAMES
 from ..cache.simulator import BlockCacheSimulator
 from ..cache.stream import build_stream
 from ..parallel.packed import OP_READ, PackedStream, pack_stream, simulate_packed
-from ..parallel.veccache import replay_packed
 from ..trace.log import TraceLog
 
 __all__ = ["check_policies", "check_policies_all"]
@@ -113,19 +107,6 @@ def check_policies(log: TraceLog, seed: str = "0") -> str | None:
                 return f"{label}: packed replay diverges from the full simulator"
             if run.checkpoint != sim.checkpoint:
                 return f"{label}: packed replay checkpoint diverges"
-            fast = replay_packed(
-                packed,
-                cache_bytes,
-                write_policy,
-                replacement=name,
-                checkpoint_time=checkpoint_time,
-                flush_epoch=log.start_time,
-                **knobs,
-            )
-            if fast.metrics != run.metrics:
-                return f"{label}: numpy engine dispatch diverges"
-            if fast.checkpoint != run.checkpoint:
-                return f"{label}: numpy engine checkpoint diverges"
     # Three-way no-reuse oracle: nothing to adapt to, so the adaptive
     # policies must collapse onto plain LRU's numbers exactly.
     no_reuse = _no_reuse_stream(rng)

@@ -6,9 +6,11 @@ Three layers, composable but independent:
   into flat arrays and replay them through a tight single-loop simulator
   (bit-identical metrics to the reference
   :class:`~repro.cache.simulator.BlockCacheSimulator`);
-* :mod:`.veccache` — the whole write-through LRU cache-size curve from
-  one pass (Mattson stack analysis extended with deletion holes), as a
-  numpy kernel with a per-size :func:`simulate_packed` specification;
+* :mod:`.veccache` — the whole LRU cache-size curve under every write
+  policy from one pass (Mattson stack analysis extended with deletion
+  holes and the write-back rules of Thompson & Smith), as a numpy
+  kernel with a per-size, per-policy :func:`simulate_packed`
+  specification;
 * :mod:`.executor` — fan independent (payload, job) pairs out to a
   process pool, payload shipped once, results in deterministic order,
   in-process when ``jobs=1`` or the pool dies.

@@ -1,4 +1,4 @@
-"""LRU miss-ratio curves: every cache size from one pass over a stream.
+"""LRU cache curves: every cache size and write policy from one pass.
 
 Every cache-size sweep in the paper replays the same stream once per
 cache size, yet LRU caches obey the *inclusion property*: the content of
@@ -25,18 +25,35 @@ blocks' *positions* as **holes**:
 
 Only slots above the removed hole shift down, so a live slot pushed
 across depth C is an eviction at capacity C (the shallowest hole is by
-definition below no other hole, so crossing slots are always live).
+definition below no other hole, so crossing slots are always live), and
+a block's depth never decreases between two of its accesses.
 
-**Which metrics a curve carries.**  Hits and misses, evictions,
-invalidations and read elisions depend only on cache *content*, which
-LRU keeps identical under every write policy — the policies differ only
-in when dirty data reaches the disk.  Under **write-through** no block
-is ever dirty and every write is a disk write, so the curve holds the
-full :class:`~repro.cache.metrics.CacheMetrics` of
-:class:`~repro.cache.simulator.BlockCacheSimulator` at every size.  For
-the other policies disk writes need per-capacity dirty state, and the
-sweeps run one :func:`~repro.parallel.packed.simulate_packed` replay
-per configuration.
+**Write policies.**  Hits and misses, evictions, invalidations and read
+elisions depend only on cache *content*, which LRU keeps identical
+under every write policy: it picks victims without looking at
+dirtiness.  Under **write-through** no block is ever dirty and every
+write is a disk write.  Under flush-back and delayed-write the dirty
+state at capacity C also follows from the depths (the write-back stack
+analysis of Thompson & Smith, "Efficient (stack) algorithms for
+analysis of write-back and sector memories", ACM TOCS 7(1), 1989):
+
+* a write starts a *dirty period* at C unless the block is already
+  dirty there, which it is when it had a write since it was last
+  killed, no flush ran between the two rows, and C is at least the
+  largest depth among its accesses after that write, this one included;
+  period starts are ``dirty_blocks_created``;
+* an eviction or a flush ends a period with one disk write; a kill
+  while resident ends one with none (``dirty_blocks_discarded``), and
+  so does the end of the trace for a block still resident and
+  unflushed, so disk writes = periods - discards - periods open at the
+  end, and no depth-at-flush query is needed;
+* flush boundaries are the simulator's own floats (``epoch + interval``,
+  then repeated ``+= interval``, which a sequential ``np.cumsum``
+  reproduces); "a flush ran between rows r and s" means more
+  boundaries lie at or below the running-maximum time of row s than of
+  row r;
+* a checkpoint cuts like the end of the trace: flushes count when
+  their row precedes the cut.
 
 **The kernel.**  :func:`stack_curve_numpy` computes the curve with
 whole-column numpy passes.  Every per-op decision of the hole stack
@@ -50,7 +67,8 @@ reduces to *counting stamps*:
   ``1 + (q - a) - T(q, a)`` where ``T(q, a) = #{w <= q : r_w > a}`` —
   a prefix dominance count over the removal sequence.
 * A hit's histogram region, an eviction's boundary test
-  (``caps[j] < depth``) and an invalidated block's region are all
+  (``caps[j] < depth``), an invalidated block's region and a live
+  block's region at the end of the trace (or a checkpoint) are all
   instances of that one formula.
 
 The pipeline: previous/next occurrence per key via one stable argsort;
@@ -62,26 +80,27 @@ Python mini-loop over only the rows a hole is actually in play for
 (the ``vectorized.py`` idiom — everywhere else ``r_u`` is a plain
 column expression); and all ``T`` queries answered in one batch by a
 wavelet matrix over the removal sequence (``O(log n)`` vectorized
-passes for the whole batch).
+passes for the whole batch).  The write-back rules then cost a
+segmented running maximum of regions in key order and one histogram
+per policy.
 
 **The specification.**  :func:`stack_curve_python` builds the same
-curve from one write-through LRU :func:`simulate_packed` replay per
-size.  Bit-identity is the contract (``tests/test_veccache.py`` and
-fuzz pillar 5 compare them): :func:`stack_curve` runs the kernel and
-reruns the specification only when the kernel raises
-:class:`VectorFallback` on its input.  :func:`simulate_packed_numpy`
-rides the same machinery for single write-through LRU configurations,
-so a sweep's per-configuration replays collapse into curve evaluations
-too.
+curve from one :func:`simulate_packed` replay per size and policy.
+Bit-identity is the contract (``tests/test_veccache.py`` and fuzz
+pillar 5 compare them): :func:`stack_curve` runs the kernel and reruns
+the specification only when the kernel raises :class:`VectorFallback`
+on its input.  A single configuration (:func:`replay_packed`) stays on
+the :func:`simulate_packed` loop, which beats the kernel's fixed cost
+at one size.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 
 from ..cache.metrics import CacheMetrics
 from ..cache.policies import DELAYED_WRITE, WRITE_THROUGH, PolicySpec, WritePolicy
-from ..cache.replacement import validate_replacement
 from ..trace.npview import np
 from .packed import (
     KEY_SHIFT,
@@ -96,7 +115,6 @@ from .packed import (
 __all__ = [
     "StackCurve",
     "replay_packed",
-    "simulate_packed_numpy",
     "stack_curve",
     "stack_curve_numpy",
     "stack_curve_python",
@@ -117,42 +135,57 @@ def _require(condition: bool, why: str) -> None:
 
 
 class StackCurve:
-    """Per-cache-size metrics of one write-through LRU curve."""
+    """Per-cache-size metrics of one LRU curve, for each write policy."""
 
-    __slots__ = ("block_size", "cache_sizes", "_index", "_final", "_checkpoint")
+    __slots__ = ("block_size", "cache_sizes", "policies", "_index", "_final", "_checkpoint")
 
     def __init__(
         self,
         block_size: int,
         cache_sizes: tuple[int, ...],
+        policies: tuple[PolicySpec, ...],
         index: dict[int, int],
-        final: list[CacheMetrics],
-        checkpoint: list[CacheMetrics] | None,
+        final: dict[PolicySpec, list[CacheMetrics]],
+        checkpoint: dict[PolicySpec, list[CacheMetrics]] | None,
     ):
         self.block_size = block_size
         self.cache_sizes = cache_sizes
+        self.policies = policies
         self._index = index
         self._final = final
         self._checkpoint = checkpoint
 
-    def metrics(self, cache_bytes: int) -> CacheMetrics:
-        return self._final[self._index[cache_bytes]]
+    def metrics(
+        self, cache_bytes: int, policy: PolicySpec | None = None
+    ) -> CacheMetrics:
+        """The metrics at *cache_bytes* under *policy* (default: the
+        curve's first policy)."""
+        if policy is None:
+            policy = self.policies[0]
+        return self._final[policy][self._index[cache_bytes]]
 
-    def checkpoint(self, cache_bytes: int) -> CacheMetrics | None:
+    def checkpoint(
+        self, cache_bytes: int, policy: PolicySpec | None = None
+    ) -> CacheMetrics | None:
         if self._checkpoint is None:
             return None
-        return self._checkpoint[self._index[cache_bytes]]
+        if policy is None:
+            policy = self.policies[0]
+        return self._checkpoint[policy][self._index[cache_bytes]]
+
+
+def _distinct(policies: tuple[PolicySpec, ...]) -> tuple[PolicySpec, ...]:
+    """*policies* without repeats, in order."""
+    specs = tuple(dict.fromkeys(policies))
+    if not specs:
+        raise ValueError("no write policies given")
+    return specs
 
 
 def _curve_capacities(
-    block_size: int, cache_sizes: tuple[int, ...], policy: PolicySpec
+    block_size: int, cache_sizes: tuple[int, ...]
 ) -> tuple[list[int], dict[int, int]]:
     """Sorted distinct capacities (blocks) and each size's slot in them."""
-    if policy.policy is not WritePolicy.WRITE_THROUGH:
-        raise ValueError(
-            "a one-pass curve is exact only under write-through; "
-            f"got {policy.label!r} — use simulate_packed per configuration"
-        )
     caps = sorted({size // block_size for size in cache_sizes})
     if not caps:
         raise ValueError("no cache sizes given")
@@ -164,73 +197,71 @@ def _curve_capacities(
 def stack_curve(
     packed: PackedStream,
     cache_sizes: tuple[int, ...],
-    policy: PolicySpec = WRITE_THROUGH,
+    policies: tuple[PolicySpec, ...] = (WRITE_THROUGH,),
     *,
     read_elision: bool = True,
     invalidate_on_delete: bool = True,
     checkpoint_time: float | None = None,
+    flush_epoch: float | None = None,
 ) -> StackCurve:
-    """Write-through LRU metrics for every size in *cache_sizes*.
+    """LRU metrics for every size in *cache_sizes* and every write
+    policy in *policies*.
 
     The numpy kernel computes the curve; :func:`stack_curve_python`
     reruns it only when the kernel declines the input (the curves are
-    bit-identical).
+    bit-identical).  *flush_epoch* anchors flush-back scans as in
+    :func:`simulate_packed` (``None``: the first row's time).
     """
     from ..analysis.vectorized import VectorFallback
 
+    knobs = dict(
+        read_elision=read_elision,
+        invalidate_on_delete=invalidate_on_delete,
+        checkpoint_time=checkpoint_time,
+        flush_epoch=flush_epoch,
+    )
     try:
-        return stack_curve_numpy(
-            packed,
-            cache_sizes,
-            policy,
-            read_elision=read_elision,
-            invalidate_on_delete=invalidate_on_delete,
-            checkpoint_time=checkpoint_time,
-        )
+        return stack_curve_numpy(packed, cache_sizes, policies, **knobs)
     except VectorFallback:
-        return stack_curve_python(
-            packed,
-            cache_sizes,
-            policy,
-            read_elision=read_elision,
-            invalidate_on_delete=invalidate_on_delete,
-            checkpoint_time=checkpoint_time,
-        )
+        return stack_curve_python(packed, cache_sizes, policies, **knobs)
 
 
 def stack_curve_python(
     packed: PackedStream,
     cache_sizes: tuple[int, ...],
-    policy: PolicySpec = WRITE_THROUGH,
+    policies: tuple[PolicySpec, ...] = (WRITE_THROUGH,),
     *,
     read_elision: bool = True,
     invalidate_on_delete: bool = True,
     checkpoint_time: float | None = None,
+    flush_epoch: float | None = None,
 ) -> StackCurve:
     """The pure-Python specification of :func:`stack_curve_numpy`: one
-    write-through LRU :func:`simulate_packed` replay per capacity."""
+    LRU :func:`simulate_packed` replay per capacity and policy."""
     bs = packed.block_size
     sizes = tuple(cache_sizes)
-    caps, index = _curve_capacities(bs, sizes, policy)
-    runs = [
-        simulate_packed(
-            packed,
-            cap * bs,
-            WRITE_THROUGH,
-            read_elision=read_elision,
-            invalidate_on_delete=invalidate_on_delete,
-            checkpoint_time=checkpoint_time,
-        )
-        for cap in caps
-    ]
-    checkpoint = [run.checkpoint for run in runs]
-    return StackCurve(
-        block_size=bs,
-        cache_sizes=sizes,
-        index=index,
-        final=[run.metrics for run in runs],
-        checkpoint=None if checkpoint[0] is None else checkpoint,
-    )
+    specs = _distinct(policies)
+    caps, index = _curve_capacities(bs, sizes)
+    final = {}
+    checkpoint = {}
+    for policy in specs:
+        runs = [
+            simulate_packed(
+                packed,
+                cap * bs,
+                policy,
+                read_elision=read_elision,
+                invalidate_on_delete=invalidate_on_delete,
+                checkpoint_time=checkpoint_time,
+                flush_epoch=flush_epoch,
+            )
+            for cap in caps
+        ]
+        final[policy] = [run.metrics for run in runs]
+        checkpoint[policy] = [run.checkpoint for run in runs]
+    if runs[0].checkpoint is None:  # no row reached checkpoint_time
+        checkpoint = None
+    return StackCurve(bs, sizes, specs, index, final, checkpoint)
 
 
 def replay_packed(
@@ -244,28 +275,12 @@ def replay_packed(
     checkpoint_time: float | None = None,
     flush_epoch: float | None = None,
 ) -> PackedRun:
-    """One configuration replay, vectorized when the policy allows.
+    """One configuration replay: :func:`simulate_packed`.
 
-    Write-through LRU configurations are curve evaluations (dirty state
-    never exists), so the numpy kernel answers them from depth arrays;
-    every other policy/replacement makes the kernel decline, and the
-    exact Python replay runs.
+    A curve pays a fixed cost (sorts, the wavelet matrix) that only
+    many sizes amortize; for one size the per-row loop is faster, so
+    single configurations of every policy stay on it.
     """
-    from ..analysis.vectorized import VectorFallback
-
-    try:
-        return simulate_packed_numpy(
-            packed,
-            cache_bytes,
-            policy,
-            replacement=replacement,
-            read_elision=read_elision,
-            invalidate_on_delete=invalidate_on_delete,
-            checkpoint_time=checkpoint_time,
-            flush_epoch=flush_epoch,
-        )
-    except VectorFallback:
-        pass
     return simulate_packed(
         packed,
         cache_bytes,
@@ -278,65 +293,22 @@ def replay_packed(
     )
 
 
-def simulate_packed_numpy(
+def stack_curve_numpy(
     packed: PackedStream,
-    cache_bytes: int,
-    policy: PolicySpec = DELAYED_WRITE,
+    cache_sizes: tuple[int, ...],
+    policies: tuple[PolicySpec, ...] = (WRITE_THROUGH,),
     *,
-    replacement: str = "lru",
     read_elision: bool = True,
     invalidate_on_delete: bool = True,
     checkpoint_time: float | None = None,
     flush_epoch: float | None = None,
-) -> PackedRun:
-    """Vectorized :func:`~repro.parallel.packed.simulate_packed`.
-
-    Exact for LRU write-through (timed or not): with no dirty blocks
-    the replay's metrics equal the stack curve evaluated at this one
-    capacity.  Anything stateful (delayed write, flush-back, or any
-    non-LRU zoo policy) raises :class:`VectorFallback` — those replays
-    genuinely depend on per-capacity state (dirty blocks, reference
-    bits, ghost lists) that the LRU-shaped one-pass curve cannot carry;
-    see DESIGN.md §16 for the curve-vs-replay split.
-    """
-    bs = packed.block_size
-    if cache_bytes // bs < 1:
-        raise ValueError("cache smaller than one block")
-    validate_replacement(replacement)
-    _require(
-        policy.policy is WritePolicy.WRITE_THROUGH and replacement == "lru",
-        f"stateful configuration ({policy.label!r}, {replacement!r}) "
-        "needs the per-op replay",
-    )
-    del flush_epoch  # write-through never flushes; accepted for signature parity
-    curve = stack_curve_numpy(
-        packed,
-        (cache_bytes,),
-        WRITE_THROUGH,
-        read_elision=read_elision,
-        invalidate_on_delete=invalidate_on_delete,
-        checkpoint_time=checkpoint_time,
-    )
-    return PackedRun(
-        metrics=curve.metrics(cache_bytes),
-        checkpoint=curve.checkpoint(cache_bytes),
-    )
-
-
-def stack_curve_numpy(
-    packed: PackedStream,
-    cache_sizes: tuple[int, ...],
-    policy: PolicySpec = WRITE_THROUGH,
-    *,
-    read_elision: bool = True,
-    invalidate_on_delete: bool = True,
-    checkpoint_time: float | None = None,
 ) -> StackCurve:
     """The curve of :func:`stack_curve_python`, from whole-column passes
     over the hole stack described in the module docstring."""
     bs = packed.block_size
     sizes = tuple(cache_sizes)
-    caps_list, index = _curve_capacities(bs, sizes, policy)
+    specs = _distinct(policies)
+    caps_list, index = _curve_capacities(bs, sizes)
     m = len(caps_list)
     caps = np.asarray(caps_list, dtype=np.int64)
 
@@ -350,6 +322,8 @@ def stack_curve_numpy(
             int(keys.min()) >= 0 and (int(keys.max()) >> KEY_SHIFT) < _FID_LIMIT,
             "packed keys outside the vector kernel's encodable range",
         )
+    times = np.frombuffer(packed.times, dtype=np.float64)
+    _require(len(times) == n, "ops/times row counts disagree")
 
     # Checkpoint cut: a replay snapshots before the first row whose
     # timestamp reaches checkpoint_time (NaN never compares true there,
@@ -357,22 +331,57 @@ def stack_curve_numpy(
     # row, so the snapshot is the same histogram restricted to rows < cut.
     cut = None
     if checkpoint_time is not None:
-        times = np.frombuffer(packed.times, dtype=np.float64)
-        _require(len(times) == n, "ops/times row counts disagree")
         reached = times >= checkpoint_time
         if bool(reached.any()):
             cut = int(reached.argmax())
+        del reached
 
-    state = _curve_rows(ops, keys, n, caps, m, invalidate_on_delete)
-    final = _assemble(state, None, caps, m, read_elision)
-    cp = _assemble(state, cut, caps, m, read_elision) if cut is not None else None
-    return StackCurve(
-        block_size=bs,
-        cache_sizes=sizes,
-        index=index,
-        final=final,
-        checkpoint=cp,
+    # Flushes run by the end of each row, per flush-back policy; only
+    # write-back policies need the dirty-period points at the cuts.
+    flushes = {
+        p: _flush_counts(times, p.flush_interval, flush_epoch)
+        for p in specs
+        if p.policy is WritePolicy.FLUSH_BACK
+    }
+    cuts = ()
+    if any(p.policy is not WritePolicy.WRITE_THROUGH for p in specs):
+        cuts = (n,) if cut is None else (n, cut)
+    state = _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts)
+    final = _assemble(state, None, m, read_elision, specs, flushes)
+    cp = None
+    if cut is not None:
+        cp = _assemble(state, cut, m, read_elision, specs, flushes)
+    return StackCurve(bs, sizes, specs, index, final, cp)
+
+
+def _flush_counts(times, interval: float, flush_epoch: float | None):
+    """Flush scans run by the end of each row (int32 per row).
+
+    The boundaries are the simulator's own floats: ``epoch + interval``
+    (the first row's time when *flush_epoch* is None), then repeated
+    ``+= interval`` — a sequential cumsum.  A row at time t has run
+    every scan whose boundary lies at or below the largest time so far.
+    """
+    n = len(times)
+    if n == 0:
+        return np.zeros(0, dtype=np.int32)
+    _require(not bool(np.isnan(times).any()), "NaN row times")
+    first = (float(times[0]) if flush_epoch is None else flush_epoch) + interval
+    reach = np.maximum.accumulate(times)
+    last = float(reach[-1])
+    if not first <= last:  # no scan is ever due (NaN epochs included)
+        return np.zeros(n, dtype=np.int32)
+    _require(math.isfinite(first) and math.isfinite(last), "unbounded flush clock")
+    due = (last - first) / interval
+    _require(due < n, "more flush boundaries than rows")
+    bounds = np.full(int(due) + 3, interval)
+    bounds[0] = first
+    np.cumsum(bounds, out=bounds)
+    _require(
+        bounds[-1] > last and bool((bounds[1:] > bounds[:-1]).all()),
+        "flush boundaries do not advance",
     )
+    return np.searchsorted(bounds, reach, side="right").astype(np.int32)
 
 
 def _stable_key_order(keys_a, na):
@@ -390,60 +399,98 @@ def _stable_key_order(keys_a, na):
     return np.argsort(keys_a, kind="stable")
 
 
-def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
+def _first_kill_rows(keys, rows_i, keys_a, rows_a, n):
+    """Per access: the earliest invalidation row j > row(i) of the same
+    file with inv_key <= key (the hole stack's "kill every live
+    k >= inv_key of this file" scan), or n when none comes.
+
+    Only accesses with a same-file invalidation still ahead take part
+    in the binary descent.
+    """
+    na = len(rows_a)
+    ni = len(rows_i)
+    first_inv_row = np.full(na, n, dtype=np.int64)
+    if not (ni and na):
+        return first_inv_row
+    inv_keys = keys[rows_i]
+    inv_fid = inv_keys >> KEY_SHIFT
+    iorder = np.argsort(inv_fid, kind="stable")  # row order kept per fid
+    s_fid = inv_fid[iorder]
+    s_row = rows_i[iorder]
+    s_key = inv_keys[iorder]
+    acc_fid = keys_a >> KEY_SHIFT
+    enc = s_fid * _ROW_LIMIT + s_row
+    t0 = np.searchsorted(enc, acc_fid * _ROW_LIMIT + rows_a, side="right")
+    seg_end = np.searchsorted(s_fid, acc_fid, side="right")
+    live = np.flatnonzero(t0 < seg_end)
+    if len(live):
+        pos = _first_leq(s_key, t0[live], seg_end[live], keys_a[live])
+        found = pos < seg_end[live]
+        first_inv_row[live] = np.where(
+            found, s_row[np.minimum(pos, ni - 1)], np.int64(n)
+        )
+    return first_inv_row
+
+
+def _hole_levels(rows_a, miss, kill_rows, n):
+    """Hole population before each access row, as a reflected walk:
+    +kills at inval rows, -1 at miss pushes (a pushing hit swaps its
+    old stamp in and one out, so it never changes the level)."""
+    walk = np.zeros(n + 1, dtype=np.int64)
+    walk[rows_a[miss] + 1] = -1
+    if len(kill_rows):
+        walk[1:] += np.bincount(kill_rows, minlength=n)
+    np.cumsum(walk, out=walk)
+    walk -= np.minimum.accumulate(walk)
+    return walk[rows_a]
+
+
+def _pushes_before(rows_a, p_after, rows):
+    """Pushes made by the access rows strictly before each of *rows*."""
+    k = np.searchsorted(rows_a, rows, side="left")
+    if not len(p_after):
+        return k
+    return np.where(k > 0, p_after[np.maximum(k - 1, 0)], 0)
+
+
+def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts):
     """Per-row curve contributions (regions, eviction depths, kills).
 
-    Returns dense arrays carrying, for every access row, its histogram
-    class and region, and for every push/kill, the row it lands on —
-    enough to histogram both the final state and any row-prefix
-    (checkpoint) without a second pass.
+    Returns arrays carrying, for every access row, its histogram class
+    and region, and for every push/kill, the row it lands on — enough
+    to histogram both the final state and any row-prefix (checkpoint)
+    without a second pass.  With *cuts* (row counts: the end of the
+    trace, a checkpoint) it also returns the write-back points of
+    :func:`_dirty_points`.  Arrays are dropped once their last use is
+    behind, so the write-back pass runs in the memory the write-through
+    curve frees.
     """
     inv_full = ops == OP_INVALIDATE
-    acc_mask = ~inv_full
-    rows_a = np.flatnonzero(acc_mask).astype(np.int64)
+    rows_a = np.flatnonzero(~inv_full)
     na = len(rows_a)
+    if invalidate_on_delete:
+        rows_i = np.flatnonzero(inv_full)
+    else:
+        rows_i = np.zeros(0, dtype=np.intp)
+    del inv_full
+    ni = len(rows_i)
     keys_a = keys[rows_a]
     ops_a = ops[rows_a]
-    if invalidate_on_delete:
-        rows_i = np.flatnonzero(inv_full).astype(np.int64)
-    else:
-        rows_i = np.zeros(0, dtype=np.int64)
-    ni = len(rows_i)
 
-    # Previous/next access of the same key, in access-index space.
+    # Previous/next access of the same key, in access-index space, from
+    # one stable sort by key (kept for the write-back pass).
     prev_ai = np.full(na, -1, dtype=np.int64)
     next_ai = np.full(na, na, dtype=np.int64)
+    order = _stable_key_order(keys_a, na) if na else np.zeros(0, dtype=np.intp)
+    key_start = np.ones(na, dtype=bool)  # first access of its key, key order
     if na > 1:
-        order = _stable_key_order(keys_a, na)
-        ksort = keys_a[order]
-        same = ksort[1:] == ksort[:-1]
+        same = keys_a[order[1:]] == keys_a[order[:-1]]
         prev_ai[order[1:][same]] = order[:-1][same]
         next_ai[order[:-1][same]] = order[1:][same]
-
-    # First qualifying invalidation row after each access: the earliest
-    # inval row j > row(i) with inv_fid == fid(key) and inv_key <= key
-    # (the hole stack's "kill every live k >= inv_key of this file" scan).
-    # Only accesses with a same-file invalidation still ahead take part
-    # in the binary descent.
-    first_inv_row = np.full(na, n, dtype=np.int64)  # n == "never"
-    if ni and na:
-        inv_keys = keys[rows_i]
-        inv_fid = inv_keys >> KEY_SHIFT
-        iorder = np.argsort(inv_fid, kind="stable")  # row order kept per fid
-        s_fid = inv_fid[iorder]
-        s_row = rows_i[iorder]
-        s_key = inv_keys[iorder]
-        acc_fid = keys_a >> KEY_SHIFT
-        enc = s_fid * _ROW_LIMIT + s_row
-        t0 = np.searchsorted(enc, acc_fid * _ROW_LIMIT + rows_a, side="right")
-        seg_end = np.searchsorted(s_fid, acc_fid, side="right")
-        live = np.flatnonzero(t0 < seg_end)
-        if len(live):
-            pos = _first_leq(s_key, t0[live], seg_end[live], keys_a[live])
-            found = pos < seg_end[live]
-            first_inv_row[live] = np.where(
-                found, s_row[np.minimum(pos, ni - 1)], np.int64(n)
-            )
+        key_start[1:] = ~same
+        del same
+    first_inv_row = _first_kill_rows(keys, rows_i, keys_a, rows_a, n)
+    del keys_a, rows_i
 
     # Hit/miss, head hits, pushes and stamps.  An access hits iff the
     # key was accessed before and no qualifying inval fell in between;
@@ -462,26 +509,38 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
 
     # Kills: access i's block dies at first_inv_row[i] when that comes
     # before the key's next access; the hole keeps the slot's stamp.
-    if ni and na:
-        next_row = np.where(
-            next_ai < na, rows_a[np.minimum(next_ai, na - 1)], np.int64(n)
-        )
-        killed = first_inv_row < next_row
-    else:
-        killed = np.zeros(na, dtype=bool)
+    next_row = np.where(
+        next_ai < na, rows_a[np.minimum(next_ai, na - 1)], np.int64(n)
+    )
+    del next_ai
+    killed = first_inv_row < next_row
     kill_rows = first_inv_row[killed]
     kill_stamps = p_after[killed]
 
-    # Hole population as a reflected walk: +kills at inval rows, -1 at
-    # miss pushes (a pushing hit swaps its old stamp in and one out, so
-    # it never changes the level).  Misses at level 0 grow the stack.
-    delta = np.zeros(n, dtype=np.int64)
-    delta[rows_a[miss]] = -1
-    if len(kill_rows):
-        delta += np.bincount(kill_rows, minlength=n)
-    prefix = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(delta)))
-    level_before = (prefix - np.minimum.accumulate(prefix))[:-1]
-    lvl_acc = level_before[rows_a] if na else np.zeros(0, dtype=np.int64)
+    # Write-back: each access's latest write of its key at or before it
+    # (key-order position, -1 if none), and the live blocks at each cut
+    # that have one — their depth there joins the query batch below.
+    live_at = []
+    if cuts:
+        wkey = ops_a[order] != OP_READ
+        pos = np.arange(na, dtype=np.int64)
+        last_w = np.maximum.accumulate(np.where(wkey, pos, -1))
+        last_w[last_w < np.maximum.accumulate(np.where(key_start, pos, 0))] = -1
+        inv_order = np.empty(na, dtype=np.int64)
+        inv_order[order] = pos
+        del pos
+        live_at = [
+            np.flatnonzero(
+                (rows_a < c)
+                & (next_row >= c)
+                & (first_inv_row >= c)
+                & (last_w[inv_order] >= 0)
+            )
+            for c in cuts
+        ]
+    del next_row, first_inv_row
+
+    lvl_acc = _hole_levels(rows_a, miss, kill_rows, n)
     growth = miss & (lvl_acc == 0)
 
     # Removal sequence r[1..P]: r_u is the stamp push u takes out of the
@@ -495,7 +554,10 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
     if bool(plain.any()):
         pl = np.flatnonzero(plain)
         r_arr[p_after[pl]] = p_after[prev_ai[pl]]
+        del pl
+    del plain
     ep = np.flatnonzero((lvl_acc > 0) & push)
+    del lvl_acc
     if len(ep):
         nk = len(kill_rows)
         eorder = np.argsort(np.concatenate((kill_rows, rows_a[ep])))
@@ -510,6 +572,7 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
         enc_u = np.concatenate(
             (np.zeros(nk, dtype=np.int64), p_after[ep])
         )[eorder].tolist()
+        del eorder
         heap: list[int] = []
         out = r_arr  # local alias; scatter via plain int indices
         hpush, hpop = heappush, heappop
@@ -520,40 +583,52 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
                 out[u] = -hpop(heap)
             else:
                 hpush(heap, v)
+        del enc_val, enc_u
+    del ep
 
     # Depth queries, answered in one wavelet-matrix batch:
     #   hit region      d = (u - a) - T(u-1, a)
     #   eviction bound  D = (u - r_u) - T(u-1, r_u)   (r_u >= 0)
     #   kill region     d = 1 + (q - a) - T(q, a)
+    #   cut region      d = 1 + (q - a) - T(q, a)     (q: pushes before the cut)
     # where T(q, a) = #{w <= q : r_w > a}.  Two filters keep the batch
     # small: T >= 0 bounds every depth by u - a (or u - r_u), so any
     # query bounded by caps[0] is region 0 / a bin-0 eviction without
     # being asked; and a pushing hit whose removal is its own old stamp
     # (r_u == a — every plain move-to-front) shares its push's query.
     c0 = int(caps[0])
-    pu = p_after[push] if na else np.zeros(0, dtype=np.int64)
+    pu = p_after[push]
     ru = r_arr[pu]
-    consume = ru >= 0
-    sel_ev = np.flatnonzero(consume & (pu - ru > c0))
+    sel_ev = np.flatnonzero((ru >= 0) & (pu - ru > c0))
     q_ev = pu[sel_ev] - 1
     a_ev = ru[sel_ev]
+    del ru
     nh = np.flatnonzero(hit & push)
     u_nh = p_after[nh]
-    a_nh = p_after[prev_ai[nh]] if len(nh) else np.zeros(0, dtype=np.int64)
+    a_nh = p_after[prev_ai[nh]]
+    del prev_ai, hit
     sel_hit = np.flatnonzero((r_arr[u_nh] != a_nh) & (u_nh - a_nh > c0))
     q_hit = u_nh[sel_hit] - 1
     a_hit = a_nh[sel_hit]
-    push_counts = np.bincount(rows_a[push], minlength=n) if na else np.zeros(n)
-    p_pref = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(push_counts).astype(np.int64))
-    )
-    q_kill_all = p_pref[kill_rows]
+    q_kill_all = _pushes_before(rows_a, p_after, kill_rows)
     sel_kill = np.flatnonzero(1 + q_kill_all - kill_stamps > c0)
     q_kill = q_kill_all[sel_kill]
     a_kill = kill_stamps[sel_kill]
+    del q_kill_all
+    cut_queries = []
+    for c, live in zip(cuts, live_at):
+        stamps = p_after[live]
+        q_cut = int(_pushes_before(rows_a, p_after, np.array([c]))[0])
+        sel = np.flatnonzero(1 + q_cut - stamps > c0)
+        cut_queries.append((sel, np.full(len(sel), q_cut), stamps[sel]))
 
-    t_ev, t_hit, t_kill = _dominance_batch(
-        r_arr[1:], n_push, (q_ev, a_ev), (q_hit, a_hit), (q_kill, a_kill)
+    t_ev, t_hit, t_kill, *t_cuts = _dominance_batch(
+        r_arr[1:],
+        n_push,
+        (q_ev, a_ev),
+        (q_hit, a_hit),
+        (q_kill, a_kill),
+        *((q, a) for _, q, a in cut_queries),
     )
 
     # Eviction depth per push: consumed-hole depth (band-filtered pushes
@@ -561,19 +636,22 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
     # stack evicts at every boundary it covers).
     depth_push = np.ones(len(pu), dtype=np.int64)
     depth_push[sel_ev] = (q_ev + 1 - a_ev) - t_ev
+    del pu, sel_ev, q_ev, a_ev, t_ev
     if bool(growth.any()):
         g_running = np.cumsum(growth)
         push_idx = np.flatnonzero(push)
         g_on_push = growth[push_idx]
         depth_push[g_on_push] = g_running[push_idx][g_on_push]
-    idx_ev = np.searchsorted(caps, depth_push, side="left")
+        del g_running, push_idx, g_on_push
+    del growth
+    idx_ev = np.searchsorted(caps, depth_push, side="left").astype(np.int32)
 
     # Regions: region = #{caps < depth}; band-filtered queries are 0 by
     # construction, r_u == a hits reuse their push's depth.
-    reg_acc = np.full(na, m, dtype=np.int64)
+    reg_acc = np.full(na, m, dtype=np.int32)
     reg_acc[head_hit] = 0
     if len(nh):
-        reg_hit = np.zeros(len(nh), dtype=np.int64)
+        reg_hit = np.zeros(len(nh), dtype=np.int32)
         shared = np.flatnonzero(r_arr[u_nh] == a_nh)
         reg_hit[shared] = np.searchsorted(
             caps, depth_push[u_nh[shared] - 1], side="left"
@@ -582,25 +660,107 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
             caps, (q_hit + 1 - a_hit) - t_hit, side="left"
         )
         reg_acc[nh] = reg_hit
-    reg_kill = np.zeros(len(kill_rows), dtype=np.int64)
+        del reg_hit, shared
+    del r_arr, depth_push, nh, u_nh, a_nh, sel_hit, q_hit, a_hit, t_hit
+    reg_kill = np.zeros(len(kill_rows), dtype=np.int32)
     reg_kill[sel_kill] = np.searchsorted(
         caps, 1 + (q_kill - a_kill) - t_kill, side="left"
     )
-
-    return {
+    state = {
         "rows_a": rows_a,
         "ops_a": ops_a,
         "reg_acc": reg_acc,
-        "push_rows": rows_a[push] if na else rows_a,
+        "push_rows": rows_a[push],
         "idx_ev": idx_ev,
         "kill_rows": kill_rows,
         "reg_kill": reg_kill,
     }
+    if cuts:
+        ends = []
+        for c, live, (sel, q_cut, stamps), t in zip(
+            cuts, live_at, cut_queries, t_cuts
+        ):
+            reg = np.zeros(len(live), dtype=np.int32)
+            reg[sel] = np.searchsorted(caps, 1 + (q_cut - stamps) - t, side="left")
+            ends.append((np.full(len(live), c - 1, dtype=np.int64), live, reg))
+        kills = (kill_rows, np.flatnonzero(killed), reg_kill)
+        state.update(
+            _dirty_points(
+                order, key_start, wkey, last_w, inv_order, rows_a, reg_acc, m,
+                kills, ends,
+            )
+        )
+    return state
 
 
-def _assemble(state, cut, caps, m, read_elision):
-    """Histogram + fold into CacheMetrics, optionally row-limited."""
-    np_ = np
+def _dirty_points(
+    order, key_start, wkey, last_w, inv_order, rows_a, reg_acc, m, kills, ends
+):
+    """The write-back pass: every point where a block may be dirty.
+
+    A point is a row, the row of the block's latest write before it,
+    and its *reach*: the largest region the block has had since that
+    write, up to and including the point.  The block is dirty and
+    resident at capacity index j there iff reach <= j and no flush
+    fell between the two rows.  Points come in three kinds:
+
+    * ``starts``: a write whose key was accessed before — it starts no
+      dirty period where the block is still dirty;
+    * ``discards``: a kill (*kills*), which discards a dirty resident
+      block;
+    * ``open``: per cut (*ends*), the live blocks still dirty there, at
+      row ``cut - 1``: flushes count when their row precedes the cut.
+
+    *kills* and each of *ends* give rows, the access each point follows
+    and the block's region at the point.  Points whose block has no
+    write yet, or that are past every capacity (reach == m), can never
+    count and are dropped here.
+    """
+    # Running region maximum since the latest write, in key order (the
+    # write itself contributes 0): one accumulate over group-offset
+    # codes, a group per write and per key start.
+    base = np.cumsum(wkey | key_start) * (m + 1)
+    reg_sorted = reg_acc[order]
+    reach = np.maximum.accumulate(np.where(wkey, 0, reg_sorted) + base)
+    reach -= base
+    del base
+
+    def point(rows, at, last_reg):
+        """Points at key-order positions *at* (each with a write)."""
+        r = np.maximum(reach[at], last_reg)
+        keep = r < m
+        return rows[keep], rows_a[order[last_w[at][keep]]], r[keep]
+
+    def after(rows, accesses, reg):
+        """Points that follow an access of the block."""
+        at = inv_order[accesses]
+        has_w = last_w[at] >= 0
+        return point(rows[has_w], at[has_w], reg[has_w])
+
+    # A write's predecessor in key order carries the previous write.
+    st = np.flatnonzero(wkey & ~key_start)
+    st = st[last_w[st - 1] >= 0]
+    return {
+        "starts": point(rows_a[order[st]], st - 1, reg_sorted[st]),
+        "discards": after(*kills),
+        "open": [after(*end) for end in ends],
+    }
+
+
+def _dirty_at(points, m, flushes, limit=None):
+    """Per capacity index: the points whose block is dirty there."""
+    rows, write_rows, reach = points
+    keep = np.ones(len(rows), dtype=bool)
+    if limit is not None:
+        keep &= rows < limit
+    if flushes is not None:
+        keep &= flushes[rows] == flushes[write_rows]
+    return np.bincount(reach[keep], minlength=m)[:m].cumsum()
+
+
+def _assemble(state, cut, m, read_elision, policies, flushes):
+    """Histogram + fold into CacheMetrics per policy, optionally
+    row-limited (a checkpoint)."""
     rows_a = state["rows_a"]
     ops_a = state["ops_a"]
     reg_acc = state["reg_acc"]
@@ -612,18 +772,16 @@ def _assemble(state, cut, caps, m, read_elision):
         keep = rows_a < cut
         ops_a = ops_a[keep]
         reg_acc = reg_acc[keep]
-        ev_keep = push_rows < cut
-        idx_ev = idx_ev[ev_keep]
-        k_keep = kill_rows < cut
-        reg_kill = reg_kill[k_keep]
+        idx_ev = idx_ev[push_rows < cut]
+        reg_kill = reg_kill[kill_rows < cut]
     is_read = ops_a == OP_READ
     is_cov = ops_a == OP_WRITE_COVERED
     is_unc = ~(is_read | is_cov)
-    h_read = np_.bincount(reg_acc[is_read], minlength=m + 1)
-    h_cov = np_.bincount(reg_acc[is_cov], minlength=m + 1)
-    h_unc = np_.bincount(reg_acc[is_unc], minlength=m + 1)
-    h_inv = np_.bincount(reg_kill, minlength=m + 1)
-    ev_cnt = np_.bincount(idx_ev, minlength=m + 1)
+    h_read = np.bincount(reg_acc[is_read], minlength=m + 1)
+    h_cov = np.bincount(reg_acc[is_cov], minlength=m + 1)
+    h_unc = np.bincount(reg_acc[is_unc], minlength=m + 1)
+    h_inv = np.bincount(reg_kill, minlength=m + 1)
+    ev_cnt = np.bincount(idx_ev, minlength=m + 1)
     reads = int(is_read.sum())
     writes = int(len(ops_a) - reads)
     # Suffix sums at j+1 (misses/evictions past boundary j) and the
@@ -634,20 +792,38 @@ def _assemble(state, cut, caps, m, read_elision):
     ev = ev_cnt[::-1].cumsum()[::-1][1 : m + 1].tolist()
     inv = h_inv.cumsum()[:m].tolist()
     extra = 0 if read_elision else 1
-    return [
-        CacheMetrics(
-            read_accesses=reads,
-            write_accesses=writes,
-            disk_reads=rm[j] + um[j] + extra * cm[j],
-            disk_writes=writes,  # write-through: one per write
-            evictions=ev[j],
-            invalidated_blocks=inv[j],
-            dirty_blocks_created=0,
-            dirty_blocks_discarded=0,
-            read_elisions=cm[j] if read_elision else 0,
-        )
-        for j in range(m)
-    ]
+    out: dict[PolicySpec, list[CacheMetrics]] = {}
+    for policy in policies:
+        if policy.policy is WritePolicy.WRITE_THROUGH:
+            disk_writes = [writes] * m  # one per write
+            created = discarded = [0] * m
+        else:
+            # Periods: starts - discards - those still open at the cut.
+            flush = flushes.get(policy)
+            dirty = _dirty_at(state["starts"], m, flush, cut)
+            created_a = writes - dirty
+            discarded_a = _dirty_at(state["discards"], m, flush, cut)
+            # state["open"] follows the cuts: the end, then the checkpoint.
+            ends = state["open"][0 if cut is None else 1]
+            still_open = _dirty_at(ends, m, flush)
+            disk_writes = (created_a - discarded_a - still_open).tolist()
+            created = created_a.tolist()
+            discarded = discarded_a.tolist()
+        out[policy] = [
+            CacheMetrics(
+                read_accesses=reads,
+                write_accesses=writes,
+                disk_reads=rm[j] + um[j] + extra * cm[j],
+                disk_writes=disk_writes[j],
+                evictions=ev[j],
+                invalidated_blocks=inv[j],
+                dirty_blocks_created=created[j],
+                dirty_blocks_discarded=discarded[j],
+                read_elisions=cm[j] if read_elision else 0,
+            )
+            for j in range(m)
+        ]
+    return out
 
 
 def _first_leq(values, lo, hi, bound):

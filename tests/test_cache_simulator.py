@@ -222,6 +222,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             PolicySpec(WritePolicy.DELAYED_WRITE, flush_interval=30.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), -float("inf")])
+    def test_flush_back_rejects_non_finite_interval(self, interval):
+        # A NaN interval used to pass (both comparisons are false) and
+        # replay exactly as delayed-write under a "nan sec flush" label.
+        with pytest.raises(ValueError, match="finite"):
+            PolicySpec(WritePolicy.FLUSH_BACK, interval)
+
     def test_policy_labels(self):
         assert WRITE_THROUGH.label == "write-through"
         assert FLUSH_30S.label == "30 sec flush"

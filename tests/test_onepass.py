@@ -181,6 +181,16 @@ class TestRender:
         )
         assert r.render() == expected
 
+    def test_render_leaves_kernel_lifetimes_lazy(self, small_trace):
+        # Both lifetime counts come from lifetime_by_files, so render()
+        # never builds the kernel report's Lifetime objects.
+        r = analyze_onepass(small_trace)
+        assert "lifetimes" in r.__dict__["_lazy"]
+        text = r.render()
+        assert "lifetimes" in r.__dict__["_lazy"]
+        dead = [lt for lt in r.lifetimes if lt.lifetime is not None]
+        assert f"{len(r.lifetimes)} new files, {len(dead)} died" in text
+
 
 def test_simple_trace_spot_checks():
     """Absolute (not just differential) checks on the hand-built trace."""

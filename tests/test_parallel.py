@@ -1,6 +1,6 @@
 """Differential tests for :mod:`repro.parallel`.
 
-The packed fast path and the one-pass write-through curve are only
+The packed fast path and the one-pass LRU curve are only
 worth having if they are *bit-identical* to the reference
 :class:`~repro.cache.simulator.BlockCacheSimulator` — the sweeps run
 them at every ``jobs`` value, so any divergence would corrupt exhibits.
@@ -41,7 +41,7 @@ from repro.parallel.packed import (
     pack_stream,
     simulate_packed,
 )
-from repro.parallel.veccache import stack_curve
+from repro.parallel.veccache import stack_curve, stack_curve_numpy
 from repro.trace.records import UnlinkEvent
 
 ALL_POLICIES = (WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE)
@@ -205,8 +205,27 @@ class TestPackedEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# The one-pass write-through curve
+# The one-pass LRU curve
 # ---------------------------------------------------------------------------
+
+
+def _assert_curve_is_simulator(items, packed, sizes, *, checkpoint_time=None,
+                               flush_epoch=None, **knobs):
+    """Every (size, policy) cell of one four-policy kernel curve equals
+    its own BlockCacheSimulator run, checkpoint included; returns the
+    curve.  The kernel is called directly, so a decline fails the test."""
+    curve = stack_curve_numpy(packed, sizes, ALL_POLICIES,
+                              checkpoint_time=checkpoint_time,
+                              flush_epoch=flush_epoch, **knobs)
+    for policy in ALL_POLICIES:
+        for size in sizes:
+            sim = BlockCacheSimulator(cache_bytes=size, policy=policy, **knobs)
+            ref = sim.run(items, checkpoint_time=checkpoint_time,
+                          flush_epoch=flush_epoch)
+            assert curve.metrics(size, policy) == ref, (policy.label, size)
+            assert curve.checkpoint(size, policy) == sim.checkpoint, (
+                policy.label, size)
+    return curve
 
 
 class TestStackCurve:
@@ -240,10 +259,107 @@ class TestStackCurve:
                                   policy=WRITE_THROUGH, read_elision=False)
         assert curve.metrics(390 * 1024) == sim.run(stream)
 
-    def test_rejects_stateful_write_policies(self, packed):
-        for policy in (FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE):
-            with pytest.raises(ValueError):
-                stack_curve(packed, (64 * 1024,), policy=policy)
+    def test_write_back_policies_at_paper_sizes(self, small_trace, stream, packed):
+        # Every Table VI cell, all four write policies, from one curve.
+        curve = stack_curve(
+            packed, PAPER_CACHE_SIZES, ALL_POLICIES,
+            flush_epoch=packed.start_time,
+        )
+        for policy in ALL_POLICIES:
+            for size in PAPER_CACHE_SIZES:
+                assert curve.metrics(size, policy) == _simulated(
+                    small_trace, size, policy
+                ), (policy.label, size)
+
+    def test_write_back_checkpoint(self, small_trace, stream, packed):
+        cp = small_trace.start_time + small_trace.duration / 2
+        _assert_curve_is_simulator(
+            stream, packed, PAPER_CACHE_SIZES, checkpoint_time=cp,
+            flush_epoch=small_trace.start_time,
+        )
+
+    @pytest.mark.parametrize("knobs", [
+        dict(read_elision=False),
+        dict(invalidate_on_delete=False),
+        dict(read_elision=False, invalidate_on_delete=False),
+    ])
+    def test_write_back_knobs(self, small_trace, stream, packed, knobs):
+        _assert_curve_is_simulator(
+            stream, packed, (16 * 1024, 390 * 1024, 4 * 1024 * 1024),
+            flush_epoch=small_trace.start_time, **knobs,
+        )
+
+    @pytest.mark.parametrize("anchored", [True, False], ids=["start", "first-row"])
+    def test_write_back_flush_anchors(self, small_trace, stream, packed, anchored):
+        _assert_curve_is_simulator(
+            stream, packed, PAPER_CACHE_SIZES,
+            flush_epoch=small_trace.start_time if anchored else None,
+        )
+
+    @pytest.mark.parametrize("knobs", [{}, dict(invalidate_on_delete=False)])
+    def test_write_back_invalidation_heavy(self, knobs):
+        items = _invalidation_heavy_stream()
+        packed = pack_stream(items, 4096)
+        curve = _assert_curve_is_simulator(
+            items, packed, (8 * 1024, 16 * 1024, 64 * 1024, 1 << 20),
+            checkpoint_time=items[len(items) // 2].time, **knobs,
+        )
+        if not knobs:
+            assert curve.metrics(1 << 20, DELAYED_WRITE).dirty_blocks_discarded > 0
+
+    def test_trace_ending_with_dirty_blocks(self):
+        # Five blocks written in the last seconds: at 1 MB they are all
+        # still dirty when the trace ends, so no disk write pays for them.
+        items = [
+            Transfer(time=float(i), file_id=i % 3, user_id=1, start=0,
+                     end=8192, is_write=i % 2 == 0)
+            for i in range(12)
+        ] + [
+            Transfer(time=100.0 + i, file_id=10 + i, user_id=1, start=0,
+                     end=4096, is_write=True)
+            for i in range(5)
+        ]
+        packed = pack_stream(items, 4096, start_time=0.0)
+        curve = _assert_curve_is_simulator(
+            items, packed, (4096, 3 * 4096, 1 << 20), flush_epoch=0.0
+        )
+        big = curve.metrics(1 << 20, DELAYED_WRITE)
+        assert big.dirty_blocks_created > big.disk_writes == 0
+
+    def test_gap_of_several_flush_intervals(self):
+        # A 200 s silence holds six 30 s boundaries; the first write after
+        # it must see the block flushed clean, however large the cache.
+        items = [
+            Transfer(time=t, file_id=1, user_id=1, start=0, end=8192,
+                     is_write=True)
+            for t in (1.0, 2.0, 3.0, 203.0, 204.0, 215.5)
+        ]
+        packed = pack_stream(items, 4096, start_time=0.0)
+        curve = _assert_curve_is_simulator(
+            items, packed, (4096, 1 << 20), flush_epoch=0.0
+        )
+        flushed = curve.metrics(1 << 20, FLUSH_30S)
+        assert flushed.dirty_blocks_created == 6
+        assert flushed.disk_writes == 4
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["read-only", "write-only"])
+    def test_one_sided_streams(self, is_write):
+        items = [
+            Transfer(time=float(i), file_id=i % 4, user_id=1,
+                     start=(i % 3) * 4096, end=(i % 3 + 2) * 4096,
+                     is_write=is_write)
+            for i in range(60)
+        ]
+        packed = pack_stream(items, 4096, start_time=0.0)
+        _assert_curve_is_simulator(
+            items, packed, (4096, 2 * 4096, 5 * 4096, 64 * 4096),
+            flush_epoch=0.0,
+        )
+
+    def test_single_size(self, small_trace, stream, packed):
+        _assert_curve_is_simulator(
+            stream, packed, (390 * 1024,), flush_epoch=small_trace.start_time
+        )
 
     def test_unknown_size_rejected(self, packed):
         curve = stack_curve(packed, (64 * 1024,))

@@ -1,8 +1,8 @@
 """Differential tests for the vectorized cache engine and its plumbing.
 
 :mod:`repro.parallel.veccache` claims bit-identity with its
-specification, one write-through LRU
-:func:`~repro.parallel.packed.simulate_packed` replay per cache size
+specification, one LRU :func:`~repro.parallel.packed.simulate_packed`
+replay per cache size and write policy
 (:func:`~repro.parallel.veccache.stack_curve_python`); the sweeps and
 the CLI run the fast path silently, so any divergence would corrupt
 Figure 5/6/7 exhibits.  These tests pin
@@ -20,7 +20,12 @@ import random
 
 import pytest
 
-from repro.cache.policies import FLUSH_30S, WRITE_THROUGH
+from repro.cache.policies import (
+    DELAYED_WRITE,
+    FLUSH_5MIN,
+    FLUSH_30S,
+    WRITE_THROUGH,
+)
 from repro.cache.stream import Invalidation, Transfer, build_stream
 from repro.cache.sweep import (
     _pack_ref,
@@ -51,7 +56,6 @@ from repro.parallel.packed import (
 )
 from repro.parallel.veccache import (
     replay_packed,
-    simulate_packed_numpy,
     stack_curve,
     stack_curve_numpy,
     stack_curve_python,
@@ -59,6 +63,7 @@ from repro.parallel.veccache import (
 from repro.trace.log import TraceLog
 
 SIZES = (4096, 8 * 4096, 64 * 4096)
+POLICIES = (WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE)
 KNOBS = (
     {},
     {"read_elision": False},
@@ -101,11 +106,15 @@ def _hole_heavy_stream():
 
 
 def _assert_curves_identical(packed, sizes, **kwargs):
-    ref = stack_curve_python(packed, sizes, WRITE_THROUGH, **kwargs)
-    fast = stack_curve_numpy(packed, sizes, WRITE_THROUGH, **kwargs)
-    for size in sizes:
-        assert fast.metrics(size) == ref.metrics(size), f"size={size}"
-        assert fast.checkpoint(size) == ref.checkpoint(size), f"size={size}"
+    ref = stack_curve_python(packed, sizes, POLICIES, **kwargs)
+    fast = stack_curve_numpy(packed, sizes, POLICIES, **kwargs)
+    for policy in POLICIES:
+        for size in sizes:
+            where = f"size={size}, {policy.label}"
+            assert fast.metrics(size, policy) == ref.metrics(size, policy), where
+            assert fast.checkpoint(size, policy) == ref.checkpoint(
+                size, policy
+            ), where
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +148,7 @@ class TestEdgeCases:
     def test_empty_stream(self):
         packed = pack_stream([], 4096)
         _assert_curves_identical(packed, SIZES)
-        run = simulate_packed_numpy(packed, 4096, WRITE_THROUGH)
+        run = replay_packed(packed, 4096, WRITE_THROUGH)
         assert run.metrics.read_accesses == 0
         assert run.metrics.disk_reads == 0
 
@@ -157,7 +166,7 @@ class TestEdgeCases:
                           start=0, end=100, is_write=False)]
         packed = pack_stream(items, 4096)
         _assert_curves_identical(packed, (4096,))
-        run = simulate_packed_numpy(packed, 4096, WRITE_THROUGH)
+        run = replay_packed(packed, 4096, WRITE_THROUGH)
         assert run.metrics.disk_reads == 1
 
     def test_one_block_cache_thrash(self):
@@ -187,7 +196,7 @@ class TestDispatch:
             for i in range(12)
         ]
         packed = pack_stream(items, 4096)
-        got = stack_curve(packed, SIZES, WRITE_THROUGH)
+        got = stack_curve(packed, SIZES, (WRITE_THROUGH,))
         for size in SIZES:
             ref = simulate_packed(packed, size, WRITE_THROUGH)
             assert got.metrics(size) == ref.metrics
@@ -200,20 +209,10 @@ class TestDispatch:
             assert got.metrics(size) == ref.metrics
 
     def test_replay_stateful_policy_falls_back(self):
-        from repro.cache.policies import DELAYED_WRITE
-
         packed = pack_stream(_hole_heavy_stream(), 4096)
         ref = simulate_packed(packed, 8 * 4096, DELAYED_WRITE, flush_epoch=0.0)
         got = replay_packed(packed, 8 * 4096, DELAYED_WRITE, flush_epoch=0.0)
         assert got == ref
-
-    def test_simulate_packed_numpy_rejects_stateful(self):
-        from repro.analysis.vectorized import VectorFallback
-        from repro.cache.policies import DELAYED_WRITE
-
-        packed = pack_stream(_hole_heavy_stream(), 4096)
-        with pytest.raises(VectorFallback):
-            simulate_packed_numpy(packed, 8 * 4096, DELAYED_WRITE)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,8 @@ class TestBpack:
         path = tmp_path / "s.bpack"
         write_bpack(packed, path)
         disk = read_bpack(path)
-        ref = stack_curve(packed, SIZES, WRITE_THROUGH)
-        got = stack_curve(disk, SIZES, WRITE_THROUGH)
+        ref = stack_curve(packed, SIZES, (WRITE_THROUGH,))
+        got = stack_curve(disk, SIZES, (WRITE_THROUGH,))
         for size in SIZES:
             assert got.metrics(size) == ref.metrics(size)
 

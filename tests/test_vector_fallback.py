@@ -6,8 +6,7 @@ input it cannot reproduce bit for bit.  For every dispatcher, one input
 here makes the kernel decline; the test checks that it does, and that
 the dispatcher's answer equals the specification's: the per-module
 analyzers (:func:`analyze_columns_python`), :func:`pack_stream_python`,
-or one :func:`simulate_packed` replay per cache size.  The delayed-write
-``replay_packed`` fallback is covered in ``tests/test_veccache.py``.
+or one :func:`simulate_packed` replay per cache size and write policy.
 An inventory of ``src/repro`` keeps the list of dispatchers complete.
 """
 
@@ -26,19 +25,14 @@ from repro.analysis.vectorized import (
     analyze_columns_numpy,
     pack_stream_numpy,
 )
-from repro.cache.policies import WRITE_THROUGH
+from repro.cache.sweep import PAPER_POLICIES
 from repro.cache.stream import Transfer, build_stream
 from repro.corpus import CorpusReader, analyze_corpus
 from repro.corpus.stream import analyze_corpus_numpy
 from repro.corpus.writer import pack_columns
 from repro.fuzz.gen import random_trace
 from repro.parallel.packed import pack_stream, pack_stream_python, simulate_packed
-from repro.parallel.veccache import (
-    replay_packed,
-    simulate_packed_numpy,
-    stack_curve,
-    stack_curve_numpy,
-)
+from repro.parallel.veccache import stack_curve, stack_curve_numpy
 from repro.trace.columns import TraceColumns
 
 SIZES = (4096, 8 * 4096, 64 * 4096)
@@ -112,27 +106,28 @@ def _pack_stream(tmp_path):
 
 def _stack_curve(tmp_path):
     packed = _wide_file_ids_packed()
+    knobs = dict(checkpoint_time=20.0, flush_epoch=0.0)
 
     def dispatched():
-        curve = stack_curve(packed, SIZES, checkpoint_time=20.0)
-        return [(curve.metrics(s), curve.checkpoint(s)) for s in SIZES]
+        curve = stack_curve(packed, SIZES, PAPER_POLICIES, **knobs)
+        return [
+            (curve.metrics(s, p), curve.checkpoint(s, p))
+            for p in PAPER_POLICIES
+            for s in SIZES
+        ]
 
     def replayed():
         runs = [
-            simulate_packed(packed, s, WRITE_THROUGH, checkpoint_time=20.0)
+            simulate_packed(packed, s, p, **knobs)
+            for p in PAPER_POLICIES
             for s in SIZES
         ]
         return [(run.metrics, run.checkpoint) for run in runs]
 
-    return (lambda: stack_curve_numpy(packed, SIZES), dispatched, replayed)
-
-
-def _replay_write_through(tmp_path):
-    packed = _wide_file_ids_packed()
     return (
-        lambda: simulate_packed_numpy(packed, 8 * 4096, WRITE_THROUGH),
-        lambda: replay_packed(packed, 8 * 4096, WRITE_THROUGH),
-        lambda: simulate_packed(packed, 8 * 4096, WRITE_THROUGH),
+        lambda: stack_curve_numpy(packed, SIZES, PAPER_POLICIES, **knobs),
+        dispatched,
+        replayed,
     )
 
 
@@ -142,7 +137,6 @@ CASES = {
     "analyze_corpus": _analyze_corpus,
     "pack_stream": _pack_stream,
     "stack_curve": _stack_curve,
-    "replay_packed": _replay_write_through,
 }
 
 

@@ -219,6 +219,20 @@ class TestCorpusSpool:
             assert list(reader.iter_events()) == reference.trace.events
             reader.verify()
 
+    def test_spooled_rows_are_the_packed_trace_bytes(self, tmp_path):
+        # The tracer writes rows straight into the corpus columns; the
+        # file must be byte for byte the in-memory trace packed with the
+        # same segment size.
+        from repro.corpus import pack_trace
+
+        spooled = tmp_path / "spooled.bcorpus"
+        generate(UCBARPA, seed=3, duration=300.0, spool=str(spooled),
+                 spool_buffer=64)
+        packed = tmp_path / "packed.bcorpus"
+        pack_trace(generate(UCBARPA, seed=3, duration=300.0).trace, packed,
+                   segment_events=64)
+        assert spooled.read_bytes() == packed.read_bytes()
+
     def test_empty_generation_leaves_valid_corpus(self, tmp_path):
         # Zero-duration synthesis: the spool must still close into a
         # readable, empty corpus (the empty-segment-flush edge).
