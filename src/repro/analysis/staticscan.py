@@ -49,7 +49,7 @@ class StaticScan:
 
 def scan_disk(fs: FileSystem) -> StaticScan:
     """Scan every live inode, as the pre-1985 studies scanned real disks."""
-    now = fs.clock() if callable(fs.clock) else fs.clock.now()
+    now = fs.now()
     sizes: list[float] = []
     ages: list[float] = []
     directories = 0

@@ -24,10 +24,11 @@ Subcommands::
     repro-fs corpus    info a5.bcorpus [--segments]
     repro-fs corpus    verify a5.bcorpus [--jobs N]
 
-Traces are stored in the binary format when the filename ends in ``.btrace``
-and the text format otherwise.  A ``.bcorpus`` file is a sharded
-out-of-core corpus (``repro.corpus``): ``generate --spool``, ``validate``
-and ``analyze`` accept it directly and stream it segment by segment.
+Traces are stored in the binary format when the filename ends in ``.btrace``,
+as a sharded corpus (``repro.corpus``) when it ends in ``.bcorpus``, and in
+the text format otherwise; every command that reads or writes a trace
+takes all three.  ``validate`` and ``analyze`` stream a ``.bcorpus``
+segment by segment; the other commands load it whole.
 """
 
 from __future__ import annotations
@@ -115,13 +116,21 @@ def _positive_int(text: str) -> int:
 
 
 def _load_trace(path: str) -> TraceLog:
+    if path.endswith(".bcorpus"):
+        from ..corpus import read_corpus_columns
+
+        return read_corpus_columns(path).to_log()
     if path.endswith(".btrace"):
         return read_binary(path)
     return read_text(path)
 
 
 def _save_trace(log: TraceLog, path: str) -> None:
-    if path.endswith(".btrace"):
+    if path.endswith(".bcorpus"):
+        from ..corpus.writer import pack_trace
+
+        pack_trace(log, path)
+    elif path.endswith(".btrace"):
         write_binary(log, path)
     else:
         write_text(log, path)

@@ -12,9 +12,10 @@ bytes, one ``crc32`` per column chunk) and recorded for the footer.
 :class:`~repro.trace.io_binary.TraceSpool`: a ``TraceLog``-shaped sink
 the workload generator can write through with O(segment) memory, so
 ``generate(..., spool="out.bcorpus")`` emits a sharded corpus directly
-without ever holding the whole trace.  Rows reach the column buffers
-through :meth:`CorpusWriter.append_row`; the kernel tracer emits them
-there directly, so a spooled trace builds no event objects at all.
+without ever holding the whole trace.  The kernel tracer hands it
+rows (:meth:`CorpusSpool.append_row`), which wait in a flat list and
+reach the writer a segment at a time as columns, so a spooled trace
+builds no event objects at all.
 
 :func:`pack_trace` streams an existing ``.btrace``/``.trace`` file (or
 an in-memory log/columns) into a corpus, also with bounded memory.
@@ -74,6 +75,10 @@ _PathOrFile = Union[str, os.PathLike, IO[bytes]]
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
+#: Values per row: kind, time, open_id, file_id, user_id, size, position,
+#: flags (the ``append_row`` argument order).
+_ROW = 8
+
 
 def _le_bytes(column: array) -> bytes:
     """The column's buffer as little-endian bytes (the on-disk order)."""
@@ -82,6 +87,52 @@ def _le_bytes(column: array) -> bytes:
         swapped.byteswap()
         return swapped.tobytes()
     return column.tobytes()
+
+
+def _event_row(event: TraceEvent) -> tuple:
+    """*event* as its corpus row: (kind, time, open_id, file_id, user_id,
+    size, position, flags), the ``TraceColumns.from_log`` mapping."""
+    kind = oid = fid = uid = size = pos = fl = 0
+    if isinstance(event, OpenEvent):
+        kind = KIND_OPEN
+        oid = event.open_id
+        fid = event.file_id
+        uid = event.user_id
+        size = event.size
+        pos = event.initial_pos
+        fl = (
+            int(event.mode)
+            | (FLAG_CREATED if event.created else 0)
+            | (FLAG_NEW_FILE if event.new_file else 0)
+        )
+    elif isinstance(event, CloseEvent):
+        kind = KIND_CLOSE
+        oid = event.open_id
+        pos = event.final_pos
+    elif isinstance(event, SeekEvent):
+        kind = KIND_SEEK
+        oid = event.open_id
+        size = event.prev_pos
+        pos = event.new_pos
+    elif isinstance(event, CreateEvent):
+        kind = KIND_CREATE
+        fid = event.file_id
+        uid = event.user_id
+    elif isinstance(event, UnlinkEvent):
+        kind = KIND_UNLINK
+        fid = event.file_id
+    elif isinstance(event, TruncateEvent):
+        kind = KIND_TRUNC
+        fid = event.file_id
+        size = event.new_length
+    elif isinstance(event, ExecEvent):
+        kind = KIND_EXEC
+        fid = event.file_id
+        uid = event.user_id
+        size = event.size
+    else:
+        raise CorpusError(f"cannot serialize event of type {type(event).__name__}")
+    return (kind, event.time, oid, fid, uid, size, pos, fl)
 
 
 class CorpusWriter:
@@ -110,7 +161,6 @@ class CorpusWriter:
         self.bytes_written = 0
         self.stats: list[SegmentStat] = []
         self._closed = False
-        self._last_time: float | None = None
         self._new_buffers()
 
         nameb = name.encode("utf-8")
@@ -152,49 +202,7 @@ class CorpusWriter:
 
     def append(self, event: TraceEvent) -> None:
         """Append one event (same column mapping as ``TraceColumns.from_log``)."""
-        kind = oid = fid = uid = size = pos = fl = 0
-        if isinstance(event, OpenEvent):
-            kind = KIND_OPEN
-            oid = event.open_id
-            fid = event.file_id
-            uid = event.user_id
-            size = event.size
-            pos = event.initial_pos
-            fl = (
-                int(event.mode)
-                | (FLAG_CREATED if event.created else 0)
-                | (FLAG_NEW_FILE if event.new_file else 0)
-            )
-        elif isinstance(event, CloseEvent):
-            kind = KIND_CLOSE
-            oid = event.open_id
-            pos = event.final_pos
-        elif isinstance(event, SeekEvent):
-            kind = KIND_SEEK
-            oid = event.open_id
-            size = event.prev_pos
-            pos = event.new_pos
-        elif isinstance(event, CreateEvent):
-            kind = KIND_CREATE
-            fid = event.file_id
-            uid = event.user_id
-        elif isinstance(event, UnlinkEvent):
-            kind = KIND_UNLINK
-            fid = event.file_id
-        elif isinstance(event, TruncateEvent):
-            kind = KIND_TRUNC
-            fid = event.file_id
-            size = event.new_length
-        elif isinstance(event, ExecEvent):
-            kind = KIND_EXEC
-            fid = event.file_id
-            uid = event.user_id
-            size = event.size
-        else:
-            raise CorpusError(
-                f"cannot serialize event of type {type(event).__name__}"
-            )
-        self.append_row(kind, event.time, oid, fid, uid, size, pos, fl)
+        self.append_row(*_event_row(event))
 
     def append_row(
         self,
@@ -345,11 +353,13 @@ class CorpusSpool:
     ``append``) while its :class:`CorpusWriter` drains each full segment,
     so memory stays O(segment) however long the synthesis runs.  The
     buffer *is* one segment: ``buffer_events`` doubles as the corpus
-    ``segment_events``, and events wait as rows in the writer's column
-    buffers.  :meth:`append_row` takes an event as its row, which is how
+    ``segment_events``, and events wait as flat rows until a full
+    buffer drains to the writer as one column slice.  :meth:`append_row`
+    takes an event as its row, which is how
     :class:`~repro.unixfs.tracer.KernelTracer` spools without building
-    event objects.  The writer opens at the first event, so a
-    description set before then still reaches the header.
+    event objects.  The writer opens at the first drain (a full buffer
+    or :meth:`close`), so a description set before then still reaches
+    the header.
     """
 
     def __init__(
@@ -366,6 +376,9 @@ class CorpusSpool:
         self.description = description
         self.buffer_events = buffer_events
         self._writer: CorpusWriter | None = None
+        # Waiting rows, flattened: _ROW values per event, column order.
+        self._rows: list = []
+        self._full = _ROW * buffer_events
         self._last_time = -math.inf
         self._closed = False
 
@@ -378,19 +391,8 @@ class CorpusSpool:
         )
         return self._writer
 
-    def _in_order(self, time: float) -> None:
-        if self._closed:
-            raise CorpusError("corpus spool is closed")
-        if time < self._last_time:
-            raise ValueError(
-                f"event at t={time} appended after t={self._last_time}; "
-                "trace events must be in time order"
-            )
-        self._last_time = time
-
     def append(self, event: TraceEvent) -> None:
-        self._in_order(event.time)
-        (self._writer or self._open()).append(event)
+        self.append_row(*_event_row(event))
 
     def append_row(
         self,
@@ -403,18 +405,52 @@ class CorpusSpool:
         position: int,
         flags: int,
     ) -> None:
-        """Append one event given as its column values."""
-        self._in_order(time)
-        (self._writer or self._open()).append_row(
-            kind, time, open_id, file_id, user_id, size, position, flags
-        )
+        """Append one event given as its column values (in time order).
+
+        The row waits in a flat list, much cheaper than eight column
+        appends and no object per row; a full buffer drains to the
+        writer as one segment.
+        """
+        if self._closed:
+            raise CorpusError("corpus spool is closed")
+        if time < self._last_time:
+            raise ValueError(
+                f"event at t={time} appended after t={self._last_time}; "
+                "trace events must be in time order"
+            )
+        self._last_time = time
+        rows = self._rows
+        rows += (kind, time, open_id, file_id, user_id, size, position, flags)
+        if len(rows) >= self._full:
+            self._drain()
+
+    def _drain(self) -> CorpusWriter:
+        """Hand the waiting rows to the writer as columns; returns it."""
+        writer = self._writer or self._open()
+        rows = self._rows
+        if rows:
+            self._rows = []
+            writer.append_columns(
+                TraceColumns(
+                    kinds=bytes(rows[0::_ROW]),
+                    times=array("d", rows[1::_ROW]),
+                    open_ids=array("q", rows[2::_ROW]),
+                    file_ids=array("q", rows[3::_ROW]),
+                    user_ids=array("q", rows[4::_ROW]),
+                    sizes=array("q", rows[5::_ROW]),
+                    positions=array("q", rows[6::_ROW]),
+                    flags=bytes(rows[7::_ROW]),
+                )
+            )
+        return writer
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
         for event in events:
             self.append(event)
 
     def __len__(self) -> int:
-        return self._writer.events_written if self._writer is not None else 0
+        written = self._writer.events_written if self._writer is not None else 0
+        return written + len(self._rows) // _ROW
 
     @property
     def events_spooled(self) -> int:
@@ -437,7 +473,7 @@ class CorpusSpool:
         """Drain the buffer and finalize the corpus (valid even if empty)."""
         if self._closed:
             return
-        (self._writer or self._open()).close()
+        self._drain().close()
         self._closed = True
 
     def __enter__(self) -> "CorpusSpool":

@@ -61,6 +61,10 @@ HOT_MODULES: tuple[str, ...] = (
     "repro.netfs.events",
     "repro.trace.columns",
     "repro.trace.records",
+    # Trace generation: one OpenFile per open, an Inode per file, and
+    # the tables and caches every syscall goes through.
+    "repro.unixfs.fdtable",
+    "repro.unixfs.inode",
 )
 
 

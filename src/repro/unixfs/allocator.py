@@ -97,6 +97,8 @@ class BlockAllocator:
         self._partial: dict[int, int] = {}
         # Index: max free-run length -> set of partial blocks with that run.
         self._by_run: list[set[int]] = [set() for _ in range(self._fpb + 1)]
+        # _max_free_run of every fpb-bit mask (at most 256 of them).
+        self._max_run = [_max_free_run(m, self._fpb) for m in range(1 << self._fpb)]
         self._free_frag_count = geometry.total_frags
 
     # -- capacity ------------------------------------------------------------
@@ -131,11 +133,11 @@ class BlockAllocator:
 
     def _index_partial(self, block: int, mask: int) -> None:
         self._partial[block] = mask
-        self._by_run[_max_free_run(mask, self._fpb)].add(block)
+        self._by_run[self._max_run[mask]].add(block)
 
     def _unindex_partial(self, block: int) -> int:
         mask = self._partial.pop(block)
-        self._by_run[_max_free_run(mask, self._fpb)].discard(block)
+        self._by_run[self._max_run[mask]].discard(block)
         return mask
 
     def _alloc_frags(self, n: int) -> tuple[int, int]:

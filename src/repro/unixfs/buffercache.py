@@ -57,7 +57,9 @@ class BufferCache:
 
     The kernel invokes :meth:`sync` every 30 seconds (the classical
     ``update`` daemon); eviction of a dirty block also costs a writeback.
-    A per-file index keeps unlink/truncate invalidation O(blocks dropped)
+    The dirty blocks are kept as a set beside the LRU order, so a sync
+    costs O(dirty blocks) rather than a walk over the whole cache, and a
+    per-file index keeps unlink/truncate invalidation O(blocks dropped)
     rather than O(cache size).
     """
 
@@ -67,56 +69,60 @@ class BufferCache:
         self.block_size = block_size
         self.capacity_blocks = capacity_bytes // block_size
         self.stats = BufferCacheStats()
-        # key -> dirty flag; insertion order is LRU order.
-        self._lru: OrderedDict[tuple[int, int], bool] = OrderedDict()
+        # Cached blocks; insertion order is LRU order (values unused).
+        self._lru: OrderedDict[tuple[int, int], None] = OrderedDict()
+        # The cached blocks written since their last writeback.
+        self._dirty: set[tuple[int, int]] = set()
         # file_id -> set of block indices currently cached.
         self._by_file: dict[int, set[int]] = {}
 
     def __len__(self) -> int:
         return len(self._lru)
 
-    def _drop(self, key: tuple[int, int]) -> bool:
-        """Remove *key*; returns its dirty flag."""
-        dirty = self._lru.pop(key)
-        blocks = self._by_file[key[0]]
-        blocks.discard(key[1])
-        if not blocks:
-            del self._by_file[key[0]]
-        return dirty
-
-    def _insert(self, key: tuple[int, int], dirty: bool) -> None:
-        self._lru[key] = dirty
-        self._by_file.setdefault(key[0], set()).add(key[1])
-        while len(self._lru) > self.capacity_blocks:
-            victim = next(iter(self._lru))
-            if self._drop(victim):
-                self.stats.writebacks += 1
-
     def access(self, file_id: int, offset: int, length: int, write: bool) -> None:
         """Run one logical transfer through the cache.
 
         The byte range is split into block accesses; each is a hit or a miss
-        and, for writes, marks the block dirty.
+        and, for writes, marks the block dirty.  A miss inserts the block at
+        the MRU end and evicts from the LRU end, writing a dirty victim back.
         """
         if length <= 0:
             return
+        lru = self._lru
+        dirty = self._dirty
+        stats = self.stats
         first = offset // self.block_size
         last = (offset + length - 1) // self.block_size
         for block in range(first, last + 1):
             key = (file_id, block)
-            if key in self._lru:
-                self._lru.move_to_end(key)
+            if key in lru:
+                lru.move_to_end(key)
                 if write:
-                    self._lru[key] = True
-                    self.stats.write_hits += 1
+                    dirty.add(key)
+                    stats.write_hits += 1
                 else:
-                    self.stats.read_hits += 1
+                    stats.read_hits += 1
+                continue
+            if write:
+                dirty.add(key)
+                stats.write_misses += 1
             else:
-                if write:
-                    self.stats.write_misses += 1
-                else:
-                    self.stats.read_misses += 1
-                self._insert(key, write)
+                stats.read_misses += 1
+            lru[key] = None
+            blocks = self._by_file.get(file_id)
+            if blocks is None:
+                self._by_file[file_id] = {block}
+            else:
+                blocks.add(block)
+            while len(lru) > self.capacity_blocks:
+                victim = lru.popitem(last=False)[0]
+                victim_blocks = self._by_file[victim[0]]
+                victim_blocks.discard(victim[1])
+                if not victim_blocks:
+                    del self._by_file[victim[0]]
+                if victim in dirty:
+                    dirty.discard(victim)
+                    stats.writebacks += 1
 
     def invalidate_file(self, file_id: int, from_block: int = 0) -> None:
         """Drop a file's blocks (unlink, or truncate past *from_block*).
@@ -129,15 +135,17 @@ class BufferCache:
             return
         doomed = [b for b in blocks if b >= from_block]
         for block in doomed:
-            self._drop((file_id, block))
+            key = (file_id, block)
+            del self._lru[key]
+            self._dirty.discard(key)
+            blocks.discard(block)
             self.stats.invalidations += 1
+        if not blocks:
+            del self._by_file[file_id]
 
     def sync(self) -> int:
         """Write all dirty blocks back; returns the number written."""
-        written = 0
-        for key, dirty in self._lru.items():
-            if dirty:
-                self._lru[key] = False
-                written += 1
+        written = len(self._dirty)
+        self._dirty.clear()
         self.stats.writebacks += written
         return written

@@ -42,8 +42,10 @@ class NullContentStore(ContentStore):
     """
 
     def read(self, inum: int, offset: int, length: int, file_size: int) -> bytes:
-        available = max(0, min(length, file_size - offset))
-        return b"\x00" * available
+        available = file_size - offset
+        if available > length:
+            available = length
+        return bytes(available) if available > 0 else b""
 
     def write(self, inum: int, offset: int, data: bytes) -> None:
         pass

@@ -9,7 +9,7 @@ Table II).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EBADF, EMFILE
 from .inode import Inode
@@ -18,7 +18,7 @@ from ..trace.records import AccessMode
 __all__ = ["OpenFile", "FdTable"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenFile:
     """One open-file-table entry."""
 
@@ -44,6 +44,8 @@ class FdTable:
     descriptor spaces; the paper's open ids are global too).  ``max_open``
     bounds simultaneous opens like the kernel's file-table size.
     """
+
+    __slots__ = ("max_open", "_open", "_next_fd")
 
     def __init__(self, max_open: int = 100_000):
         self.max_open = max_open

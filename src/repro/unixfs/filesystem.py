@@ -49,6 +49,20 @@ from .tracer import NullTracer
 
 __all__ = ["FileSystem", "Whence", "StatResult"]
 
+#: The open modes a syscall tests by identity (``mode is _READ``): the
+#: same answer as ``AccessMode.writable``/``readable``, without a
+#: property call per read or write.
+_READ = AccessMode.READ
+_WRITE = AccessMode.WRITE
+
+
+def _clock_reader(clock) -> Callable[[], float]:
+    """The zero-argument call that reads *clock*: a :class:`Clock`'s
+    bound ``now``, any other callable itself, else the object's ``now``."""
+    if isinstance(clock, Clock) or not callable(clock):
+        return clock.now
+    return clock
+
 
 class Whence(enum.IntEnum):
     """``lseek`` origin, as in <unistd.h>."""
@@ -78,7 +92,13 @@ class StatResult:
 
 
 class FileSystem:
-    """A simulated 4.2 BSD file system with a kernel trace hook."""
+    """A simulated 4.2 BSD file system with a kernel trace hook.
+
+    *clock* is a :class:`~repro.clock.Clock`, any zero-argument callable
+    returning the time, or an object with a ``now()`` method.  It is
+    bound once, here: :attr:`now` reads it, and every syscall reads it
+    exactly once (the value :meth:`_count` returns).
+    """
 
     def __init__(
         self,
@@ -93,6 +113,7 @@ class FileSystem:
     ):
         self.geometry = geometry
         self.clock = clock if clock is not None else Clock()
+        self.now: Callable[[], float] = _clock_reader(self.clock)
         self.tracer = tracer if tracer is not None else NullTracer()
         self.content = content if content is not None else NullContentStore()
         self.buffer_cache = (
@@ -112,21 +133,22 @@ class FileSystem:
         self._unlinked_open: set[int] = set()  # inums unlinked but still open
         self._last_sync = 0.0
 
-        root = self.inodes.allocate(FileType.DIRECTORY, uid=0, now=self._now())
+        root = self.inodes.allocate(FileType.DIRECTORY, uid=0, now=self.now())
         self.root_inum = root.inum
         self.resolver = NameResolver(self.inodes, root.inum, dnlc=dnlc)
 
     # -- internals -------------------------------------------------------------
 
-    def _now(self) -> float:
-        return self.clock() if callable(self.clock) else self.clock.now()
-
-    def _count(self, syscall: str) -> None:
-        self.syscall_counts[syscall] = self.syscall_counts.get(syscall, 0) + 1
-        now = self._now()
+    def _count(self, syscall: str) -> float:
+        """Count one syscall, run the ``update`` daemon when it is due,
+        and return the time: the syscall's one clock read."""
+        counts = self.syscall_counts
+        counts[syscall] = counts.get(syscall, 0) + 1
+        now = self.now()
         if now - self._last_sync >= self.sync_interval:
             self._last_sync = now
             self.buffer_cache.sync()
+        return now
 
     def _extent(self, inum: int) -> Extent:
         extent = self._extents.get(inum)
@@ -159,11 +181,10 @@ class FileSystem:
 
     def mkdir(self, path: str, uid: int = 0) -> None:
         """Create a directory (parent must exist)."""
-        self._count("mkdir")
+        now = self._count("mkdir")
         parent, name = self.resolver.resolve_parent(path)
         if name in parent.entries:
             raise EEXIST(path)
-        now = self._now()
         child = self.inodes.allocate(FileType.DIRECTORY, uid=uid, now=now)
         parent.entries[name] = child.inum
         parent.mtime = now
@@ -183,7 +204,7 @@ class FileSystem:
 
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
-        self._count("rmdir")
+        now = self._count("rmdir")
         inode = self.resolver.resolve(path)
         if not inode.is_dir:
             raise ENOTDIR(path)
@@ -193,7 +214,7 @@ class FileSystem:
             raise ENOTEMPTY(path)
         parent, name = self.resolver.resolve_parent(path)
         del parent.entries[name]
-        parent.mtime = self._now()
+        parent.mtime = now
         parent.size = parent.dir_size()
         self.resolver.dnlc.remove(parent.inum, name)
         self.inode_cache.invalidate(inode.inum)
@@ -226,10 +247,9 @@ class FileSystem:
         either way the data written through this descriptor is new data for
         lifetime purposes (paper Figure 4).
         """
-        self._count("open")
-        if truncate and not mode.writable:
+        now = self._count("open")
+        if truncate and mode is _READ:
             raise EINVAL("O_TRUNC requires write access")
-        now = self._now()
         created = False
         new_file = False
         try:
@@ -246,7 +266,7 @@ class FileSystem:
             created = True
             new_file = True
         if inode.is_dir:
-            if mode.writable:
+            if mode is not _READ:
                 raise EISDIR(path)
         elif truncate and not created:
             if inode.size > 0:
@@ -260,22 +280,11 @@ class FileSystem:
         offset = inode.size if append else 0
         open_id = self.tracer.next_open_id()
         fd = self.fds.next_fd()
-        entry = OpenFile(
-            fd=fd, inode=inode, mode=mode, open_id=open_id, uid=uid,
-            offset=offset, open_time=now,
-        )
-        self.fds.insert(entry)
+        self.fds.insert(OpenFile(fd, inode, mode, open_id, uid, offset, now))
         inode.atime = now
         self.tracer.on_open(
-            time=now,
-            open_id=open_id,
-            file_id=inode.file_id,
-            user_id=uid,
-            size=inode.size,
-            mode=mode,
-            created=created,
-            new_file=new_file,
-            initial_pos=offset,
+            now, open_id, inode.file_id, uid, inode.size, mode, created,
+            new_file, offset,
         )
         return fd
 
@@ -290,12 +299,11 @@ class FileSystem:
         When the descriptor was duplicated, only the close of the *last*
         reference ends the open (and is traced) — matching the kernel,
         whose trace package hooked the file-table release."""
-        self._count("close")
+        now = self._count("close")
         entry, last = self.fds.remove(fd)
         if not last:
             return
-        now = self._now()
-        self.tracer.on_close(time=now, open_id=entry.open_id, final_pos=entry.offset)
+        self.tracer.on_close(now, entry.open_id, entry.offset)
         inode = entry.inode
         if (
             inode.inum in self._unlinked_open
@@ -312,23 +320,27 @@ class FileSystem:
         Never traced (the paper's tracer logged no reads); advances the
         offset and runs the blocks through the live buffer cache.
         """
-        self._count("read")
+        now = self._count("read")
         if length < 0:
             raise EINVAL(f"negative read length {length}")
         entry = self.fds.get(fd)
-        if not entry.mode.readable:
+        if entry.mode is _WRITE:
             raise EBADF(f"fd {fd} not open for reading")
         inode = entry.inode
         if inode.is_dir:
             raise EISDIR("read on a directory")
-        data = self.content.read(inode.inum, entry.offset, length, inode.size)
-        actual = min(length, max(0, inode.size - entry.offset))
+        offset = entry.offset
+        size = inode.size
+        data = self.content.read(inode.inum, offset, length, size)
+        actual = size - offset  # bytes left before EOF, capped at length
+        if actual > length:
+            actual = length
         if actual > 0:
-            self.buffer_cache.access(inode.file_id, entry.offset, actual, write=False)
-            entry.offset += actual
+            self.buffer_cache.access(inode.file_id, offset, actual, False)
+            entry.offset = offset + actual
             entry.bytes_read += actual
             self.total_bytes_read += actual
-            inode.atime = self._now()
+            inode.atime = now
         return data
 
     def write(self, fd: int, data: Union[bytes, bytearray, int]) -> int:
@@ -337,7 +349,7 @@ class FileSystem:
         *data* may be real bytes or a plain count (size-only simulation).
         Extends the file (and its disk allocation) when writing past EOF.
         """
-        self._count("write")
+        now = self._count("write")
         if isinstance(data, int):
             length, payload = data, None
             if length < 0:
@@ -345,23 +357,24 @@ class FileSystem:
         else:
             length, payload = len(data), bytes(data)
         entry = self.fds.get(fd)
-        if not entry.mode.writable:
+        if entry.mode is _READ:
             raise EBADF(f"fd {fd} not open for writing")
         inode = entry.inode
         if inode.is_dir:
             raise EISDIR("write on a directory")
         if length == 0:
             return 0
-        end = entry.offset + length
+        offset = entry.offset
+        end = offset + length
         if end > inode.size:
             self._set_size(inode, end)
         if payload is not None:
-            self.content.write(inode.inum, entry.offset, payload)
-        self.buffer_cache.access(inode.file_id, entry.offset, length, write=True)
+            self.content.write(inode.inum, offset, payload)
+        self.buffer_cache.access(inode.file_id, offset, length, True)
         entry.offset = end
         entry.bytes_written += length
         self.total_bytes_written += length
-        inode.mtime = self._now()
+        inode.mtime = now
         return length
 
     def lseek(self, fd: int, offset: int, whence: Whence = Whence.SET) -> int:
@@ -372,7 +385,7 @@ class FileSystem:
         the pair of positions is what lets the analyzer reconstruct the
         sequential runs on either side.
         """
-        self._count("lseek")
+        now = self._count("lseek")
         entry = self.fds.get(fd)
         if whence is Whence.SET:
             new = offset
@@ -385,12 +398,7 @@ class FileSystem:
         if new < 0:
             raise EINVAL(f"seek to negative offset {new}")
         if new != entry.offset:
-            self.tracer.on_seek(
-                time=self._now(),
-                open_id=entry.open_id,
-                prev_pos=entry.offset,
-                new_pos=new,
-            )
+            self.tracer.on_seek(now, entry.open_id, entry.offset, new)
             entry.offset = new
             entry.seeks += 1
         return new
@@ -399,17 +407,17 @@ class FileSystem:
 
     def unlink(self, path: str) -> None:
         """Delete a file (defers data release while it is still open)."""
-        self._count("unlink")
+        now = self._count("unlink")
         inode = self._lookup_file(path)
         if inode.is_dir:
             raise EISDIR(path)
         parent, name = self.resolver.resolve_parent(path)
         del parent.entries[name]
-        parent.mtime = self._now()
+        parent.mtime = now
         parent.size = parent.dir_size()
         self.resolver.dnlc.remove(parent.inum, name)
         inode.nlink -= 1
-        self.tracer.on_unlink(time=self._now(), file_id=inode.file_id)
+        self.tracer.on_unlink(now, inode.file_id)
         if inode.nlink == 0:
             if self.fds.opens_of_inode(inode.inum):
                 self._unlinked_open.add(inode.inum)
@@ -418,7 +426,7 @@ class FileSystem:
 
     def truncate(self, path: str, length: int) -> None:
         """Shorten (or sparsely extend) a file by path."""
-        self._count("truncate")
+        now = self._count("truncate")
         if length < 0:
             raise EINVAL(f"truncate to negative length {length}")
         inode = self._lookup_file(path)
@@ -429,10 +437,8 @@ class FileSystem:
             self.buffer_cache.invalidate_file(inode.file_id, from_block=first_dead)
             self.content.truncate(inode.inum, length)
         self._set_size(inode, length)
-        inode.mtime = self._now()
-        self.tracer.on_truncate(
-            time=self._now(), file_id=inode.file_id, new_length=length
-        )
+        inode.mtime = now
+        self.tracer.on_truncate(now, inode.file_id, length)
 
     def link(self, existing: str, new: str) -> None:
         """Create a hard link: both names refer to the same inode.
@@ -441,14 +447,13 @@ class FileSystem:
         descriptors remain) — the nlink accounting the trace's unlink
         semantics rest on.
         """
-        self._count("link")
+        now = self._count("link")
         inode = self.resolver.resolve(existing)
         if inode.is_dir:
             raise EISDIR(existing)
         parent, name = self.resolver.resolve_parent(new)
         if name in parent.entries:
             raise EEXIST(new)
-        now = self._now()
         parent.entries[name] = inode.inum
         parent.mtime = now
         parent.size = parent.dir_size()
@@ -467,7 +472,7 @@ class FileSystem:
 
     def rename(self, old: str, new: str) -> None:
         """Rename a file or directory (same file id afterwards)."""
-        self._count("rename")
+        now = self._count("rename")
         inode = self.resolver.resolve(old)
         old_parent, old_name = self.resolver.resolve_parent(old)
         new_parent, new_name = self.resolver.resolve_parent(new)
@@ -478,7 +483,6 @@ class FileSystem:
                 raise EISDIR(new)
             # rename over an existing file replaces it (its data dies).
             self.unlink(new)
-        now = self._now()
         del old_parent.entries[old_name]
         old_parent.mtime = now
         old_parent.size = old_parent.dir_size()
@@ -514,15 +518,12 @@ class FileSystem:
         approximated offline (paper Section 6.4 / Figure 7).  Demand paging
         itself is intentionally not run through the buffer cache, matching
         the traces' exclusion of paging I/O."""
-        self._count("execve")
+        now = self._count("execve")
         inode = self._lookup_file(path)
         if inode.is_dir:
             raise EISDIR(path)
-        now = self._now()
         inode.atime = now
-        self.tracer.on_exec(
-            time=now, file_id=inode.file_id, user_id=uid, size=inode.size
-        )
+        self.tracer.on_exec(now, inode.file_id, uid, inode.size)
         return self.stat(path)
 
     def sync(self) -> int:

@@ -31,13 +31,16 @@ class FileType(enum.Enum):
 DIRECTORY_ENTRY_SIZE = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class Inode:
     """One inode.
 
     ``file_id`` is the stable trace-level identity of the file: it survives
     rename but not unlink+recreate, matching the paper's per-file ids.
     For directories, ``entries`` maps component names to inode numbers.
+    ``is_dir`` is fixed with ``type`` when the inode is made (an inode
+    never changes type), so the syscalls and pathname walks that test it
+    read a plain attribute.
     """
 
     inum: int
@@ -50,10 +53,10 @@ class Inode:
     mtime: float = 0.0
     atime: float = 0.0
     entries: dict[str, int] = field(default_factory=dict)
+    is_dir: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_dir(self) -> bool:
-        return self.type is FileType.DIRECTORY
+    def __post_init__(self) -> None:
+        self.is_dir = self.type is FileType.DIRECTORY
 
     def dir_size(self) -> int:
         """Logical size of a directory (entries * entry size, min one)."""
@@ -62,6 +65,8 @@ class Inode:
 
 class InodeTable:
     """Allocates inode numbers and stores all live inodes."""
+
+    __slots__ = ("_inodes", "_next_inum", "_next_file_id")
 
     def __init__(self):
         self._inodes: dict[int, Inode] = {}
@@ -105,7 +110,7 @@ class InodeTable:
         return list(self._inodes.values())
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheCounters:
     """Hit/miss counters shared by the small kernel caches."""
 
@@ -132,6 +137,8 @@ class InodeCache:
     estimate the non-file-data disk traffic the paper's Section 8 flags as
     increasingly important.
     """
+
+    __slots__ = ("capacity", "counters", "_lru")
 
     def __init__(self, capacity: int = 200):
         if capacity <= 0:

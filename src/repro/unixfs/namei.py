@@ -19,12 +19,13 @@ __all__ = ["Dnlc", "NameResolver", "split_path", "parent_path"]
 
 def split_path(path: str) -> list[str]:
     """Split an absolute path into components; validates the path."""
-    if not path or not path.startswith("/"):
+    if not path or path[0] != "/":
         raise EINVAL(f"path must be absolute: {path!r}")
-    components = [c for c in path.split("/") if c]
-    for component in components:
-        if component in (".", ".."):
-            raise EINVAL(f"'.' and '..' are not supported: {path!r}")
+    components = path[1:].split("/")
+    if "" in components:  # "//", a trailing "/", or the root itself
+        components = [c for c in components if c]
+    if "." in components or ".." in components:
+        raise EINVAL(f"'.' and '..' are not supported: {path!r}")
     return components
 
 
@@ -92,18 +93,20 @@ class NameResolver:
 
     def resolve(self, path: str) -> Inode:
         """Resolve an absolute path to its inode (raises ENOENT/ENOTDIR)."""
-        inode = self.inodes.get(self.root_inum)
+        inodes = self.inodes
+        dnlc = self.dnlc
+        inode = inodes.get(self.root_inum)
         for name in split_path(path):
             if not inode.is_dir:
                 raise ENOTDIR(path)
-            child_inum = self.dnlc.lookup(inode.inum, name)
+            child_inum = dnlc.lookup(inode.inum, name)
             if child_inum is None:
                 child_inum = inode.entries.get(name)
                 self.directory_reads += 1
                 if child_inum is None:
                     raise ENOENT(path)
-                self.dnlc.enter(inode.inum, name, child_inum)
-            inode = self.inodes.get(child_inum)
+                dnlc.enter(inode.inum, name, child_inum)
+            inode = inodes.get(child_inum)
         return inode
 
     def resolve_parent(self, path: str) -> tuple[Inode, str]:

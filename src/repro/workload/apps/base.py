@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import log
 
 from ...clock import Clock
 from ...trace.records import AccessMode
@@ -71,10 +72,17 @@ class AppContext:
     preempt_max: float = 2.5
 
     def delay(self) -> float:
-        """One service-time sample (never zero: syscalls take time)."""
-        d = max(0.001, self.rng.expovariate(1.0 / self.io_delay_mean))
-        if self.rng.random() < self.preempt_prob:
-            d += self.rng.uniform(0.2, self.preempt_max)
+        """One service-time sample (never zero: syscalls take time).
+
+        The exponential draw is ``Random.expovariate``'s own expression,
+        so it consumes the same ``random()`` and gives the same float.
+        """
+        rng = self.rng
+        d = -log(1.0 - rng.random()) / (1.0 / self.io_delay_mean)
+        if d < 0.001:
+            d = 0.001
+        if rng.random() < self.preempt_prob:
+            d += rng.uniform(0.2, self.preempt_max)
         return d
 
     def size_of(self, path: str) -> int:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "bounded_exponential",
     "Mixture",
     "WeightedChoice",
+    "weighted_index",
     "BurstyThinkTime",
     "DiurnalPattern",
     "zipf_weights",
@@ -66,6 +69,18 @@ class Mixture:
         return self.components[-1][1](rng)  # type: ignore[operator]
 
 
+def weighted_index(rng: random.Random, cum_weights: Sequence[float]) -> int:
+    """An index drawn with the given cumulative weights.
+
+    This is CPython's own ``Random.choices`` expression for one pick, so
+    it consumes one ``random()`` and returns the index of the item
+    ``rng.choices(items, cum_weights=cum_weights)`` returns — or
+    ``weights=`` with the same weights, whose running sums are these.
+    """
+    hi = len(cum_weights) - 1
+    return bisect(cum_weights, rng.random() * (cum_weights[hi] + 0.0), 0, hi)
+
+
 class WeightedChoice:
     """Pick among labelled alternatives with fixed weights."""
 
@@ -73,14 +88,15 @@ class WeightedChoice:
         if not weighted_items:
             raise ValueError("WeightedChoice needs at least one item")
         self._items = [item for item, _ in weighted_items]
-        self._weights = [w for _, w in weighted_items]
-        if min(self._weights) < 0:
+        weights = [w for _, w in weighted_items]
+        if min(weights) < 0:
             raise ValueError("negative weight")
-        if sum(self._weights) <= 0:
+        if sum(weights) <= 0:
             raise ValueError("weights sum to zero")
+        self._cum_weights = list(accumulate(weights))
 
     def sample(self, rng: random.Random):
-        return rng.choices(self._items, weights=self._weights, k=1)[0]
+        return self._items[weighted_index(rng, self._cum_weights)]
 
 
 @dataclass(frozen=True)

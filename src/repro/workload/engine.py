@@ -54,27 +54,40 @@ class Engine:
 
         Processes scheduled past the horizon stay unresumed (their
         generators are closed so finally-blocks run).
+
+        A process whose next wake time is strictly earlier than every
+        other pending one, and within the horizon, would be popped again
+        straight after its push; it is resumed again at once instead.
+        That is the order the heap gives — an equal wake time still goes
+        behind the waiting process, which holds the older sequence number
+        — and each resumption still counts.
         """
-        while self._heap and self._heap[0][0] <= until:
-            when, _seq, process = heapq.heappop(self._heap)
-            self.clock.set(max(self.clock.now(), when))
-            self.resumptions += 1
-            try:
-                delay = next(process)
-            except StopIteration:
-                continue
-            if delay is None or delay < 0:
-                raise ValueError(
-                    f"process yielded invalid delay {delay!r}; processes must "
-                    "yield non-negative sleep durations"
-                )
-            heapq.heappush(
-                self._heap, (self.clock.now() + delay, self._seq, process)
-            )
-            self._seq += 1
+        heap = self._heap
+        clock = self.clock
+        while heap and heap[0][0] <= until:
+            when, _seq, process = heapq.heappop(heap)
+            clock.set(max(clock.now(), when))
+            while True:
+                self.resumptions += 1
+                try:
+                    delay = next(process)
+                except StopIteration:
+                    break
+                if delay is None or delay < 0:
+                    raise ValueError(
+                        f"process yielded invalid delay {delay!r}; processes "
+                        "must yield non-negative sleep durations"
+                    )
+                wake = clock.now() + delay
+                if wake <= until and (not heap or wake < heap[0][0]):
+                    clock.set(wake)
+                    continue
+                heapq.heappush(heap, (wake, self._seq, process))
+                self._seq += 1
+                break
         # Horizon reached: let remaining processes clean up.
-        if self.clock.now() < until:
-            self.clock.set(until)
-        for _when, _seq, process in self._heap:
+        if clock.now() < until:
+            clock.set(until)
+        for _when, _seq, process in heap:
             process.close()
-        self._heap.clear()
+        heap.clear()

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from ..trace.records import AccessMode
 from ..unixfs.filesystem import FileSystem
-from .distributions import bounded_lognormal, zipf_weights
+from .distributions import bounded_lognormal, weighted_index, zipf_weights
 
 __all__ = ["NamespaceConfig", "Namespace", "build_namespace"]
 
@@ -52,7 +53,8 @@ class NamespaceConfig:
 
 @dataclass
 class Namespace:
-    """Paths of the pre-built tree, grouped by role, plus popularity weights."""
+    """Paths of the pre-built tree, grouped by role, plus popularity
+    weights (kept as running sums, the form a weighted pick bisects)."""
 
     config: NamespaceConfig
     commands: list[str] = field(default_factory=list)
@@ -62,15 +64,15 @@ class Namespace:
     etc_files: dict[str, str] = field(default_factory=dict)
     macros: list[str] = field(default_factory=list)
     admin_hotspots: dict[str, list[int]] = field(default_factory=dict)
-    admin_hotspot_weights: list[float] = field(default_factory=list)
+    admin_hotspot_cum_weights: list[float] = field(default_factory=list)
     status_files: list[str] = field(default_factory=list)
     mailboxes: dict[int, str] = field(default_factory=dict)
     home_dirs: dict[int, str] = field(default_factory=dict)
     sources: dict[int, list[str]] = field(default_factory=dict)
     docs: dict[int, list[str]] = field(default_factory=dict)
     decks: dict[int, list[str]] = field(default_factory=dict)
-    command_weights: list[float] = field(default_factory=list)
-    header_weights: list[float] = field(default_factory=list)
+    command_cum_weights: list[float] = field(default_factory=list)
+    header_cum_weights: list[float] = field(default_factory=list)
 
     def pick_admin_offset(self, rng: random.Random, path: str) -> int:
         """A lookup offset in an administrative file.
@@ -81,10 +83,10 @@ class Namespace:
         the 1 MB network tables cache well (Section 6).
         """
         spots = self.admin_hotspots[path]
-        return rng.choices(spots, weights=self.admin_hotspot_weights, k=1)[0]
+        return spots[weighted_index(rng, self.admin_hotspot_cum_weights)]
 
     def pick_command(self, rng: random.Random) -> str:
-        return rng.choices(self.commands, weights=self.command_weights, k=1)[0]
+        return self.commands[weighted_index(rng, self.command_cum_weights)]
 
     def pick_headers(self, rng: random.Random, count: int) -> list[str]:
         """A compile's header set: popular headers repeat across compiles."""
@@ -92,7 +94,7 @@ class Namespace:
         picked: list[str] = []
         seen: set[str] = set()
         while len(picked) < count:
-            h = rng.choices(self.headers, weights=self.header_weights, k=1)[0]
+            h = self.headers[weighted_index(rng, self.header_cum_weights)]
             if h not in seen:
                 seen.add(h)
                 picked.append(h)
@@ -139,14 +141,14 @@ def build_namespace(
         path = f"{where}/cmd{i:03d}"
         create(path, _size(rng, config.command_size_median, sigma=0.9, low=4096))
         ns.commands.append(path)
-    ns.command_weights = zipf_weights(len(ns.commands), skew=1.1)
+    ns.command_cum_weights = list(accumulate(zipf_weights(len(ns.commands), skew=1.1)))
 
     for i in range(config.headers):
         path = f"/usr/include/h{i:03d}.h"
         create(path, _size(rng, config.header_size_median, sigma=0.8, low=128,
                            high=64 * 1024))
         ns.headers.append(path)
-    ns.header_weights = zipf_weights(len(ns.headers), skew=1.2)
+    ns.header_cum_weights = list(accumulate(zipf_weights(len(ns.headers), skew=1.2)))
 
     # The nroff/troff macro packages: small, shared, re-read by every
     # formatting run (document formatting is half of what Ucbarpa and
@@ -186,7 +188,7 @@ def build_namespace(
         ns.admin_hotspots[path] = [
             rng.randrange(config.admin_file_size) for _ in range(64)
         ]
-    ns.admin_hotspot_weights = zipf_weights(64, skew=1.0)
+    ns.admin_hotspot_cum_weights = list(accumulate(zipf_weights(64, skew=1.0)))
 
     for i in range(config.hosts):
         path = f"/usr/hosts/host{i:02d}"

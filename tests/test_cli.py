@@ -147,3 +147,116 @@ class TestConvertStrace:
         log = read_text(str(out))
         assert log.count("open") == 1
         assert log.count("close") == 1
+
+
+@pytest.fixture(scope="module")
+def twin_traces(tmp_path_factory):
+    """One generated trace as a ``.btrace`` and packed into a ``.bcorpus``
+    (packing keeps the times the ``.btrace`` reads back as, so the two
+    files hold the same events to the last bit)."""
+    root = tmp_path_factory.mktemp("twins")
+    corpus, btrace = str(root / "t.bcorpus"), str(root / "t.btrace")
+    assert main(["generate", "--profile", "A5", "--hours", "0.1", "--seed", "5",
+                 "-o", btrace]) == 0
+    assert main(["corpus", "pack", btrace, "-o", corpus]) == 0
+    return corpus, btrace
+
+
+def _printed(capsys, argv) -> str:
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _corpus_events(path) -> list:
+    from repro.corpus import read_corpus_columns
+
+    return read_corpus_columns(path).to_log().events
+
+
+class TestBcorpusEverywhere:
+    """Every command that takes or writes a trace file takes ``.bcorpus``:
+    a corpus reads as the same trace its ``.btrace`` twin holds, and a
+    ``.bcorpus`` output is a corpus (not text under that name)."""
+
+    def test_stats_reads_bcorpus(self, twin_traces, capsys):
+        corpus, btrace = twin_traces
+        assert _printed(capsys, ["stats", corpus]) == _printed(
+            capsys, ["stats", btrace]
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--cache-mb", "1"],
+            ["sweep", "--kind", "blocksize"],
+            ["twolevel", "--client-kb", "256", "--server-mb", "2"],
+            ["netfs", "--clients", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cache_commands_read_bcorpus(self, twin_traces, capsys, argv):
+        corpus, btrace = twin_traces
+        command, options = argv[0], argv[1:]
+        assert _printed(capsys, [command, corpus, *options]) == _printed(
+            capsys, [command, btrace, *options]
+        )
+
+    def test_exhibit_commands_read_bcorpus(self, twin_traces, capsys, tmp_path):
+        corpus, btrace = twin_traces
+        assert _printed(capsys, ["experiment", corpus, "--id", "table5"]) == (
+            _printed(capsys, ["experiment", btrace, "--id", "table5"])
+        )
+        for name, src in (("c", corpus), ("b", btrace)):
+            _printed(capsys, ["report", src, "-o", str(tmp_path / f"{name}.md")])
+            _printed(capsys, ["export-figures", src, "-d", str(tmp_path / name)])
+        assert (tmp_path / "c.md").read_text() == (tmp_path / "b.md").read_text()
+        figures = sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert figures
+        for name in figures:
+            assert (tmp_path / "c" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slice", "{src}", "--start", "60", "--end", "300"],
+            ["filter", "{src}", "--users", "1,2"],
+            ["merge", "{src}", "{src}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_trace_edits_read_and_write_bcorpus(
+        self, twin_traces, capsys, tmp_path, argv
+    ):
+        corpus, btrace = twin_traces
+        out_c, out_b = tmp_path / "o.bcorpus", tmp_path / "o.btrace"
+        _printed(capsys, [a.format(src=corpus) for a in argv] + ["-o", str(out_c)])
+        _printed(capsys, [a.format(src=btrace) for a in argv] + ["-o", str(out_b)])
+        events = _corpus_events(out_c)
+        assert events and events == read_binary(str(out_b)).events
+        capsys.readouterr()
+        rc = main(["validate", str(out_c)])
+        checked = capsys.readouterr().out
+        assert (rc, checked) == (main(["validate", str(out_b)]),
+                                 capsys.readouterr().out)
+
+    def test_generate_and_convert_write_bcorpus(self, capsys, tmp_path):
+        spooled, out = tmp_path / "s.bcorpus", tmp_path / "g.bcorpus"
+        common = ["generate", "--profile", "A5", "--hours", "0.1", "--seed", "5"]
+        _printed(capsys, [*common, "-o", str(spooled), "--spool"])
+        _printed(capsys, [*common, "-o", str(out)])
+        assert _corpus_events(out) == _corpus_events(spooled)
+        assert "OK" in _printed(capsys, ["validate", str(out)])
+
+        strace = tmp_path / "s.log"
+        strace.write_text(textwrap.dedent("""\
+            1 1.000000 openat(AT_FDCWD, "/etc/passwd", O_RDONLY) = 3
+            1 1.100000 read(3, "x", 4096) = 1000
+            1 1.200000 close(3) = 0
+        """))
+        converted = tmp_path / "strace.bcorpus"
+        _printed(capsys, ["convert-strace", str(strace), "-o", str(converted)])
+        kinds = [type(e).__name__ for e in _corpus_events(converted)]
+        assert kinds == ["OpenEvent", "CloseEvent"]

@@ -383,6 +383,16 @@ def hot_fixture_module(monkeypatch):
     return "repro/cache/hotfix.py"
 
 
+@pytest.mark.parametrize(
+    "relpath", ["repro/unixfs/fdtable.py", "repro/unixfs/inode.py"]
+)
+def test_generation_kernel_classes_must_be_slotted(tmp_path, relpath):
+    # One OpenFile per open and an Inode per file: trace generation's
+    # per-syscall classes are held to the hot-path rule too.
+    report = _lint_source(tmp_path, relpath, "class Entry:\n    pass\n")
+    assert _rule_ids(report) == ["REP-H001"]
+
+
 def test_hot_class_without_slots_warned(tmp_path, hot_fixture_module):
     report = _lint_source(
         tmp_path,

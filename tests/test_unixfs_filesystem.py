@@ -381,3 +381,33 @@ class TestTracing:
         assert times == sorted(times)
         for t in times:
             assert abs(t * 100 - round(t * 100)) < 1e-9
+
+
+class TestClockForms:
+    """A clock is a Clock, any zero-argument callable, or an object with a
+    ``now()``; ``fs.now`` reads each, and syscalls stamp with it."""
+
+    class _NowOnly:
+        def __init__(self):
+            self.t = 0.0
+
+        def now(self):
+            return self.t
+
+    def test_each_form_is_read(self):
+        times = {"t": 0.0}
+        clock, now_only = Clock(), self._NowOnly()
+        for source, advance in (
+            (clock, lambda: clock.advance(3.0)),
+            (lambda: times["t"], lambda: times.update(t=3.0)),
+            (now_only, lambda: setattr(now_only, "t", 3.0)),
+        ):
+            tracer = KernelTracer()
+            fs = FileSystem(clock=source, tracer=tracer)
+            assert fs.now() == 0.0
+            advance()
+            assert fs.now() == 3.0
+            fd = fs.open("/f", AccessMode.WRITE, create=True)
+            fs.close(fd)
+            assert [e.time for e in tracer.log] == [3.0, 3.0]
+            assert fs.stat("/f").ctime == 3.0

@@ -1,8 +1,10 @@
 """Tests for the discrete-event engine and distributions."""
 
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clock import Clock
 from repro.workload.distributions import (
@@ -119,6 +121,100 @@ class TestEngine:
         engine.spawn(proc())
         engine.run(until=10.0)
         assert engine.resumptions == 3  # start + two resumes (last raises StopIteration)
+
+
+class _HeapOnlyEngine:
+    """The engine's loop before its fast path, kept as the spec: every
+    resumption goes through the heap."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.heap = []
+        self.seq = 0
+        self.resumptions = 0
+
+    def spawn(self, process, delay=0.0):
+        heapq.heappush(self.heap, (self.clock.now() + delay, self.seq, process))
+        self.seq += 1
+
+    def run(self, until):
+        heap, clock = self.heap, self.clock
+        while heap and heap[0][0] <= until:
+            when, _seq, process = heapq.heappop(heap)
+            clock.set(max(clock.now(), when))
+            self.resumptions += 1
+            try:
+                delay = next(process)
+            except StopIteration:
+                continue
+            if delay is None or delay < 0:
+                raise ValueError(f"process yielded invalid delay {delay!r}")
+            self.spawn(process, delay)
+        if clock.now() < until:
+            clock.set(until)
+        for _when, _seq, process in heap:
+            process.close()
+        heap.clear()
+
+
+# A script step sleeps for a delay drawn from a few values (so wake times
+# collide, zero included) or spawns a child script after such a delay.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
+_SCRIPT = st.recursive(
+    st.lists(_DELAYS, max_size=6),
+    lambda child: st.lists(st.one_of(_DELAYS, st.tuples(_DELAYS, child)), max_size=6),
+    max_leaves=12,
+)
+
+
+def _process(name, script, engine, log, closed):
+    """Log each resumption as (name, time); log a close at the horizon."""
+    try:
+        for i, step in enumerate(script):
+            log.append((name, engine.clock.now()))
+            if isinstance(step, tuple):
+                delay, child = step
+                engine.spawn(_process(f"{name}.{i}", child, engine, log, closed), delay)
+                yield 0.0
+            else:
+                yield step
+        log.append((name, engine.clock.now()))
+    except GeneratorExit:
+        closed.append(name)
+        raise
+
+
+class TestEngineFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scripts=st.lists(st.tuples(_DELAYS, _SCRIPT), min_size=1, max_size=5),
+        until=st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 100.0]),
+    )
+    def test_matches_heap_only_loop(self, scripts, until):
+        runs = []
+        for make in (Engine, _HeapOnlyEngine):
+            clock, log, closed = Clock(), [], []
+            engine = make(clock)
+            for name, (delay, script) in enumerate(scripts):
+                engine.spawn(_process(str(name), script, engine, log, closed), delay)
+            engine.run(until=until)
+            runs.append((log, engine.resumptions, sorted(closed), clock.now()))
+        assert runs[0] == runs[1]
+
+    def test_negative_delay_in_fast_path_rejected(self):
+        clock = Clock()
+        seen = []
+
+        def proc():
+            yield 1.0
+            seen.append(clock.now())
+            yield -1.0  # resumed straight away: nothing else waits
+
+        engine = Engine(clock)
+        engine.spawn(proc())
+        with pytest.raises(ValueError, match="delay"):
+            engine.run(until=10.0)
+        assert seen == [1.0]
 
 
 class TestClock:
