@@ -115,8 +115,8 @@ def test_full_report_throughput(trace, benchmark):
 
 def test_generation_throughput(tmp_path, benchmark):
     """Regression-gated: spool-mode generation wall time (30 simulated
-    minutes streamed straight to disk, O(buffer) memory)."""
-    out = tmp_path / "bench.btrace"
+    minutes streamed straight to a corpus, O(buffer) memory)."""
+    out = tmp_path / "bench.bcorpus"
 
     def run():
         return generate(UCBARPA, seed=11, duration=GEN_DURATION,

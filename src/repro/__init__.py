@@ -56,11 +56,9 @@ from .trace import (
     AccessMode,
     TraceLog,
     compute_stats,
-    read_binary,
     read_text,
     validate,
     validate_columns,
-    write_binary,
     write_text,
 )
 from .unixfs import FileSystem, KernelTracer, MemoryContentStore
@@ -88,8 +86,6 @@ __all__ = [
     "AccessMode",
     "read_text",
     "write_text",
-    "read_binary",
-    "write_binary",
     "validate",
     "validate_columns",
     "compute_stats",

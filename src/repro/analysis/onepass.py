@@ -133,7 +133,7 @@ def analyze_onepass(
 
     Accepts a :class:`TraceLog` (columnarized through the per-log memo) or
     a :class:`TraceColumns` directly, e.g. straight from
-    :func:`~repro.trace.io_binary.read_binary_columns`.
+    :func:`~repro.corpus.read_corpus_columns`.
 
     The numpy kernel does the scan; :func:`analyze_columns_python` reruns
     it only when the kernel cannot replicate an exotic input bit for bit.

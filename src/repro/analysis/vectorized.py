@@ -57,9 +57,8 @@ from ..trace.columns import (
     KIND_UNLINK,
     TraceColumns,
 )
-from ..trace.io_binary import MAX_TRACE_TIME
 from ..trace.npview import column_views, np
-from ..trace.records import AccessMode
+from ..trace.records import MAX_TRACE_TIME, AccessMode
 from ..trace.validate import (
     DEFAULT_MAX_PROBLEMS,
     ValidationReport,
@@ -1455,8 +1454,7 @@ class VectorizedValidator:
             elif rank == 1:
                 out.append(
                     f"event {i}: time {float(v.times[row])} s outside the "
-                    f"binary format's u32 centisecond range "
-                    f"(0..{MAX_TRACE_TIME:.2f} s)"
+                    f"valid trace time range (0..{MAX_TRACE_TIME:.2f} s)"
                 )
             elif rank == 2:
                 out.append(f"event {i}: unknown kind tag {int(v.kinds[row])}")

@@ -20,15 +20,16 @@ Subcommands::
     repro-fs lint      src tests --format json|sarif [--output PATH]
     repro-fs fuzz      --seed 1 --budget 2000 [--corpus corpus/]
     repro-fs convert-strace strace.log -o out.trace
-    repro-fs corpus    pack a5.btrace -o a5.bcorpus [--segment-events N]
+    repro-fs corpus    pack a5.trace -o a5.bcorpus [--segment-events N]
     repro-fs corpus    info a5.bcorpus [--segments]
     repro-fs corpus    verify a5.bcorpus [--jobs N]
 
-Traces are stored in the binary format when the filename ends in ``.btrace``,
-as a sharded corpus (``repro.corpus``) when it ends in ``.bcorpus``, and in
-the text format otherwise; every command that reads or writes a trace
-takes all three.  ``validate`` and ``analyze`` stream a ``.bcorpus``
-segment by segment; the other commands load it whole.
+Traces are stored as a sharded corpus (``repro.corpus``) when the filename
+ends in ``.bcorpus`` and in the text format otherwise; every command that
+reads or writes a trace takes both.  ``generate`` spools a ``.bcorpus``
+output in segments of ``--spool-buffer`` events; ``validate`` and
+``analyze`` stream one segment by segment, and the other commands load it
+whole.  A damaged trace file is reported as one line on stderr, exit 1.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from ..cache.sweep import (
     cache_size_policy_sweep,
     paging_comparison,
 )
+from ..corpus.format import CorpusError
 from ..experiments import (
     all_ids,
     all_system_ids,
@@ -74,8 +76,7 @@ from ..experiments import (
 from ..parallel.executor import auto_jobs, jobs_context
 from ..strace.convert import convert_file
 from ..trace.intervals import interval_stats
-from ..trace.io_binary import read_binary, write_binary
-from ..trace.io_text import read_text, write_text
+from ..trace.io_text import TraceFormatError, read_text, write_text
 from ..trace.log import TraceLog
 from ..trace.stats import compute_stats
 from ..trace.validate import DEFAULT_MAX_PROBLEMS, validate
@@ -120,8 +121,6 @@ def _load_trace(path: str) -> TraceLog:
         from ..corpus import read_corpus_columns
 
         return read_corpus_columns(path).to_log()
-    if path.endswith(".btrace"):
-        return read_binary(path)
     return read_text(path)
 
 
@@ -130,8 +129,6 @@ def _save_trace(log: TraceLog, path: str) -> None:
         from ..corpus.writer import pack_trace
 
         pack_trace(log, path)
-    elif path.endswith(".btrace"):
-        write_binary(log, path)
     else:
         write_text(log, path)
 
@@ -153,14 +150,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         profile = PROFILES[args.profile]
     duration = args.hours * 3600.0
-    if args.spool and not args.output.endswith((".btrace", ".bcorpus")):
-        print("--spool streams the binary format: output must end in "
-              ".btrace or .bcorpus",
-              file=sys.stderr)
-        return 2
+    spool = args.output.endswith(".bcorpus")
 
     if args.seeds == 1:
-        if args.spool:
+        if spool:
             result = generate(
                 profile,
                 seed=args.seed,
@@ -187,7 +180,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print("per-seed output paths collide; use a {seed} placeholder",
               file=sys.stderr)
         return 2
-    if args.spool:
+    if spool:
         summaries = generate_many(
             pairs,
             duration,
@@ -227,16 +220,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for problem in report.problems:
             print(f"  {problem}")
         return 0 if report.ok else 1
-    if args.trace.endswith(".btrace"):
-        # Columnar path: validate straight off the column arrays (plus
-        # the storage-level u32-time/flag-byte checks), never building
-        # per-event objects.
-        from ..trace.io_binary import read_binary_columns
-
-        subject = read_binary_columns(args.trace)
-    else:
-        subject = _load_trace(args.trace)
-    report = validate(subject, max_problems=args.max_problems)
+    report = validate(_load_trace(args.trace), max_problems=args.max_problems)
     print(report)
     for problem in report.problems:
         print(f"  {problem}")
@@ -589,7 +573,7 @@ def _cmd_corpus_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_verify(args: argparse.Namespace) -> int:
-    from ..corpus import CorpusError, CorpusReader, map_segments, verify_segment_job
+    from ..corpus import CorpusReader, map_segments, verify_segment_job
 
     try:
         # Reader-level pass first: footer/header/crc coverage in-process.
@@ -639,11 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes for multi-seed generation "
                    "(default: CPU count, capped)")
-    p.add_argument("--spool", action="store_true",
-                   help="stream events to the .btrace output incrementally, "
-                   "keeping only --spool-buffer events in memory")
     p.add_argument("--spool-buffer", type=_positive_int, default=8192,
-                   help="events buffered before each spool flush")
+                   help="events per segment of a .bcorpus output, which "
+                   "is spooled: only this many events stay in memory")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("stats", help="Table III statistics for a trace")
@@ -839,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     csub = p.add_subparsers(dest="corpus_command", required=True)
     c = csub.add_parser("pack", help="pack a trace file into a .bcorpus")
-    c.add_argument("trace", help="source trace (.btrace, .trace, or text)")
+    c.add_argument("trace", help="source text trace")
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--segment-events", type=_positive_int, default=65536,
                    help="events per segment (default: 65536)")
@@ -869,7 +851,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CorpusError, TraceFormatError) as error:
+        print(f"repro-fs {args.command}: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -53,8 +53,6 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from ..trace.io_binary import BinaryTraceError
-
 __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
@@ -73,13 +71,10 @@ __all__ = [
 ]
 
 
-class CorpusError(BinaryTraceError):
+class CorpusError(ValueError):
     """A corpus file is corrupt, truncated, or unrecognized.
 
-    Subclasses :class:`~repro.trace.io_binary.BinaryTraceError` so every
-    caller that already handles damaged ``.btrace`` files handles
-    damaged corpora the same way; messages name the byte offset that
-    disappointed the reader.
+    Messages name the byte offset that disappointed the reader.
     """
 
 

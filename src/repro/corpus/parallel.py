@@ -84,14 +84,12 @@ def segment_kind_counts(
 def verify_segment_job(cols: TraceColumns, stat: Any, index: int) -> str:
     """Re-derive one segment's footer statistics from its data.
 
-    Returns ``"ok"``; a mismatch raises :class:`CorpusError`.  Note this
-    checks stats-vs-data consistency from inside the worker's own view;
-    the crc check lives in :meth:`CorpusReader.verify_segment` (workers
-    re-reading the segment through a fresh reader exercise that path via
-    ``map_segments(verify_segment_job, ..., )`` only indirectly, so
-    ``corpus verify`` runs the reader-level check too).  The footer it
-    checks against is what :class:`~repro.corpus.writer.CorpusWriter`
-    computed when it wrote the segment.
+    Returns ``"ok"``; a mismatch raises :class:`CorpusError`.  The
+    segment's crc was already checked when the worker's reader served
+    *cols* (:meth:`CorpusReader.segment` checks it on every read).  The
+    footer it checks against is what
+    :class:`~repro.corpus.writer.CorpusWriter` computed when it wrote the
+    segment.
     """
     n = len(cols.kinds)
     if n != stat.count:

@@ -56,10 +56,11 @@ class CorpusReader:
     """Random access to a corpus without materializing events.
 
     *src* is a path (mmapped) or an in-memory buffer.  Opening parses
-    and checks the trailer, footer (crc), and header (crc); per-segment
-    payload crcs are **not** checked on open — call
-    :meth:`verify_segment`/:meth:`verify`, or pass ``verify=True`` to
-    :meth:`segment`, to pay for that when it matters.
+    and checks the trailer, footer (crc), and header (crc); each
+    :meth:`segment` read checks that segment's payload crc, so damaged
+    bytes raise instead of reading back as a different trace.  The
+    footer statistics are re-derived only on request
+    (:meth:`verify_segment`/:meth:`verify`, or ``verify=True``).
     """
 
     def __init__(self, src: _PathOrBytes):
@@ -231,8 +232,8 @@ class CorpusReader:
     def segment(self, index: int, verify: bool = False) -> TraceColumns:
         """Columns for one segment, zero-copy where the host allows.
 
-        With ``verify=True`` the segment's crc and footer statistics are
-        recomputed and checked first (one extra pass over the bytes).
+        The segment's crc is checked first; ``verify=True`` also
+        re-derives its footer statistics (one more pass over the bytes).
         """
         if index < 0:
             index += len(self.stats)
@@ -240,8 +241,9 @@ class CorpusReader:
             raise IndexError(
                 f"segment {index} out of range ({len(self.stats)} segments)"
             )
+        data = self._checked_data(index)
         if verify:
-            self.verify_segment(index)
+            self._verify_stats(index, data)
         stat = self.stats[index]
         buf, n, at = self._buf, stat.count, stat.offset
         numeric = []
@@ -314,8 +316,8 @@ class CorpusReader:
 
     # -- verification --------------------------------------------------------
 
-    def verify_segment(self, index: int) -> None:
-        """Recompute one segment's crc and statistics against the footer."""
+    def _checked_data(self, index: int) -> memoryview:
+        """One segment's payload bytes, after checking its crc."""
         stat = self.stats[index]
         data = self._buf[stat.offset : stat.offset + stat.data_bytes]
         _check(
@@ -323,6 +325,15 @@ class CorpusReader:
             f"{self.path}: segment {index} checksum mismatch over bytes "
             f"[{stat.offset}, {stat.offset + stat.data_bytes})",
         )
+        return data
+
+    def verify_segment(self, index: int) -> None:
+        """Recompute one segment's crc and statistics against the footer."""
+        self._verify_stats(index, self._checked_data(index))
+
+    def _verify_stats(self, index: int, data: memoryview) -> None:
+        """Re-derive one segment's footer statistics from its *data*."""
+        stat = self.stats[index]
         n = stat.count
         if _BIG_ENDIAN:
             times = array("d")

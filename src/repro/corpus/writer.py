@@ -8,17 +8,16 @@ flushed as one segment, its statistics computed column-at-a-time at C
 speed (``min``/``max`` over the typed arrays, ``count`` over the flag
 bytes, one ``crc32`` per column chunk) and recorded for the footer.
 
-:class:`CorpusSpool` is the corpus twin of
-:class:`~repro.trace.io_binary.TraceSpool`: a ``TraceLog``-shaped sink
-the workload generator can write through with O(segment) memory, so
+:class:`CorpusSpool` is a ``TraceLog``-shaped sink the workload
+generator writes through with O(segment) memory, so
 ``generate(..., spool="out.bcorpus")`` emits a sharded corpus directly
 without ever holding the whole trace.  The kernel tracer hands it
 rows (:meth:`CorpusSpool.append_row`), which wait in a flat list and
 reach the writer a segment at a time as columns, so a spooled trace
 builds no event objects at all.
 
-:func:`pack_trace` streams an existing ``.btrace``/``.trace`` file (or
-an in-memory log/columns) into a corpus, also with bounded memory.
+:func:`pack_trace` packs an in-memory log or columns, or a text trace
+file, into a corpus.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from ..trace.columns import (
     KIND_UNLINK,
     TraceColumns,
 )
-from ..trace.io_binary import iter_binary
 from ..trace.log import TraceLog
 from ..trace.records import (
     CloseEvent,
@@ -348,8 +346,7 @@ class CorpusWriter:
 class CorpusSpool:
     """A ``TraceLog``-shaped sink that spools events into a corpus.
 
-    The corpus twin of :class:`~repro.trace.io_binary.TraceSpool`: quacks
-    like a log for producers (``name``/``description``, a time-ordered
+    Quacks like a log for producers (``name``/``description``, a time-ordered
     ``append``) while its :class:`CorpusWriter` drains each full segment,
     so memory stays O(segment) however long the synthesis runs.  The
     buffer *is* one segment: ``buffer_events`` doubles as the corpus
@@ -507,10 +504,7 @@ def pack_trace(
     """Pack *src* into a corpus at *dest*; returns the closed writer.
 
     *src* may be a :class:`TraceLog`, a :class:`TraceColumns`, or a path
-    to a ``.btrace``/text trace.  Binary sources stream event-at-a-time
-    through :func:`~repro.trace.io_binary.iter_binary`, so packing a
-    ``.btrace`` far larger than RAM costs O(segment) memory; text traces
-    (small by construction) load through ``read_text`` first.
+    to a text trace, which loads through ``read_text`` first.
     """
     if isinstance(src, TraceColumns):
         return pack_columns(src, dest, segment_events=segment_events)
@@ -524,18 +518,6 @@ def pack_trace(
         with writer:
             writer.extend(src.events)
         return writer
-    path = os.fspath(src)
-    if not path.endswith(".btrace"):
-        from ..trace.io_text import read_text
+    from ..trace.io_text import read_text
 
-        return pack_trace(read_text(path), dest, segment_events=segment_events)
-    with iter_binary(path) as stream:
-        writer = CorpusWriter(
-            dest,
-            name=stream.name,
-            description=stream.description,
-            segment_events=segment_events,
-        )
-        with writer:
-            writer.extend(stream)
-    return writer
+    return pack_trace(read_text(src), dest, segment_events=segment_events)

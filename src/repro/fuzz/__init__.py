@@ -1,12 +1,14 @@
 """Differential fuzzing and fault injection for the whole pipeline.
 
 The repo's correctness story is a chain of bit-identical pairs: the
-event and columnar binary writers, the nine per-module analyzers versus
-:func:`~repro.analysis.onepass.analyze_onepass`, and
+per-module analyzers versus
+:func:`~repro.analysis.onepass.analyze_onepass`,
 :class:`~repro.cache.simulator.BlockCacheSimulator` versus the packed
-replayer and the Mattson LRU stack.  This package turns each asserted
-pair into a continuously machine-checked invariant over *generated*
-inputs:
+replayer and the all-size LRU curve
+(:func:`~repro.parallel.veccache.stack_curve`), each numpy kernel
+versus its Python specification, and a corpus versus the trace it was
+written from.  This package turns each asserted pair into a
+continuously machine-checked invariant over *generated* inputs:
 
 * :mod:`repro.fuzz.gen` — one seeded input model (random well-formed
   traces and random-but-valid syscall sequences) shared by the fuzzer
@@ -14,11 +16,10 @@ inputs:
 * :mod:`repro.fuzz.replay` — the kernel oracle: after every fuzzed
   syscall the emitted Table II records must replay to the kernel's own
   logical state, and ``fsck`` must stay clean;
-* :mod:`repro.fuzz.oracles` — the differential oracles over trace I/O,
-  analysis and cache simulation;
-* :mod:`repro.fuzz.faults` — :class:`FaultPlan` corruption of serialized
-  traces (truncation, bit flips, header lies) plus netfs fault injection
-  (dropped/duplicated RPCs, disk stalls) with a convergence check;
+* :mod:`repro.fuzz.oracles` — the text-format round trip and the
+  differential oracles over analysis and cache simulation;
+* :mod:`repro.fuzz.faults` — netfs fault injection (dropped/duplicated
+  RPCs, disk stalls) with a convergence check;
 * :mod:`repro.fuzz.corpus` — the out-of-core corpus codec pillar:
   write-path equivalence, bit-exact segment round-trips,
   streamed-vs-in-RAM analyze/validate differentials, and
@@ -45,7 +46,7 @@ from .corpus import (
     check_corpus_streaming,
 )
 from .engines import check_engines
-from .faults import FaultPlan, NetfsFaults
+from .faults import NetfsFaults
 from .gen import SyscallOp, random_ops, random_trace
 from .oracles import Divergence
 from .policies import check_policies
@@ -54,7 +55,6 @@ from .runner import FuzzConfig, FuzzReport, run_fuzz
 __all__ = [
     "CorpusFaultPlan",
     "Divergence",
-    "FaultPlan",
     "FuzzConfig",
     "FuzzReport",
     "NetfsFaults",

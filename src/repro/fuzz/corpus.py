@@ -22,9 +22,8 @@ Three oracles, mirroring the standing claims of ``repro.corpus``:
   :class:`~repro.corpus.CorpusError`; and because every non-padding byte
   of the format is covered by some crc32 (header crc, per-segment crc,
   footer crc), a **single bit flip anywhere outside padding** must also
-  be detected by open + :meth:`~repro.corpus.CorpusReader.verify` —
-  there is no "well-formed different file" escape hatch like the flat
-  binary format's.
+  be detected by open plus a read of every segment — a damaged file
+  never reads back as a well-formed different trace.
 """
 
 from __future__ import annotations

@@ -1,215 +1,26 @@
-"""Pillar 3: fault injection — corrupt artifacts and lossy networks.
+"""Pillar 3: fault injection on a lossy network.
 
-Two fault surfaces, both driven by deterministic seeded schedules:
-
-**Trace-file corruption** (:class:`FaultPlan`).  A pristine serialized
-trace is mutated — truncated mid-record, magic damaged, header count
-inflated, or a single bit flipped — and both decode paths are run on
-the result.  The contract has two tiers:
-
-* *guaranteed-detection* corruptions (truncation, bad magic, count
-  inflation, undefined flag bits) must be rejected by both readers with
-  a :class:`~repro.trace.io_binary.BinaryTraceError` diagnostic — never
-  a crash, never a silent success;
-* *arbitrary bit flips* may decode (a flipped position bit yields a
-  different but well-formed trace — undetectable in principle), but the
-  two readers must agree: both reject, or both accept with identical
-  events.  If exactly one side rejects, ``validate`` of the surviving
-  side's result (raw columns for the columnar reader, so flag-byte
-  damage is still visible) must report the damage — anything less is a
-  divergence.  This tier has already paid for itself: it caught the
-  columnar reader folding a flipped mode bit into the created/new-file
-  flags and decoding a *clean-looking different trace*, and an
-  ``OverflowError`` crash on set high bits of u64 fields.
-
-**netfs faults** (:class:`NetfsFaults`).  Installed into a
+:class:`NetfsFaults`, installed into a
 :func:`~repro.netfs.simulator.simulate_netfs` run, drops the first
 deliveries of selected RPCs (the retransmit timer recovers them),
 re-delivers others (the server's duplicate-request cache absorbs them),
-and stretches disk service times.  Because clients submit open-loop at
-trace time, every *count* the clients produce is timing-independent —
-:func:`check_netfs_convergence` asserts the faulty run converges to the
-clean run's counters with zero RPC failures.
+and stretches disk service times, all on deterministic seeded schedules.
+Because clients submit open-loop at trace time, every *count* the
+clients produce is timing-independent — :func:`check_netfs_convergence`
+asserts the faulty run converges to the clean run's counters with zero
+RPC failures.
+
+Corrupted trace files are pillar 4's job: :mod:`repro.fuzz.corpus`
+damages serialized corpora with a :class:`~repro.fuzz.corpus.CorpusFaultPlan`.
 """
 
 from __future__ import annotations
 
-import io
 import random
-import struct
 
-from ..trace.io_binary import (
-    MAGIC,
-    BinaryTraceError,
-    read_binary,
-    read_binary_columns,
-    write_binary,
-)
 from ..trace.log import TraceLog
-from ..trace.validate import validate
 
-__all__ = [
-    "FaultPlan",
-    "NetfsFaults",
-    "check_corruption",
-    "check_netfs_convergence",
-]
-
-_HEADER_STR = struct.Struct("<H")
-_HEADER_COUNT = struct.Struct("<Q")
-
-
-def _count_offset(data: bytes) -> int:
-    """Byte offset of the header's u64 event count."""
-    off = len(MAGIC)
-    (name_len,) = _HEADER_STR.unpack_from(data, off)
-    off += _HEADER_STR.size + name_len
-    (desc_len,) = _HEADER_STR.unpack_from(data, off)
-    off += _HEADER_STR.size + desc_len
-    return off
-
-
-class FaultPlan:
-    """A deterministic schedule of corruptions for one serialized trace."""
-
-    def __init__(self, seed: str, cases: int = 16):
-        self.seed = seed
-        self.cases = cases
-
-    def corruptions(self, data: bytes):
-        """Yield ``(label, corrupted_bytes, guaranteed)`` tuples.
-
-        ``guaranteed`` marks corruptions every reader must reject;
-        bit flips are checked for reader agreement instead.
-        """
-        rng = random.Random(f"faults:{self.seed}")
-        count_at = _count_offset(data)
-        body_start = count_at + _HEADER_COUNT.size
-
-        yield "empty file", b"", True
-        yield "magic damaged", bytes([data[0] ^ 0x40]) + data[1:], True
-        if len(data) > body_start:
-            cut = rng.randint(body_start, len(data) - 1)
-            yield f"truncated at byte {cut}", data[:cut], True
-            cut = rng.randint(1, body_start)
-            yield f"truncated in header at byte {cut}", data[:cut], True
-        (count,) = _HEADER_COUNT.unpack_from(data, count_at)
-        for label, lie in (
-            ("count inflated by one", count + 1),
-            ("count inflated 1000x", (count + 1) * 1000),
-            ("count inflated to 2^56", 1 << 56),
-        ):
-            yield (
-                label,
-                data[:count_at] + _HEADER_COUNT.pack(lie) + data[body_start:],
-                True,
-            )
-        remaining = self.cases - 7
-        for _ in range(max(remaining, 0)):
-            if len(data) <= body_start:
-                break
-            at = rng.randint(body_start, len(data) - 1)
-            bit = 1 << rng.randint(0, 7)
-            flipped = bytearray(data)
-            flipped[at] ^= bit
-            yield f"bit {bit:#04x} flipped at byte {at}", bytes(flipped), False
-
-
-def _decode_both(data: bytes):
-    """Run both readers; returns ((events|None, error), (columns|None, error)).
-
-    ``ValueError`` (which covers :class:`BinaryTraceError` and the
-    ``UnicodeDecodeError`` a damaged name field raises) counts as a
-    rejection-with-diagnostic.  Anything else — ``MemoryError`` from an
-    unchecked allocation, say — propagates to the caller as a finding.
-    The columnar side returns the raw :class:`TraceColumns` so the caller
-    can validate the columns themselves (flag bytes included), not just
-    their materialization.
-    """
-    try:
-        event_log = read_binary(io.BytesIO(data))
-        event_side = (event_log.events, None)
-    except ValueError as exc:
-        event_side = (None, exc)
-    try:
-        cols = read_binary_columns(io.BytesIO(data))
-        col_side = (cols, None)
-    except ValueError as exc:
-        col_side = (None, exc)
-    return event_side, col_side
-
-
-def check_corruption(log: TraceLog, plan: FaultPlan) -> tuple[str | None, int]:
-    """Apply *plan* to *log*'s serialization; returns (divergence, cases run)."""
-    buf = io.BytesIO()
-    write_binary(log, buf)
-    pristine = buf.getvalue()
-    cases = 0
-    for label, corrupted, guaranteed in plan.corruptions(pristine):
-        cases += 1
-        try:
-            (event_events, event_err), (col_cols, col_err) = _decode_both(corrupted)
-        except Exception as exc:  # noqa: BLE001 - any crash is the finding
-            return (
-                f"decoding a corrupted trace ({label}) crashed with "
-                f"{type(exc).__name__}: {exc}",
-                cases,
-            )
-        if guaranteed:
-            for reader, err in (("read_binary", event_err),
-                                ("read_binary_columns", col_err)):
-                if err is None:
-                    return (
-                        f"{reader} accepted a corrupted trace ({label}) "
-                        "that must be rejected",
-                        cases,
-                    )
-                if not isinstance(err, BinaryTraceError):
-                    return (
-                        f"{reader} rejected a corrupted trace ({label}) with "
-                        f"{type(err).__name__} instead of a BinaryTraceError "
-                        "diagnostic",
-                        cases,
-                    )
-            continue
-        # Bit flips: the two readers must tell the same story.
-        if (event_err is None) and (col_err is None):
-            try:
-                materialized = col_cols.to_log().events
-            except ValueError as exc:
-                return (
-                    f"read_binary_columns accepted a bit-flipped trace "
-                    f"({label}) whose own to_log() then rejected it: {exc}",
-                    cases,
-                )
-            if event_events != materialized:
-                return (
-                    f"readers disagree on a bit-flipped trace ({label}): "
-                    "both accepted but decoded different events",
-                    cases,
-                )
-            report = validate(TraceLog(name=log.name, events=event_events))
-            _ = report.ok  # must complete without raising; verdict may be either
-        elif (event_err is None) != (col_err is None):
-            # One side rejected.  Both readers apply the same field checks
-            # today, so this branch firing usually IS the finding — unless
-            # the surviving side's validator can still see the damage
-            # (validate dispatches TraceColumns to validate_columns, which
-            # inspects the raw flag bytes the event reader never keeps).
-            if event_err is None:
-                report = validate(TraceLog(name=log.name, events=event_events))
-            else:
-                report = validate(col_cols)
-            if report.ok:
-                return (
-                    f"readers disagree on a bit-flipped trace ({label}): one "
-                    "rejected, the other accepted a trace validate calls clean",
-                    cases,
-                )
-    return None, cases
-
-
-# -- netfs fault injection -----------------------------------------------------
+__all__ = ["NetfsFaults", "check_netfs_convergence"]
 
 
 class _StallingDisk:

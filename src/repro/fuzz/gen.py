@@ -9,7 +9,7 @@ exercise one input distribution instead of two drifting ones.
 
 :func:`random_trace` builds well-formed Table II event lists directly
 (every trace it returns passes :func:`repro.trace.validate.validate`
-and fits the binary format's field widths).  :func:`random_ops` builds
+and round-trips exactly through the text format and a corpus).  :func:`random_ops` builds
 random-but-valid syscall sequences against a shadow namespace model;
 :func:`apply_ops` executes them on a real traced
 :class:`~repro.unixfs.filesystem.FileSystem`.
@@ -56,8 +56,8 @@ __all__ = [
 MAX_FILE_SIZE = 1 << 22
 
 #: Largest time step between consecutive events, in centiseconds (the
-#: binary format's resolution).  Two seconds keeps fuzzed traces well
-#: inside the u32 centisecond range at any budget.
+#: tracer's and the text format's resolution).  Two seconds keeps fuzzed
+#: traces well inside ``MAX_TRACE_TIME`` at any budget.
 MAX_STEP_CS = 200
 
 _MODES = (AccessMode.READ, AccessMode.WRITE, AccessMode.READ_WRITE)

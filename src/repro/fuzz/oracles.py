@@ -4,8 +4,8 @@ Each oracle takes a trace and returns ``None`` or a first-divergence
 description.  They are the machine-checked versions of the repo's
 standing bit-identical claims:
 
-* event writer vs columnar writer (byte-for-byte), and both readers
-  round-tripping to the original events (:func:`check_io`);
+* the text format round-tripping to the original events
+  (:func:`check_io`);
 * :func:`~repro.analysis.onepass.analyze_onepass` vs the nine
   per-module reference analyses, field for field (:func:`check_analysis`);
 * :class:`~repro.cache.simulator.BlockCacheSimulator` vs
@@ -40,8 +40,6 @@ from ..cache.stream import build_stream
 from ..parallel.packed import pack_stream, simulate_packed
 from ..parallel.veccache import stack_curve
 from ..trace.columns import TraceColumns
-from ..trace.io_binary import read_binary, read_binary_columns, write_binary, \
-    write_binary_columns
 from ..trace.io_text import read_text, write_text
 from ..trace.log import TraceLog
 
@@ -67,7 +65,7 @@ _ORACLE_POLICIES = (WRITE_THROUGH, FLUSH_30S, DELAYED_WRITE)
 class Divergence:
     """One confirmed failure, as reported and written to the corpus."""
 
-    pillar: str  # "replay" | "io" | "analysis" | "cache" | "fault" | "corpus" | "netfs" | "engine"
+    pillar: str  # "replay" | "io" | "analysis" | "cache" | "corpus" | "netfs" | "engine" | "policy"
     detail: str
     seed: str = ""  # generator seed string that produced the input
     shrunk_events: int | None = None  # repro size after shrinking
@@ -92,11 +90,13 @@ class Divergence:
 
 
 def canonicalize_times(log: TraceLog) -> TraceLog:
-    """Rewrite event times into the binary format's ``cs / 100.0`` floats.
+    """Rewrite event times into the ``cs / 100.0`` floats the text format
+    reads back.
 
     The kernel tracer quantizes with ``round(t / 0.01) * 0.01``, which for
     ~14% of centisecond values differs from ``cs / 100.0`` in the last
-    bit (0.01 is not a binary fraction).  The byte-level round-trip
+    bit (0.01 is not a binary fraction), while the text format writes
+    two decimals that parse back as ``cs / 100.0``.  The round-trip
     oracle needs times the format can represent exactly, so kernel
     traces pass through here first; :func:`repro.fuzz.gen.random_trace`
     output is already canonical.
@@ -109,39 +109,7 @@ def canonicalize_times(log: TraceLog) -> TraceLog:
 
 
 def check_io(log: TraceLog) -> str | None:
-    """Binary event vs columnar writers, all readers, and the text format."""
-    event_buf = io.BytesIO()
-    write_binary(log, event_buf)
-    event_bytes = event_buf.getvalue()
-
-    cols = TraceColumns.from_log(log)
-    col_buf = io.BytesIO()
-    write_binary_columns(cols, col_buf)
-    col_bytes = col_buf.getvalue()
-
-    if event_bytes != col_bytes:
-        at = next(
-            (i for i, (a, b) in enumerate(zip(event_bytes, col_bytes)) if a != b),
-            min(len(event_bytes), len(col_bytes)),
-        )
-        return (
-            f"event and columnar writers diverge at byte {at} "
-            f"({len(event_bytes)} vs {len(col_bytes)} bytes total)"
-        )
-
-    decoded = read_binary(io.BytesIO(event_bytes))
-    if decoded.events != log.events:
-        at = _first_event_mismatch(decoded.events, log.events)
-        return f"read_binary round trip differs at event {at}"
-    if (decoded.name, decoded.description) != (log.name, log.description):
-        return "read_binary round trip lost the trace name/description"
-
-    decoded_cols = read_binary_columns(io.BytesIO(event_bytes))
-    from_cols = decoded_cols.to_log()
-    if from_cols.events != log.events:
-        at = _first_event_mismatch(from_cols.events, log.events)
-        return f"read_binary_columns round trip differs at event {at}"
-
+    """The text format round trip."""
     text_buf = io.StringIO()
     write_text(log, text_buf)
     text_buf.seek(0)

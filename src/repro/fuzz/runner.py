@@ -10,9 +10,8 @@ One *round* = one seeded burst through all six pillars:
    own trace *and* on an independently generated random well-formed
    trace (which exercises event shapes the kernel never emits —
    CreateEvents, orphan closes survive slicing, etc.);
-3. corrupt the synthetic trace's serialization per the round's
-   :class:`~repro.fuzz.faults.FaultPlan`, and periodically run the netfs
-   fault-convergence check;
+3. periodically run the netfs fault-convergence check
+   (:mod:`repro.fuzz.faults`);
 4. shard the synthetic trace through the out-of-core corpus codec
    (:mod:`repro.fuzz.corpus`): write-path equivalence, bit-exact
    read-back, streamed-vs-in-RAM analyze/validate, and a
@@ -30,9 +29,9 @@ Every round is a pure function of ``(seed, round_index)``, so any
 failure is replayable; failures are ddmin-shrunk to a minimal event
 list or op list and written to the corpus, which later runs replay
 first.  The budget counts work items (syscalls executed, events pushed
-through oracles, corruption cases) so ``--budget 2000`` means the same
-amount of fuzzing on any machine; ``--time-budget`` additionally stops
-at a wall-clock deadline for CI jobs.
+through oracles, corpus corruption cases) so ``--budget 2000`` means the
+same amount of fuzzing on any machine; ``--time-budget`` additionally
+stops at a wall-clock deadline for CI jobs.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import Callable
 from ..trace.log import TraceLog
 from .corpus import CorpusFaultPlan, check_corpus_all, check_corpus_corruption
 from .engines import check_engines_all
-from .faults import FaultPlan, check_corruption, check_netfs_convergence
+from .faults import check_netfs_convergence
 from .gen import SyscallOp, apply_ops, random_ops, random_trace
 from .oracles import Divergence, canonicalize_times, check_all
 from .policies import check_policies_all
@@ -85,7 +84,6 @@ class FuzzReport:
     steps: int = 0  # work items consumed against the budget
     ops_executed: int = 0
     events_checked: int = 0
-    corruption_cases: int = 0
     corpus_events: int = 0
     corpus_corruptions: int = 0
     netfs_checks: int = 0
@@ -104,7 +102,6 @@ class FuzzReport:
             f"fuzz: {status}; seed {self.seed}, {self.rounds} rounds, "
             f"{self.steps} steps ({self.ops_executed} syscalls, "
             f"{self.events_checked} events through oracles, "
-            f"{self.corruption_cases} corruptions, "
             f"{self.corpus_events} events through the corpus codec, "
             f"{self.corpus_corruptions} corpus corruptions, "
             f"{self.netfs_checks} netfs convergence runs, "
@@ -288,31 +285,6 @@ def run_fuzz(
                 )
             )
 
-        # Pillar 3: corrupted artifacts must be rejected, not crash.
-        plan = FaultPlan(seed=round_seed, cases=CORRUPTIONS_PER_ROUND)
-        detail, cases = check_corruption(synthetic, plan)
-        report.corruption_cases += cases
-        report.steps += cases
-        if detail is not None:
-            entry = None
-            if config.corpus:
-                entry = write_corpus_entry(
-                    config.corpus,
-                    name=f"fault-{config.seed}-{round_index}",
-                    pillar="fault",
-                    detail=detail,
-                    seed=round_seed,
-                    events=list(synthetic.events),
-                )
-            report.divergences.append(
-                Divergence(
-                    pillar="fault",
-                    detail=detail,
-                    seed=round_seed,
-                    corpus_entry=entry,
-                )
-            )
-
         # Pillar 4: the out-of-core corpus codec, on the same synthetic
         # trace — write-path equivalence, streamed-vs-in-RAM
         # differentials, then its own corruption schedule.
@@ -436,8 +408,8 @@ def run_fuzz(
                 )
             )
 
-        # Pillar 3, network half: lossy RPC must converge (periodically —
-        # the event-loop run is the most expensive oracle here).
+        # Pillar 3: lossy RPC must converge (periodically — the
+        # event-loop run is the most expensive oracle here).
         if round_index % NETFS_EVERY == 1:
             detail = check_netfs_convergence(synthetic, seed=config.seed)
             report.netfs_checks += 1

@@ -10,9 +10,10 @@ trace well-formedness, and a differently-failing trace is a different
 bug, not a smaller repro.
 
 The corpus is a flat directory: each entry is a ``<name>.json``
-metadata file plus, for event repros, a ``<name>.btrace`` binary trace.
-:func:`replay_corpus` loads every entry and re-runs its oracle —
-repros found on earlier runs are the first thing a new run checks.
+metadata file plus, for event repros, a ``<name>.bcorpus`` trace, whose
+exact times replay the repro bit for bit.  :func:`replay_corpus` loads
+every entry and re-runs its oracle — repros found on earlier runs are
+the first thing a new run checks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import json
 import os
 from typing import Callable, Sequence
 
-from ..trace.io_binary import read_binary, write_binary
+from ..corpus.reader import read_corpus_columns
+from ..corpus.writer import pack_trace
 from ..trace.log import TraceLog
 from .gen import SyscallOp
 
@@ -67,8 +69,8 @@ def write_corpus_entry(
     meta = {"pillar": pillar, "detail": detail, "seed": seed}
     if events is not None:
         log = TraceLog(name=name, events=list(events))
-        write_binary(log, os.path.join(corpus, f"{name}.btrace"))
-        meta["trace"] = f"{name}.btrace"
+        pack_trace(log, os.path.join(corpus, f"{name}.bcorpus"))
+        meta["trace"] = f"{name}.bcorpus"
     if ops is not None:
         meta["ops"] = [op.to_json() for op in ops]
     with open(os.path.join(corpus, f"{name}.json"), "w", encoding="utf-8") as fh:
@@ -90,7 +92,8 @@ def load_corpus(corpus: str) -> list[dict]:
             meta = json.load(fh)
         meta["name"] = fname[: -len(".json")]
         if "trace" in meta:
-            meta["log"] = read_binary(os.path.join(corpus, meta["trace"]))
+            path = os.path.join(corpus, meta["trace"])
+            meta["log"] = read_corpus_columns(path).to_log()
         if "ops" in meta:
             meta["op_list"] = [SyscallOp.from_json(op) for op in meta["ops"]]
         entries.append(meta)

@@ -4,9 +4,8 @@ The runtime correctness story (differential oracles, fsck after long
 syntheses) rests on invariants no oracle enforces: seeded randomness
 only, deterministic iteration order, picklable payloads across
 ``repro.parallel``, hot-path classes with ``__slots__``, and the trace
-schema staying in lock-step across ``records.py`` / ``columns.py`` /
-``io_binary.py``.  This package makes each of those a static, CI-checked
-property.
+schema staying in lock-step across ``records.py`` and ``columns.py``.
+This package makes each of those a static, CI-checked property.
 
 Every rule reads one file's AST, or, for the schema rules, the few
 files that share one on-disk schema.  Whole-program properties (RNG
@@ -38,7 +37,7 @@ REP-H001   warning   hot-path classes must define ``__slots__``
 REP-H002   error     no float ``==``/``!=`` in simulator code
 REP-H003   warning   no per-event loops over trace columns outside the
                      reference-oracle modules (vectorize instead)
-REP-S001   error     trace schema agrees across records/columns/io_binary
+REP-S001   error     trace schema agrees between records and columns
 REP-S002   error     corpus on-disk schema digest matches SCHEMA_DIGESTS
 REP-A000   error     suppressions must name a rule id and a justification
 REP-A001   error     no stale suppressions (allow comments matching nothing)

@@ -108,7 +108,6 @@ COLUMN_ORACLE_MODULES: tuple[str, ...] = (
     "repro.corpus.writer",
     "repro.parallel.packed",
     "repro.trace.columns",
-    "repro.trace.io_binary",
     "repro.trace.validate",
 )
 

@@ -3,7 +3,7 @@
 Per-module rules receive a :class:`~repro.statics.context.ModuleContext`
 and yield findings.  Cross-artifact rules receive the whole set of
 scanned files — that is how the trace-schema drift check sees
-``records.py``, ``columns.py`` and ``io_binary.py`` together.
+``records.py`` and ``columns.py`` together.
 
 Rules register themselves at import time via the decorators; the engine
 imports the rule modules and iterates :data:`RULES` / :data:`CROSS_RULES`.

@@ -2,29 +2,27 @@
 
 Two rules guard two schemas:
 
-``REP-S001`` — the trace event schema, which lives in three places that
+``REP-S001`` — the trace event schema, which lives in two places that
 must agree field-for-field;
 
 ``REP-S002`` — the corpus on-disk layout (``corpus/format.py``), whose
 version-stamped digest must be recomputed and re-registered on any
 layout change.
 
-The trace schema lives in three places that must agree field-for-field:
+The trace schema lives in two places that must agree field-for-field:
 
 * ``trace/records.py`` — the event dataclasses (the schema of record);
 * ``trace/columns.py`` — the columnar view: ``TraceColumns.from_log``
   must *read* every field, ``TraceColumns.event`` must *construct* with
-  every field;
-* ``trace/io_binary.py`` — the binary codec: ``_pack_event`` must read
-  every field, ``_unpack_event`` must construct with every field.
+  every field.
 
-A field added to a record but forgotten in a codec silently serializes
-to its default; a field removed from a record leaves a codec reading a
-ghost attribute.  Both went undetected until a runtime failure before —
-the u32 centisecond overflow was patched reactively for exactly this
-reason.  ``REP-S001`` turns the agreement into a CI property: it parses
-all three artifacts and reports any field present in one but missing
-from another, in either direction.
+The columnar view is the codec of record: the corpus stores its exact
+buffers, and ``REP-S002`` pins that layout.  A field added to a record
+but forgotten in the columns silently serializes to its default; a
+field removed from a record leaves the columns reading a ghost
+attribute.  ``REP-S001`` turns the agreement into a CI property: it
+parses both artifacts and reports any field present in one but missing
+from the other, in either direction.
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ from .registry import cross_rule
 
 __all__ = ["check_corpus_schema", "check_trace_schema", "TRACE_ARTIFACTS"]
 
-#: File names that make up one trace-schema artifact set (all three must
-#: sit in the same directory to be checked as a unit).
-TRACE_ARTIFACTS = ("records.py", "columns.py", "io_binary.py")
+#: File names that make up one trace-schema artifact set (both must sit
+#: in the same directory to be checked as a unit).
+TRACE_ARTIFACTS = ("records.py", "columns.py")
 
 
 @dataclass(slots=True)
@@ -192,10 +190,8 @@ def _resolve_positionals(
     return resolved
 
 
-def check_trace_schema(
-    records_path: Path, columns_path: Path, io_binary_path: Path
-) -> Iterator[Finding]:
-    """Cross-check the three schema artifacts; yield drift findings."""
+def check_trace_schema(records_path: Path, columns_path: Path) -> Iterator[Finding]:
+    """Cross-check the two schema artifacts; yield drift findings."""
 
     def _parse(path: Path) -> ast.Module:
         return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -215,86 +211,82 @@ def check_trace_schema(
         return
     class_names = set(classes)
 
-    consumers = (
-        (columns_path, "TraceColumns.from_log", "TraceColumns.event"),
-        (io_binary_path, "_pack_event", "_unpack_event"),
-    )
-    for path, reader_name, builder_name in consumers:
-        usage = _collect_usage(_parse(path), class_names)
-        for cls, (fields, _line) in classes.items():
-            info = usage[cls]
-            if not info.seen_in_branches:
+    reader_name, builder_name = "TraceColumns.from_log", "TraceColumns.event"
+    usage = _collect_usage(_parse(columns_path), class_names)
+    for cls, (fields, _line) in classes.items():
+        info = usage[cls]
+        if not info.seen_in_branches:
+            yield Finding(
+                rule_id="REP-S001",
+                path=str(columns_path),
+                line=1,
+                col=1,
+                severity=Severity.ERROR,
+                message=f"event class `{cls}` is never dispatched on "
+                f"(no isinstance branch) in this artifact; "
+                f"`{reader_name}` cannot encode it",
+            )
+        if not info.seen_in_constructors:
+            yield Finding(
+                rule_id="REP-S001",
+                path=str(columns_path),
+                line=1,
+                col=1,
+                severity=Severity.ERROR,
+                message=f"event class `{cls}` is never constructed in "
+                f"this artifact; `{builder_name}` cannot decode it",
+            )
+        field_set = set(fields)
+        constructed = _resolve_positionals(info.constructed, fields)
+        if info.seen_in_branches:
+            for missing in sorted(field_set - info.reads):
                 yield Finding(
                     rule_id="REP-S001",
-                    path=str(path),
-                    line=1,
+                    path=str(columns_path),
+                    line=info.branch_line,
                     col=1,
                     severity=Severity.ERROR,
-                    message=f"event class `{cls}` is never dispatched on "
-                    f"(no isinstance branch) in this artifact; "
-                    f"`{reader_name}` cannot encode it",
+                    message=f"field `{missing}` of `{cls}` is never "
+                    f"read by `{reader_name}`; the codec would "
+                    "silently drop it",
                 )
-            if not info.seen_in_constructors:
+            for unknown in sorted(info.reads - field_set):
                 yield Finding(
                     rule_id="REP-S001",
-                    path=str(path),
-                    line=1,
+                    path=str(columns_path),
+                    line=info.read_lines.get(unknown, info.branch_line),
                     col=1,
                     severity=Severity.ERROR,
-                    message=f"event class `{cls}` is never constructed in "
-                    f"this artifact; `{builder_name}` cannot decode it",
+                    message=f"`{reader_name}` reads `{cls}.{unknown}`, "
+                    "which is not a field of the record; the schema "
+                    "has drifted",
                 )
-            field_set = set(fields)
-            constructed = _resolve_positionals(info.constructed, fields)
-            if info.seen_in_branches:
-                for missing in sorted(field_set - info.reads):
-                    yield Finding(
-                        rule_id="REP-S001",
-                        path=str(path),
-                        line=info.branch_line,
-                        col=1,
-                        severity=Severity.ERROR,
-                        message=f"field `{missing}` of `{cls}` is never "
-                        f"read by `{reader_name}`; the codec would "
-                        "silently drop it",
-                    )
-                for unknown in sorted(info.reads - field_set):
-                    yield Finding(
-                        rule_id="REP-S001",
-                        path=str(path),
-                        line=info.read_lines.get(unknown, info.branch_line),
-                        col=1,
-                        severity=Severity.ERROR,
-                        message=f"`{reader_name}` reads `{cls}.{unknown}`, "
-                        "which is not a field of the record; the schema "
-                        "has drifted",
-                    )
-            if info.seen_in_constructors:
-                for missing in sorted(field_set - constructed):
-                    yield Finding(
-                        rule_id="REP-S001",
-                        path=str(path),
-                        line=info.constructor_line,
-                        col=1,
-                        severity=Severity.ERROR,
-                        message=f"field `{missing}` of `{cls}` is never "
-                        f"passed by `{builder_name}`; decoded events "
-                        "would silently take the default",
-                    )
-                for unknown in sorted(constructed - field_set):
-                    yield Finding(
-                        rule_id="REP-S001",
-                        path=str(path),
-                        line=info.constructor_line,
-                        col=1,
-                        severity=Severity.ERROR,
-                        message=f"`{builder_name}` passes `{unknown}` to "
-                        f"`{cls}`, which is not a field of the record; "
-                        "the schema has drifted",
-                    )
+        if info.seen_in_constructors:
+            for missing in sorted(field_set - constructed):
+                yield Finding(
+                    rule_id="REP-S001",
+                    path=str(columns_path),
+                    line=info.constructor_line,
+                    col=1,
+                    severity=Severity.ERROR,
+                    message=f"field `{missing}` of `{cls}` is never "
+                    f"passed by `{builder_name}`; decoded events "
+                    "would silently take the default",
+                )
+            for unknown in sorted(constructed - field_set):
+                yield Finding(
+                    rule_id="REP-S001",
+                    path=str(columns_path),
+                    line=info.constructor_line,
+                    col=1,
+                    severity=Severity.ERROR,
+                    message=f"`{builder_name}` passes `{unknown}` to "
+                    f"`{cls}`, which is not a field of the record; "
+                    "the schema has drifted",
+                )
 
 
-@cross_rule("REP-S001", "trace-schema drift between records and codecs")
+@cross_rule("REP-S001", "trace-schema drift between records and columns")
 def check_schema_drift(paths: Iterable[Path]) -> Iterator[Finding]:
     by_dir: dict[Path, dict[str, Path]] = {}
     for path in paths:
@@ -302,9 +294,7 @@ def check_schema_drift(paths: Iterable[Path]) -> Iterator[Finding]:
             by_dir.setdefault(path.parent, {})[path.name] = path
     for directory, found in sorted(by_dir.items()):
         if len(found) == len(TRACE_ARTIFACTS):
-            yield from check_trace_schema(
-                found["records.py"], found["columns.py"], found["io_binary.py"]
-            )
+            yield from check_trace_schema(found["records.py"], found["columns.py"])
 
 
 # -- REP-S002: corpus on-disk schema vs its registered digest ------------------

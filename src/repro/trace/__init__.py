@@ -2,21 +2,14 @@
 
 This package defines the logical trace format of the paper's Table II (no
 individual reads or writes — positions recorded at open/close/seek bound
-exactly which bytes moved), plus text and binary serializations, integrity
-validation, the Table III summary statistics and the Section 3.1
-inter-event-interval analysis.
+exactly which bytes moved), plus the text serialization, the columnar
+store, integrity validation, the Table III summary statistics and the
+Section 3.1 inter-event-interval analysis.  The one binary serialization
+is the sharded corpus, :mod:`repro.corpus` (``.bcorpus``).
 """
 
 from .columns import TraceColumns, cached_columns
 from .intervals import IntervalStats, event_intervals, interval_stats
-from .io_binary import (
-    BinaryTraceWriter,
-    TraceSpool,
-    read_binary,
-    read_binary_columns,
-    write_binary,
-    write_binary_columns,
-)
 from .io_text import iter_text, read_text, write_text
 from .log import TraceLog
 from .ops import filter_files, filter_users, merge, renumber_opens, shift_time
@@ -52,12 +45,6 @@ __all__ = [
     "read_text",
     "write_text",
     "iter_text",
-    "read_binary",
-    "write_binary",
-    "read_binary_columns",
-    "write_binary_columns",
-    "BinaryTraceWriter",
-    "TraceSpool",
     "TraceColumns",
     "cached_columns",
     "validate",

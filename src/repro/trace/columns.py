@@ -25,9 +25,10 @@ trunc   .         file_id  .        new_length  .            .
 exec    .         file_id  user_id  size        .            .
 ======  ========  =======  =======  ==========  ===========  =====
 
-Kind tags are shared with the binary format (:mod:`repro.trace.io_binary`),
-so a binary file deserializes straight into columns — and serializes
-straight out of them — without ever materializing event objects.
+These buffers are the binary format: a ``.bcorpus`` segment
+(:mod:`repro.corpus`) stores them verbatim, so a corpus deserializes
+straight into columns — and serializes straight out of them — without
+ever materializing event objects.
 Code that still wants objects gets them lazily: :meth:`TraceColumns.event`
 builds one row's dataclass on demand, and iteration yields them one at a
 time.

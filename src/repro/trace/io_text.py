@@ -1,9 +1,12 @@
 """Text (TSV) trace format.
 
 One event per line, tab-separated, first field the event kind.  Header lines
-beginning with ``#`` carry metadata (``# name:``, ``# description:``).  The
-format is meant to be greppable and diffable; the binary format in
-:mod:`repro.trace.io_binary` is ~5x smaller and faster.
+beginning with ``#`` carry metadata (``# name:``, ``# description:``), and
+the last line is ``# end: N events``: the readers require it, with N equal
+to the events read, so a file cut short raises :class:`TraceFormatError`
+instead of reading back as a shorter trace.  The format is meant to be
+greppable and diffable; the binary format is the sharded corpus
+(:mod:`repro.corpus`).
 
 Field layouts (after the kind tag)::
 
@@ -18,9 +21,9 @@ Field layouts (after the kind tag)::
 
 from __future__ import annotations
 
-import io
 import os
-from typing import IO, Iterable, Iterator, Union
+import re
+from typing import IO, Iterator, Union
 
 from .log import TraceLog
 from .records import (
@@ -35,7 +38,14 @@ from .records import (
     UnlinkEvent,
 )
 
-__all__ = ["write_text", "read_text", "format_event", "parse_event_line"]
+__all__ = [
+    "TraceFormatError",
+    "write_text",
+    "read_text",
+    "iter_text",
+    "format_event",
+    "parse_event_line",
+]
 
 _PathOrFile = Union[str, os.PathLike, IO[str]]
 
@@ -83,7 +93,7 @@ def format_event(event: TraceEvent) -> str:
 
 def parse_event_line(line: str) -> TraceEvent:
     """Parse one TSV line back into an event."""
-    fields = line.rstrip("\n").split("\t")
+    fields = line.rstrip("\r\n").split("\t")
     kind = fields[0]
     try:
         if kind == "open":
@@ -140,7 +150,9 @@ def _open_for_write(dest: _PathOrFile) -> tuple[IO[str], bool]:
 def _open_for_read(src: _PathOrFile) -> tuple[IO[str], bool]:
     if hasattr(src, "read"):
         return src, False  # type: ignore[return-value]
-    return open(src, "r", encoding="utf-8"), True
+    # newline="" keeps every byte of a line, so offsets count the file's
+    # own bytes.
+    return open(src, "r", encoding="utf-8", newline=""), True
 
 
 def write_text(log: TraceLog, dest: _PathOrFile) -> int:
@@ -156,20 +168,72 @@ def write_text(log: TraceLog, dest: _PathOrFile) -> int:
             fh.write(format_event(event))
             fh.write("\n")
             count += 1
+        fh.write(f"# end: {count} events\n")
         return count
     finally:
         if should_close:
             fh.close()
 
 
-def iter_text(src: _PathOrFile) -> Iterator[TraceEvent]:
-    """Stream events from a text trace without materializing a list."""
-    fh, should_close = _open_for_read(src)
+_END_LINE = re.compile(r"# end: (\d+) events\r?\n?")
+
+
+def _events(fh: IO[str], header: dict[str, str]) -> Iterator[TraceEvent]:
+    """Parse *fh*'s events, checking them against its end line.
+
+    ``# name:``/``# description:`` values land in *header* as they pass.
+    """
+    offset = 0  # bytes consumed so far
+    count = 0
+    claimed = None
     try:
         for line in fh:
-            if not line.strip() or line.startswith("#"):
+            at = offset
+            offset += len(line.encode("utf-8"))
+            if claimed is not None:
+                raise TraceFormatError(
+                    f"text trace continues at byte {at}, after its end line"
+                )
+            if line.startswith("#"):
+                if line.startswith("# end:"):
+                    match = _END_LINE.fullmatch(line)
+                    if match is None:
+                        raise TraceFormatError(
+                            f"malformed end line at byte {at}: {line!r}"
+                        )
+                    claimed = int(match.group(1))
+                elif line.startswith("# name:"):
+                    header["name"] = line.split(":", 1)[1].strip()
+                elif line.startswith("# description:"):
+                    header["description"] = line.split(":", 1)[1].strip()
                 continue
-            yield parse_event_line(line)
+            if line.strip():
+                yield parse_event_line(line)
+                count += 1
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(
+            f"not a text trace: {exc.reason} at or after byte {offset}"
+        ) from None
+    if claimed is None:
+        raise TraceFormatError(
+            f"text trace ends at byte {offset} without its '# end: N events' "
+            "line: the file was cut short, or predates the end line"
+        )
+    if claimed != count:
+        raise TraceFormatError(
+            f"end line claims {claimed} events but {count} were read "
+            f"(the file ends at byte {offset})"
+        )
+
+
+def iter_text(src: _PathOrFile) -> Iterator[TraceEvent]:
+    """Stream events from a text trace without materializing a list.
+
+    The end-line check runs when the iteration finishes.
+    """
+    fh, should_close = _open_for_read(src)
+    try:
+        yield from _events(fh, {})
     finally:
         if should_close:
             fh.close()
@@ -179,20 +243,9 @@ def read_text(src: _PathOrFile) -> TraceLog:
     """Read a text trace file into a :class:`TraceLog`."""
     fh, should_close = _open_for_read(src)
     try:
-        name = "trace"
-        description = ""
-        events: list[TraceEvent] = []
-        for line in fh:
-            if line.startswith("# name:"):
-                name = line.split(":", 1)[1].strip()
-                continue
-            if line.startswith("# description:"):
-                description = line.split(":", 1)[1].strip()
-                continue
-            if not line.strip() or line.startswith("#"):
-                continue
-            events.append(parse_event_line(line))
-        return TraceLog(name=name, description=description, events=events)
+        header = {"name": "trace", "description": ""}
+        events = list(_events(fh, header))
+        return TraceLog(events=events, **header)
     finally:
         if should_close:
             fh.close()

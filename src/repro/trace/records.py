@@ -30,12 +30,18 @@ __all__ = [
     "ExecEvent",
     "TraceEvent",
     "EVENT_KINDS",
+    "MAX_TRACE_TIME",
     "quantize_time",
 ]
 
 #: Resolution of the kernel tracer's clock, in seconds (the paper quotes
 #: "approximately 10 milliseconds").
 TIME_RESOLUTION = 0.01
+
+#: Largest valid event time, in seconds (2^32 - 1 ticks of the tracer's
+#: clock, about 497 days).  A trace-validity rule: it rejects negative,
+#: NaN and absurd times arriving from converters or foreign corpora.
+MAX_TRACE_TIME = 0xFFFFFFFF * TIME_RESOLUTION
 
 
 def quantize_time(time: float) -> float:

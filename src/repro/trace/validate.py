@@ -12,12 +12,12 @@ Two entry points share the checks: :func:`validate` walks a
 :func:`validate_columns` walks a
 :class:`~repro.trace.columns.TraceColumns` view directly — flat typed
 columns, no event-object materialization — which is how ``repro-fs
-validate`` checks a ``.btrace`` without paying a per-event dataclass.
-The columnar path additionally checks the storage-level invariants the
-object view cannot express: every time must fit the binary format's u32
-centisecond field, kind tags must be known, and flag bytes must hold
-only defined bits (open rows: a valid mode plus the created/new-file
-bits; every other row: zero).
+validate`` checks each segment of a ``.bcorpus`` without paying a
+per-event dataclass.  The columnar path additionally checks the
+storage-level invariants the object view cannot express: every time must
+lie in ``0..MAX_TRACE_TIME`` (which also rejects NaN), kind tags must be
+known, and flag bytes must hold only defined bits (open rows: a valid
+mode plus the created/new-file bits; every other row: zero).
 """
 
 from __future__ import annotations
@@ -35,9 +35,14 @@ from .columns import (
     KIND_TRUNC,
     TraceColumns,
 )
-from .io_binary import MAX_TRACE_TIME
 from .log import TraceLog
-from .records import CloseEvent, OpenEvent, SeekEvent, TruncateEvent
+from .records import (
+    MAX_TRACE_TIME,
+    CloseEvent,
+    OpenEvent,
+    SeekEvent,
+    TruncateEvent,
+)
 
 __all__ = [
     "ValidationReport",
@@ -184,10 +189,10 @@ def validate_columns(
     """Check a columnar trace directly against the tracer invariants.
 
     Checks the flat columns — no event objects are built — and layers on
-    the storage-level checks: u32 centisecond time range, known kind
-    tags, and flag bytes holding only defined bits.  The numpy kernel
-    accepts every input; :func:`validate_columns_python` is its Python
-    reference (fuzz pillar 5 checks that they agree).
+    the storage-level checks: the valid time range, known kind tags, and
+    flag bytes holding only defined bits.  The numpy kernel accepts every
+    input; :func:`validate_columns_python` is its Python reference (fuzz
+    pillar 5 checks that they agree).
     """
     # Imported lazily: analysis.vectorized imports this module.
     from ..analysis.vectorized import validate_columns_numpy
@@ -235,8 +240,8 @@ def validate_columns_into(
         tracker.time(i, t)
         if not 0.0 <= t <= MAX_TRACE_TIME:
             report.add(
-                f"event {i}: time {t} s outside the binary format's u32 "
-                f"centisecond range (0..{MAX_TRACE_TIME:.2f} s)"
+                f"event {i}: time {t} s outside the valid trace time "
+                f"range (0..{MAX_TRACE_TIME:.2f} s)"
             )
         if kind not in KIND_LABELS:
             report.add(f"event {i}: unknown kind tag {kind}")

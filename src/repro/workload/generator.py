@@ -7,8 +7,9 @@ the network status daemons, run the discrete-event engine for the desired
 duration and hand back the trace.
 
 A profile plus a seed determines the trace bit-for-bit — in memory, to a
-bounded-memory spool file (``spool=...``), serial or on a process pool
-(:func:`generate_many`); every route yields the identical event sequence.
+bounded-memory ``.bcorpus`` spool (``spool=...``), serial or on a process
+pool (:func:`generate_many`); every route yields the identical event
+sequence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import IO, Sequence, Union
 
 from ..clock import Clock
 from ..parallel.executor import run_jobs
-from ..trace.io_binary import TraceSpool
 from ..trace.log import TraceLog
 from ..unixfs.buffercache import BufferCache
 from ..unixfs.filesystem import FileSystem
@@ -53,12 +53,10 @@ _PathOrFile = Union[str, os.PathLike, IO[bytes]]
 class GenerationResult:
     """What :func:`generate` returns.
 
-    In spool mode (``spool=...``) the events went straight to the binary
-    file: ``trace`` is ``None`` and the spool fields describe what was
-    written (``peak_buffered`` is the largest number of events ever
-    resident at once — bounded by the spool buffer).
-    ``segments_spooled`` is nonzero only for corpus spools (a
-    ``.bcorpus`` path), which shard the trace as they write.
+    In spool mode (``spool=...``) the events went straight to a corpus:
+    ``trace`` is ``None`` and the spool fields describe what was written
+    (``peak_buffered`` is the largest number of events ever resident at
+    once — bounded by the spool buffer).
     """
 
     trace: TraceLog | None
@@ -82,11 +80,10 @@ def generate(
 ) -> GenerationResult:
     """Run *profile* for *duration* simulated seconds; return trace + system.
 
-    With ``spool`` set, events stream incrementally to that binary trace
-    file through a buffer of at most *spool_buffer* events, so memory
-    stays O(buffer) however long the synthesis runs.  A spool path ending
-    in ``.bcorpus`` emits a sharded :mod:`repro.corpus` file instead of a
-    flat ``.btrace``, with *spool_buffer* as the segment size.
+    With ``spool`` set (a path or a binary file object), events stream
+    into a sharded :mod:`repro.corpus` file with *spool_buffer* as the
+    segment size, so memory stays O(buffer) however long the synthesis
+    runs.
     """
     root_rng = random.Random(seed)
     clock = Clock()
@@ -106,14 +103,10 @@ def generate(
     # already populated when tracing began).
     if spool is None:
         sink = None
-    elif not hasattr(spool, "write") and os.fspath(spool).endswith(".bcorpus"):
+    else:
         from ..corpus.writer import CorpusSpool
 
         sink = CorpusSpool(
-            spool, name=profile.trace_name, buffer_events=spool_buffer
-        )
-    else:
-        sink = TraceSpool(
             spool, name=profile.trace_name, buffer_events=spool_buffer
         )
     tracer = KernelTracer(log=sink, name=profile.trace_name)
@@ -162,7 +155,7 @@ def generate(
             spool_path=None if hasattr(spool, "write") else os.fspath(spool),
             events_spooled=sink.events_spooled,
             peak_buffered=sink.peak_buffered,
-            segments_spooled=getattr(sink, "segments_spooled", 0),
+            segments_spooled=sink.segments_spooled,
         )
     return GenerationResult(
         trace=tracer.log,
@@ -186,10 +179,7 @@ def generate_trace(
 
 @dataclass(frozen=True)
 class SpoolSummary:
-    """One spooled generation: where the trace went and how big it got.
-
-    ``segments`` is nonzero only for corpus outputs (``.bcorpus``).
-    """
+    """One spooled generation: where the corpus went and how big it got."""
 
     trace_name: str
     seed: int
@@ -231,8 +221,8 @@ def generate_many(
     (``jobs=None`` picks up the ambient ``--jobs`` context, defaulting to
     serial).  With ``outputs`` unset the traces come back as in-memory
     :class:`~repro.trace.log.TraceLog`\\ s, in input order; with
-    ``outputs`` (one path per pair) each worker spools its trace to disk
-    with bounded memory and a :class:`SpoolSummary` comes back instead.
+    ``outputs`` (one path per pair) each worker spools its trace to a
+    corpus with bounded memory and a :class:`SpoolSummary` comes back instead.
     Results are identical to running :func:`generate` serially — the
     profile+seed fully determines each trace.
     """

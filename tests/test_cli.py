@@ -1,11 +1,13 @@
 """End-to-end tests for the repro-fs command-line interface."""
 
+import random
 import textwrap
 
 import pytest
 
 from repro.cli.main import main
-from repro.trace.io_binary import read_binary
+from repro.corpus import CorpusReader, CorpusSpool, pack_trace
+from repro.fuzz.gen import random_trace
 from repro.trace.io_text import read_text
 
 
@@ -25,56 +27,58 @@ class TestGenerate:
         assert log.name == "A5"
 
     def test_binary_output_by_extension(self, tmp_path):
-        out = tmp_path / "c4.btrace"
+        out = tmp_path / "c4.bcorpus"
         rc = main(["generate", "--profile", "C4", "--hours", "0.1",
                    "--seed", "1", "-o", str(out)])
         assert rc == 0
-        assert read_binary(str(out)).name == "C4"
+        with CorpusReader(out) as reader:
+            assert reader.name == "C4"
 
     def test_spool_streams_to_binary(self, tmp_path, capsys):
-        out = tmp_path / "a5.btrace"
+        out = tmp_path / "a5.bcorpus"
         rc = main(["generate", "--profile", "A5", "--hours", "0.05",
-                   "--seed", "2", "-o", str(out), "--spool",
-                   "--spool-buffer", "256"])
+                   "--seed", "2", "-o", str(out), "--spool-buffer", "256"])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "events spooled" in printed
-        assert "peak" in printed
-        assert len(read_binary(str(out))) > 0
+        assert "peak 256 events resident" in printed
+        with CorpusReader(out) as reader:
+            assert len(reader) > 0
+            assert reader.segment_events == 256
 
     def test_spool_output_matches_unspooled(self, tmp_path):
-        spooled = tmp_path / "s.btrace"
-        direct = tmp_path / "d.btrace"
-        common = ["generate", "--profile", "A5", "--hours", "0.05",
-                  "--seed", "2"]
-        assert main([*common, "-o", str(spooled), "--spool"]) == 0
-        assert main([*common, "-o", str(direct)]) == 0
+        # A .bcorpus output always spools; it is byte for byte the
+        # in-memory trace packed with the same segment size.
+        from repro.workload.generator import generate
+        from repro.workload.profiles import PROFILES
+
+        spooled = tmp_path / "s.bcorpus"
+        direct = tmp_path / "d.bcorpus"
+        assert main(["generate", "--profile", "A5", "--hours", "0.05",
+                     "--seed", "2", "-o", str(spooled)]) == 0
+        trace = generate(PROFILES["A5"], seed=2, duration=0.05 * 3600.0).trace
+        pack_trace(trace, direct, segment_events=8192)
         assert spooled.read_bytes() == direct.read_bytes()
 
-    def test_spool_requires_btrace_output(self, tmp_path, capsys):
-        rc = main(["generate", "--profile", "A5", "--hours", "0.05",
-                   "-o", str(tmp_path / "a5.trace"), "--spool"])
-        assert rc == 2
-        assert ".btrace" in capsys.readouterr().err
-
     def test_multi_seed_generates_one_file_per_seed(self, tmp_path):
-        out = tmp_path / "many.btrace"
+        out = tmp_path / "many.bcorpus"
         rc = main(["generate", "--profile", "A5", "--hours", "0.05",
                    "--seed", "10", "--seeds", "3", "--jobs", "2",
                    "-o", str(out)])
         assert rc == 0
         for seed in (10, 11, 12):
-            path = tmp_path / f"many-s{seed}.btrace"
+            path = tmp_path / f"many-s{seed}.bcorpus"
             assert path.exists(), path
-            assert read_binary(str(path)).name == "A5"
+            with CorpusReader(path) as reader:
+                assert reader.name == "A5"
 
     def test_multi_seed_seed_placeholder(self, tmp_path):
-        template = tmp_path / "t{seed}.btrace"
+        template = tmp_path / "t{seed}.trace"
         rc = main(["generate", "--profile", "A5", "--hours", "0.05",
-                   "--seeds", "2", "--spool", "-o", str(template)])
+                   "--seeds", "2", "-o", str(template)])
         assert rc == 0
-        assert (tmp_path / "t0.btrace").exists()
-        assert (tmp_path / "t1.btrace").exists()
+        assert read_text(str(tmp_path / "t0.trace")).name == "A5"
+        assert read_text(str(tmp_path / "t1.trace")).name == "A5"
 
 
 class TestReadOnlyCommands:
@@ -89,7 +93,7 @@ class TestReadOnlyCommands:
 
     def test_validate_bad_trace_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
-        bad.write_text("close\t1.00\t99\t0\n")
+        bad.write_text("close\t1.00\t99\t0\n# end: 1 events\n")
         assert main(["validate", str(bad)]) == 1
         assert "unknown open_id" in capsys.readouterr().out
 
@@ -151,15 +155,15 @@ class TestConvertStrace:
 
 @pytest.fixture(scope="module")
 def twin_traces(tmp_path_factory):
-    """One generated trace as a ``.btrace`` and packed into a ``.bcorpus``
-    (packing keeps the times the ``.btrace`` reads back as, so the two
-    files hold the same events to the last bit)."""
+    """One generated trace as text and packed into a ``.bcorpus``
+    (packing keeps the times the text reads back as, so the two files
+    hold the same events to the last bit)."""
     root = tmp_path_factory.mktemp("twins")
-    corpus, btrace = str(root / "t.bcorpus"), str(root / "t.btrace")
+    corpus, text = str(root / "t.bcorpus"), str(root / "t.trace")
     assert main(["generate", "--profile", "A5", "--hours", "0.1", "--seed", "5",
-                 "-o", btrace]) == 0
-    assert main(["corpus", "pack", btrace, "-o", corpus]) == 0
-    return corpus, btrace
+                 "-o", text]) == 0
+    assert main(["corpus", "pack", text, "-o", corpus]) == 0
+    return corpus, text
 
 
 def _printed(capsys, argv) -> str:
@@ -176,13 +180,13 @@ def _corpus_events(path) -> list:
 
 class TestBcorpusEverywhere:
     """Every command that takes or writes a trace file takes ``.bcorpus``:
-    a corpus reads as the same trace its ``.btrace`` twin holds, and a
+    a corpus reads as the same trace its text twin holds, and a
     ``.bcorpus`` output is a corpus (not text under that name)."""
 
     def test_stats_reads_bcorpus(self, twin_traces, capsys):
-        corpus, btrace = twin_traces
+        corpus, text = twin_traces
         assert _printed(capsys, ["stats", corpus]) == _printed(
-            capsys, ["stats", btrace]
+            capsys, ["stats", text]
         )
 
     @pytest.mark.parametrize(
@@ -196,26 +200,26 @@ class TestBcorpusEverywhere:
         ids=lambda argv: argv[0],
     )
     def test_cache_commands_read_bcorpus(self, twin_traces, capsys, argv):
-        corpus, btrace = twin_traces
+        corpus, text = twin_traces
         command, options = argv[0], argv[1:]
         assert _printed(capsys, [command, corpus, *options]) == _printed(
-            capsys, [command, btrace, *options]
+            capsys, [command, text, *options]
         )
 
     def test_exhibit_commands_read_bcorpus(self, twin_traces, capsys, tmp_path):
-        corpus, btrace = twin_traces
+        corpus, text = twin_traces
         assert _printed(capsys, ["experiment", corpus, "--id", "table5"]) == (
-            _printed(capsys, ["experiment", btrace, "--id", "table5"])
+            _printed(capsys, ["experiment", text, "--id", "table5"])
         )
-        for name, src in (("c", corpus), ("b", btrace)):
+        for name, src in (("c", corpus), ("t", text)):
             _printed(capsys, ["report", src, "-o", str(tmp_path / f"{name}.md")])
             _printed(capsys, ["export-figures", src, "-d", str(tmp_path / name)])
-        assert (tmp_path / "c.md").read_text() == (tmp_path / "b.md").read_text()
-        figures = sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert (tmp_path / "c.md").read_text() == (tmp_path / "t.md").read_text()
+        figures = sorted(p.name for p in (tmp_path / "t").iterdir())
         assert figures
         for name in figures:
             assert (tmp_path / "c" / name).read_bytes() == (
-                tmp_path / "b" / name
+                tmp_path / "t" / name
             ).read_bytes()
 
     @pytest.mark.parametrize(
@@ -230,22 +234,22 @@ class TestBcorpusEverywhere:
     def test_trace_edits_read_and_write_bcorpus(
         self, twin_traces, capsys, tmp_path, argv
     ):
-        corpus, btrace = twin_traces
-        out_c, out_b = tmp_path / "o.bcorpus", tmp_path / "o.btrace"
+        corpus, text = twin_traces
+        out_c, out_t = tmp_path / "o.bcorpus", tmp_path / "o.trace"
         _printed(capsys, [a.format(src=corpus) for a in argv] + ["-o", str(out_c)])
-        _printed(capsys, [a.format(src=btrace) for a in argv] + ["-o", str(out_b)])
+        _printed(capsys, [a.format(src=text) for a in argv] + ["-o", str(out_t)])
         events = _corpus_events(out_c)
-        assert events and events == read_binary(str(out_b)).events
+        assert events and events == read_text(str(out_t)).events
         capsys.readouterr()
         rc = main(["validate", str(out_c)])
         checked = capsys.readouterr().out
-        assert (rc, checked) == (main(["validate", str(out_b)]),
+        assert (rc, checked) == (main(["validate", str(out_t)]),
                                  capsys.readouterr().out)
 
     def test_generate_and_convert_write_bcorpus(self, capsys, tmp_path):
         spooled, out = tmp_path / "s.bcorpus", tmp_path / "g.bcorpus"
         common = ["generate", "--profile", "A5", "--hours", "0.1", "--seed", "5"]
-        _printed(capsys, [*common, "-o", str(spooled), "--spool"])
+        _printed(capsys, [*common, "-o", str(spooled), "--spool-buffer", "256"])
         _printed(capsys, [*common, "-o", str(out)])
         assert _corpus_events(out) == _corpus_events(spooled)
         assert "OK" in _printed(capsys, ["validate", str(out)])
@@ -260,3 +264,36 @@ class TestBcorpusEverywhere:
         _printed(capsys, ["convert-strace", str(strace), "-o", str(converted)])
         kinds = [type(e).__name__ for e in _corpus_events(converted)]
         assert kinds == ["OpenEvent", "CloseEvent"]
+
+
+class TestDamagedFiles:
+    """A damaged trace file is one stderr line and exit 1, not a traceback."""
+
+    @staticmethod
+    def _one_line_error(capsys, argv) -> str:
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        return lines[0]
+
+    def test_torn_bcorpus(self, tmp_path, capsys):
+        path = tmp_path / "torn.bcorpus"
+        spool = CorpusSpool(str(path), buffer_events=64)
+        spool.extend(random_trace(random.Random("trace:torn"), 200).events)
+        spool._writer._fh.flush()  # a segment reached the file; no close()
+        try:
+            for command in ("stats", "validate", "analyze"):
+                line = self._one_line_error(capsys, [command, str(path)])
+                assert line.startswith(f"repro-fs {command}: ")
+                assert "does not end with" in line
+        finally:
+            spool._writer._fh.close()
+
+    def test_retired_binary_format(self, tmp_path, capsys):
+        path = tmp_path / "old.btrace"
+        path.write_bytes(b"BSDTRC\x00\x01\xff\xfe\x00\x01\x02")
+        line = self._one_line_error(capsys, ["stats", str(path)])
+        assert "not a text trace" in line

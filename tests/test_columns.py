@@ -1,6 +1,4 @@
-"""Tests for the columnar trace store and its binary fast paths."""
-
-import io
+"""Tests for the columnar trace store."""
 
 import pytest
 
@@ -9,15 +7,6 @@ from repro.trace.columns import (
     KIND_OPEN,
     TraceColumns,
     cached_columns,
-)
-from repro.trace.io_binary import (
-    BinaryTraceError,
-    BinaryTraceWriter,
-    TraceSpool,
-    read_binary,
-    read_binary_columns,
-    write_binary,
-    write_binary_columns,
 )
 from repro.trace.log import TraceLog
 from repro.trace.records import AccessMode, OpenEvent
@@ -89,145 +78,3 @@ class TestColumnarView:
 
     def test_cached_columns_memoized(self, small_trace):
         assert cached_columns(small_trace) is cached_columns(small_trace)
-
-
-class TestColumnarBinaryIO:
-    def test_write_bytes_identical_to_event_writer(self, small_trace):
-        via_events = io.BytesIO()
-        write_binary(small_trace, via_events)
-        via_columns = io.BytesIO()
-        n = write_binary_columns(TraceColumns.from_log(small_trace), via_columns)
-        assert via_columns.getvalue() == via_events.getvalue()
-        assert n == len(via_events.getvalue())
-
-    def test_read_columns_matches_event_reader(self, small_trace):
-        buf = io.BytesIO()
-        write_binary(small_trace, buf)
-        data = buf.getvalue()
-        cols = read_binary_columns(io.BytesIO(data))
-        log = read_binary(io.BytesIO(data))
-        assert cols.to_log().events == log.events
-        assert cols.name == log.name
-        assert cols.description == log.description
-
-    def test_columns_file_round_trip(self, tmp_path):
-        path = tmp_path / "t.btrace"
-        cols = TraceColumns.from_log(sample_log())
-        write_binary_columns(cols, str(path))
-        loaded = read_binary_columns(str(path))
-        assert loaded.kinds == cols.kinds
-        assert loaded.to_log().events == read_binary(str(path)).events
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(BinaryTraceError, match="magic"):
-            read_binary_columns(io.BytesIO(b"NOTATRACEFILE ..."))
-
-    def test_truncated_payload_rejected(self):
-        buf = io.BytesIO()
-        write_binary(sample_log(), buf)
-        data = buf.getvalue()
-        with pytest.raises(BinaryTraceError, match="truncated"):
-            read_binary_columns(io.BytesIO(data[:-3]))
-
-
-class TestBinaryTraceWriter:
-    def test_incremental_matches_one_shot(self, small_trace):
-        one_shot = io.BytesIO()
-        write_binary(small_trace, one_shot)
-        incremental = io.BytesIO()
-        with BinaryTraceWriter(incremental, name=small_trace.name,
-                               description=small_trace.description) as writer:
-            for event in small_trace.events:
-                writer.write(event)
-        assert writer.events_written == len(small_trace.events)
-        assert incremental.getvalue() == one_shot.getvalue()
-
-    def test_count_patched_at_close(self, tmp_path):
-        path = tmp_path / "t.btrace"
-        writer = BinaryTraceWriter(str(path), name="t")
-        for event in sample_log().events:
-            writer.write(event)
-        writer.close()
-        assert len(read_binary(str(path))) == len(sample_log().events)
-
-    def test_write_after_close_rejected(self, tmp_path):
-        writer = BinaryTraceWriter(str(tmp_path / "t.btrace"))
-        writer.close()
-        with pytest.raises(BinaryTraceError, match="closed"):
-            writer.write(sample_log().events[0])
-
-    def test_unseekable_destination_rejected(self):
-        class NoSeek(io.RawIOBase):
-            def writable(self):
-                return True
-
-            def seekable(self):
-                return False
-
-        with pytest.raises(BinaryTraceError, match="seekable"):
-            BinaryTraceWriter(NoSeek())
-
-    def test_empty_file_valid(self, tmp_path):
-        path = tmp_path / "t.btrace"
-        BinaryTraceWriter(str(path), name="nothing").close()
-        assert len(read_binary(str(path))) == 0
-
-
-class TestTraceSpool:
-    def test_bounded_buffer_and_identical_file(self, tmp_path, small_trace):
-        path = tmp_path / "spooled.btrace"
-        spool = TraceSpool(str(path), name=small_trace.name,
-                           description=small_trace.description,
-                           buffer_events=100)
-        for event in small_trace.events:
-            spool.append(event)
-        spool.close()
-        assert spool.peak_buffered <= 100
-        assert spool.events_spooled == len(small_trace.events)
-        assert len(spool) == len(small_trace.events)
-        reference = io.BytesIO()
-        write_binary(small_trace, reference)
-        assert path.read_bytes() == reference.getvalue()
-
-    def test_out_of_order_append_rejected(self, tmp_path):
-        spool = TraceSpool(str(tmp_path / "t.btrace"))
-        spool.append(sample_log().events[-1])
-        with pytest.raises(ValueError, match="time order"):
-            spool.append(sample_log().events[0])
-
-    def test_late_name_and_description_reach_header(self, tmp_path):
-        # The generator constructs its tracer first and assigns the
-        # description afterwards; the lazy writer must honor that.
-        path = tmp_path / "t.btrace"
-        spool = TraceSpool(str(path), buffer_events=4)
-        spool.name = "late-name"
-        spool.description = "late description"
-        for event in sample_log().events:
-            spool.append(event)
-        spool.close()
-        loaded = read_binary(str(path))
-        assert loaded.name == "late-name"
-        assert loaded.description == "late description"
-
-    def test_append_after_close_rejected(self, tmp_path):
-        spool = TraceSpool(str(tmp_path / "t.btrace"))
-        spool.close()
-        with pytest.raises(BinaryTraceError, match="closed"):
-            spool.append(sample_log().events[0])
-
-    def test_empty_spool_is_valid_trace(self, tmp_path):
-        path = tmp_path / "t.btrace"
-        with TraceSpool(str(path), name="empty"):
-            pass
-        assert len(read_binary(str(path))) == 0
-
-    def test_bad_buffer_size_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="buffer_events"):
-            TraceSpool(str(tmp_path / "t.btrace"), buffer_events=0)
-
-    def test_events_list_quacks_like_tracelog(self, tmp_path):
-        spool = TraceSpool(str(tmp_path / "t.btrace"), buffer_events=1000)
-        spool.extend(sample_log().events)
-        assert spool.events == sample_log().events
-        spool.close()
-        assert spool.events == []

@@ -10,7 +10,8 @@ Coverage map:
 * streaming: ``analyze_corpus`` / ``validate_corpus`` field-identical to
   the in-RAM references;
 * parallel: ``map_segments`` deterministic across job counts;
-* spool: the ``TraceSpool``-shaped sink contract;
+* spool: the ``TraceLog``-shaped sink contract, and a spool torn before
+  ``close()`` raising in every reader;
 * CLI: ``corpus pack/info/verify`` plus ``validate``/``analyze`` on
   ``.bcorpus`` inputs.
 """
@@ -54,7 +55,7 @@ from repro.corpus.format import (
 from repro.corpus.stream import analyze_corpus
 from repro.fuzz.gen import random_trace
 from repro.trace.columns import TraceColumns
-from repro.trace.io_binary import write_binary
+from repro.trace.io_text import write_text
 from repro.trace.log import TraceLog
 from repro.trace.records import CloseEvent, UnlinkEvent
 from repro.trace.validate import validate_columns
@@ -135,8 +136,8 @@ class TestRoundTrip:
             assert list(reader.iter_events()) == log.events
 
     def test_times_stored_exactly(self):
-        # The corpus stores f64 times verbatim — unlike the centisecond
-        # .btrace encoding there is no quantization to survive.
+        # The corpus stores f64 times verbatim: there is no quantization
+        # to survive.
         log = TraceLog.from_events(
             [UnlinkEvent(time=0.1 + 0.2, file_id=1)], name="exact"
         )
@@ -202,20 +203,16 @@ class TestRoundTrip:
             assert list(reader.iter_events()) == log.events
             assert reader.verify() == reader.segment_count
 
-    def test_pack_trace_from_btrace_streams(self, tmp_path):
-        # .btrace quantizes times to centiseconds; pack from the decoded
-        # stream must reproduce exactly what read_binary would see.
-        from repro.fuzz.oracles import canonicalize_times
-        from repro.trace.io_binary import read_binary
-
-        log = canonicalize_times(fuzz_log("btrace", 2 * SEG + 3))
-        src = tmp_path / "t.btrace"
-        write_binary(log, str(src))
+    def test_pack_trace_from_text_path(self, tmp_path):
+        log = fuzz_log("text", 2 * SEG + 3)
+        src = tmp_path / "t.trace"
+        write_text(log, str(src))
         dest = tmp_path / "t.bcorpus"
         writer = pack_trace(src, dest, segment_events=SEG)
         assert writer.events_written == len(log)
-        decoded = read_binary(str(src))
-        assert list(CorpusReader(dest).iter_events()) == decoded.events
+        with CorpusReader(dest) as reader:
+            assert reader.name == log.name
+            assert list(reader.iter_events()) == log.events
 
     def test_pack_trace_from_log_and_columns(self, tmp_path):
         log = fuzz_log("packsrc", SEG + 2)
@@ -303,6 +300,32 @@ class TestDiagnostics:
                 CorpusError, match="segment 1 checksum mismatch"
             ):
                 reader.verify()
+
+    def test_time_bit_flip_raises_on_every_read(self, tmp_path, capsys):
+        # The lowest mantissa bit of one event time: a well-formed,
+        # different trace unless every segment read checks its crc.
+        log = random_trace(random.Random("trace:flip"), 400)
+        assert len(log) == 437
+        path = tmp_path / "flip.bcorpus"
+        pack_trace(log, path, segment_events=128)
+        data = bytearray(path.read_bytes())
+        with CorpusReader(bytes(data)) as reader:
+            data[reader.stats[0].offset + 8 * 5] ^= 0x01
+        path.write_bytes(bytes(data))
+        mismatch = r"segment 0 checksum mismatch over bytes \[\d+, \d+\)"
+        for read in (
+            lambda: CorpusReader(path).segment(0),
+            lambda: read_corpus_columns(path),
+            lambda: validate_corpus(path),
+            lambda: analyze_corpus(path),
+        ):
+            with pytest.raises(CorpusError, match=mismatch):
+                read()
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "segment 0 checksum mismatch" in err
 
     def test_footer_lying_about_offsets(self):
         # Rebuild a trailer whose footer_offset points mid-file: the
@@ -459,6 +482,24 @@ class TestSpool:
         with pytest.raises(CorpusError, match="closed"):
             spool.append(UnlinkEvent(time=0.0, file_id=1))
 
+    def test_late_name_and_description_reach_header(self):
+        # The generator constructs its tracer first and assigns the
+        # description afterwards; the lazy writer must honor that.
+        buf = io.BytesIO()
+        spool = CorpusSpool(buf, buffer_events=4)
+        spool.name = "late-name"
+        spool.description = "late description"
+        spool.extend(fuzz_log("late", 9).events)
+        spool.close()
+        with CorpusReader(buf.getvalue()) as reader:
+            assert (reader.name, reader.description) == (
+                "late-name", "late description"
+            )
+
+    def test_bad_buffer_size_rejected(self):
+        with pytest.raises(ValueError, match="buffer_events"):
+            CorpusSpool(io.BytesIO(), buffer_events=0)
+
     def test_exactly_one_event_segments(self):
         log = fuzz_log("spool-one", 5)
         buf = io.BytesIO()
@@ -468,6 +509,52 @@ class TestSpool:
             assert reader.segment_count == len(log.events)
             assert all(stat.count == 1 for stat in reader.stats)
             assert list(reader.iter_events()) == log.events
+
+
+#: Every corpus reader, as a function of a path or a buffer.
+_CORPUS_READERS = {
+    "CorpusReader": lambda path: list(CorpusReader(path).iter_events()),
+    "read_corpus_columns": lambda path: read_corpus_columns(path).to_log().events,
+    "validate_corpus": validate_corpus,
+    "analyze_corpus": analyze_corpus,
+}
+
+
+class TestTornTrace:
+    """A spool that dies before ``close()`` leaves segments but no footer
+    or trailer; every reader must say so, never return a shorter trace."""
+
+    @pytest.mark.parametrize("reader", _CORPUS_READERS)
+    def test_unclosed_spool_is_an_error_not_a_shorter_trace(self, tmp_path, reader):
+        path = tmp_path / "torn.bcorpus"
+        spool = CorpusSpool(str(path), buffer_events=256)
+        try:
+            spool.extend(fuzz_log("torn", 5000).events)
+            assert spool.segments_spooled >= 1
+            spool._writer._fh.flush()  # the drained segments reached the file
+            with pytest.raises(
+                CorpusError, match=r"trailer at byte \d+ does not end with"
+            ):
+                _CORPUS_READERS[reader](str(path))
+        finally:
+            spool._writer._fh.close()
+
+    @pytest.mark.parametrize("reader", _CORPUS_READERS)
+    def test_closed_spool_reads_back(self, tmp_path, reader):
+        log = fuzz_log("whole", 3 * SEG + 1)
+        path = tmp_path / "whole.bcorpus"
+        with CorpusSpool(str(path), name=log.name, buffer_events=SEG) as spool:
+            spool.extend(log.events)
+        assert _CORPUS_READERS[reader](str(path)) == _CORPUS_READERS[reader](
+            pack_bytes(log)
+        )
+
+    def test_trailing_bytes_name_their_offset(self):
+        data = pack_bytes(fuzz_log("junk", 2 * SEG)) + b"\x00" * 16
+        with pytest.raises(
+            CorpusError, match=f"trailer at byte {len(data) - TRAILER.size}"
+        ):
+            CorpusReader(data)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -483,14 +570,12 @@ def corpus_file(tmp_path):
 
 class TestCli:
     def test_corpus_pack_info_verify(self, tmp_path, capsys):
-        from repro.fuzz.oracles import canonicalize_times
-
-        log = canonicalize_times(fuzz_log("cli-pack", 2 * SEG))
-        btrace = tmp_path / "in.btrace"
-        write_binary(log, str(btrace))
+        log = fuzz_log("cli-pack", 2 * SEG)
+        text = tmp_path / "in.trace"
+        write_text(log, str(text))
         out = tmp_path / "out.bcorpus"
         assert main([
-            "corpus", "pack", str(btrace), "-o", str(out),
+            "corpus", "pack", str(text), "-o", str(out),
             "--segment-events", str(SEG),
         ]) == 0
         printed = capsys.readouterr().out
@@ -505,7 +590,7 @@ class TestCli:
         assert "OK" in capsys.readouterr().out
 
     def test_corpus_pack_requires_bcorpus_suffix(self, tmp_path, capsys):
-        rc = main(["corpus", "pack", "x.btrace", "-o", str(tmp_path / "y.bin")])
+        rc = main(["corpus", "pack", "x.trace", "-o", str(tmp_path / "y.bin")])
         assert rc == 2  # usage error, matching the other CLI guards
         assert ".bcorpus" in capsys.readouterr().err
 
@@ -534,7 +619,7 @@ class TestCli:
         out = tmp_path / "gen.bcorpus"
         rc = main([
             "generate", "--profile", "A5", "--hours", "0.05",
-            "--seed", "7", "-o", str(out), "--spool",
+            "--seed", "7", "-o", str(out),
         ])
         assert rc == 0
         with CorpusReader(out) as reader:

@@ -1,9 +1,8 @@
 """Tests for the ``repro.fuzz`` harness itself.
 
 Covers the input model (determinism, validity, golden encodings), the
-replay oracle, the differential oracles, the fault-injection layer (and
-the three reader bugs it found, as regression tests), ddmin shrinking,
-the corpus, and an end-to-end ``run_fuzz``.
+replay oracle, the differential oracles, netfs fault injection, ddmin
+shrinking, the repro corpus, and an end-to-end ``run_fuzz``.
 """
 
 from __future__ import annotations
@@ -11,38 +10,20 @@ from __future__ import annotations
 import hashlib
 import io
 import random
-import struct
 
 import pytest
 
-from repro.fuzz.faults import (
-    FaultPlan,
-    NetfsFaults,
-    _count_offset,
-    check_corruption,
-    check_netfs_convergence,
-)
+from repro.corpus import pack_trace
+from repro.fuzz.faults import NetfsFaults, check_netfs_convergence
 from repro.fuzz.gen import SyscallOp, apply_ops, random_ops, random_trace
 from repro.fuzz.oracles import Divergence, canonicalize_times, check_all
 from repro.fuzz.runner import FuzzConfig, _check_ops, run_fuzz
 from repro.fuzz.shrink import ddmin, load_corpus, replay_corpus, write_corpus_entry
-from repro.trace.io_binary import (
-    BinaryTraceError,
-    read_binary,
-    read_binary_columns,
-    write_binary,
-)
+from repro.trace.io_text import read_text, write_text
 from repro.trace.log import TraceLog
 from repro.trace.records import AccessMode, CloseEvent, OpenEvent, quantize_time
 from repro.trace.validate import validate
 from repro.unixfs.check import fsck
-
-
-def _serialized(seed: str, n: int = 40) -> bytes:
-    log = random_trace(random.Random(f"trace:{seed}"), n)
-    buf = io.BytesIO()
-    write_binary(log, buf)
-    return buf.getvalue()
 
 
 # -- input model ---------------------------------------------------------------
@@ -78,25 +59,26 @@ class TestGenerators:
 
 
 class TestGoldenEncodings:
-    """SHA-256 digests of the binary encoding for fixed generator seeds.
+    """SHA-256 digests of the ``.bcorpus`` encoding for fixed generator
+    seeds.
 
     These pin both the generator's output and the on-disk format: any
-    change to either — a struct layout, the magic, the event mix — shows
+    change to either — a segment layout, the magic, the event mix — shows
     up here before it silently invalidates old trace files.
     """
 
     GOLDEN = {
         "golden:1": (
             111,
-            "05391d4aec472d186e30eeb9e98c0b04bfd8b0189a78bd1de180947025f55da5",
+            "e9f88b3e5c1f19329f1c6a0da040dac8ad58436562d8b8a528cb9b40af98fa16",
         ),
         "golden:2": (
             107,
-            "25677cece8a583f540a0a52cac13344e784a9962853a809820af9b9a5cfae356",
+            "aac3778a070c0c683968323b8f05e24946806c0148169cf02815da1419889c8d",
         ),
         "golden:3": (
             112,
-            "d80a69a0030318b9d9bc2aaf619033c482517edd61131809952b588cd33a96a6",
+            "ef539888a10ce853b0208f73fcc68b13b97b40c71a88e0804df4e7ff67c97ff7",
         ),
     }
 
@@ -104,7 +86,7 @@ class TestGoldenEncodings:
     def test_digest(self, seed):
         log = random_trace(random.Random(f"trace:{seed}"), 100)
         buf = io.BytesIO()
-        write_binary(log, buf)
+        pack_trace(log, buf)
         events, digest = self.GOLDEN[seed]
         assert len(log.events) == events
         assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
@@ -142,7 +124,7 @@ class TestDifferentialOracles:
             assert check_all(log) is None, f"seed {seed}"
 
     def test_canonicalize_times_fixes_kernel_quantization(self):
-        # quantize_time returns n*0.01, the binary decoder n/100.0; the
+        # quantize_time returns n*0.01, the text reader n/100.0; the
         # two differ in the last ulp for ~14% of centisecond values
         # (n=35 is one) — without canonicalization, exact round-trip
         # comparison of a kernel trace would be a false positive.
@@ -156,10 +138,10 @@ class TestDifferentialOracles:
         )
         fixed = canonicalize_times(log)
         assert fixed.events[0].time == 35 / 100.0
-        buf = io.BytesIO()
-        write_binary(fixed, buf)
+        buf = io.StringIO()
+        write_text(fixed, buf)
         buf.seek(0)
-        assert read_binary(buf).events == fixed.events
+        assert read_text(buf).events == fixed.events
 
     def test_divergence_summary_mentions_repro(self):
         d = Divergence(pillar="io", detail="boom", seed="1:2",
@@ -168,66 +150,7 @@ class TestDifferentialOracles:
         assert "io" in s and "boom" in s and "1:2" in s and "trace-1-2" in s
 
 
-# -- fault injection -----------------------------------------------------------
-
-
-class TestCorruption:
-    def test_clean_pipeline_survives_the_plan(self):
-        log = random_trace(random.Random("trace:faults"), 80)
-        detail, cases = check_corruption(log, FaultPlan(seed="t", cases=24))
-        assert detail is None
-        assert cases == 24
-
-    def test_truncated_file_rejected_with_diagnostic(self):
-        data = _serialized("trunc")
-        for cut in (0, 5, len(data) // 2, len(data) - 1):
-            for reader in (read_binary, read_binary_columns):
-                with pytest.raises(BinaryTraceError):
-                    reader(io.BytesIO(data[:cut]))
-
-    def test_inflated_count_is_a_diagnostic_not_a_memoryerror(self):
-        # Regression: read_binary_columns sizes its arrays from the
-        # untrusted header count; a huge lie used to raise MemoryError.
-        data = bytearray(_serialized("count"))
-        at = _count_offset(bytes(data))
-        data[at:at + 8] = struct.pack("<Q", 1 << 56)
-        for reader in (read_binary, read_binary_columns):
-            with pytest.raises(BinaryTraceError, match="claims|truncated"):
-                reader(io.BytesIO(bytes(data)))
-
-    def _first_open_record(self, data: bytes) -> int:
-        """Offset of the first open record's tag byte (scan the body)."""
-        from repro.trace.columns import KIND_CREATE, KIND_OPEN
-
-        off = _count_offset(data) + 8
-        while data[off] != KIND_OPEN:
-            assert data[off] == KIND_CREATE  # only other leading kind
-            off += 1 + struct.calcsize("<III")
-        return off
-
-    def test_high_bit_u64_is_a_diagnostic_not_an_overflowerror(self):
-        # Regression: a set high bit in the open record's size field
-        # used to crash the columnar reader's signed arrays.
-        data = bytearray(_serialized("highbit"))
-        size_high = self._first_open_record(bytes(data)) + 1 + 16 + 7
-        data[size_high] |= 0x80
-        for reader in (read_binary, read_binary_columns):
-            with pytest.raises(BinaryTraceError, match="signed 64-bit"):
-                reader(io.BytesIO(bytes(data)))
-
-    def test_invalid_mode_byte_rejected_by_both_readers(self):
-        # Regression: the columnar reader used to fold a flipped mode
-        # bit into the created/new-file flags and decode a clean-looking
-        # *different* trace while the event reader rejected it.
-        data = bytearray(_serialized("mode"))
-        mode_at = self._first_open_record(bytes(data)) + 1 + 16 + 8
-        for bad in (0, 4, 5, 65):
-            corrupt = bytearray(data)
-            corrupt[mode_at] = bad
-            with pytest.raises(ValueError):
-                read_binary(io.BytesIO(bytes(corrupt)))
-            with pytest.raises(BinaryTraceError, match="access mode"):
-                read_binary_columns(io.BytesIO(bytes(corrupt)))
+# -- netfs fault injection -----------------------------------------------------
 
 
 class TestNetfsFaults:
@@ -300,9 +223,9 @@ class TestRunFuzz:
         b = run_fuzz(FuzzConfig(seed=11, budget=300))
         assert a.ok, [d.summary() for d in a.divergences]
         assert (a.rounds, a.steps, a.ops_executed, a.events_checked,
-                a.corruption_cases) == (
+                a.corpus_corruptions) == (
             b.rounds, b.steps, b.ops_executed, b.events_checked,
-            b.corruption_cases,
+            b.corpus_corruptions,
         )
         assert a.rounds >= 1
         assert "OK" in a.summary()

@@ -32,13 +32,13 @@ from repro.cache.policies import DELAYED_WRITE
 from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.cache.simulator import BlockCacheSimulator
 from repro.cache.stream import build_stream
+from repro.corpus import pack_trace, read_corpus_columns
 from repro.parallel.packed import (
     OP_READ,
     PackedStream,
     pack_stream,
     simulate_packed,
 )
-from repro.trace.io_binary import read_binary, write_binary
 from repro.trace.io_text import format_event, parse_event_line
 from repro.trace.log import TraceLog
 from repro.trace.records import (
@@ -100,9 +100,8 @@ class TestSerializationRoundTrips:
     def test_binary_round_trip(self, event_list):
         log = TraceLog.from_events(event_list)
         buf = io.BytesIO()
-        write_binary(log, buf)
-        buf.seek(0)
-        assert read_binary(buf).events == log.events
+        pack_trace(log, buf, segment_events=7)
+        assert read_corpus_columns(buf.getvalue()).to_log().events == log.events
 
 
 class TestCdfProperties:
@@ -324,16 +323,15 @@ class TestFuzzInputModel:
     @given(trace_strategy(max_events=60))
     @settings(max_examples=40, deadline=None)
     def test_generated_traces_validate_and_round_trip(self, log):
-        from repro.trace.io_binary import read_binary_columns
+        from repro.corpus import CorpusReader
         from repro.trace.validate import validate
 
         assert validate(log).ok
         buf = io.BytesIO()
-        write_binary(log, buf)
-        buf.seek(0)
-        assert read_binary(buf).events == log.events
-        buf.seek(0)
-        assert read_binary_columns(buf).to_log().events == log.events
+        pack_trace(log, buf, segment_events=16)
+        with CorpusReader(buf.getvalue()) as reader:
+            assert list(reader.iter_events()) == log.events
+            assert reader.to_columns().to_log().events == log.events
 
     @given(trace_strategy(max_events=60))
     @settings(max_examples=25, deadline=None)

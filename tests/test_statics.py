@@ -757,7 +757,7 @@ def test_column_loop_in_nested_function_reported_once(tmp_path):
 
 def _schema_copies(tmp_path: Path) -> dict[str, Path]:
     out = {}
-    for name in ("records.py", "columns.py", "io_binary.py"):
+    for name in ("records.py", "columns.py"):
         out[name] = Path(shutil.copy(TRACE_DIR / name, tmp_path / name))
     return out
 
@@ -770,11 +770,7 @@ def _mutate(path: Path, old: str, new: str) -> None:
 
 def test_schema_rule_passes_on_real_tree(tmp_path):
     copies = _schema_copies(tmp_path)
-    findings = list(
-        check_trace_schema(
-            copies["records.py"], copies["columns.py"], copies["io_binary.py"]
-        )
-    )
+    findings = list(check_trace_schema(copies["records.py"], copies["columns.py"]))
     assert findings == []
 
 
@@ -787,11 +783,7 @@ def test_field_dropped_from_columnar_codec_fails(tmp_path):
         "                initial_pos=self.positions[i],\n",
         "",
     )
-    findings = list(
-        check_trace_schema(
-            copies["records.py"], copies["columns.py"], copies["io_binary.py"]
-        )
-    )
+    findings = list(check_trace_schema(copies["records.py"], copies["columns.py"]))
     assert any(
         f.rule_id == "REP-S001"
         and "initial_pos" in f.message
@@ -807,30 +799,19 @@ def test_field_unread_by_columnar_reader_fails(tmp_path):
         "                positions[i] = event.initial_pos\n",
         "",
     )
-    findings = list(
-        check_trace_schema(
-            copies["records.py"], copies["columns.py"], copies["io_binary.py"]
-        )
-    )
+    findings = list(check_trace_schema(copies["records.py"], copies["columns.py"]))
     assert any(
         "initial_pos" in f.message and "never read" in f.message
         for f in findings
     )
 
 
-def test_field_deleted_from_records_fails_both_codecs(tmp_path):
+def test_field_deleted_from_records_fails_columnar_codec(tmp_path):
     copies = _schema_copies(tmp_path)
     _mutate(copies["records.py"], "    initial_pos: int = 0\n", "")
-    findings = list(
-        check_trace_schema(
-            copies["records.py"], copies["columns.py"], copies["io_binary.py"]
-        )
-    )
+    findings = list(check_trace_schema(copies["records.py"], copies["columns.py"]))
     drifted = [f for f in findings if "initial_pos" in f.message]
-    assert {f.path for f in drifted} == {
-        str(copies["columns.py"]),
-        str(copies["io_binary.py"]),
-    }
+    assert {f.path for f in drifted} == {str(copies["columns.py"])}
     assert any("not a field of the record" in f.message for f in drifted)
 
 
@@ -843,7 +824,7 @@ def test_schema_rule_triggers_through_lint_paths(tmp_path):
     )
     report = lint_paths([tmp_path])
     assert any(f.rule_id == "REP-S001" for f in report.findings)
-    # An incomplete artifact trio (no records.py) is not checked.
+    # An incomplete artifact pair (no records.py) is not checked.
     copies["records.py"].unlink()
     assert lint_paths([tmp_path]).ok
 

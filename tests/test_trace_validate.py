@@ -2,17 +2,19 @@
 
 from array import array
 
+import pytest
+
 from repro.trace.columns import KIND_CLOSE, KIND_OPEN, TraceColumns
-from repro.trace.io_binary import MAX_TRACE_TIME
 from repro.trace.log import TraceLog
 from repro.trace.records import (
+    MAX_TRACE_TIME,
     AccessMode,
     CloseEvent,
     OpenEvent,
     SeekEvent,
     TruncateEvent,
 )
-from repro.trace.validate import validate, validate_columns
+from repro.trace.validate import validate, validate_columns, validate_columns_python
 
 
 def _open(t, oid, size=100, pos=0):
@@ -152,11 +154,20 @@ def test_columns_shared_invariants_match_object_path():
 
 
 def test_time_beyond_u32_centiseconds_flagged():
+    # MAX_TRACE_TIME is 2^32 - 1 ticks of the tracer's 10 ms clock.
     cols = _columns(
         (KIND_OPEN, MAX_TRACE_TIME + 1.0, 1, 1, 1, 10, 0, int(AccessMode.READ)),
     )
     problems = validate_columns(cols).problems
-    assert any("u32" in p and "centisecond" in p for p in problems)
+    assert any("outside the valid trace time range" in p for p in problems)
+
+
+@pytest.mark.parametrize("time", [-1.0, float("nan")])
+def test_negative_and_nan_times_flagged(time):
+    cols = _columns((KIND_OPEN, time, 1, 1, 1, 10, 0, int(AccessMode.READ)))
+    problems = validate_columns(cols).problems
+    assert any("outside the valid trace time range" in p for p in problems)
+    assert problems == validate_columns_python(cols).problems
 
 
 def test_time_in_u32_range_passes():

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from repro.clock import Clock
+from repro.corpus import CorpusReader, pack_trace, read_corpus_columns
 from repro.trace.records import OpenEvent
 from repro.trace.validate import validate
 from repro.unixfs.filesystem import FileSystem
 from repro.unixfs.geometry import Geometry
 from repro.workload.distributions import BurstyThinkTime
-from repro.trace.io_binary import read_binary, write_binary
 from repro.workload.generator import (
     SpoolSummary,
     generate,
@@ -154,7 +154,7 @@ class TestSpooledGeneration:
         import io
 
         reference = generate(UCBARPA, seed=9, duration=300.0)
-        path = tmp_path / "spooled.btrace"
+        path = tmp_path / "spooled.bcorpus"
         result = generate(UCBARPA, seed=9, duration=300.0, spool=str(path),
                           spool_buffer=64)
         assert result.trace is None
@@ -163,13 +163,13 @@ class TestSpooledGeneration:
         # O(buffer) memory: never more than the buffer resident at once.
         assert 0 < result.peak_buffered <= 64
         buf = io.BytesIO()
-        write_binary(reference.trace, buf)
+        pack_trace(reference.trace, buf, segment_events=64)
         assert path.read_bytes() == buf.getvalue()
 
     def test_spooled_trace_reads_back(self, tmp_path):
-        path = tmp_path / "a.btrace"
+        path = tmp_path / "a.bcorpus"
         generate(UCBARPA, seed=4, duration=120.0, spool=str(path))
-        log = read_binary(str(path))
+        log = read_corpus_columns(path).to_log()
         assert log.name == "A5"
         assert validate(log).ok
 
@@ -184,7 +184,7 @@ class TestGenerateMany:
 
     def test_spooled_outputs(self, tmp_path):
         pairs = [(UCBARPA, 1), (UCBCAD, 2)]
-        outputs = [str(tmp_path / "a.btrace"), str(tmp_path / "c.btrace")]
+        outputs = [str(tmp_path / "a.bcorpus"), str(tmp_path / "c.bcorpus")]
         summaries = generate_many(pairs, duration=60.0, jobs=2,
                                   outputs=outputs, spool_buffer=128)
         assert all(isinstance(s, SpoolSummary) for s in summaries)
@@ -192,8 +192,9 @@ class TestGenerateMany:
         assert [s.seed for s in summaries] == [1, 2]
         for summary, path in zip(summaries, outputs):
             assert summary.path == path
-            log = read_binary(path)
-            assert len(log) == summary.events
+            with CorpusReader(path) as reader:
+                assert len(reader) == summary.events
+                assert reader.segment_count == summary.segments > 0
             assert summary.peak_buffered <= 128
 
     def test_output_count_mismatch_rejected(self, tmp_path):
@@ -205,8 +206,6 @@ class TestCorpusSpool:
     """Generation straight into a sharded .bcorpus corpus."""
 
     def test_bcorpus_spool_bit_identical_to_in_memory(self, tmp_path):
-        from repro.corpus import CorpusReader
-
         path = tmp_path / "a.bcorpus"
         result = generate(UCBARPA, seed=3, duration=120.0,
                           spool=str(path), spool_buffer=64)
@@ -223,8 +222,6 @@ class TestCorpusSpool:
         # The tracer writes rows straight into the corpus columns; the
         # file must be byte for byte the in-memory trace packed with the
         # same segment size.
-        from repro.corpus import pack_trace
-
         spooled = tmp_path / "spooled.bcorpus"
         generate(UCBARPA, seed=3, duration=300.0, spool=str(spooled),
                  spool_buffer=64)
@@ -236,8 +233,6 @@ class TestCorpusSpool:
     def test_empty_generation_leaves_valid_corpus(self, tmp_path):
         # Zero-duration synthesis: the spool must still close into a
         # readable, empty corpus (the empty-segment-flush edge).
-        from repro.corpus import CorpusReader
-
         path = tmp_path / "empty.bcorpus"
         result = generate(UCBARPA, seed=5, duration=0.0,
                           spool=str(path), spool_buffer=64)
@@ -248,8 +243,6 @@ class TestCorpusSpool:
     def test_buffer_boundary_off_by_one(self, tmp_path):
         # Spool with a buffer of exactly the event count, one less, and
         # one more: all must produce the same decoded events.
-        from repro.corpus import CorpusReader
-
         reference = generate(UCBARPA, seed=6, duration=60.0)
         n = len(reference.trace)
         assert n > 2
@@ -259,20 +252,6 @@ class TestCorpusSpool:
                      spool=str(path), spool_buffer=buffer_events)
             with CorpusReader(path) as reader:
                 assert list(reader.iter_events()) == reference.trace.events
-
-    def test_generate_many_mixed_sinks(self, tmp_path):
-        from repro.corpus import CorpusReader
-
-        pairs = [(UCBARPA, 1), (UCBCAD, 2)]
-        outputs = [str(tmp_path / "a.bcorpus"), str(tmp_path / "c.btrace")]
-        summaries = generate_many(pairs, duration=60.0, jobs=2,
-                                  outputs=outputs, spool_buffer=64)
-        assert [s.trace_name for s in summaries] == ["A5", "C4"]
-        assert summaries[0].segments > 0
-        assert summaries[1].segments == 0  # .btrace spool has no segments
-        with CorpusReader(outputs[0]) as reader:
-            assert len(reader) == summaries[0].events
-        assert len(read_binary(outputs[1])) == summaries[1].events
 
 
 class TestGenerateManyRejections:
@@ -286,7 +265,7 @@ class TestGenerateManyRejections:
         assert len(results) == 2
 
     def test_duplicate_output_paths_rejected(self, tmp_path):
-        out = str(tmp_path / "same.btrace")
+        out = str(tmp_path / "same.bcorpus")
         with pytest.raises(ValueError, match="clobber"):
             generate_many([(UCBARPA, 1), (UCBCAD, 2)], duration=60.0,
                           outputs=[out, out])
