@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from ..analysis.accesses import Transfer
 from ..trace.log import TraceLog
+from ..trace.memo import memoize_per_log
 from ..trace.records import AccessMode, CloseEvent, OpenEvent
-from .stream import StreamItem, cached_stream, memoize_per_log
+from .stream import StreamItem, cached_stream
 
 __all__ = [
     "INODE_TABLE_FILE_ID",

@@ -25,7 +25,7 @@ from typing import Union
 
 from ..analysis.accesses import Run, Transfer  # noqa: F401 (Run re-exported)
 from ..trace.log import TraceLog
-from ..trace.memo import memoize_per_log  # noqa: F401 (re-exported; moved to trace.memo)
+from ..trace.memo import memoize_per_log
 from ..trace.records import (
     AccessMode,
     CloseEvent,
@@ -41,7 +41,6 @@ __all__ = [
     "StreamItem",
     "build_stream",
     "cached_stream",
-    "memoize_per_log",
 ]
 
 

@@ -18,7 +18,6 @@ Subcommands::
     repro-fs merge     a.trace b.trace -o merged.trace
     repro-fs system    --profile A5 --all
     repro-fs lint      src tests --format json|sarif [--output PATH]
-    repro-fs fuzz      --seed 1 --budget 2000 [--corpus corpus/]
     repro-fs convert-strace strace.log -o out.trace
     repro-fs corpus    pack a5.trace -o a5.bcorpus [--segment-events N]
     repro-fs corpus    info a5.bcorpus [--segments]
@@ -520,21 +519,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from ..fuzz import FuzzConfig, run_fuzz
-
-    config = FuzzConfig(
-        seed=args.seed,
-        budget=args.budget,
-        corpus=args.corpus,
-        time_budget=args.time_budget,
-    )
-    report = run_fuzz(config, progress=print)
-    for divergence in report.divergences:
-        print(divergence.summary())
-    return 0 if report.ok else 1
-
-
 def _cmd_corpus_pack(args: argparse.Namespace) -> int:
     from ..corpus import pack_trace
 
@@ -796,25 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser(
-        "fuzz",
-        help="differential fuzzing + fault injection across the pipeline "
-        "(syscall replay oracle, I/O/analysis/cache differentials, "
-        "corruption and netfs faults; failures shrink to a corpus)",
-    )
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed; every round is a pure function of "
-                   "(seed, round index)")
-    p.add_argument("--budget", type=_positive_int, default=1000,
-                   help="work items to spend (syscalls executed, events "
-                   "through oracles, corruption cases)")
-    p.add_argument("--corpus", default=None, metavar="DIR",
-                   help="directory of shrunk repros: replayed first, and "
-                   "new failures are written here")
-    p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
-                   help="also stop at a wall-clock deadline (for CI)")
-    p.set_defaults(func=_cmd_fuzz)
-
-    p = sub.add_parser(
         "corpus",
         help="out-of-core sharded corpora: pack traces into .bcorpus "
         "files, inspect the segment index, verify checksums and stats",
@@ -852,9 +817,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flush here, so a reader that went away raises below rather
+        # than at interpreter exit.
+        sys.stdout.flush()
+        return status
     except (CorpusError, TraceFormatError) as error:
         print(f"repro-fs {args.command}: {error}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout went away (``repro-fs ... | head``).  Point
+        # stdout at devnull so the exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

@@ -1,9 +1,5 @@
 """Pillar 4: the out-of-core corpus codec under differential fire.
 
-(Naming note: this module fuzzes ``repro.corpus`` — the sharded trace
-container — which is unrelated to the fuzz harness's *repro corpus*
-directory of shrunk failures.)
-
 Three oracles, mirroring the standing claims of ``repro.corpus``:
 
 * :func:`check_corpus_roundtrip` — the event-append and bulk-column
@@ -46,7 +42,6 @@ from ..trace.validate import validate_columns_python
 __all__ = [
     "CORPUS_SEGMENT_EVENTS",
     "CorpusFaultPlan",
-    "check_corpus_all",
     "check_corpus_corruption",
     "check_corpus_roundtrip",
     "check_corpus_streaming",
@@ -154,17 +149,6 @@ def check_corpus_streaming(
     return None
 
 
-def check_corpus_all(log: TraceLog) -> tuple[str, str] | None:
-    """Both equivalence oracles; returns ("corpus", detail) or None."""
-    detail = check_corpus_roundtrip(log)
-    if detail is not None:
-        return ("corpus", detail)
-    detail = check_corpus_streaming(log)
-    if detail is not None:
-        return ("corpus", detail)
-    return None
-
-
 # -- corruption ----------------------------------------------------------------
 
 
@@ -188,7 +172,7 @@ def _covered_intervals(data: bytes) -> list[tuple[int, int]]:
 class CorpusFaultPlan:
     """A deterministic schedule of corruptions for one serialized corpus."""
 
-    def __init__(self, seed: str, cases: int = 16):
+    def __init__(self, seed: int | str, cases: int = 16):
         self.seed = seed
         self.cases = cases
 

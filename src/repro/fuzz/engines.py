@@ -12,7 +12,7 @@ of that claim on every seeded trace:
 * :func:`~repro.analysis.vectorized.validate_columns_numpy` vs
   :func:`~repro.trace.validate.validate_columns_python` on the clean
   trace *and* on a deterministically spoiled copy (mutations drawn from
-  the round seed hit every problem family: time regressions,
+  the check's seed hit every problem family: time regressions,
   out-of-range and NaN times, unknown kinds, bad flag bytes, negative
   fields, duplicated open ids), at several ``max_problems`` including
   the suppression boundary;
@@ -61,7 +61,7 @@ from ..trace.columns import KIND_CLOSE, KIND_OPEN, KIND_SEEK, TraceColumns
 from ..trace.log import TraceLog
 from ..trace.validate import validate_columns_python
 
-__all__ = ["check_engines", "check_engines_all"]
+__all__ = ["check_engines"]
 
 #: Every OnePassReport field with a == comparison (the lazy object
 #: fields materialize on access, which is the point: the differential
@@ -180,7 +180,7 @@ def _validators_differ(cols: TraceColumns, max_problems: int, label: str) -> str
     return None
 
 
-def check_engines(log: TraceLog, seed: str = "0") -> str | None:
+def check_engines(log: TraceLog, seed: int | str = 0) -> str | None:
     """Compare every vectorized kernel against its Python twin on *log*.
 
     Returns ``None`` or a first-divergence description.  Deterministic
@@ -270,12 +270,4 @@ def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
                 return f"{label}: curve metrics diverge at {where}"
             if fast.checkpoint(size, policy) != ref.checkpoint(size, policy):
                 return f"{label}: curve checkpoint diverges at {where}"
-    return None
-
-
-def check_engines_all(log: TraceLog, seed: str = "0") -> tuple[str, str] | None:
-    """:func:`check_engines` in the runner's ``(pillar, detail)`` shape."""
-    detail = check_engines(log, seed=seed)
-    if detail is not None:
-        return ("engine", detail)
     return None

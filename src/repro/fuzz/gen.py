@@ -1,11 +1,10 @@
 """The shared input model: seeded generators for traces and syscalls.
 
-Both halves of the harness draw from here.  The fuzzer feeds the
-generators a ``random.Random`` seeded from the run seed, so every
-failure is replayable from ``(seed, round)`` alone; the hypothesis
-strategies in :func:`trace_strategy`/:func:`ops_strategy` map drawn
-seeds through the *same* generators, so property tests and fuzzing
-exercise one input distribution instead of two drifting ones.
+Every pillar draws its inputs from here.  The generators are pure
+functions of a ``random.Random`` and a length, and the hypothesis
+strategies in :func:`trace_strategy`/:func:`ops_strategy` map a drawn
+seed and length through them, so every failing example is a plain
+generator output that replays from its seed alone.
 
 :func:`random_trace` builds well-formed Table II event lists directly
 (every trace it returns passes :func:`repro.trace.validate.validate`
@@ -34,7 +33,6 @@ from ..trace.records import (
     UnlinkEvent,
 )
 from ..unixfs.content import MemoryContentStore
-from ..unixfs.errors import UnixFsError
 from ..unixfs.filesystem import FileSystem, Whence
 from ..unixfs.tracer import KernelTracer
 
@@ -196,20 +194,14 @@ def random_trace(rng: random.Random, n_events: int, name: str = "fuzz") -> Trace
 
 # -- random valid syscall sequences --------------------------------------------
 
-_OP_KINDS = (
-    "open", "close", "read", "write", "lseek", "creat",
-    "unlink", "truncate", "execve", "dup", "mkdir",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class SyscallOp:
-    """One syscall in a fuzzed sequence (JSON-serializable for the corpus).
+    """One syscall in a fuzzed sequence.
 
     ``fd_slot`` indexes the executor's list of live descriptors at the
-    moment the op runs, so a shrunk sequence stays meaningful: dropping
-    an earlier open shifts which descriptor a later op touches instead
-    of dangling a hard-coded fd number.
+    moment the op runs, so the generator never has to predict the fd
+    numbers the kernel hands out.
     """
 
     kind: str
@@ -224,27 +216,14 @@ class SyscallOp:
     truncate: bool = False
     append: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind, "path": self.path, "fd_slot": self.fd_slot,
-            "mode": self.mode, "uid": self.uid, "length": self.length,
-            "offset": self.offset, "whence": self.whence,
-            "create": self.create, "truncate": self.truncate,
-            "append": self.append,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SyscallOp":
-        return cls(**data)
-
 
 def random_ops(rng: random.Random, n_ops: int) -> list[SyscallOp]:
     """A random-but-valid syscall sequence of *n_ops* operations.
 
     Built against a shadow model of the namespace and descriptor table,
-    so on a fresh file system every op succeeds.  (After shrinking the
-    model no longer matches — :func:`apply_ops` tolerates the resulting
-    ``UnixFsError``s.)
+    so on a fresh file system every op succeeds.  Each op draws from
+    *rng* without looking at *n_ops*, so ``random_ops(rng, k)`` is a
+    prefix of ``random_ops(rng, n)`` for ``k <= n``.
     """
     ops: list[SyscallOp] = []
     paths: list[str] = []  # regular files that exist in the shadow model
@@ -354,7 +333,6 @@ class OpResult:
     fs: FileSystem
     tracer: KernelTracer
     executed: int = 0
-    skipped: int = 0  # ops that raised UnixFsError (legal after shrinking)
     open_fds: list[int] = field(default_factory=list)
 
 
@@ -365,11 +343,10 @@ def apply_ops(
 ) -> OpResult:
     """Execute *ops* on a fresh traced file system.
 
-    ``on_step(result, op)`` is called after every executed op — the
-    replay oracle hooks in there.  Ops that no longer apply (their file
-    vanished during shrinking, say) raise :class:`UnixFsError` and are
-    counted as skipped; any *other* exception propagates, because a
-    crash in the syscall layer is itself a finding.
+    ``on_step(result, op)`` is called after every op — the replay oracle
+    hooks in there.  Every :func:`random_ops` output applies cleanly, so
+    any exception propagates: an op the kernel rejects is itself a
+    finding.
     """
     clock = Clock()
     tracer = KernelTracer(name="fuzz-ops")
@@ -378,57 +355,38 @@ def apply_ops(
     fds = result.open_fds
     for op in ops:
         clock.advance(clock_step)
-        try:
-            if op.kind == "open":
-                fd = fs.open(
-                    op.path,
-                    AccessMode.from_label(op.mode),
-                    uid=op.uid,
-                    create=op.create,
-                    truncate=op.truncate,
-                    append=op.append,
-                )
-                fds.append(fd)
-            elif op.kind == "creat":
-                fds.append(fs.creat(op.path, uid=op.uid))
-            elif op.kind == "close":
-                if not fds:
-                    result.skipped += 1
-                    continue
-                fs.close(fds.pop(op.fd_slot % len(fds)))
-            elif op.kind == "read":
-                if not fds:
-                    result.skipped += 1
-                    continue
-                fs.read(fds[op.fd_slot % len(fds)], op.length)
-            elif op.kind == "write":
-                if not fds:
-                    result.skipped += 1
-                    continue
-                fs.write(fds[op.fd_slot % len(fds)], op.length)
-            elif op.kind == "lseek":
-                if not fds:
-                    result.skipped += 1
-                    continue
-                fs.lseek(fds[op.fd_slot % len(fds)], op.offset, Whence(op.whence))
-            elif op.kind == "unlink":
-                fs.unlink(op.path)
-            elif op.kind == "truncate":
-                fs.truncate(op.path, op.length)
-            elif op.kind == "execve":
-                fs.execve(op.path, uid=op.uid)
-            elif op.kind == "dup":
-                if not fds:
-                    result.skipped += 1
-                    continue
-                fds.append(fs.dup(fds[op.fd_slot % len(fds)]))
-            elif op.kind == "mkdir":
-                fs.makedirs(op.path)
-            else:
-                raise ValueError(f"unknown op kind {op.kind!r}")
-        except UnixFsError:
-            result.skipped += 1
-            continue
+        if op.kind == "open":
+            fd = fs.open(
+                op.path,
+                AccessMode.from_label(op.mode),
+                uid=op.uid,
+                create=op.create,
+                truncate=op.truncate,
+                append=op.append,
+            )
+            fds.append(fd)
+        elif op.kind == "creat":
+            fds.append(fs.creat(op.path, uid=op.uid))
+        elif op.kind == "close":
+            fs.close(fds.pop(op.fd_slot))
+        elif op.kind == "read":
+            fs.read(fds[op.fd_slot], op.length)
+        elif op.kind == "write":
+            fs.write(fds[op.fd_slot], op.length)
+        elif op.kind == "lseek":
+            fs.lseek(fds[op.fd_slot], op.offset, Whence(op.whence))
+        elif op.kind == "unlink":
+            fs.unlink(op.path)
+        elif op.kind == "truncate":
+            fs.truncate(op.path, op.length)
+        elif op.kind == "execve":
+            fs.execve(op.path, uid=op.uid)
+        elif op.kind == "dup":
+            fds.append(fs.dup(fds[op.fd_slot]))
+        elif op.kind == "mkdir":
+            fs.makedirs(op.path)
+        else:
+            raise ValueError(f"unknown op kind {op.kind!r}")
         result.executed += 1
         if on_step is not None:
             on_step(result, op)
@@ -438,14 +396,14 @@ def apply_ops(
 # -- hypothesis strategies (lazy import: src never requires hypothesis) --------
 
 
-def trace_strategy(min_events: int = 1, max_events: int = 80):
+def trace_strategy(min_events: int = 1, max_events: int = 160):
     """A hypothesis strategy yielding :func:`random_trace` outputs.
 
-    Drawing a seed and mapping it through the generator keeps property
-    tests and the fuzzer on one input model; hypothesis shrinks over the
-    (seed, size) pair rather than the event list, which is coarse but
-    faithful — any failure it finds is a plain ``random_trace`` output
-    the fuzzer's own ddmin shrinker can then minimize.
+    The default size lets most traces span several of the corpus
+    pillar's 32-event segments.  Hypothesis shrinks over the (seed,
+    size) pair rather than the event list, which is coarse but faithful:
+    any failure it reports is a plain ``random_trace`` output, printed
+    as the seed and size that replay it.
     """
     from hypothesis import strategies as st
 
@@ -456,8 +414,12 @@ def trace_strategy(min_events: int = 1, max_events: int = 80):
     )
 
 
-def ops_strategy(min_ops: int = 1, max_ops: int = 60):
-    """A hypothesis strategy yielding :func:`random_ops` outputs."""
+def ops_strategy(min_ops: int = 1, max_ops: int = 120):
+    """A hypothesis strategy yielding :func:`random_ops` outputs.
+
+    Shrinking the size cuts the sequence to a prefix (see
+    :func:`random_ops`), so a shrunk example is still a valid sequence.
+    """
     from hypothesis import strategies as st
 
     return st.builds(

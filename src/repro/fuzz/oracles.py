@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import io
-from dataclasses import dataclass, field
 
 from ..analysis.accesses import iter_transfers, reconstruct_accesses
 from ..analysis.activity import analyze_activity
@@ -44,7 +43,6 @@ from ..trace.io_text import read_text, write_text
 from ..trace.log import TraceLog
 
 __all__ = [
-    "Divergence",
     "canonicalize_times",
     "check_all",
     "check_analysis",
@@ -59,31 +57,6 @@ ORACLE_CACHE_SIZES = (64 * 1024, 1024 * 1024)
 ORACLE_BLOCK_SIZE = 4096
 
 _ORACLE_POLICIES = (WRITE_THROUGH, FLUSH_30S, DELAYED_WRITE)
-
-
-@dataclass
-class Divergence:
-    """One confirmed failure, as reported and written to the corpus."""
-
-    pillar: str  # "replay" | "io" | "analysis" | "cache" | "corpus" | "netfs" | "engine" | "policy"
-    detail: str
-    seed: str = ""  # generator seed string that produced the input
-    shrunk_events: int | None = None  # repro size after shrinking
-    shrunk_ops: int | None = None
-    corpus_entry: str | None = None  # basename of the written repro, if any
-    extra: dict = field(default_factory=dict)
-
-    def summary(self) -> str:
-        parts = [f"[{self.pillar}] {self.detail}"]
-        if self.seed:
-            parts.append(f"seed={self.seed}")
-        if self.shrunk_events is not None:
-            parts.append(f"shrunk to {self.shrunk_events} events")
-        if self.shrunk_ops is not None:
-            parts.append(f"shrunk to {self.shrunk_ops} ops")
-        if self.corpus_entry:
-            parts.append(f"repro={self.corpus_entry}")
-        return "; ".join(parts)
 
 
 # -- serialization -------------------------------------------------------------
@@ -227,15 +200,6 @@ def _metrics_diff(a, b) -> str:
     return "metrics differ"
 
 
-def check_all(log: TraceLog) -> tuple[str, str] | None:
-    """Run every trace-level oracle; returns (pillar, detail) or None."""
-    detail = check_io(log)
-    if detail is not None:
-        return ("io", detail)
-    detail = check_analysis(log)
-    if detail is not None:
-        return ("analysis", detail)
-    detail = check_cache(log)
-    if detail is not None:
-        return ("cache", detail)
-    return None
+def check_all(log: TraceLog) -> str | None:
+    """Run every trace-level oracle; returns the first divergence or None."""
+    return check_io(log) or check_analysis(log) or check_cache(log)

@@ -30,7 +30,7 @@ from ..cache.stream import build_stream
 from ..parallel.packed import OP_READ, PackedStream, pack_stream, simulate_packed
 from ..trace.log import TraceLog
 
-__all__ = ["check_policies", "check_policies_all"]
+__all__ = ["check_policies"]
 
 _WRITE_POLICIES = (WRITE_THROUGH, FLUSH_30S, DELAYED_WRITE)
 
@@ -55,7 +55,7 @@ def _no_reuse_stream(rng: random.Random) -> PackedStream:
     )
 
 
-def check_policies(log: TraceLog, seed: str = "0") -> str | None:
+def check_policies(log: TraceLog, seed: int | str = 0) -> str | None:
     """Differential-test every replacement policy on *log*.
 
     Returns ``None`` or a first-divergence description.  Deterministic
@@ -122,12 +122,4 @@ def check_policies(log: TraceLog, seed: str = "0") -> str | None:
             f"policy[no-reuse,cap={cache_bytes // _BLOCK_SIZE}]: "
             "arc/lru/2q metrics differ on a reuse-free workload"
         )
-    return None
-
-
-def check_policies_all(log: TraceLog, seed: str = "0") -> tuple[str, str] | None:
-    """:func:`check_policies` in the runner's ``(pillar, detail)`` shape."""
-    detail = check_policies(log, seed=seed)
-    if detail is not None:
-        return ("policy", detail)
     return None

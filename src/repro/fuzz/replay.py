@@ -16,7 +16,9 @@ maintains the right-hand side incrementally from the emitted events —
 O(live opens) per syscall, so it runs after *every* fuzzed step — and a
 periodic full check layers on :func:`repro.trace.validate.validate`,
 :func:`repro.analysis.accesses.reconstruct_accesses` and
-:func:`repro.unixfs.check.fsck`.
+:func:`repro.unixfs.check.fsck`.  :func:`check_ops` runs one syscall
+sequence under the checker, then the differential oracles over the
+kernel's own trace.
 """
 
 from __future__ import annotations
@@ -28,8 +30,13 @@ from ..trace.validate import validate
 from ..unixfs.check import fsck
 from ..unixfs.fdtable import OpenFile
 from ..unixfs.filesystem import FileSystem
+from .gen import SyscallOp, apply_ops
+from .oracles import canonicalize_times, check_all
 
-__all__ = ["ReplayChecker"]
+__all__ = ["ReplayChecker", "check_ops"]
+
+#: Full validate+fsck cadence, in executed ops.
+FULL_CHECK_EVERY = 16
 
 
 class ReplayChecker:
@@ -135,3 +142,29 @@ class ReplayChecker:
         if not fsck_report.ok:
             return f"fsck not clean: {fsck_report.problems[0]}"
         return None
+
+
+def check_ops(ops: list[SyscallOp]) -> str | None:
+    """Run *ops* on a fresh kernel under the replay oracle; returns the
+    first divergence or None."""
+    checker: ReplayChecker | None = None
+    failure: str | None = None
+
+    def on_step(result, _op) -> None:
+        nonlocal checker, failure
+        if failure is not None:
+            return
+        if checker is None:
+            checker = ReplayChecker(result.fs, result.tracer.log)
+        for entry in result.fs.fds.open_files():
+            checker.note_entry(entry)
+        if result.executed % FULL_CHECK_EVERY == 0:
+            failure = checker.check_full()
+        else:
+            failure = checker.check_step()
+
+    result = apply_ops(ops, on_step=on_step)
+    if failure is None and checker is not None:
+        failure = checker.check_full()
+    # The kernel's own trace must satisfy the differential oracles too.
+    return failure or check_all(canonicalize_times(result.tracer.log))

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from ..cache.metrics import CacheMetrics
 from ..cache.policies import DELAYED_WRITE, PolicySpec, WritePolicy
 from ..cache.replacement import make_replacement, validate_replacement
-from ..cache.stream import Invalidation, StreamItem, cached_stream, memoize_per_log
+from ..cache.stream import Invalidation, StreamItem, cached_stream
 from ..trace.log import TraceLog
+from ..trace.memo import memoize_per_log
 
 __all__ = [
     "OP_READ",

@@ -29,7 +29,7 @@ DETERMINISM_PACKAGES: tuple[str, ...] = (
     "repro.netfs",
     "repro.workload",
     "repro.analysis",
-    "repro.fuzz",  # every failure must be replayable from (seed, round)
+    "repro.fuzz",  # every check is a pure function of its input and seed
 )
 
 #: Packages whose *iteration order* feeds bit-identical comparisons

@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures, and the ``fuzz-nightly`` hypothesis profile.
 
 ``small_trace`` is a fast, deterministic synthetic trace shared by the
 analysis/cache/experiment test modules (session-scoped: generation costs
@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.clock import Clock
 from repro.trace.log import TraceLog
@@ -25,6 +26,14 @@ from repro.unixfs.filesystem import FileSystem
 from repro.unixfs.tracer import KernelTracer
 from repro.workload.generator import generate
 from repro.workload.profiles import UCBARPA
+
+#: The deep run of the fuzz pillars (``tests/test_fuzz.py``):
+#: ``--hypothesis-profile=fuzz-nightly --hypothesis-seed=N``.  A property
+#: draws ~46 syscalls or 51-67 trace events per example, so 12,000
+#: examples give each pillar over 540k syscalls or 600k events.
+settings.register_profile(
+    "fuzz-nightly", max_examples=12_000, deadline=None, derandomize=False
+)
 
 
 @pytest.fixture

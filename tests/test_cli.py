@@ -1,10 +1,15 @@
 """End-to-end tests for the repro-fs command-line interface."""
 
+import os
 import random
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli.main import main
 from repro.corpus import CorpusReader, CorpusSpool, pack_trace
 from repro.fuzz.gen import random_trace
@@ -106,6 +111,25 @@ class TestReadOnlyCommands:
     def test_analyze_single_report(self, trace_file, capsys):
         assert main(["analyze", trace_file, "--report", "lifetimes"]) == 0
         assert "new files" in capsys.readouterr().out
+
+    def test_closed_stdout_prints_no_traceback(self, tmp_path):
+        # ``repro-fs stats a.bcorpus | head -1``: the reader of stdout
+        # goes away before the output is flushed.
+        path = tmp_path / "a.bcorpus"
+        pack_trace(random_trace(random.Random("trace:pipe"), 200), path)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "stats", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
 
 class TestSimulation:

@@ -1,8 +1,18 @@
-"""Tests for the ``repro.fuzz`` harness itself.
+"""The ``repro.fuzz`` pillars as hypothesis properties, and tests of
+the harness itself.
 
-Covers the input model (determinism, validity, golden encodings), the
-replay oracle, the differential oracles, netfs fault injection, ddmin
-shrinking, the repro corpus, and an end-to-end ``run_fuzz``.
+:class:`TestPillarProperties` holds one property per pillar, drawing
+from the shared input model (:func:`repro.fuzz.gen.trace_strategy`,
+:func:`repro.fuzz.gen.ops_strategy`).  Hypothesis shrinks, stores and
+replays any failing example.  The properties set no ``max_examples``, so
+the profile picks the depth: the default profile is the smoke run of
+tier-1, and ``--hypothesis-profile=fuzz-nightly`` (``conftest.py``) is
+the deep run::
+
+    pytest tests/test_fuzz.py --hypothesis-profile=fuzz-nightly --hypothesis-seed=N
+
+The other classes cover the input model (determinism, validity, golden
+encodings) and each pillar's check on fixed inputs.
 """
 
 from __future__ import annotations
@@ -12,18 +22,88 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.corpus import pack_trace
+from repro.fuzz.corpus import (
+    CorpusFaultPlan,
+    check_corpus_corruption,
+    check_corpus_roundtrip,
+    check_corpus_streaming,
+)
+from repro.fuzz.engines import check_engines
 from repro.fuzz.faults import NetfsFaults, check_netfs_convergence
-from repro.fuzz.gen import SyscallOp, apply_ops, random_ops, random_trace
-from repro.fuzz.oracles import Divergence, canonicalize_times, check_all
-from repro.fuzz.runner import FuzzConfig, _check_ops, run_fuzz
-from repro.fuzz.shrink import ddmin, load_corpus, replay_corpus, write_corpus_entry
+from repro.fuzz.gen import (
+    SyscallOp,
+    apply_ops,
+    ops_strategy,
+    random_ops,
+    random_trace,
+    trace_strategy,
+)
+from repro.fuzz.oracles import canonicalize_times, check_all
+from repro.fuzz.policies import check_policies
+from repro.fuzz.replay import check_ops
 from repro.trace.io_text import read_text, write_text
 from repro.trace.log import TraceLog
 from repro.trace.records import AccessMode, CloseEvent, OpenEvent, quantize_time
 from repro.trace.validate import validate
 from repro.unixfs.check import fsck
+from repro.unixfs.errors import UnixFsError
+
+#: Seeds for the checks that take one besides their input.
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+# -- the pillars as properties -------------------------------------------------
+
+
+class TestPillarProperties:
+    """One property per pillar; each asserts its check finds nothing.
+
+    No deadline: an example's time grows with its drawn size, and the
+    first one pays the kernels' warm-up.
+    """
+
+    @given(ops_strategy())
+    @settings(deadline=None)
+    def test_kernel_replay(self, ops):
+        # Pillar 1: replay oracle after every syscall, validate + fsck,
+        # then the pillar-2 oracles over the kernel's own trace.
+        assert check_ops(ops) is None
+
+    @given(trace_strategy())
+    @settings(deadline=None)
+    def test_trace_oracles(self, log):
+        # Pillar 2: text round trip, one-pass analyzer, cache engines.
+        assert check_all(log) is None
+
+    @given(trace_strategy(), seeds)
+    @settings(deadline=None)
+    def test_netfs_convergence(self, log, seed):
+        # Pillar 3: lossy RPC converges to the clean run's counters.
+        assert check_netfs_convergence(log, seed=seed) is None
+
+    @given(trace_strategy(), seeds)
+    @settings(deadline=None)
+    def test_corpus_codec(self, log, seed):
+        # Pillar 4: write-path equivalence, streaming, and corruption.
+        assert check_corpus_roundtrip(log) is None
+        assert check_corpus_streaming(log) is None
+        detail, _cases = check_corpus_corruption(log, CorpusFaultPlan(seed))
+        assert detail is None
+
+    @given(trace_strategy(), seeds)
+    @settings(deadline=None)
+    def test_engine_differential(self, log, seed):
+        # Pillar 5: every numpy kernel vs its Python specification.
+        assert check_engines(log, seed=seed) is None
+
+    @given(trace_strategy(), seeds)
+    @settings(deadline=None)
+    def test_policy_differential(self, log, seed):
+        # Pillar 6: every zoo policy, packed replay vs full simulator.
+        assert check_policies(log, seed=seed) is None
 
 
 # -- input model ---------------------------------------------------------------
@@ -47,15 +127,27 @@ class TestGenerators:
 
     def test_random_ops_all_execute(self):
         # The shadow model mirrors the executor exactly, so on a fresh
-        # file system nothing is skipped and the result passes fsck.
+        # file system every op applies and the result passes fsck.
         for seed in range(10):
             result = apply_ops(random_ops(random.Random(f"ops:{seed}"), 60))
-            assert result.skipped == 0, f"seed {seed}"
+            assert result.executed == 60, f"seed {seed}"
             assert fsck(result.fs).ok, f"seed {seed}"
 
-    def test_syscall_op_json_round_trip(self):
-        ops = random_ops(random.Random("ops:json"), 30)
-        assert [SyscallOp.from_json(op.to_json()) for op in ops] == ops
+    def test_op_that_does_not_apply_raises(self):
+        with pytest.raises(UnixFsError):
+            apply_ops([SyscallOp(kind="unlink", path="/missing")])
+
+    @given(
+        st.integers(min_value=0, max_value=2**48),
+        st.integers(min_value=0, max_value=150),
+        st.integers(min_value=0, max_value=150),
+    )
+    def test_random_ops_shorter_is_a_prefix(self, seed, a, b):
+        # Hypothesis shrinks ops_strategy's length; a shorter sequence
+        # must be a prefix of the longer one, so it stays valid.
+        k, n = sorted((a, b))
+        longer = random_ops(random.Random(f"ops:{seed}"), n)
+        assert random_ops(random.Random(f"ops:{seed}"), k) == longer[:k]
 
 
 class TestGoldenEncodings:
@@ -99,7 +191,7 @@ class TestReplayOracle:
     def test_clean_sequences_pass(self):
         for seed in range(5):
             ops = random_ops(random.Random(f"ops:{seed}"), 60)
-            assert _check_ops(ops) is None, f"seed {seed}"
+            assert check_ops(ops) is None, f"seed {seed}"
 
     def test_tampered_log_is_flagged(self):
         from repro.fuzz.replay import ReplayChecker
@@ -143,12 +235,6 @@ class TestDifferentialOracles:
         buf.seek(0)
         assert read_text(buf).events == fixed.events
 
-    def test_divergence_summary_mentions_repro(self):
-        d = Divergence(pillar="io", detail="boom", seed="1:2",
-                       shrunk_events=3, corpus_entry="trace-1-2")
-        s = d.summary()
-        assert "io" in s and "boom" in s and "1:2" in s and "trace-1-2" in s
-
 
 # -- netfs fault injection -----------------------------------------------------
 
@@ -165,86 +251,7 @@ class TestNetfsFaults:
         assert a == list(reversed(b))
 
 
-# -- shrinking and the corpus --------------------------------------------------
-
-
-class TestShrink:
-    def test_ddmin_reaches_the_minimal_core(self):
-        items = list(range(100))
-        calls = []
-
-        def still_fails(candidate):
-            calls.append(len(candidate))
-            return 37 in candidate and 73 in candidate
-
-        assert sorted(ddmin(items, still_fails)) == [37, 73]
-
-    def test_ddmin_single_culprit(self):
-        assert ddmin(list(range(64)), lambda c: 5 in c) == [5]
-
-    def test_corpus_round_trip(self, tmp_path):
-        corpus = str(tmp_path / "corpus")
-        log = random_trace(random.Random("trace:corpus"), 20)
-        ops = random_ops(random.Random("ops:corpus"), 10)
-        write_corpus_entry(corpus, name="a", pillar="io", detail="d",
-                           seed="s", events=list(log.events))
-        write_corpus_entry(corpus, name="b", pillar="replay", detail="d2",
-                           seed="s2", ops=ops)
-        entries = {e["name"]: e for e in load_corpus(corpus)}
-        assert entries["a"]["log"].events == log.events
-        assert entries["b"]["op_list"] == ops
-
-    def test_replay_corpus_reports_still_failing(self, tmp_path):
-        corpus = str(tmp_path / "corpus")
-        log = random_trace(random.Random("trace:replay"), 15)
-        write_corpus_entry(corpus, name="x", pillar="io", detail="d",
-                           seed="s", events=list(log.events))
-        replayed, failing = replay_corpus(
-            corpus,
-            check_events=lambda _log: ("io", "still broken"),
-            check_ops=lambda _ops: None,
-        )
-        assert replayed == 1
-        assert failing == [("x", "io", "still broken")]
-        replayed, failing = replay_corpus(
-            corpus,
-            check_events=lambda _log: None,
-            check_ops=lambda _ops: None,
-        )
-        assert replayed == 1 and failing == []
-
-
-# -- end to end ----------------------------------------------------------------
-
-
-class TestRunFuzz:
-    def test_small_budget_run_is_clean_and_deterministic(self):
-        a = run_fuzz(FuzzConfig(seed=11, budget=300))
-        b = run_fuzz(FuzzConfig(seed=11, budget=300))
-        assert a.ok, [d.summary() for d in a.divergences]
-        assert (a.rounds, a.steps, a.ops_executed, a.events_checked,
-                a.corpus_corruptions) == (
-            b.rounds, b.steps, b.ops_executed, b.events_checked,
-            b.corpus_corruptions,
-        )
-        assert a.rounds >= 1
-        assert "OK" in a.summary()
-
-    def test_corpus_is_replayed_first(self, tmp_path):
-        corpus = str(tmp_path / "corpus")
-        log = random_trace(random.Random("trace:seeded"), 15)
-        write_corpus_entry(corpus, name="old", pillar="io", detail="fixed",
-                           seed="s", events=list(log.events))
-        report = run_fuzz(FuzzConfig(seed=1, budget=1, corpus=corpus))
-        assert report.corpus_replayed == 1
-        assert report.ok  # the stored repro passes on current code
-
-    def test_cli_smoke(self, capsys):
-        from repro.cli.main import main
-
-        assert main(["fuzz", "--seed", "1", "--budget", "60"]) == 0
-        out = capsys.readouterr().out
-        assert "fuzz: OK" in out
+# -- corpus codec --------------------------------------------------------------
 
 
 class TestCorpusPillar:
@@ -254,21 +261,15 @@ class TestCorpusPillar:
         return random_trace(random.Random(f"corpus-pillar:{seed}"), n)
 
     def test_clean_traces_pass_all_corpus_oracles(self):
-        from repro.fuzz.corpus import (
-            check_corpus_roundtrip,
-            check_corpus_streaming,
-        )
-
         for seed in ("a", "b", "c"):
             log = self._trace(seed)
             assert check_corpus_roundtrip(log) is None
             assert check_corpus_streaming(log) is None
 
-    def test_check_corpus_all_flags_injected_codec_bug(self, monkeypatch):
+    def test_roundtrip_flags_injected_codec_bug(self, monkeypatch):
         # Break the event-append path only: the write-path equivalence
         # oracle must notice the two writers no longer agree.
         from repro.corpus import writer as corpus_writer
-        from repro.fuzz.corpus import check_corpus_all
 
         original = corpus_writer.CorpusWriter.append
 
@@ -278,22 +279,18 @@ class TestCorpusPillar:
                 self._flags[-1] ^= 0x01  # flip a flag bit after the fact
 
         monkeypatch.setattr(corpus_writer.CorpusWriter, "append", buggy)
-        found = check_corpus_all(self._trace("inject"))
-        assert found is not None
-        pillar, detail = found
-        assert pillar == "corpus"
+        detail = check_corpus_roundtrip(self._trace("inject"))
+        assert detail is not None
         assert "different bytes" in detail
 
     def test_corruption_plan_all_detected(self):
-        from repro.fuzz.corpus import CorpusFaultPlan, check_corpus_corruption
-
         plan = CorpusFaultPlan(seed="plan-1", cases=24)
         detail, cases = check_corpus_corruption(self._trace("plan"), plan)
         assert detail is None, detail
         assert cases == 24
 
     def test_corruption_plan_is_deterministic(self):
-        from repro.fuzz.corpus import CorpusFaultPlan, _pack_via_columns
+        from repro.fuzz.corpus import _pack_via_columns
         from repro.trace.columns import TraceColumns
 
         data = _pack_via_columns(
@@ -307,10 +304,3 @@ class TestCorpusPillar:
         ]
         assert labels == again
         assert len(labels) == 12
-
-    def test_runner_counts_corpus_work(self):
-        report = run_fuzz(FuzzConfig(seed=3, budget=400))
-        assert report.ok, [d.summary() for d in report.divergences]
-        assert report.corpus_events > 0
-        assert report.corpus_corruptions > 0
-        assert "corpus codec" in report.summary()

@@ -11,11 +11,9 @@ Invariants covered:
   does worse under pure-LRU reads, and disk reads never exceed read misses'
   upper bound;
 * access reconstruction conserves bytes against the position arithmetic;
-* the fuzzer's input model (``repro.fuzz.gen``) only produces valid
-  traces and executable syscall sequences, and the differential oracles
-  hold over its whole distribution — the same generators the fuzz
-  harness drives, shared via :func:`repro.fuzz.gen.trace_strategy` /
-  :func:`repro.fuzz.gen.ops_strategy` so the two never drift apart.
+* the fuzz input model's traces (:func:`repro.fuzz.gen.trace_strategy`)
+  validate and round-trip through a corpus; the fuzz pillars themselves
+  are properties in ``tests/test_fuzz.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.accesses import reconstruct_accesses
 from repro.analysis.cdf import Cdf
-from repro.fuzz.gen import ops_strategy, trace_strategy
+from repro.fuzz.gen import trace_strategy
 from repro.cache.policies import DELAYED_WRITE
 from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.cache.simulator import BlockCacheSimulator
@@ -318,7 +316,7 @@ class TestTraceOpsProperties:
 
 
 class TestFuzzInputModel:
-    """The fuzz harness's generators, driven as hypothesis properties."""
+    """The fuzz input model's traces, driven as a hypothesis property."""
 
     @given(trace_strategy(max_events=60))
     @settings(max_examples=40, deadline=None)
@@ -332,24 +330,6 @@ class TestFuzzInputModel:
         with CorpusReader(buf.getvalue()) as reader:
             assert list(reader.iter_events()) == log.events
             assert reader.to_columns().to_log().events == log.events
-
-    @given(trace_strategy(max_events=60))
-    @settings(max_examples=25, deadline=None)
-    def test_oracles_hold_over_the_generator_distribution(self, log):
-        from repro.fuzz.oracles import check_all
-
-        assert check_all(log) is None
-
-    @given(ops_strategy(max_ops=40))
-    @settings(max_examples=25, deadline=None)
-    def test_generated_ops_execute_cleanly(self, ops):
-        from repro.fuzz.gen import apply_ops
-        from repro.fuzz.runner import _check_ops
-
-        # The shadow model guarantees validity on a fresh file system.
-        assert apply_ops(ops).skipped == 0
-        # The full pillar-1 oracle (replay + validate + fsck + differentials).
-        assert _check_ops(ops) is None
 
 
 # --- the replacement-policy zoo ---------------------------------------------
