@@ -1,4 +1,4 @@
-"""Bench: the vectorized cache engine and the zero-copy sweep fan-out.
+"""Bench: the vectorized cache engine and the sweep built on it.
 
 Two jobs ride here, mirroring ``test_parallel.py``:
 
@@ -6,8 +6,7 @@ Two jobs ride here, mirroring ``test_parallel.py``:
   grid (~320 tracked sizes; the grids Figure 5-style exhibits actually
   want) must stay *bit-identical* to its specification, one packed
   replay per size, checked at a few grid sizes; and the write-through
-  sweep with shared ``.bpack`` streams at ``jobs=4`` must equal the
-  ``jobs=1`` sweep cell for cell.  Both sweeps run the same single
+  sweep at ``jobs=4`` must equal the ``jobs=1`` sweep cell for cell.  Both sweeps run the same single
   curve job, so their time ratio is reported, not asserted.
 * **Regression gate** — every benchmark here is compared by
   ``benchmarks/check_regression.py`` against ``benchmarks/BENCH_6.json``
@@ -69,32 +68,29 @@ def test_veccache_numpy_curve_speedup(trace, benchmark):
         )
 
 
-def _wt_sweep(trace, jobs, pack_dir=None):
+def _wt_sweep(trace, jobs):
     return cache_size_policy_sweep(
         trace,
         cache_sizes=WT_SWEEP_SIZES,
         policies=(WRITE_THROUGH,),
         jobs=jobs,
-        pack_dir=pack_dir,
     )
 
 
-def test_veccache_sweep_bpack_numpy(trace, benchmark, tmp_path):
-    """Acceptance + gate: the write-through sweep with shared ``.bpack``
-    streams at ``jobs=4`` equals the ``jobs=1`` sweep."""
+def test_veccache_sweep_numpy(trace, benchmark):
+    """Acceptance + gate: the write-through sweep at ``jobs=4`` equals
+    the ``jobs=1`` sweep."""
     _wt_sweep(trace, 1)  # warm memos
-    _wt_sweep(trace, 4, pack_dir=tmp_path)
 
     t_serial, serial = _best_of(lambda: _wt_sweep(trace, 1))
-    t_fast, fast = _best_of(lambda: _wt_sweep(trace, 4, pack_dir=tmp_path))
-    assert fast.results == serial.results, "bpack sweep diverged"
+    t_fast, fast = _best_of(lambda: _wt_sweep(trace, 4))
+    assert fast.results == serial.results, "jobs=4 sweep diverged"
     speedup = t_serial / t_fast
-    print(f"jobs=1 {t_serial * 1e3:.1f} ms  jobs=4+bpack {t_fast * 1e3:.1f} ms  "
+    print(f"jobs=1 {t_serial * 1e3:.1f} ms  jobs=4 {t_fast * 1e3:.1f} ms  "
           f"({speedup:.1f}x)")
 
     sweep = benchmark.pedantic(
-        lambda: _wt_sweep(trace, 4, pack_dir=tmp_path),
-        rounds=3, iterations=1,
+        lambda: _wt_sweep(trace, 4), rounds=3, iterations=1,
     )
     packed = cached_packed_stream(trace, 4096)
     benchmark.extra_info["configs"] = len(sweep.results)

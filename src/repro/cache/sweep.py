@@ -17,24 +17,15 @@ configuration (asserted by ``tests/test_parallel.py``); results come
 back as small dataclasses with ``render()`` methods that print the
 paper's table layouts.
 
-*pack_dir* spills each compiled stream to a shared ``.bpack`` file so
-the payload workers receive is a path, not pickled arrays — every
-process maps the same page-cache copy (see :mod:`repro.parallel.bpack`).
-
 Flush-back scans are anchored at the trace start (see
 ``BlockCacheSimulator.run`` on why).
 """
 
 from __future__ import annotations
 
-import os
-import re
-import struct
-import zlib
 from dataclasses import dataclass, field
 
 from ..analysis.report import render_table
-from ..parallel.bpack import cached_bpack, write_bpack
 from ..parallel.executor import run_jobs
 from ..parallel.packed import PackedStream, cached_packed_stream
 from ..parallel.veccache import replay_packed, stack_curve
@@ -133,9 +124,12 @@ def _cell_jobs(packkey, cache_sizes, policies, replacement: str) -> list[tuple]:
     ]
 
 
-def _run_cells(jobs_list: list[tuple], payload, jobs: int | None):
-    """Run *jobs_list*; yield ``(packkey, cache_bytes, policy, metrics)``
-    for every cell."""
+def _run_cells(
+    jobs_list: list[tuple], payload: dict[object, PackedStream], jobs: int | None
+):
+    """Run *jobs_list* against the streams in *payload*, keyed by each
+    job's packkey; yield ``(packkey, cache_bytes, policy, metrics)`` for
+    every cell."""
     results = run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=jobs)
     for job, result in zip(jobs_list, results):
         if job[0] == "curve":
@@ -146,64 +140,6 @@ def _run_cells(jobs_list: list[tuple], payload, jobs: int | None):
         else:
             _, key, size, policy, _ = job
             yield key, size, policy, result
-
-
-class _SweepPayload:
-    """The shared sweep payload: streams by key, or ``.bpack`` paths.
-
-    Implements the executor's ``__payload_resolve__`` protocol: path
-    entries are opened worker-side via the per-process
-    :func:`~repro.parallel.bpack.cached_bpack`, so what crosses the
-    process boundary is a few strings and every worker reads the same
-    page-cache bytes.  Resolution is memoized per process (and dropped
-    from the pickled state, so ``spawn`` workers resolve their own).
-    """
-
-    __slots__ = ("packed", "_resolved")
-
-    def __init__(self, packed: dict):
-        self.packed = packed
-        self._resolved = None
-
-    def __getstate__(self):
-        return self.packed
-
-    def __setstate__(self, state):
-        self.packed = state
-        self._resolved = None
-
-    def __payload_resolve__(self):
-        if self._resolved is None:
-            self._resolved = {
-                key: value if isinstance(value, PackedStream) else cached_bpack(value)
-                for key, value in self.packed.items()
-            }
-        return self._resolved
-
-
-def _pack_ref(packed: PackedStream, pack_dir, trace_name: str):
-    """*packed* itself, or its path inside the shared ``.bpack`` cache.
-
-    Filenames carry the trace name, the block size, the row count and a
-    crc over every column and the start time (the flush-epoch anchor),
-    so a stale or colliding cache entry can never be mistaken for this
-    stream — a miss writes the file (atomically), a hit reuses it
-    byte-for-byte.
-    """
-    if pack_dir is None:
-        return packed
-    os.makedirs(pack_dir, exist_ok=True)
-    safe = re.sub(r"[^A-Za-z0-9._-]+", "_", trace_name) or "trace"
-    fp = zlib.crc32(struct.pack("<d", packed.start_time))
-    for column in (packed.ops, packed.keys, packed.times):
-        fp = zlib.crc32(bytes(column), fp)
-    name = (
-        f"{safe}-bs{packed.block_size}-{len(packed)}r-{fp:08x}.bpack"
-    )
-    path = os.path.join(os.fspath(pack_dir), name)
-    if not os.path.exists(path):
-        write_bpack(packed, path)
-    return path
 
 
 def _resolve_replacement(replacement: str | None) -> str:
@@ -253,7 +189,6 @@ def cache_size_policy_sweep(
     policies: tuple[PolicySpec, ...] = PAPER_POLICIES,
     block_size: int = 4096,
     jobs: int | None = None,
-    pack_dir=None,
     replacement: str | None = None,
 ) -> CachePolicySweep:
     """Reproduce Figure 5 / Table VI on *log*.
@@ -271,8 +206,7 @@ def cache_size_policy_sweep(
         policies=tuple(policies),
         replacement=repl,
     )
-    packed = cached_packed_stream(log, block_size)
-    payload = _SweepPayload({block_size: _pack_ref(packed, pack_dir, log.name)})
+    payload = {block_size: cached_packed_stream(log, block_size)}
     jobs_list = _cell_jobs(block_size, cache_sizes, policies, repl)
     for _, size, policy, metrics in _run_cells(jobs_list, payload, jobs):
         sweep.results[(size, policy.label)] = metrics
@@ -335,7 +269,6 @@ def block_size_sweep(
     cache_sizes: tuple[int, ...] = PAPER_BLOCK_SWEEP_CACHES,
     policy: PolicySpec = DELAYED_WRITE,
     jobs: int | None = None,
-    pack_dir=None,
     replacement: str | None = None,
 ) -> BlockSizeSweep:
     """Reproduce Figure 6 / Table VII on *log*."""
@@ -345,13 +278,10 @@ def block_size_sweep(
         block_sizes=tuple(block_sizes),
         cache_sizes=tuple(cache_sizes),
     )
-    packed = {bs: cached_packed_stream(log, bs) for bs in block_sizes}
-    payload = _SweepPayload(
-        {bs: _pack_ref(p, pack_dir, log.name) for bs, p in packed.items()}
-    )
+    payload = {bs: cached_packed_stream(log, bs) for bs in block_sizes}
     jobs_list: list[tuple] = []
     for bs in block_sizes:
-        sweep.no_cache[bs] = packed[bs].n_accesses
+        sweep.no_cache[bs] = payload[bs].n_accesses
         jobs_list += _cell_jobs(bs, cache_sizes, (policy,), repl)
     for bs, cache, _, metrics in _run_cells(jobs_list, payload, jobs):
         sweep.results[(bs, cache)] = metrics
@@ -395,7 +325,6 @@ def paging_comparison(
     block_size: int = 4096,
     policy: PolicySpec = DELAYED_WRITE,
     jobs: int | None = None,
-    pack_dir=None,
     replacement: str | None = None,
 ) -> PagingComparison:
     """Reproduce Figure 7 on *log*."""
@@ -403,20 +332,10 @@ def paging_comparison(
     comparison = PagingComparison(
         trace_name=log.name, cache_sizes=tuple(cache_sizes)
     )
-    payload = _SweepPayload(
-        {
-            "plain": _pack_ref(
-                cached_packed_stream(log, block_size, include_paging=False),
-                pack_dir,
-                f"{log.name}-plain",
-            ),
-            "paged": _pack_ref(
-                cached_packed_stream(log, block_size, include_paging=True),
-                pack_dir,
-                f"{log.name}-paged",
-            ),
-        }
-    )
+    payload = {
+        "plain": cached_packed_stream(log, block_size, include_paging=False),
+        "paged": cached_packed_stream(log, block_size, include_paging=True),
+    }
     jobs_list = [
         job
         for variant in ("plain", "paged")

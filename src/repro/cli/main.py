@@ -21,7 +21,7 @@ Subcommands::
     repro-fs convert-strace strace.log -o out.trace
     repro-fs corpus    pack a5.trace -o a5.bcorpus [--segment-events N]
     repro-fs corpus    info a5.bcorpus [--segments]
-    repro-fs corpus    verify a5.bcorpus [--jobs N]
+    repro-fs corpus    verify a5.bcorpus
 
 Traces are stored as a sharded corpus (``repro.corpus``) when the filename
 ends in ``.bcorpus`` and in the text format otherwise; every command that
@@ -316,12 +316,7 @@ def _jobs(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     log = _load_trace(args.trace)
-    jobs = _jobs(args)
-    kwargs = dict(
-        jobs=jobs,
-        pack_dir=args.pack_cache,
-        replacement=args.policy,
-    )
+    kwargs = dict(jobs=_jobs(args), replacement=args.policy)
     if args.kind == "policy":
         sweep = cache_size_policy_sweep(log, **kwargs)
     elif args.kind == "blocksize":
@@ -557,14 +552,11 @@ def _cmd_corpus_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_verify(args: argparse.Namespace) -> int:
-    from ..corpus import CorpusReader, map_segments, verify_segment_job
+    from ..corpus import CorpusReader
 
     try:
-        # Reader-level pass first: footer/header/crc coverage in-process.
         with CorpusReader(args.corpus) as reader:
             checked = reader.verify()
-        # Then the sharded stats re-derivation, one job per segment.
-        map_segments(verify_segment_job, args.corpus, jobs=_jobs(args))
     except CorpusError as error:
         print(f"corrupt: {error}", file=sys.stderr)
         return 1
@@ -653,10 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CPU count, capped; "
                    "1 runs in-process)")
-    p.add_argument("--pack-cache", default=None, metavar="DIR",
-                   help="directory of shared .bpack packed-stream files; "
-                   "workers mmap these instead of receiving pickled "
-                   "arrays (created and reused across runs)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -800,9 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="recompute every segment checksum and statistic"
     )
     c.add_argument("corpus")
-    c.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker processes for the per-segment pass "
-                   "(default: CPU count, capped)")
     c.set_defaults(func=_cmd_corpus_verify)
 
     p = sub.add_parser("convert-strace", help="convert strace -f -ttt output")

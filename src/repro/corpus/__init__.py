@@ -10,16 +10,12 @@ readers can seek, skip, shard, and verify without materializing events:
   with bounded memory (``generate_many`` spools straight into one when
   the output path ends in ``.bcorpus``).
 - :class:`CorpusReader` mmaps a corpus and serves zero-copy
-  ``TraceColumns`` views of individual segments.
+  ``TraceColumns`` views of individual segments; its
+  :meth:`~CorpusReader.verify` re-derives every segment's footer
+  statistics in one pass (``repro-fs corpus verify``).
 - :func:`analyze_corpus` / :func:`validate_corpus` stream segments
   through the one-pass analyzer and validator, bit-identical to the
   in-RAM paths.
-- :func:`map_segments` shards one corpus across worker processes by
-  segment via ``repro.parallel.run_jobs`` with deterministic merge
-  order.
-- :func:`write_segment_packs` compiles per-segment ``.bpack``
-  block-access shards (:mod:`repro.parallel.bpack`) so cache sweeps can
-  fan segments out to workers zero-copy.
 
 Format spec: ``DESIGN.md`` §11 and :mod:`repro.corpus.format`.
 """
@@ -32,8 +28,6 @@ from .format import (
     SegmentStat,
     schema_digest,
 )
-from .packs import segment_pack_path, write_segment_packs
-from .parallel import map_segments, segment_kind_counts, verify_segment_job
 from .reader import CorpusReader, read_corpus_columns
 from .stream import analyze_corpus, validate_corpus
 from .writer import CorpusSpool, CorpusWriter, pack_columns, pack_trace
@@ -48,14 +42,9 @@ __all__ = [
     "SCHEMA_DIGESTS",
     "SegmentStat",
     "analyze_corpus",
-    "map_segments",
     "pack_columns",
     "pack_trace",
     "read_corpus_columns",
     "schema_digest",
-    "segment_kind_counts",
-    "segment_pack_path",
     "validate_corpus",
-    "verify_segment_job",
-    "write_segment_packs",
 ]

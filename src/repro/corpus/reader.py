@@ -59,8 +59,7 @@ class CorpusReader:
     and checks the trailer, footer (crc), and header (crc); each
     :meth:`segment` read checks that segment's payload crc, so damaged
     bytes raise instead of reading back as a different trace.  The
-    footer statistics are re-derived only on request
-    (:meth:`verify_segment`/:meth:`verify`, or ``verify=True``).
+    footer statistics are re-derived only on request (:meth:`verify`).
     """
 
     def __init__(self, src: _PathOrBytes):
@@ -229,11 +228,10 @@ class CorpusReader:
     def __len__(self) -> int:
         return self.total_events
 
-    def segment(self, index: int, verify: bool = False) -> TraceColumns:
+    def segment(self, index: int) -> TraceColumns:
         """Columns for one segment, zero-copy where the host allows.
 
-        The segment's crc is checked first; ``verify=True`` also
-        re-derives its footer statistics (one more pass over the bytes).
+        The segment's crc is checked first.
         """
         if index < 0:
             index += len(self.stats)
@@ -241,9 +239,7 @@ class CorpusReader:
             raise IndexError(
                 f"segment {index} out of range ({len(self.stats)} segments)"
             )
-        data = self._checked_data(index)
-        if verify:
-            self._verify_stats(index, data)
+        self._checked_data(index)
         stat = self.stats[index]
         buf, n, at = self._buf, stat.count, stat.offset
         numeric = []
@@ -272,9 +268,9 @@ class CorpusReader:
             flags=flags,
         )
 
-    def iter_segments(self, verify: bool = False) -> Iterator[TraceColumns]:
+    def iter_segments(self) -> Iterator[TraceColumns]:
         for i in range(len(self.stats)):
-            yield self.segment(i, verify=verify)
+            yield self.segment(i)
 
     def iter_events(self) -> Iterator[TraceEvent]:
         """Event objects one at a time, O(segment) memory."""
@@ -327,59 +323,30 @@ class CorpusReader:
         )
         return data
 
-    def verify_segment(self, index: int) -> None:
-        """Recompute one segment's crc and statistics against the footer."""
-        self._verify_stats(index, self._checked_data(index))
-
-    def _verify_stats(self, index: int, data: memoryview) -> None:
-        """Re-derive one segment's footer statistics from its *data*."""
-        stat = self.stats[index]
-        n = stat.count
-        if _BIG_ENDIAN:
-            times = array("d")
-            times.frombytes(data[: 8 * n])
-            times.byteswap()
-        else:
-            times = data[: 8 * n].cast("d")
-        for label, got, want in (
-            ("first time", times[0], stat.time_first),
-            ("last time", times[n - 1], stat.time_last),
-        ):
-            _check(
-                got == want,
-                f"{self.path}: segment {index} {label} is {got} but the "
-                f"footer recorded {want}",
-            )
-        for name, slot, (lo_name, hi_name) in (
-            ("user_ids", 3, ("user_lo", "user_hi")),
-            ("file_ids", 2, ("file_lo", "file_hi")),
-        ):
-            view = data[8 * n * slot : 8 * n * (slot + 1)]
-            if _BIG_ENDIAN:
-                column = array("q")
-                column.frombytes(view)
-                column.byteswap()
-            else:
-                column = view.cast("q")
-            lo, hi = min(column), max(column)
-            _check(
-                lo == getattr(stat, lo_name) and hi == getattr(stat, hi_name),
-                f"{self.path}: segment {index} {name} range [{lo}, {hi}] "
-                f"does not match the footer "
-                f"[{getattr(stat, lo_name)}, {getattr(stat, hi_name)}]",
-            )
-        flags = bytes(data[8 * n * 6 + n : 8 * n * 6 + 2 * n])
-        hist = tuple(flags.count(v) for v in range(FLAG_HIST_BINS))
-        _check(
-            hist == tuple(stat.flag_hist),
-            f"{self.path}: segment {index} flag histogram {hist} does not "
-            f"match the footer {tuple(stat.flag_hist)}",
-        )
-
     def verify(self) -> int:
-        """Verify every segment; returns the number checked."""
-        for i in range(len(self.stats)):
-            self.verify_segment(i)
+        """Recompute every segment's crc and footer statistics.
+
+        Raises :class:`CorpusError` naming the first segment and footer
+        field that disagree with the data; returns the number of
+        segments checked.
+        """
+        for index, stat in enumerate(self.stats):
+            cols = self.segment(index)
+            for field, got in (
+                ("time_first", cols.times[0]),
+                ("time_last", cols.times[-1]),
+                ("user_lo", min(cols.user_ids)),
+                ("user_hi", max(cols.user_ids)),
+                ("file_lo", min(cols.file_ids)),
+                ("file_hi", max(cols.file_ids)),
+                ("flag_hist", tuple(map(cols.flags.count, range(FLAG_HIST_BINS)))),
+            ):
+                want = getattr(stat, field)
+                _check(
+                    got == want,
+                    f"{self.path}: segment {index} {field} is {got} but the "
+                    f"footer recorded {want}",
+                )
         return len(self.stats)
 
     # -- lifecycle -----------------------------------------------------------

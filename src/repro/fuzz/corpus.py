@@ -31,7 +31,6 @@ import struct
 
 from ..analysis.onepass import analyze_columns_python
 from ..corpus.format import CorpusError
-from ..corpus.parallel import verify_segment_job
 from ..corpus.reader import CorpusReader
 from ..corpus.stream import analyze_corpus, validate_corpus
 from ..corpus.writer import CorpusWriter
@@ -136,16 +135,6 @@ def check_corpus_streaming(
             or streamed_v.unmatched_opens != in_ram_v.unmatched_opens
         ):
             return "validate_corpus disagrees with the in-RAM reference"
-        # The per-segment footer re-derivation must accept every segment
-        # the writer just produced: the footer is its reference.
-        for index in range(reader.segment_count):
-            try:
-                verify_segment_job(reader.segment(index), reader.stats[index], index)
-            except CorpusError as exc:
-                return (
-                    f"verify_segment_job rejected a freshly written segment "
-                    f"{index}: {exc}"
-                )
     return None
 
 

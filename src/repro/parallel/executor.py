@@ -3,10 +3,10 @@
 A sweep decomposes into jobs that share one large read-only input (the
 pre-decoded streams) and differ only in a small configuration tuple.
 :func:`run_jobs` runs them on a :class:`~concurrent.futures.ProcessPoolExecutor`
-with the payload shipped **once**: under the ``fork`` start method the
-workers inherit it through a module global set before the pool is
-created (zero pickling); under ``spawn`` it is pickled once per worker
-via the pool initializer, never per job.
+with the payload handed to each worker **once**, through the pool
+initializer, never per job.  Under the ``fork`` start method the
+workers inherit the initializer's arguments (zero pickling); under
+``spawn`` or ``forkserver`` the payload is pickled once per worker.
 
 Guarantees:
 
@@ -22,14 +22,6 @@ Guarantees:
 ``jobs_context`` provides an ambient default so a ``--jobs`` flag set at
 the CLI reaches sweeps buried under the experiment registry, whose
 entry points take only a trace.
-
-A payload may defer its expensive parts entirely: anything defining
-``__payload_resolve__()`` is resolved *inside* each worker (and once on
-the serial path) before the first job touches it.  That is how sweeps
-ship ``.bpack`` paths instead of pickled arrays — the parent sends a
-few strings, each worker mmaps the shared file and the page cache does
-the fan-out.  Resolution must be deterministic; workers call it
-independently and may cache the result per process.
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ from typing import Any, Callable, Iterator, Sequence
 __all__ = [
     "auto_jobs",
     "resolve_jobs",
-    "resolve_payload",
     "jobs_context",
     "run_jobs",
 ]
@@ -56,9 +47,8 @@ DEFAULT_JOB_TIMEOUT = 300.0
 
 _ambient_jobs: int | None = None
 
-# The shared payload, stashed in a module global so that fork()ed workers
-# inherit it without serialization.  Spawned workers receive it through
-# _init_worker instead.
+# The shared payload of a worker process, set once by _init_worker.  The
+# parent never sets it.
 _payload: Any = None
 
 
@@ -67,17 +57,8 @@ def _init_worker(payload: Any) -> None:
     _payload = payload
 
 
-def resolve_payload(payload: Any) -> Any:
-    """*payload* itself, or what its ``__payload_resolve__()`` returns."""
-    resolve = getattr(payload, "__payload_resolve__", None)
-    if resolve is not None:
-        return resolve()
-    return payload
-
-
 def _call_chunk(worker: Callable[[Any, Any], Any], chunk: Sequence[Any]) -> list[Any]:
-    payload = resolve_payload(_payload)
-    return [worker(payload, job) for job in chunk]
+    return [worker(_payload, job) for job in chunk]
 
 
 def auto_jobs() -> int:
@@ -115,7 +96,6 @@ def jobs_context(jobs: int | None) -> Iterator[int]:
 def _run_serial(
     worker: Callable[[Any, Any], Any], jobs_list: Sequence[Any], payload: Any
 ) -> list[Any]:
-    payload = resolve_payload(payload)
     return [worker(payload, job) for job in jobs_list]
 
 
@@ -137,50 +117,39 @@ def run_jobs(
     if n <= 1 or len(jobs_list) <= 1:
         return _run_serial(worker, jobs_list, payload)
 
-    global _payload
-    _payload = payload
+    pool = None
     try:
-        context = multiprocessing.get_context()
-        if context.get_start_method() == "fork":
-            # Workers fork with _payload already in place.
-            init, initargs = None, ()
-        else:
-            init, initargs = _init_worker, (payload,)
-        pool = None
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(n, len(jobs_list)),
-                mp_context=context,
-                initializer=init,
-                initargs=initargs,
-            )
-            # Submit in chunks of a few jobs each (roughly two rounds per
-            # worker) so the per-future IPC cost is paid per chunk, not
-            # per job, while still leaving the pool room to balance load.
-            size = max(1, len(jobs_list) // (2 * n))
-            chunks = [
-                jobs_list[i : i + size] for i in range(0, len(jobs_list), size)
-            ]
-            futures = [pool.submit(_call_chunk, worker, chunk) for chunk in chunks]
-            # The per-job timeout scales with the chunk it rides in.
-            chunk_timeout = None if timeout is None else timeout * size
-            return [
-                result
-                for future in futures
-                for result in future.result(timeout=chunk_timeout)
-            ]
-        except Exception:
-            # The pool died, timed out, or could not be built; unpicklable
-            # payloads and results surface as pool errors too.  Cancel
-            # what is pending and produce the full answer serially — a
-            # genuine worker bug re-raises from there, where its
-            # traceback is readable.
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-            return _run_serial(worker, jobs_list, payload)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        pool = ProcessPoolExecutor(
+            max_workers=min(n, len(jobs_list)),
+            mp_context=multiprocessing.get_context(),
+            initializer=_init_worker,
+            initargs=(payload,),
+        )
+        # Submit in chunks of a few jobs each (roughly two rounds per
+        # worker) so the per-future IPC cost is paid per chunk, not
+        # per job, while still leaving the pool room to balance load.
+        size = max(1, len(jobs_list) // (2 * n))
+        chunks = [
+            jobs_list[i : i + size] for i in range(0, len(jobs_list), size)
+        ]
+        futures = [pool.submit(_call_chunk, worker, chunk) for chunk in chunks]
+        # The per-job timeout scales with the chunk it rides in.
+        chunk_timeout = None if timeout is None else timeout * size
+        return [
+            result
+            for future in futures
+            for result in future.result(timeout=chunk_timeout)
+        ]
+    except Exception:
+        # The pool died, timed out, or could not be built; unpicklable
+        # payloads and results surface as pool errors too.  Cancel
+        # what is pending and produce the full answer serially — a
+        # genuine worker bug re-raises from there, where its
+        # traceback is readable.
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+            pool = None
+        return _run_serial(worker, jobs_list, payload)
     finally:
-        _payload = None
+        if pool is not None:
+            pool.shutdown(wait=True)

@@ -6,10 +6,10 @@ Coverage map:
 * writer/reader: bit-exact round trips across segment-boundary sizes,
   unicode metadata, empty corpora, zero-copy views, verification;
 * diagnostics: every corruption is a :class:`CorpusError` naming a byte
-  offset — never a bare ``struct.error`` / ``IndexError``;
+  offset — never a bare ``struct.error`` / ``IndexError`` — and a footer
+  statistic that lies under a valid footer crc fails ``verify()``;
 * streaming: ``analyze_corpus`` / ``validate_corpus`` field-identical to
   the in-RAM references;
-* parallel: ``map_segments`` deterministic across job counts;
 * spool: the ``TraceLog``-shaped sink contract, and a spool torn before
   ``close()`` raising in every reader;
 * CLI: ``corpus pack/info/verify`` plus ``validate``/``analyze`` on
@@ -35,18 +35,17 @@ from repro.corpus import (
     CorpusWriter,
     FORMAT_VERSION,
     SCHEMA_DIGESTS,
-    map_segments,
     pack_columns,
     pack_trace,
     read_corpus_columns,
     schema_digest,
-    segment_kind_counts,
     validate_corpus,
-    verify_segment_job,
 )
 from repro.corpus.format import (
     BYTES_PER_EVENT,
     COLUMN_LAYOUT,
+    FOOTER_HEAD,
+    FOOTER_MAGIC,
     SEGMENT_REC,
     SegmentStat,
     TRAILER,
@@ -301,6 +300,48 @@ class TestDiagnostics:
             ):
                 reader.verify()
 
+    @pytest.mark.parametrize(
+        "field",
+        ["time_first", "time_last", "user_lo", "user_hi", "file_lo",
+         "file_hi", "flag_hist"],
+    )
+    def test_forged_statistic_caught_by_verify(self, field, tmp_path, capsys):
+        # Segment 1's footer record lies, under a recomputed footer crc:
+        # every segment crc holds, so reads succeed and only verify()
+        # can tell.
+        log = fuzz_log("forge", 3 * SEG)
+        data = bytearray(pack_bytes(log))
+        trailer_at = len(data) - TRAILER.size
+        footer_offset, total, nseg, _crc, end = TRAILER.unpack_from(
+            data, trailer_at
+        )
+        at = (
+            footer_offset + len(FOOTER_MAGIC) + FOOTER_HEAD.size
+            + SEGMENT_REC.size
+        )
+        stat = SegmentStat.unpack_from(data, at)
+        value = getattr(stat, field)
+        if field == "flag_hist":
+            setattr(stat, field, (value[0] + 1,) + value[1:])
+        else:
+            setattr(stat, field, value + 1)
+        data[at : at + SEGMENT_REC.size] = stat.pack()
+        TRAILER.pack_into(
+            data, trailer_at, footer_offset, total, nseg,
+            zlib.crc32(data[footer_offset:trailer_at]), end,
+        )
+        with CorpusReader(bytes(data)) as reader:
+            assert reader.to_columns().to_log().events == log.events
+            with pytest.raises(CorpusError, match=f"segment 1 {field} is "):
+                reader.verify()
+        path = tmp_path / "forged.bcorpus"
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["corpus", "verify", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("corrupt:")
+        assert f"segment 1 {field}" in err[0]
+
     def test_time_bit_flip_raises_on_every_read(self, tmp_path, capsys):
         # The lowest mantissa bit of one event time: a well-formed,
         # different trace unless every segment read checks its crc.
@@ -415,38 +456,6 @@ class TestStreaming:
         in_ram = validate_columns(TraceColumns.from_log(log))
         assert streamed.problems == in_ram.problems
         assert any(f"event {2 * SEG}" in p for p in streamed.problems)
-
-
-# -- parallel-by-segment ------------------------------------------------------
-
-
-class TestParallel:
-    def test_map_segments_deterministic_across_job_counts(self, tmp_path):
-        log = fuzz_log("par", 5 * SEG + 3)
-        path = tmp_path / "t.bcorpus"
-        pack_columns(TraceColumns.from_log(log), path, segment_events=SEG)
-        serial = map_segments(segment_kind_counts, path, jobs=1)
-        parallel = map_segments(segment_kind_counts, path, jobs=4)
-        assert serial == parallel
-        assert len(serial) == -(-len(log.events) // SEG)
-        total = sum(sum(c.values()) for c in serial)
-        assert total == len(log.events)
-
-    def test_map_segments_subset(self, tmp_path):
-        log = fuzz_log("par-subset", 4 * SEG)
-        path = tmp_path / "t.bcorpus"
-        pack_columns(TraceColumns.from_log(log), path, segment_events=SEG)
-        subset = map_segments(segment_kind_counts, path, jobs=1, indices=[1, 3])
-        full = map_segments(segment_kind_counts, path, jobs=1)
-        assert subset == [full[1], full[3]]
-
-    def test_verify_segment_job(self, tmp_path):
-        log = fuzz_log("par-verify", 3 * SEG)
-        path = tmp_path / "t.bcorpus"
-        pack_columns(TraceColumns.from_log(log), path, segment_events=SEG)
-        with CorpusReader(path) as reader:
-            count = reader.segment_count
-        assert map_segments(verify_segment_job, path, jobs=2) == ["ok"] * count
 
 
 # -- spool --------------------------------------------------------------------

@@ -11,6 +11,9 @@ contracts and the CLI's ``--jobs`` plumbing.
 
 from __future__ import annotations
 
+import multiprocessing
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cache.policies import (
@@ -484,6 +487,30 @@ class TestSweepParity:
                     assert sweep.results[(bs, cache)] == _simulated(
                         small_trace, cache, WRITE_THROUGH, block_size=bs
                     ), (jobs, bs, cache)
+
+    def test_spawn_pool_reruns_nothing(self, small_trace, monkeypatch):
+        # Spawned workers receive the payload pickled, so a payload that
+        # fails to pickle would fall back to the (identical) serial rerun;
+        # count the reruns to tell the two apart.
+        args = dict(block_sizes=(1024, 4096), cache_sizes=SIZES)
+        serial = block_size_sweep(small_trace, jobs=1, **args)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            executor_module, "multiprocessing",
+            SimpleNamespace(get_context=lambda: spawn),
+        )
+        reruns = []
+        run_serial = executor_module._run_serial
+
+        def spy(*call):
+            reruns.append(call)
+            return run_serial(*call)
+
+        monkeypatch.setattr(executor_module, "_run_serial", spy)
+        pooled = block_size_sweep(small_trace, jobs=2, **args)
+        assert reruns == []
+        assert pooled.results == serial.results
+        assert pooled.no_cache == serial.no_cache
 
     def test_paging_comparison(self, small_trace):
         for jobs in (1, 2):

@@ -7,15 +7,12 @@ replay per cache size and write policy
 the CLI run the fast path silently, so any divergence would corrupt
 Figure 5/6/7 exhibits.  These tests pin
 that equivalence where the kernel is most at risk — hole-heavy streams,
-empty and single-block edges — plus the ``.bpack`` on-disk format, the
-zero-copy sweep fan-out (``pack_dir``/payload resolution), the
-packed-stream memo, and the ``--pack-cache`` CLI plumbing.
+empty and single-block edges — plus the sweep fan-out, the
+packed-stream memo, and the CLI plumbing.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import random
 
 import pytest
@@ -28,26 +25,12 @@ from repro.cache.policies import (
 )
 from repro.cache.stream import Invalidation, Transfer, build_stream
 from repro.cache.sweep import (
-    _pack_ref,
     block_size_sweep,
     cache_size_policy_sweep,
     paging_comparison,
 )
 from repro.cli.main import main
-from repro.corpus import (
-    CorpusReader,
-    pack_trace,
-    segment_pack_path,
-    write_segment_packs,
-)
 from repro.fuzz.gen import random_trace
-from repro.parallel.bpack import (
-    BpackError,
-    cached_bpack,
-    read_bpack,
-    write_bpack,
-)
-from repro.parallel.executor import resolve_payload
 from repro.parallel.packed import (
     cached_packed_stream,
     pack_stream,
@@ -60,7 +43,6 @@ from repro.parallel.veccache import (
     stack_curve_numpy,
     stack_curve_python,
 )
-from repro.trace.log import TraceLog
 
 SIZES = (4096, 8 * 4096, 64 * 4096)
 POLICIES = (WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE)
@@ -230,201 +212,43 @@ class TestEngineKeyedMemo:
 
 
 # ---------------------------------------------------------------------------
-# .bpack on-disk format
-# ---------------------------------------------------------------------------
-
-
-class TestBpack:
-    @pytest.fixture()
-    def packed(self):
-        return pack_stream(_hole_heavy_stream(), 4096)
-
-    def test_round_trip(self, tmp_path, packed):
-        path = tmp_path / "s.bpack"
-        write_bpack(packed, path)
-        got = read_bpack(path)
-        assert got == packed
-        assert got.n_accesses == packed.n_accesses
-        assert got.start_time == packed.start_time
-
-    def test_round_trip_empty(self, tmp_path):
-        path = tmp_path / "empty.bpack"
-        empty = pack_stream([], 4096)
-        write_bpack(empty, path)
-        assert read_bpack(path) == empty
-
-    def test_replay_from_disk_matches_memory(self, tmp_path, packed):
-        path = tmp_path / "s.bpack"
-        write_bpack(packed, path)
-        disk = read_bpack(path)
-        ref = stack_curve(packed, SIZES, (WRITE_THROUGH,))
-        got = stack_curve(disk, SIZES, (WRITE_THROUGH,))
-        for size in SIZES:
-            assert got.metrics(size) == ref.metrics(size)
-
-    def test_truncated_file_rejected(self, tmp_path, packed):
-        path = tmp_path / "s.bpack"
-        write_bpack(packed, path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(BpackError):
-            read_bpack(path)
-
-    def test_bad_magic_rejected(self, tmp_path, packed):
-        path = tmp_path / "s.bpack"
-        write_bpack(packed, path)
-        data = bytearray(path.read_bytes())
-        data[0] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(BpackError):
-            read_bpack(path)
-
-    def test_corrupt_body_fails_crc(self, tmp_path, packed):
-        path = tmp_path / "s.bpack"
-        write_bpack(packed, path)
-        data = bytearray(path.read_bytes())
-        data[60] ^= 0x01  # inside the keys column
-        path.write_bytes(bytes(data))
-        with pytest.raises(BpackError):
-            read_bpack(path)
-
-    def test_cached_bpack_identity_and_staleness(self, tmp_path, packed):
-        path = tmp_path / "s.bpack"
-        write_bpack(packed, path)
-        a = cached_bpack(path)
-        assert cached_bpack(path) is a
-        smaller = pack_stream(_hole_heavy_stream()[:40], 4096)
-        write_bpack(smaller, path)  # different size + mtime
-        b = cached_bpack(path)
-        assert b is not a
-        assert b == smaller
-
-
-# ---------------------------------------------------------------------------
-# Corpus shards
-# ---------------------------------------------------------------------------
-
-
-class TestSegmentPacks:
-    @pytest.fixture()
-    def corpus(self, tmp_path):
-        log = random_trace(random.Random("packs"), 400)
-        dest = tmp_path / "t.bcorpus"
-        pack_trace(log, dest, segment_events=64)
-        return dest
-
-    def test_one_shard_per_segment(self, corpus, tmp_path):
-        paths = write_segment_packs(corpus, 4096, tmp_path / "packs")
-        with CorpusReader(corpus) as reader:
-            assert len(paths) == reader.segment_count
-            cols = reader.segment(0)
-            expected = segment_pack_path(tmp_path / "packs", cols.name, 0, 4096)
-            log0 = cols.to_log()
-        assert paths[0] == expected
-        ref = pack_stream(
-            build_stream(log0), 4096, start_time=log0.start_time
-        )
-        assert read_bpack(paths[0]) == ref
-
-    def test_rerun_is_idempotent(self, corpus, tmp_path):
-        out = tmp_path / "packs"
-        paths = write_segment_packs(corpus, 4096, out)
-        stamps = [os.stat(p).st_mtime_ns for p in paths]
-        assert write_segment_packs(corpus, 4096, out) == paths
-        assert [os.stat(p).st_mtime_ns for p in paths] == stamps
-        rewritten = write_segment_packs(corpus, 4096, out, overwrite=True)
-        assert rewritten == paths
-        assert read_bpack(paths[0]) is not None
-
-
-# ---------------------------------------------------------------------------
-# Zero-copy sweep fan-out
+# Sweep fan-out: jobs=2 equals jobs=1
 # ---------------------------------------------------------------------------
 
 SWEEP_SIZES = (64 * 1024, 394 * 1024)
 
 
 class TestSweepFanout:
-    def test_policy_sweep_parity(self, small_trace, tmp_path):
+    def test_policy_sweep_parity(self, small_trace):
         serial = cache_size_policy_sweep(
             small_trace, cache_sizes=SWEEP_SIZES, jobs=1
         )
-        packed = cache_size_policy_sweep(
-            small_trace, cache_sizes=SWEEP_SIZES, jobs=2, pack_dir=tmp_path,
+        pooled = cache_size_policy_sweep(
+            small_trace, cache_sizes=SWEEP_SIZES, jobs=2
         )
-        assert packed.results == serial.results
-        assert any(p.endswith(".bpack") for p in os.listdir(tmp_path))
+        assert pooled.results == serial.results
 
-    def test_block_size_sweep_parity(self, small_trace, tmp_path):
+    def test_block_size_sweep_parity(self, small_trace):
         serial = block_size_sweep(
             small_trace, block_sizes=(1024, 4096),
             cache_sizes=SWEEP_SIZES, jobs=1,
         )
-        packed = block_size_sweep(
+        pooled = block_size_sweep(
             small_trace, block_sizes=(1024, 4096),
-            cache_sizes=SWEEP_SIZES, jobs=2, pack_dir=tmp_path,
+            cache_sizes=SWEEP_SIZES, jobs=2,
         )
-        assert packed.results == serial.results
-        assert packed.no_cache == serial.no_cache
+        assert pooled.results == serial.results
+        assert pooled.no_cache == serial.no_cache
 
-    def test_paging_comparison_parity(self, small_trace, tmp_path):
+    def test_paging_comparison_parity(self, small_trace):
         serial = paging_comparison(
             small_trace, cache_sizes=SWEEP_SIZES, jobs=1
         )
-        packed = paging_comparison(
-            small_trace, cache_sizes=SWEEP_SIZES, jobs=2, pack_dir=tmp_path
+        pooled = paging_comparison(
+            small_trace, cache_sizes=SWEEP_SIZES, jobs=2
         )
-        assert packed.ignored == serial.ignored
-        assert packed.simulated == serial.simulated
-
-    def test_pack_dir_reused_across_runs(self, small_trace, tmp_path):
-        cache_size_policy_sweep(
-            small_trace, cache_sizes=SWEEP_SIZES[:1], jobs=2,
-            pack_dir=tmp_path,
-        )
-        shards = sorted(tmp_path.iterdir())
-        stamps = [s.stat().st_mtime_ns for s in shards]
-        cache_size_policy_sweep(
-            small_trace, cache_sizes=SWEEP_SIZES[:1], jobs=2,
-            pack_dir=tmp_path,
-        )
-        assert sorted(tmp_path.iterdir()) == shards
-        assert [s.stat().st_mtime_ns for s in shards] == stamps
-
-    def test_pack_dir_keys_on_times(self, small_trace, tmp_path):
-        # Same accesses at different times: equal keys/ops columns, but
-        # flush-back results differ, so the shards must not be shared.
-        slow = TraceLog(
-            name=small_trace.name,
-            description=small_trace.description,
-            events=[dataclasses.replace(e, time=e.time * 3)
-                    for e in small_trace.events],
-        )
-        fast_p = cached_packed_stream(small_trace, 4096)
-        slow_p = cached_packed_stream(slow, 4096)
-        assert (fast_p.ops, fast_p.keys) == (slow_p.ops, slow_p.keys)
-        assert _pack_ref(fast_p, tmp_path, "t") != _pack_ref(slow_p, tmp_path, "t")
-
-        args = dict(cache_sizes=(390 * 1024,), policies=(FLUSH_30S,), jobs=2)
-        first = cache_size_policy_sweep(small_trace, pack_dir=tmp_path, **args)
-        second = cache_size_policy_sweep(slow, pack_dir=tmp_path, **args)
-        fresh = cache_size_policy_sweep(slow, **args)
-        assert second.results == fresh.results
-        assert fresh.results != first.results
-
-    def test_resolve_payload_protocol(self):
-        class Plain:
-            pass
-
-        plain = Plain()
-        assert resolve_payload(plain) is plain
-        assert resolve_payload(None) is None
-
-        class Deferred:
-            def __payload_resolve__(self):
-                return {"resolved": True}
-
-        assert resolve_payload(Deferred()) == {"resolved": True}
+        assert pooled.ignored == serial.ignored
+        assert pooled.simulated == serial.simulated
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +266,6 @@ def trace_file(tmp_path_factory):
 
 
 class TestCLIEngine:
-    def test_sweep_engine_and_pack_cache(self, trace_file, tmp_path, capsys):
-        pack_dir = tmp_path / "packs"
-        assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "2",
-                     "--pack-cache", str(pack_dir)]) == 0
-        assert "write-through" in capsys.readouterr().out
-        assert any(
-            name.endswith(".bpack") for name in os.listdir(pack_dir)
-        )
-
     def test_sweep_numpy_engine_matches_python(self, trace_file, capsys):
         # --jobs 1 runs the same jobs as --jobs 2, in-process.
         assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "2"]) == 0
