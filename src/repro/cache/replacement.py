@@ -442,8 +442,8 @@ class EnsemblePolicy(ReplacementPolicy):
     arm with the best observed rate, with one-in-
     :data:`ENSEMBLE_EXPLORE_ONE_IN` epochs exploring a pseudo-random
     arm.  The explorer is a fixed-seed 64-bit LCG — no ``random``
-    module, so replays are bit-for-bit reproducible (the determinism
-    lints hold this package to that).
+    module, so replays are bit-for-bit reproducible
+    (``TestEnsemble::test_deterministic_replay`` holds it to that).
     """
 
     __slots__ = (

@@ -17,7 +17,6 @@ Subcommands::
     repro-fs filter    a5.trace --users 1,2 -o pair.trace
     repro-fs merge     a.trace b.trace -o merged.trace
     repro-fs system    --profile A5 --all
-    repro-fs lint      src tests --format json|sarif [--output PATH]
     repro-fs convert-strace strace.log -o out.trace
     repro-fs corpus    pack a5.trace -o a5.bcorpus [--segment-events N]
     repro-fs corpus    info a5.bcorpus [--segments]
@@ -36,7 +35,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from ..analysis import (
     analyze_activity,
@@ -54,8 +52,6 @@ from ..cache.policies import (
     FLUSH_30S,
     FLUSH_5MIN,
     WRITE_THROUGH,
-    PolicySpec,
-    WritePolicy,
 )
 from ..cache.replacement import REPLACEMENT_NAMES, replacement_context
 from ..cache.simulator import simulate_cache
@@ -472,48 +468,6 @@ def _cmd_system(args: argparse.Namespace) -> int:
     return 0
 
 
-#: What ``repro-fs lint`` scans when given no paths (those that exist).
-_LINT_DEFAULT_PATHS = ("src", "tests")
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from ..statics import (
-        lint_paths,
-        render_json,
-        render_sarif,
-        render_text,
-        rule_catalog,
-    )
-
-    if args.list_rules:
-        for rule_id, severity, title in rule_catalog():
-            print(f"{rule_id}  {severity:7s}  {title}")
-        return 0
-    # With no paths given and neither default present, lint_paths
-    # reports the missing src rather than passing on zero files.
-    paths = args.paths or [p for p in _LINT_DEFAULT_PATHS if Path(p).exists()]
-    try:
-        report = lint_paths(paths or _LINT_DEFAULT_PATHS)
-    except FileNotFoundError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-        "text": render_text,
-    }[args.format]
-    rendered = render(report)
-    if args.output is not None:
-        Path(args.output).write_text(rendered + "\n", encoding="utf-8")
-        print(
-            f"wrote {args.output} ({len(report.findings)} finding(s) in "
-            f"{report.files_scanned} file(s))"
-        )
-    else:
-        print(rendered)
-    return 0 if report.ok else 1
-
-
 def _cmd_corpus_pack(args: argparse.Namespace) -> int:
     from ..corpus import pack_trace
 
@@ -743,29 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None)
     p.add_argument("--all", action="store_true")
     p.set_defaults(func=_cmd_system)
-
-    p = sub.add_parser(
-        "lint",
-        help="AST invariant linter (determinism, parallel-safety, "
-        "hot-path hygiene, trace-schema drift)",
-    )
-    p.add_argument(
-        "paths", nargs="*", default=[],
-        help="files or directories to lint (default: src and tests, "
-        "whichever exist)",
-    )
-    p.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text"
-    )
-    p.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the rendered report to PATH instead of stdout "
-        "(the exit code still reflects findings)",
-    )
-    p.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog"
-    )
-    p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser(
         "corpus",

@@ -43,9 +43,11 @@ file format never changes with the host).
 Versioning: the format version appears as the final byte of all three
 magics and as :data:`FORMAT_VERSION`.  Any change to the segment layout,
 the stat record, or the magics MUST bump the version and register the
-new schema digest in :data:`SCHEMA_DIGESTS` — the ``REP-S002`` lint rule
-recomputes the digest from this file's literals and fails the build on
-silent drift.
+new schema digest in :data:`SCHEMA_DIGESTS`.  The writer and the reader
+both lay segments out by iterating :data:`COLUMN_LAYOUT`, so a layout
+edit changes the bytes on disk: ``TestFormat`` in ``tests/test_corpus.py``
+fails on the unregistered digest and ``TestGoldenEncodings`` in
+``tests/test_fuzz.py`` on the changed encodings.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ END_MAGIC = b"BSDCEND\x01"
 
 #: Column order inside one segment (numeric 8-byte columns first, so an
 #: 8-aligned segment start keeps them castable; the two byte columns
-#: trail).  Typecodes match TraceColumns exactly.
+#: trail).  Typecodes match TraceColumns exactly.  The writer and the
+#: reader both iterate this tuple, so it alone sets the order on disk.
 COLUMN_LAYOUT = (
     ("times", "d"),
     ("open_ids", "q"),
@@ -121,7 +124,7 @@ FLAG_HIST_BINS = 16
 SEGMENT_STAT_STRUCT = "<QQddqqqqQ16Q"
 
 #: Storage cost of one event inside a segment (6 x 8-byte + 2 x 1-byte).
-BYTES_PER_EVENT = 50
+BYTES_PER_EVENT = struct.calcsize("<" + "".join(code for _, code in COLUMN_LAYOUT))
 
 #: Writer default: ~3.2 MB of segment data, small enough that dozens of
 #: segments stream through a worker without memory pressure, large
@@ -130,7 +133,8 @@ DEFAULT_SEGMENT_EVENTS = 65536
 
 _SCHEMA_DIGEST_V1 = "40178e9a0265"
 
-#: version -> expected schema digest; REP-S002 recomputes and compares.
+#: version -> expected schema digest; ``TestFormat`` compares it with
+#: :func:`schema_digest`.
 SCHEMA_DIGESTS = {1: _SCHEMA_DIGEST_V1}
 
 HEADER_STR = struct.Struct("<H")
@@ -218,10 +222,9 @@ class SegmentStat:
 def schema_digest() -> str:
     """Digest of everything that defines the on-disk layout.
 
-    The same canonical string is rebuilt from this module's *literals* by
-    the ``REP-S002`` lint rule, so the digest can be recomputed without
-    importing the package.  Changing any input without bumping
-    :data:`FORMAT_VERSION` (and recording the new digest) fails lint.
+    Changing any input without bumping :data:`FORMAT_VERSION` (and
+    recording the new digest) fails ``TestFormat``; changing the layout
+    the writer and reader share fails ``TestGoldenEncodings`` as well.
     """
     canonical = repr(
         {

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import struct
 import sys
 import zlib
 from array import array
@@ -26,6 +27,7 @@ from typing import IO, Iterator, Union
 from ..trace.columns import TraceColumns
 from ..trace.records import TraceEvent
 from .format import (
+    COLUMN_LAYOUT,
     END_MAGIC,
     FLAG_HIST_BINS,
     FOOTER_HEAD,
@@ -173,6 +175,11 @@ class CorpusReader:
                 f"{self.path}: segment {i} claims offset {stat.offset} "
                 f"but the previous segment ends at byte {data_at}",
             )
+            _check(
+                stat.count > 0,
+                f"{self.path}: segment {i} at byte {stat.offset} is empty "
+                "(a corpus writer never writes an empty segment)",
+            )
             data_at += stat.data_bytes + pad_to_8(stat.data_bytes)
             _check(
                 data_at <= footer_offset,
@@ -242,30 +249,21 @@ class CorpusReader:
         self._checked_data(index)
         stat = self.stats[index]
         buf, n, at = self._buf, stat.count, stat.offset
-        numeric = []
-        for typecode in ("d", "q", "q", "q", "q", "q"):
-            view = buf[at : at + 8 * n]
-            if _BIG_ENDIAN:
+        columns = {}
+        for name, typecode in COLUMN_LAYOUT:
+            view = buf[at : at + n * struct.calcsize("<" + typecode)]
+            at += len(view)
+            if typecode == "B":
+                columns[name] = bytes(view)
+            elif _BIG_ENDIAN:
                 column = array(typecode)
                 column.frombytes(view)
                 column.byteswap()
-                numeric.append(column)
+                columns[name] = column
             else:
-                numeric.append(view.cast(typecode))
-            at += 8 * n
-        kinds = bytes(buf[at : at + n])
-        flags = bytes(buf[at + n : at + 2 * n])
+                columns[name] = view.cast(typecode)
         return TraceColumns(
-            name=self.name,
-            description=self.description,
-            kinds=kinds,
-            times=numeric[0],
-            open_ids=numeric[1],
-            file_ids=numeric[2],
-            user_ids=numeric[3],
-            sizes=numeric[4],
-            positions=numeric[5],
-            flags=flags,
+            name=self.name, description=self.description, **columns
         )
 
     def iter_segments(self) -> Iterator[TraceColumns]:

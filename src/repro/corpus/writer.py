@@ -53,6 +53,7 @@ from ..trace.records import (
     UnlinkEvent,
 )
 from .format import (
+    COLUMN_LAYOUT,
     DEFAULT_SEGMENT_EVENTS,
     END_MAGIC,
     FLAG_HIST_BINS,
@@ -78,13 +79,13 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _ROW = 8
 
 
-def _le_bytes(column: array) -> bytes:
+def _le_bytes(column: array | bytearray) -> bytes:
     """The column's buffer as little-endian bytes (the on-disk order)."""
-    if _BIG_ENDIAN:
+    if _BIG_ENDIAN and isinstance(column, array):
         swapped = array(column.typecode, column)
         swapped.byteswap()
         return swapped.tobytes()
-    return column.tobytes()
+    return bytes(column)
 
 
 def _event_row(event: TraceEvent) -> tuple:
@@ -272,18 +273,9 @@ class CorpusWriter:
         if count == 0:
             return
         offset = self.bytes_written
-        chunks = [
-            _le_bytes(self._times),
-            _le_bytes(self._open_ids),
-            _le_bytes(self._file_ids),
-            _le_bytes(self._user_ids),
-            _le_bytes(self._sizes),
-            _le_bytes(self._positions),
-            bytes(self._kinds),
-            bytes(self._flags),
-        ]
         crc = 0
-        for chunk in chunks:
+        for name, _typecode in COLUMN_LAYOUT:
+            chunk = _le_bytes(getattr(self, "_" + name))
             self._fh.write(chunk)
             crc = zlib.crc32(chunk, crc)
             self.bytes_written += len(chunk)

@@ -43,7 +43,6 @@ from repro.corpus import (
 )
 from repro.corpus.format import (
     BYTES_PER_EVENT,
-    COLUMN_LAYOUT,
     FOOTER_HEAD,
     FOOTER_MAGIC,
     SEGMENT_REC,
@@ -85,12 +84,6 @@ class TestFormat:
         for magic in (MAGIC, FOOTER_MAGIC, END_MAGIC):
             assert len(magic) == 8
             assert magic[-1] == FORMAT_VERSION
-
-    def test_bytes_per_event_matches_layout(self):
-        widths = {"d": 8, "q": 8, "B": 1}
-        assert BYTES_PER_EVENT == sum(
-            widths[code] for _name, code in COLUMN_LAYOUT
-        )
 
     def test_pad_to_8(self):
         assert [pad_to_8(n) for n in range(9)] == [0, 7, 6, 5, 4, 3, 2, 1, 0]
@@ -386,6 +379,36 @@ class TestDiagnostics:
         assert bogus_footer  # the fixture really has a footer
         with pytest.raises(CorpusError):
             CorpusReader(bad)
+
+    def test_empty_segment_record_rejected(self, tmp_path, capsys):
+        # A count-0 record appended to the footer at the footer offset,
+        # under a fixed-up trailer: offsets, sizes and crcs all hold,
+        # and the writer never writes one, so opening must refuse it.
+        data = pack_bytes(fuzz_log("empty-seg", 2 * SEG))
+        trailer_at = len(data) - TRAILER.size
+        footer_offset, total, nseg, _crc, end = TRAILER.unpack_from(
+            data, trailer_at
+        )
+        empty = SegmentStat(
+            offset=footer_offset, count=0, time_first=0.0, time_last=0.0,
+            user_lo=0, user_hi=0, file_lo=0, file_hi=0, crc32=0,
+            flag_hist=(0,) * 16,
+        )
+        footer = data[footer_offset:trailer_at] + empty.pack()
+        path = tmp_path / "empty-segment.bcorpus"
+        path.write_bytes(
+            data[:footer_offset] + footer + TRAILER.pack(
+                footer_offset, total, nseg + 1, zlib.crc32(footer), end
+            )
+        )
+        message = f"segment {nseg} at byte {footer_offset} is empty"
+        with pytest.raises(CorpusError, match=message):
+            CorpusReader(path)
+        for argv in (["corpus", "verify", str(path)], ["stats", str(path)]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and message in err[0]
 
     def test_never_a_bare_struct_or_index_error(self):
         data = pack_bytes(fuzz_log("sweep", 2 * SEG))

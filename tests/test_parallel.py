@@ -6,7 +6,8 @@ worth having if they are *bit-identical* to the reference
 them at every ``jobs`` value, so any divergence would corrupt exhibits.
 These tests pin that equivalence across policies, sizes, knobs,
 checkpoints and flush anchoring, plus the executor's ordering/fallback
-contracts and the CLI's ``--jobs`` plumbing.
+contracts, that every caller of the executor really runs on a spawned
+pool, and the CLI's ``--jobs`` plumbing.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.cache.sweep import (
     paging_comparison,
 )
 from repro.cli.main import main
+from repro.experiments import run_one
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
     auto_jobs,
@@ -46,6 +48,8 @@ from repro.parallel.packed import (
 )
 from repro.parallel.veccache import stack_curve, stack_curve_numpy
 from repro.trace.records import UnlinkEvent
+from repro.workload import UCBARPA, UCBCAD
+from repro.workload.generator import generate, generate_many
 
 ALL_POLICIES = (WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE)
 SIZES = (64 * 1024, 390 * 1024, 4 * 1024 * 1024)
@@ -383,6 +387,23 @@ def _boom(payload, job):
     raise RuntimeError("worker bug")
 
 
+@pytest.fixture(scope="module")
+def pool_trace():
+    return generate(UCBARPA, seed=5, duration=600.0).trace
+
+
+#: Every caller of run_jobs, as (trace, jobs) -> its whole answer.
+POOL_CALLERS = {
+    "block_size_sweep": lambda log, jobs: block_size_sweep(
+        log, block_sizes=(1024, 4096), cache_sizes=SIZES, jobs=jobs
+    ),
+    "generate_many": lambda log, jobs: generate_many(
+        [(UCBARPA, 1), (UCBCAD, 2)], duration=60.0, jobs=jobs
+    ),
+    "netfs": lambda log, jobs: run_one("netfs", log, jobs=jobs),
+}
+
+
 class TestExecutor:
     def test_serial_and_parallel_agree_in_order(self):
         jobs_list = list(range(20))
@@ -427,6 +448,32 @@ class TestExecutor:
     def test_payload_global_cleared(self):
         run_jobs(_scale, list(range(4)), payload=7, jobs=2)
         assert executor_module._payload is None
+
+    @pytest.mark.parametrize("caller", sorted(POOL_CALLERS))
+    def test_spawn_pool_reruns_nothing(self, caller, pool_trace, monkeypatch):
+        # Under spawn the worker, the payload and every result cross a
+        # pickle.  A lambda or closure worker falls back to the
+        # (identical) serial rerun, so count the reruns.  A worker that
+        # passes its result back through module state leaves the
+        # parent's copy empty or stale, so run the pool first, on a
+        # trace no other test replays, and compare with serial after.
+        run = POOL_CALLERS[caller]
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            executor_module, "multiprocessing",
+            SimpleNamespace(get_context=lambda: spawn),
+        )
+        reruns = []
+        run_serial = executor_module._run_serial
+
+        def spy(*call):
+            reruns.append(call)
+            return run_serial(*call)
+
+        monkeypatch.setattr(executor_module, "_run_serial", spy)
+        pooled = run(pool_trace, 2)
+        assert reruns == []
+        assert pooled == run(pool_trace, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -487,30 +534,6 @@ class TestSweepParity:
                     assert sweep.results[(bs, cache)] == _simulated(
                         small_trace, cache, WRITE_THROUGH, block_size=bs
                     ), (jobs, bs, cache)
-
-    def test_spawn_pool_reruns_nothing(self, small_trace, monkeypatch):
-        # Spawned workers receive the payload pickled, so a payload that
-        # fails to pickle would fall back to the (identical) serial rerun;
-        # count the reruns to tell the two apart.
-        args = dict(block_sizes=(1024, 4096), cache_sizes=SIZES)
-        serial = block_size_sweep(small_trace, jobs=1, **args)
-        spawn = multiprocessing.get_context("spawn")
-        monkeypatch.setattr(
-            executor_module, "multiprocessing",
-            SimpleNamespace(get_context=lambda: spawn),
-        )
-        reruns = []
-        run_serial = executor_module._run_serial
-
-        def spy(*call):
-            reruns.append(call)
-            return run_serial(*call)
-
-        monkeypatch.setattr(executor_module, "_run_serial", spy)
-        pooled = block_size_sweep(small_trace, jobs=2, **args)
-        assert reruns == []
-        assert pooled.results == serial.results
-        assert pooled.no_cache == serial.no_cache
 
     def test_paging_comparison(self, small_trace):
         for jobs in (1, 2):

