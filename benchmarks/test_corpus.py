@@ -86,7 +86,7 @@ def corpus_path(tiles, tmp_path_factory) -> str:
 
 
 def test_corpus_pack_throughput(base_columns, tiles, tmp_path, benchmark):
-    """Regression-gated: bulk column packing, events/s to disk."""
+    """Timed, no baseline: bulk column packing, events/s to disk."""
     out = tmp_path / "pack.bcorpus"
     events = benchmark.pedantic(
         lambda: _pack(tiles, str(out)), rounds=ROUNDS, iterations=1
@@ -100,7 +100,7 @@ def test_corpus_pack_throughput(base_columns, tiles, tmp_path, benchmark):
 
 
 def test_corpus_streamed_analyze_throughput(corpus_path, benchmark):
-    """Regression-gated: the full one-pass report off the corpus,
+    """Timed, no baseline: the full one-pass report off the corpus,
     segment-streamed (mmap + zero-copy views), events/s per core."""
     with CorpusReader(corpus_path) as reader:
         events = len(reader)

@@ -80,7 +80,7 @@ def test_stack_curve_exact_at_paper_sizes(trace, bench_once, benchmark):
 
 
 def test_sweep_throughput(trace, benchmark):
-    """Regression-gated: parallel Table VI sweep wall time (jobs=4)."""
+    """Timed, no baseline: parallel Table VI sweep wall time (jobs=4)."""
     cache_size_policy_sweep(trace, jobs=4)  # warm memos
     sweep = benchmark.pedantic(
         cache_size_policy_sweep, args=(trace,), kwargs=dict(jobs=4),
@@ -97,7 +97,7 @@ def test_sweep_throughput(trace, benchmark):
 
 
 def test_packed_replay_throughput(trace, benchmark):
-    """Regression-gated: one packed delayed-write replay at 390 KB."""
+    """Timed, no baseline: one packed delayed-write replay at 390 KB."""
     packed = cached_packed_stream(trace, 4096)
     run = benchmark.pedantic(
         simulate_packed, args=(packed, 390 * 1024), rounds=3, iterations=1,

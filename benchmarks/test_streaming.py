@@ -99,7 +99,7 @@ def test_onepass_speedup_vs_reference(trace):
 
 
 def test_full_report_throughput(trace, benchmark):
-    """Regression-gated: one full report via the fused pass (including
+    """Timed, no baseline: one full report via the fused pass (including
     the columnar build, so the number is end-to-end from a TraceLog)."""
     result = benchmark.pedantic(
         lambda: analyze_onepass(TraceColumns.from_log(trace)),
@@ -114,7 +114,7 @@ def test_full_report_throughput(trace, benchmark):
 
 
 def test_generation_throughput(tmp_path, benchmark):
-    """Regression-gated: spool-mode generation wall time (30 simulated
+    """Timed, no baseline: spool-mode generation wall time (30 simulated
     minutes streamed straight to a corpus, O(buffer) memory)."""
     out = tmp_path / "bench.bcorpus"
 

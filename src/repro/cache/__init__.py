@@ -13,9 +13,7 @@ from .replacement import (
     REPLACEMENT_NAMES,
     REPLACEMENT_POLICIES,
     ReplacementPolicy,
-    current_replacement,
     make_replacement,
-    replacement_context,
     validate_replacement,
 )
 from .policies import (
@@ -61,8 +59,6 @@ __all__ = [
     "REPLACEMENT_NAMES",
     "make_replacement",
     "validate_replacement",
-    "current_replacement",
-    "replacement_context",
     "build_stream",
     "StreamItem",
     "Invalidation",

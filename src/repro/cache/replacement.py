@@ -1,8 +1,12 @@
 """Pluggable block-replacement policies (the cache-policy zoo).
 
-The paper simulates LRU only; ROADMAP item 3 grows the simulator into a
-policy-pluggable zoo so replacement strategies can be ranked across the
-three machines and the strace workloads ("Table VI revisited").  This
+The paper simulates LRU only; this reproduction extends the simulator
+into a policy-pluggable zoo so replacement strategies can be ranked
+across the three machines and the strace workloads ("Table VI
+revisited", the ``table6rev`` experiment).  A policy is always chosen
+explicitly: ``replacement=`` on the simulators and the sweeps,
+``--replacement`` on ``repro-fs simulate`` and ``--policy`` on
+``repro-fs sweep``; the default everywhere is the paper's LRU.  This
 module is the plugin API: a :class:`ReplacementPolicy` owns *ordering*
 only — which resident block dies next — while the simulator core keeps
 the paper's write-policy/invalidation/read-elision semantics and every
@@ -41,8 +45,6 @@ non-LRU policy is evaluated by replay, one capacity at a time.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from contextvars import ContextVar
 from heapq import heappop, heappush
 
 __all__ = [
@@ -58,8 +60,6 @@ __all__ = [
     "REPLACEMENT_NAMES",
     "make_replacement",
     "validate_replacement",
-    "current_replacement",
-    "replacement_context",
 ]
 
 
@@ -549,24 +549,3 @@ def make_replacement(name: str, capacity: int) -> ReplacementPolicy:
     """Construct the policy *name* for a *capacity*-block cache."""
     return REPLACEMENT_POLICIES[validate_replacement(name)](capacity)
 
-
-#: Ambient replacement-policy default, mirroring the jobs context
-#: (:func:`~repro.parallel.executor.jobs_context`): the experiment entry
-#: points take only a trace, so ``repro-fs experiment --policy`` travels
-#: to the sweeps beneath them through this context.
-_AMBIENT: ContextVar[str] = ContextVar("repro-replacement", default="lru")
-
-
-def current_replacement() -> str:
-    """The ambient replacement policy (``"lru"`` unless overridden)."""
-    return _AMBIENT.get()
-
-
-@contextmanager
-def replacement_context(name: str):
-    """Run a block with *name* as the ambient replacement policy."""
-    token = _AMBIENT.set(validate_replacement(name))
-    try:
-        yield
-    finally:
-        _AMBIENT.reset(token)

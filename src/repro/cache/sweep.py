@@ -7,7 +7,7 @@ from a one-pass curve (:func:`~repro.parallel.veccache.stack_curve`),
 which gives all sizes under all write policies at once: Table VI is one
 job for all 24 cells, Table VII one per block size and Figure 7 one per
 variant.  The other replacement policies keep one packed replay per
-cell (:func:`~repro.parallel.veccache.replay_packed`).
+cell (:func:`~repro.parallel.packed.simulate_packed`).
 :func:`~repro.parallel.executor.run_jobs` runs the jobs in-process at
 ``jobs=1`` or when there is one job, and on a process pool otherwise —
 ``jobs`` sets parallelism only, never which code computes a cell.
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 from ..analysis.report import render_table
 from ..parallel.executor import run_jobs
-from ..parallel.packed import PackedStream, cached_packed_stream
-from ..parallel.veccache import replay_packed, stack_curve
+from ..parallel.packed import PackedStream, cached_packed_stream, simulate_packed
+from ..parallel.veccache import stack_curve
 from ..trace.log import TraceLog
 from .metrics import CacheMetrics
 from .policies import (
@@ -38,7 +38,7 @@ from .policies import (
     WRITE_THROUGH,
     PolicySpec,
 )
-from .replacement import current_replacement, validate_replacement
+from .replacement import validate_replacement
 from .stream import StreamItem, Transfer
 
 __all__ = [
@@ -80,6 +80,11 @@ PAPER_BLOCK_SWEEP_CACHES = (
 )
 
 
+def _replacement_suffix(replacement: str) -> str:
+    """A title's policy suffix: none for the paper's LRU."""
+    return "" if replacement == "lru" else f", {replacement}"
+
+
 def _size_label(nbytes: int) -> str:
     if nbytes >= 1024 * 1024:
         value = nbytes / (1024 * 1024)
@@ -103,7 +108,7 @@ def _sweep_worker(payload, job):
         )
         return [[curve.metrics(size, p) for size in sizes] for p in policies]
     _, _, cache_bytes, policy, replacement = job
-    return replay_packed(
+    return simulate_packed(
         packed,
         cache_bytes,
         policy,
@@ -142,13 +147,6 @@ def _run_cells(
             yield key, size, policy, result
 
 
-def _resolve_replacement(replacement: str | None) -> str:
-    """*replacement*, or the ambient default (``repro-fs ... --policy``)."""
-    if replacement is None:
-        return current_replacement()
-    return validate_replacement(replacement)
-
-
 @dataclass
 class CachePolicySweep:
     """Miss ratio as a function of cache size and write policy
@@ -172,13 +170,13 @@ class CachePolicySweep:
             for policy in self.policies:
                 row.append(f"{100 * self.miss_ratio(size, policy):.1f}%")
             rows.append(row)
-        extra = "" if self.replacement == "lru" else f", {self.replacement}"
         return render_table(
             headers,
             rows,
             title=(
                 f"Table VI: miss ratio vs cache size and write policy "
-                f"({self.trace_name}, {self.block_size}-byte blocks{extra})"
+                f"({self.trace_name}, {self.block_size}-byte blocks"
+                f"{_replacement_suffix(self.replacement)})"
             ),
         )
 
@@ -189,16 +187,15 @@ def cache_size_policy_sweep(
     policies: tuple[PolicySpec, ...] = PAPER_POLICIES,
     block_size: int = 4096,
     jobs: int | None = None,
-    replacement: str | None = None,
+    replacement: str = "lru",
 ) -> CachePolicySweep:
     """Reproduce Figure 5 / Table VI on *log*.
 
     *replacement* selects the block-replacement policy (any name in
-    :data:`~repro.cache.replacement.REPLACEMENT_NAMES`; ``None`` defers
-    to the ambient :func:`~repro.cache.replacement.replacement_context`,
-    default LRU — the paper's policy).
+    :data:`~repro.cache.replacement.REPLACEMENT_NAMES`; the default,
+    LRU, is the paper's policy).
     """
-    repl = _resolve_replacement(replacement)
+    repl = validate_replacement(replacement)
     sweep = CachePolicySweep(
         trace_name=log.name,
         block_size=block_size,
@@ -231,6 +228,7 @@ class BlockSizeSweep:
     trace_name: str
     block_sizes: tuple[int, ...]
     cache_sizes: tuple[int, ...]
+    replacement: str = "lru"
     no_cache: dict[int, int] = field(default_factory=dict)
     results: dict[tuple[int, int], CacheMetrics] = field(default_factory=dict)
 
@@ -258,7 +256,8 @@ class BlockSizeSweep:
             rows,
             title=(
                 f"Table VII: disk I/Os vs block size and cache size "
-                f"({self.trace_name}, delayed-write)"
+                f"({self.trace_name}, delayed-write"
+                f"{_replacement_suffix(self.replacement)})"
             ),
         )
 
@@ -269,14 +268,15 @@ def block_size_sweep(
     cache_sizes: tuple[int, ...] = PAPER_BLOCK_SWEEP_CACHES,
     policy: PolicySpec = DELAYED_WRITE,
     jobs: int | None = None,
-    replacement: str | None = None,
+    replacement: str = "lru",
 ) -> BlockSizeSweep:
     """Reproduce Figure 6 / Table VII on *log*."""
-    repl = _resolve_replacement(replacement)
+    repl = validate_replacement(replacement)
     sweep = BlockSizeSweep(
         trace_name=log.name,
         block_sizes=tuple(block_sizes),
         cache_sizes=tuple(cache_sizes),
+        replacement=repl,
     )
     payload = {bs: cached_packed_stream(log, bs) for bs in block_sizes}
     jobs_list: list[tuple] = []
@@ -295,6 +295,7 @@ class PagingComparison:
 
     trace_name: str
     cache_sizes: tuple[int, ...]
+    replacement: str = "lru"
     ignored: dict[int, CacheMetrics] = field(default_factory=dict)
     simulated: dict[int, CacheMetrics] = field(default_factory=dict)
 
@@ -314,7 +315,8 @@ class PagingComparison:
             rows,
             title=(
                 f"Figure 7: miss ratio with paging approximated "
-                f"({self.trace_name}, delayed-write, 4096-byte blocks)"
+                f"({self.trace_name}, delayed-write, 4096-byte blocks"
+                f"{_replacement_suffix(self.replacement)})"
             ),
         )
 
@@ -325,12 +327,12 @@ def paging_comparison(
     block_size: int = 4096,
     policy: PolicySpec = DELAYED_WRITE,
     jobs: int | None = None,
-    replacement: str | None = None,
+    replacement: str = "lru",
 ) -> PagingComparison:
     """Reproduce Figure 7 on *log*."""
-    repl = _resolve_replacement(replacement)
+    repl = validate_replacement(replacement)
     comparison = PagingComparison(
-        trace_name=log.name, cache_sizes=tuple(cache_sizes)
+        trace_name=log.name, cache_sizes=tuple(cache_sizes), replacement=repl
     )
     payload = {
         "plain": cached_packed_stream(log, block_size, include_paging=False),

@@ -7,7 +7,7 @@ Subcommands::
     repro-fs validate  a5.trace [--max-problems N]
     repro-fs analyze   a5.trace [--report activity|sequentiality|...]
     repro-fs simulate  a5.trace --cache-mb 4 --block-size 4096 --policy delayed-write
-    repro-fs sweep     a5.trace [--kind policy|blocksize|paging]
+    repro-fs sweep     a5.trace [--kind policy|blocksize|paging] [--policy lru]
     repro-fs twolevel  a5.trace --client-kb 512 --server-mb 16
     repro-fs netfs     [a5.trace] --clients 10 --protocol callbacks
     repro-fs export-figures a5.trace -d figures
@@ -53,7 +53,7 @@ from ..cache.policies import (
     FLUSH_5MIN,
     WRITE_THROUGH,
 )
-from ..cache.replacement import REPLACEMENT_NAMES, replacement_context
+from ..cache.replacement import REPLACEMENT_NAMES
 from ..cache.simulator import simulate_cache
 from ..cache.sweep import (
     block_size_sweep,
@@ -385,23 +385,22 @@ def _cmd_export_figures(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     log = _load_trace(args.trace)
     jobs = _jobs(args)
-    # The registry's entry points take only a trace; the replacement
-    # policy reaches the sweeps beneath them (table6, fig5, fig7...)
-    # ambiently, exactly like the jobs count does through run_one/run_all.
-    with replacement_context(args.policy):
-        if args.all:
-            for result in run_all(log, jobs=jobs):
-                print(result)
-                print()
-            return 0
-        if not args.id:
-            print(
-                f"available experiments: {', '.join(all_ids())}",
-                file=sys.stderr,
-            )
-            return 2
-        print(run_one(args.id, log, jobs=jobs))
+    # The exhibits run the paper's LRU; another replacement policy's
+    # Table VI, VII or Figure 7 comes from `sweep --policy`, and
+    # `--id table6rev` ranks the whole zoo.
+    if args.all:
+        for result in run_all(log, jobs=jobs):
+            print(result)
+            print()
         return 0
+    if not args.id:
+        print(
+            f"available experiments: {', '.join(all_ids())}",
+            file=sys.stderr,
+        )
+        return 2
+    print(run_one(args.id, log, jobs=jobs))
+    return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -655,9 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CPU count, capped; "
                    "1 runs in-process)")
-    p.add_argument("--policy", choices=list(REPLACEMENT_NAMES), default="lru",
-                   help="block replacement policy for the cache exhibits "
-                   "(the paper's is lru)")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(

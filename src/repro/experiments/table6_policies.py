@@ -4,7 +4,7 @@ The paper fixed LRU replacement and swept write policies (Table VI).
 This exhibit holds the best write policy fixed (delayed-write, the
 paper's winner) and sweeps the *replacement* policy instead, across the
 three paper machines plus a modern strace-captured compile pipeline.
-Every cell is an exact packed replay (:func:`replay_packed`); the
+Every cell is an exact packed replay (:func:`simulate_packed`); the
 non-LRU zoo policies are replay-only (DESIGN.md §16).
 """
 
@@ -14,8 +14,7 @@ import textwrap
 
 from ..cache.policies import DELAYED_WRITE
 from ..cache.replacement import REPLACEMENT_NAMES
-from ..parallel.packed import cached_packed_stream
-from ..parallel.veccache import replay_packed
+from ..parallel.packed import cached_packed_stream, simulate_packed
 from ..strace import convert_calls, parse_lines
 from ..trace.log import TraceLog
 from ..workload.generator import generate_many
@@ -112,7 +111,7 @@ def _grid(log: TraceLog) -> dict[str, dict[int, float]]:
     for name in REPLACEMENT_NAMES:
         row: dict[int, float] = {}
         for size in _SIZES:
-            run = replay_packed(
+            run = simulate_packed(
                 packed,
                 size,
                 DELAYED_WRITE,

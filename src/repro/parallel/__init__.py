@@ -3,9 +3,10 @@
 Three layers, composable but independent:
 
 * :mod:`.packed` — compile a trace's item stream once per block size
-  into flat arrays and replay them through a tight single-loop simulator
-  (bit-identical metrics to the reference
-  :class:`~repro.cache.simulator.BlockCacheSimulator`);
+  into flat arrays and replay them through one tight loop around a
+  replacement-policy object, the same objects for every policy as the
+  reference :class:`~repro.cache.simulator.BlockCacheSimulator` drives
+  (bit-identical metrics);
 * :mod:`.veccache` — the whole LRU cache-size curve under every write
   policy from one pass (Mattson stack analysis extended with deletion
   holes and the write-back rules of Thompson & Smith), as a numpy

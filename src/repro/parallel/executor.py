@@ -14,10 +14,12 @@ Guarantees:
   regardless of completion order;
 * **serial when asked** — ``jobs=1`` (or a single job) runs in-process
   with no pool, byte-identical to the parallel answer;
-* **graceful degradation** — a dead pool, an unpicklable payload or a
-  per-job timeout cancels the pool and reruns the whole list serially,
-  so callers never see a partial result (a worker whose own logic raises
-  will re-raise from the serial rerun, where the traceback is readable).
+* **graceful degradation** — an unpicklable worker or job runs the list
+  serially without starting a pool; a dead pool, an unpicklable payload
+  or a per-job timeout cancels the pool and reruns the whole list
+  serially, so callers never see a partial result (a worker whose own
+  logic raises will re-raise from the serial rerun, where the traceback
+  is readable).
 
 ``jobs_context`` provides an ambient default so a ``--jobs`` flag set at
 the CLI reaches sweeps buried under the experiment registry, whose
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
@@ -119,6 +122,11 @@ def run_jobs(
 
     pool = None
     try:
+        # A worker or job list that cannot cross a pickle goes straight
+        # to the serial run: a pool whose every chunk fails to pickle can
+        # hang interpreter exit.  The payload is not checked here; it is
+        # the large input, and under fork the workers inherit it.
+        pickle.dumps((worker, jobs_list))
         pool = ProcessPoolExecutor(
             max_workers=min(n, len(jobs_list)),
             mp_context=multiprocessing.get_context(),

@@ -6,9 +6,12 @@ the byte range into blocks, build a ``(file_id, block)`` tuple key, and
 evaluate the whole-block-overwrite / beyond-EOF coverage test against the
 evolving known file size.  None of that depends on the cache
 configuration — only on the stream and the block size — so
-:func:`pack_stream` does it once, compiling the item stream into four
+:func:`pack_stream` does it once, compiling the item stream into three
 flat arrays (op code, packed 64-bit key, timestamp) that
-:func:`simulate_packed` replays with a tight single loop.
+:func:`simulate_packed` replays with a tight single loop.  That one
+loop serves every replacement policy: it drives the same
+:class:`~repro.cache.replacement.ReplacementPolicy` objects as the full
+simulator, LRU and FIFO included.
 
 The coverage test can be hoisted out of the simulator because the known
 file size evolves deterministically from the stream alone (transfers
@@ -25,12 +28,11 @@ simulator (``tests/test_parallel.py``), which stays the specification.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..cache.metrics import CacheMetrics
 from ..cache.policies import DELAYED_WRITE, PolicySpec, WritePolicy
-from ..cache.replacement import make_replacement, validate_replacement
+from ..cache.replacement import make_replacement
 from ..cache.stream import Invalidation, StreamItem, cached_stream
 from ..trace.log import TraceLog
 from ..trace.memo import memoize_per_log
@@ -211,186 +213,19 @@ def simulate_packed(
 ) -> PackedRun:
     """Replay *packed* through one cache configuration.
 
-    Semantically identical to ``BlockCacheSimulator(...).run(stream,
-    checkpoint_time, flush_epoch)`` with the same knobs (the differential
-    suite asserts equality field by field), minus the residency/exposure
-    trackers, which need per-event hooks the tight loop does not pay for.
+    One loop around a :class:`~repro.cache.replacement.ReplacementPolicy`
+    driven through the exact operation sequence the full simulator uses
+    (touch on hit, insert on fill, victim/remove on eviction, remove on
+    invalidation), so every policy makes the same victim choices there
+    and here.  Semantically identical to ``BlockCacheSimulator(...).run(
+    stream, checkpoint_time, flush_epoch)`` with the same knobs (the
+    differential suite asserts equality field by field), minus the
+    residency/exposure trackers, which need per-event hooks the tight
+    loop does not pay for.
     """
-    bs = packed.block_size
-    capacity = cache_bytes // bs
+    capacity = cache_bytes // packed.block_size
     if capacity < 1:
         raise ValueError("cache smaller than one block")
-    validate_replacement(replacement)
-    if replacement not in ("lru", "fifo"):
-        # The zoo policies replay through one generic loop driven by a
-        # policy object — the same classes, and therefore the same
-        # victim sequence, as the full simulator (fuzz pillar 6).
-        return _simulate_packed_policy(
-            packed,
-            capacity,
-            policy,
-            replacement,
-            read_elision=read_elision,
-            invalidate_on_delete=invalidate_on_delete,
-            checkpoint_time=checkpoint_time,
-            flush_epoch=flush_epoch,
-        )
-    lru = replacement == "lru"
-    write_through = policy.policy is WritePolicy.WRITE_THROUGH
-    flushing = policy.policy is WritePolicy.FLUSH_BACK
-
-    # Presence and recency order live in the OrderedDict; dirtiness in a
-    # separate set, which makes a flush scan O(dirty blocks) instead of
-    # O(cache) — the scans at 30 s intervals over a 16 MB cache otherwise
-    # dominate the whole replay.
-    cache: OrderedDict[int, bool] = OrderedDict()  # key -> True
-    dirty_set: set[int] = set()
-    by_file: dict[int, set[int]] = {}  # fid -> set of keys
-    reads = writes = disk_reads = disk_writes = 0
-    evictions = invalidated = 0
-    dirty_created = dirty_discarded = elisions = 0
-    checkpoint: CacheMetrics | None = None
-
-    get = cache.get
-    pop = cache.pop
-    popitem = cache.popitem
-    move = cache.move_to_end
-    dirty_add = dirty_set.add
-    dirty_has = dirty_set.__contains__
-    dirty_drop = dirty_set.discard
-
-    inf = float("inf")
-    cp_at = checkpoint_time if checkpoint_time is not None else inf
-    interval = policy.flush_interval or 0.0
-    if flushing:
-        if flush_epoch is not None:
-            next_flush = flush_epoch + interval
-        elif len(packed.times):
-            next_flush = packed.times[0] + interval
-        else:
-            next_flush = inf
-    else:
-        next_flush = inf
-
-    # One loop serves LRU and FIFO, timed or not: with no flush and no
-    # checkpoint both clocks stay at infinity.  The zoo policies have
-    # their own loop below.
-    for op, key, t in zip(packed.ops, packed.keys.tolist(), packed.times.tolist()):
-        if t >= cp_at:
-            checkpoint = CacheMetrics(
-                read_accesses=reads,
-                write_accesses=writes,
-                disk_reads=disk_reads,
-                disk_writes=disk_writes,
-                evictions=evictions,
-                invalidated_blocks=invalidated,
-                dirty_blocks_created=dirty_created,
-                dirty_blocks_discarded=dirty_discarded,
-                read_elisions=elisions,
-            )
-            cp_at = inf
-        while t >= next_flush:
-            if dirty_set:
-                disk_writes += len(dirty_set)
-                dirty_set.clear()
-            next_flush += interval
-        if op == OP_INVALIDATE:
-            if invalidate_on_delete:
-                fid = key >> KEY_SHIFT
-                s = by_file.get(fid)
-                if s:
-                    doomed = sorted(k for k in s if k >= key)
-                    if doomed:
-                        for k in doomed:
-                            pop(k)
-                            if dirty_has(k):
-                                dirty_drop(k)
-                                dirty_discarded += 1
-                            s.discard(k)
-                        invalidated += len(doomed)
-                        if not s:
-                            del by_file[fid]
-            continue
-        if get(key) is not None:
-            # Hit.
-            if lru:
-                move(key)
-            if op:
-                writes += 1
-                if write_through:
-                    disk_writes += 1
-                elif not dirty_has(key):
-                    dirty_add(key)
-                    dirty_created += 1
-            else:
-                reads += 1
-            continue
-        # Miss.
-        if op:
-            writes += 1
-            if op == OP_WRITE_COVERED and read_elision:
-                elisions += 1
-            else:
-                disk_reads += 1
-            if write_through:
-                disk_writes += 1
-            else:
-                dirty_created += 1
-                dirty_add(key)
-        else:
-            reads += 1
-            disk_reads += 1
-        cache[key] = True
-        fid = key >> KEY_SHIFT
-        s = by_file.get(fid)
-        if s is None:
-            s = by_file[fid] = set()
-        s.add(key)
-        if len(cache) > capacity:
-            vkey, _ = popitem(False)
-            evictions += 1
-            if dirty_has(vkey):
-                dirty_drop(vkey)
-                disk_writes += 1
-            vfid = vkey >> KEY_SHIFT
-            vs = by_file[vfid]
-            vs.discard(vkey)
-            if not vs:
-                del by_file[vfid]
-    metrics = CacheMetrics(
-        read_accesses=reads,
-        write_accesses=writes,
-        disk_reads=disk_reads,
-        disk_writes=disk_writes,
-        evictions=evictions,
-        invalidated_blocks=invalidated,
-        dirty_blocks_created=dirty_created,
-        dirty_blocks_discarded=dirty_discarded,
-        read_elisions=elisions,
-    )
-    return PackedRun(metrics=metrics, checkpoint=checkpoint)
-
-
-def _simulate_packed_policy(
-    packed: PackedStream,
-    capacity: int,
-    policy: PolicySpec,
-    replacement: str,
-    *,
-    read_elision: bool,
-    invalidate_on_delete: bool,
-    checkpoint_time: float | None,
-    flush_epoch: float | None,
-) -> PackedRun:
-    """The zoo replay: one generic loop around a policy object.
-
-    Mirrors the generic timed branch of :func:`simulate_packed`, with
-    the :class:`OrderedDict` recency bookkeeping replaced by a
-    :class:`~repro.cache.replacement.ReplacementPolicy` driven through
-    the exact operation sequence the full simulator uses (touch on hit,
-    insert on fill, victim/remove on eviction, remove on invalidation)
-    — which is what makes the two bit-identical for every policy.
-    """
     replacer = make_replacement(replacement, capacity)
     touch = replacer.touch
     admit = replacer.insert
@@ -400,6 +235,9 @@ def _simulate_packed_policy(
     write_through = policy.policy is WritePolicy.WRITE_THROUGH
     flushing = policy.policy is WritePolicy.FLUSH_BACK
 
+    # Dirtiness lives in its own set, which makes a flush scan O(dirty
+    # blocks) instead of O(cache) — the scans at 30 s intervals over a
+    # 16 MB cache otherwise dominate the whole replay.
     resident: set[int] = set()  # membership only; ordering is the policy's
     dirty_set: set[int] = set()
     by_file: dict[int, set[int]] = {}
@@ -425,6 +263,7 @@ def _simulate_packed_policy(
     else:
         next_flush = inf
 
+    # With no flush and no checkpoint both clocks stay at infinity.
     for op, key, t in zip(packed.ops, packed.keys.tolist(), packed.times.tolist()):
         if t >= cp_at:
             checkpoint = CacheMetrics(

@@ -89,9 +89,9 @@ curve from one :func:`simulate_packed` replay per size and policy.
 Bit-identity is the contract (``tests/test_veccache.py`` and fuzz
 pillar 5 compare them): :func:`stack_curve` runs the kernel and reruns
 the specification only when the kernel raises :class:`VectorFallback`
-on its input.  A single configuration (:func:`replay_packed`) stays on
-the :func:`simulate_packed` loop, which beats the kernel's fixed cost
-at one size.
+on its input.  A single configuration stays on the
+:func:`simulate_packed` loop: at one size the two tie, the kernel's
+fixed cost (sorts, the wavelet matrix) being about one loop's time.
 """
 
 from __future__ import annotations
@@ -100,14 +100,13 @@ import math
 from heapq import heappop, heappush
 
 from ..cache.metrics import CacheMetrics
-from ..cache.policies import DELAYED_WRITE, WRITE_THROUGH, PolicySpec, WritePolicy
+from ..cache.policies import WRITE_THROUGH, PolicySpec, WritePolicy
 from ..trace.npview import np
 from .packed import (
     KEY_SHIFT,
     OP_INVALIDATE,
     OP_READ,
     OP_WRITE_COVERED,
-    PackedRun,
     PackedStream,
     simulate_packed,
 )
@@ -264,33 +263,9 @@ def stack_curve_python(
     return StackCurve(bs, sizes, specs, index, final, checkpoint)
 
 
-def replay_packed(
-    packed: PackedStream,
-    cache_bytes: int,
-    policy: PolicySpec = DELAYED_WRITE,
-    *,
-    replacement: str = "lru",
-    read_elision: bool = True,
-    invalidate_on_delete: bool = True,
-    checkpoint_time: float | None = None,
-    flush_epoch: float | None = None,
-) -> PackedRun:
-    """One configuration replay: :func:`simulate_packed`.
-
-    A curve pays a fixed cost (sorts, the wavelet matrix) that only
-    many sizes amortize; for one size the per-row loop is faster, so
-    single configurations of every policy stay on it.
-    """
-    return simulate_packed(
-        packed,
-        cache_bytes,
-        policy,
-        replacement=replacement,
-        read_elision=read_elision,
-        invalidate_on_delete=invalidate_on_delete,
-        checkpoint_time=checkpoint_time,
-        flush_epoch=flush_epoch,
-    )
+#: One configuration replay.  The name is kept for the pipeline
+#: benchmark, which imports it; the sweeps call :func:`simulate_packed`.
+replay_packed = simulate_packed
 
 
 def stack_curve_numpy(

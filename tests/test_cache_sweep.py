@@ -107,3 +107,26 @@ class TestPagingComparison:
     def test_render(self, small_trace):
         comparison = paging_comparison(small_trace, cache_sizes=(1024 * 1024,))
         assert "Page-in" in comparison.render()
+
+
+class TestReplacementTitles:
+    def test_titles_name_a_non_lru_policy(self, small_trace):
+        # LRU titles stay the paper's; any other policy is named, as
+        # Table VI's already is.
+        sizes = (1024 * 1024,)
+        for replacement, suffix in (("lru", ""), ("fifo", ", fifo")):
+            table7 = block_size_sweep(
+                small_trace, block_sizes=(4096,), cache_sizes=sizes,
+                replacement=replacement,
+            )
+            fig7 = paging_comparison(
+                small_trace, cache_sizes=sizes, replacement=replacement
+            )
+            assert table7.render().splitlines()[0] == (
+                "Table VII: disk I/Os vs block size and cache size "
+                f"(A5, delayed-write{suffix})"
+            )
+            assert fig7.render().splitlines()[0] == (
+                "Figure 7: miss ratio with paging approximated "
+                f"(A5, delayed-write, 4096-byte blocks{suffix})"
+            )

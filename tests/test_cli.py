@@ -160,6 +160,15 @@ class TestExperiments:
         assert main(["experiment", trace_file]) == 2
         assert "table6" in capsys.readouterr().err
 
+    def test_experiment_takes_no_policy(self, trace_file, capsys):
+        # Exhibits run the paper's LRU; another policy's Table VI comes
+        # from `sweep --policy`.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", trace_file, "--id", "table6",
+                  "--policy", "clock"])
+        assert exit_info.value.code == 2
+        assert "--policy" in capsys.readouterr().err
+
 
 class TestConvertStrace:
     def test_convert(self, tmp_path, capsys):

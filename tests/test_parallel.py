@@ -441,6 +441,22 @@ class TestExecutor:
             2 * j for j in jobs_list
         ]
 
+    def test_unpicklable_worker_starts_no_pool(self, monkeypatch):
+        # A worker that cannot cross a pickle runs serially without a
+        # pool: every chunk of such a pool fails to pickle, and its
+        # workers can hang interpreter exit.
+        built = []
+
+        class SpyPool:
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                raise AssertionError("pool built for an unpicklable worker")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", SpyPool)
+        results = run_jobs(lambda payload, job: 2 * job, range(6), jobs=2)
+        assert results == [2 * j for j in range(6)]
+        assert built == []
+
     def test_worker_bug_reraises_serially(self):
         with pytest.raises(RuntimeError, match="worker bug"):
             run_jobs(_boom, [1, 2], payload=None, jobs=2)
@@ -511,15 +527,19 @@ class TestSweepParity:
                         small_trace, size, policy, replacement="2q"
                     ), (jobs, size, policy.label)
 
-    def test_block_size_sweep(self, small_trace):
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    def test_block_size_sweep(self, small_trace, replacement):
         stream = cached_stream(small_trace)
         for jobs in (1, 2):
-            sweep = block_size_sweep(small_trace, jobs=jobs)
+            sweep = block_size_sweep(
+                small_trace, jobs=jobs, replacement=replacement
+            )
             for bs in sweep.block_sizes:
                 assert sweep.no_cache[bs] == count_block_accesses(stream, bs)
                 for cache in sweep.cache_sizes:
                     assert sweep.results[(bs, cache)] == _simulated(
-                        small_trace, cache, DELAYED_WRITE, block_size=bs
+                        small_trace, cache, DELAYED_WRITE, block_size=bs,
+                        replacement=replacement,
                     ), (jobs, bs, cache)
 
     def test_block_size_sweep_write_through(self, small_trace):
@@ -535,15 +555,19 @@ class TestSweepParity:
                         small_trace, cache, WRITE_THROUGH, block_size=bs
                     ), (jobs, bs, cache)
 
-    def test_paging_comparison(self, small_trace):
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    def test_paging_comparison(self, small_trace, replacement):
         for jobs in (1, 2):
-            comparison = paging_comparison(small_trace, jobs=jobs)
+            comparison = paging_comparison(
+                small_trace, jobs=jobs, replacement=replacement
+            )
             for size in PAPER_CACHE_SIZES:
                 assert comparison.ignored[size] == _simulated(
-                    small_trace, size, DELAYED_WRITE
+                    small_trace, size, DELAYED_WRITE, replacement=replacement
                 ), (jobs, size)
                 assert comparison.simulated[size] == _simulated(
-                    small_trace, size, DELAYED_WRITE, include_paging=True
+                    small_trace, size, DELAYED_WRITE, replacement=replacement,
+                    include_paging=True,
                 ), (jobs, size)
 
 

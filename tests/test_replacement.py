@@ -23,9 +23,7 @@ from repro.cache.replacement import (
     LfuPolicy,
     LruPolicy,
     TwoQPolicy,
-    current_replacement,
     make_replacement,
-    replacement_context,
     validate_replacement,
 )
 from repro.cache.simulator import BlockCacheSimulator
@@ -54,18 +52,6 @@ class TestRegistry:
     def test_simulator_rejects_unknown(self):
         with pytest.raises(ValueError):
             BlockCacheSimulator(8 * 4096, replacement="belady")
-
-    def test_ambient_context(self):
-        assert current_replacement() == "lru"
-        with replacement_context("2q"):
-            assert current_replacement() == "2q"
-            with replacement_context("arc"):
-                assert current_replacement() == "arc"
-            assert current_replacement() == "2q"
-        assert current_replacement() == "lru"
-        with pytest.raises(ValueError):
-            with replacement_context("nope"):
-                pass
 
 
 class TestLru:

@@ -23,6 +23,7 @@ from repro.cache.policies import (
     FLUSH_30S,
     WRITE_THROUGH,
 )
+from repro.cache.simulator import BlockCacheSimulator
 from repro.cache.stream import Invalidation, Transfer, build_stream
 from repro.cache.sweep import (
     block_size_sweep,
@@ -130,7 +131,7 @@ class TestEdgeCases:
     def test_empty_stream(self):
         packed = pack_stream([], 4096)
         _assert_curves_identical(packed, SIZES)
-        run = replay_packed(packed, 4096, WRITE_THROUGH)
+        run = simulate_packed(packed, 4096, WRITE_THROUGH)
         assert run.metrics.read_accesses == 0
         assert run.metrics.disk_reads == 0
 
@@ -148,7 +149,7 @@ class TestEdgeCases:
                           start=0, end=100, is_write=False)]
         packed = pack_stream(items, 4096)
         _assert_curves_identical(packed, (4096,))
-        run = replay_packed(packed, 4096, WRITE_THROUGH)
+        run = simulate_packed(packed, 4096, WRITE_THROUGH)
         assert run.metrics.disk_reads == 1
 
     def test_one_block_cache_thrash(self):
@@ -191,10 +192,14 @@ class TestDispatch:
             assert got.metrics(size) == ref.metrics
 
     def test_replay_stateful_policy_falls_back(self):
-        packed = pack_stream(_hole_heavy_stream(), 4096)
-        ref = simulate_packed(packed, 8 * 4096, DELAYED_WRITE, flush_epoch=0.0)
+        # `replay_packed`, the pipeline benchmark's name for one replay,
+        # answers a stateful (delayed-write) cell like the simulator.
+        stream = _hole_heavy_stream()
+        packed = pack_stream(stream, 4096)
+        sim = BlockCacheSimulator(8 * 4096, 4096, DELAYED_WRITE)
+        ref = sim.run(stream, flush_epoch=0.0)
         got = replay_packed(packed, 8 * 4096, DELAYED_WRITE, flush_epoch=0.0)
-        assert got == ref
+        assert got.metrics == ref
 
 
 # ---------------------------------------------------------------------------
