@@ -61,10 +61,7 @@ def test_stack_curve_exact_at_paper_sizes(trace, bench_once, benchmark):
     stream = build_stream(trace)
     packed = cached_packed_stream(trace, 4096)
 
-    curve = bench_once(
-        stack_curve, packed, PAPER_CACHE_SIZES, PAPER_POLICIES,
-        flush_epoch=packed.start_time,
-    )
+    curve = bench_once(stack_curve, packed, PAPER_CACHE_SIZES, PAPER_POLICIES)
     for policy in PAPER_POLICIES:
         for size in PAPER_CACHE_SIZES:
             sim = BlockCacheSimulator(cache_bytes=size, policy=policy)

@@ -12,7 +12,7 @@ the cache longer than 20 minutes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 __all__ = ["CacheMetrics", "ResidencyTracker", "ExposureTracker"]
 
@@ -61,19 +61,6 @@ class CacheMetrics:
         if not self.dirty_blocks_created:
             return 0.0
         return self.dirty_blocks_discarded / self.dirty_blocks_created
-
-    def snapshot(self) -> "CacheMetrics":
-        """A copy of the current counters (for warmup checkpoints)."""
-        return replace(self)
-
-    def delta(self, since: "CacheMetrics") -> "CacheMetrics":
-        """Counter differences ``self - since`` — the *warm* metrics when
-        ``since`` was snapshotted at the end of a warmup period."""
-        kwargs = {
-            f.name: getattr(self, f.name) - getattr(since, f.name)
-            for f in fields(self)
-        }
-        return CacheMetrics(**kwargs)
 
     def summary(self) -> str:
         return (

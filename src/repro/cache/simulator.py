@@ -57,7 +57,6 @@ class BlockCacheSimulator:
         "read_elision",
         "invalidate_on_delete",
         "metrics",
-        "checkpoint",
         "residency",
         "exposure",
         "_dirty_count",
@@ -66,6 +65,7 @@ class BlockCacheSimulator:
         "_by_file",
         "_known_size",
         "_now",
+        "_next_flush",
     )
 
     def __init__(
@@ -90,9 +90,6 @@ class BlockCacheSimulator:
         self.read_elision = read_elision
         self.invalidate_on_delete = invalidate_on_delete
         self.metrics = CacheMetrics()
-        #: Counter snapshot taken when the stream first crossed
-        #: ``checkpoint_time`` in :meth:`run` (None until then).
-        self.checkpoint: CacheMetrics | None = None
         self.residency = ResidencyTracker() if track_residency else None
         self.exposure = ExposureTracker() if track_exposure else None
         self._dirty_count = 0
@@ -103,6 +100,8 @@ class BlockCacheSimulator:
         self._by_file: dict[int, set[int]] = {}
         self._known_size: dict[int, int] = {}
         self._now = 0.0
+        # The next flush-back scan's time, carried across run() calls.
+        self._next_flush: float | None = None
 
     # -- cache bookkeeping ----------------------------------------------------
 
@@ -237,44 +236,27 @@ class BlockCacheSimulator:
             self._insert(key, dirty=False)
 
     def run(
-        self,
-        stream: list[StreamItem],
-        checkpoint_time: float | None = None,
-        flush_epoch: float | None = None,
+        self, stream: list[StreamItem], flush_epoch: float | None = None
     ) -> CacheMetrics:
         """Replay *stream* (from :func:`~repro.cache.stream.build_stream`).
 
-        If *checkpoint_time* is given, :attr:`checkpoint` captures the
-        counters when the stream first reaches that time; the *warm*
-        metrics (cold-start excluded) are then
-        ``sim.metrics.delta(sim.checkpoint)``.
-
         *flush_epoch* anchors the flush-back scan schedule.  Flush scans
-        happen at ``epoch + k * flush_interval``; historically the epoch
-        was the first stream item's (arbitrary) timestamp, which made the
-        scan phase depend on when the first transfer happened to be
-        billed, and drifted between incremental ``run`` calls.  Passing
+        happen at ``epoch + k * flush_interval``.  Passing
         ``flush_epoch=log.start_time`` pins the schedule to the trace
         start — what a real kernel's periodic ``sync`` daemon does (it
-        runs on wall-clock ticks, not relative to the first write).  The
-        sweeps and :func:`simulate_cache` anchor to the trace start; the
-        default ``None`` keeps the legacy first-item anchoring for
-        backward compatibility with incremental callers that replay one
-        item at a time.
+        runs on wall-clock ticks, not relative to the first write); the
+        sweeps and :func:`simulate_cache` do.  With ``None`` the first
+        item's time is the epoch.  The schedule is fixed by the first
+        call and carried across later ones, so replaying a stream one
+        item per call equals replaying it whole.
         """
         bs = self.block_size
         flushing = self.policy.policy is WritePolicy.FLUSH_BACK
-        next_flush = None
-        if flushing and flush_epoch is not None:
+        next_flush = self._next_flush
+        if flushing and next_flush is None and flush_epoch is not None:
             next_flush = flush_epoch + self.policy.flush_interval
         for item in stream:
             self._now = item.time
-            if (
-                checkpoint_time is not None
-                and self.checkpoint is None
-                and item.time >= checkpoint_time
-            ):
-                self.checkpoint = self.metrics.snapshot()
             if flushing:
                 if next_flush is None:
                     next_flush = item.time + self.policy.flush_interval
@@ -299,6 +281,7 @@ class BlockCacheSimulator:
             # write-elision test for later writes.
             if item.end > known:
                 self._known_size[item.file_id] = item.end
+        self._next_flush = next_flush
         if self.residency is not None:
             self.residency.finish(
                 [self._now - e.insert_time for e in self._cache.values()]

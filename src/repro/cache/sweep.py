@@ -103,9 +103,7 @@ def _sweep_worker(payload, job):
     packed = payload[job[1]]
     if job[0] == "curve":
         _, _, sizes, policies = job
-        curve = stack_curve(
-            packed, sizes, policies, flush_epoch=packed.start_time
-        )
+        curve = stack_curve(packed, sizes, policies)
         return [[curve.metrics(size, p) for size in sizes] for p in policies]
     _, _, cache_bytes, policy, replacement = job
     return simulate_packed(

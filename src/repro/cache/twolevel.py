@@ -146,7 +146,7 @@ def simulate_two_level(
         sim = client_for(item.user_id)
         before_reads = sim.metrics.disk_reads
         before_writes = sim.metrics.disk_writes
-        sim.run([item])
+        sim.run([item], flush_epoch=log.start_time)
         fetched = sim.metrics.disk_reads - before_reads
         written_back = sim.metrics.disk_writes - before_writes
         # Client misses become server reads; write-backs server writes.

@@ -24,9 +24,8 @@ of that claim on every seeded trace:
   :func:`~repro.parallel.packed.simulate_packed` replay per size and
   policy): the full miss/hit/eviction curve at seed-chosen cache sizes
   (small ones included — they maximize hole traffic) under seed-chosen
-  write policies and flush anchor, exact
-  :class:`~repro.cache.metrics.CacheMetrics` per size and policy,
-  checkpoint snapshots and both simulator knobs.
+  write policies, exact :class:`~repro.cache.metrics.CacheMetrics` per
+  size and policy.
 
 A kernel may decline an input by raising
 :class:`~repro.analysis.vectorized.VectorFallback`; production then
@@ -247,18 +246,9 @@ def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
     short = PolicySpec(WritePolicy.FLUSH_BACK, rng.choice((2.0, 7.5, 20.0)))
     pool = (WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE, short)
     policies = tuple(rng.sample(pool, rng.randrange(1, len(pool) + 1)))
-    knobs = {
-        "read_elision": rng.random() < 0.5,
-        "invalidate_on_delete": rng.random() < 0.5,
-        "flush_epoch": packed.start_time if rng.random() < 0.5 else None,
-    }
-    if rng.random() < 0.5 and len(packed.times):
-        lo = packed.times[0]
-        hi = packed.times[-1]
-        knobs["checkpoint_time"] = lo + rng.random() * (hi - lo)
-    ref = stack_curve_python(packed, sizes, policies, **knobs)
+    ref = stack_curve_python(packed, sizes, policies)
     try:
-        fast = stack_curve_numpy(packed, sizes, policies, **knobs)
+        fast = stack_curve_numpy(packed, sizes, policies)
     except VectorFallback:
         # The kernel declined this input (out-of-range keys); dispatch
         # would rerun the specification, so there is nothing to compare.
@@ -268,6 +258,4 @@ def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
             where = f"{size} bytes, {policy.label}"
             if fast.metrics(size, policy) != ref.metrics(size, policy):
                 return f"{label}: curve metrics diverge at {where}"
-            if fast.checkpoint(size, policy) != ref.checkpoint(size, policy):
-                return f"{label}: curve checkpoint diverges at {where}"
     return None

@@ -161,9 +161,7 @@ def check_cache(
     """Reference simulator vs packed replayer vs LRU curve."""
     stream = build_stream(log)
     packed = pack_stream(stream, block_size, start_time=log.start_time)
-    curve = stack_curve(
-        packed, cache_sizes, _ORACLE_POLICIES, flush_epoch=log.start_time
-    )
+    curve = stack_curve(packed, cache_sizes, _ORACLE_POLICIES)
     for policy in _ORACLE_POLICIES:
         for cache_bytes in cache_sizes:
             ref = BlockCacheSimulator(

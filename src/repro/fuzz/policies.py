@@ -9,9 +9,8 @@ bookkeeping).  Their contract is bit-identical
 just the paper's LRU.  This pillar is the machine check:
 
 * for each registered policy, replay the seeded trace through both
-  hosts at seed-chosen capacities, write policies and semantics knobs
-  (checkpoint included) — metrics and checkpoint snapshots must match
-  field for field;
+  hosts at seed-chosen capacities and write policies — metrics must
+  match field for field;
 * a three-way sanity oracle: on a no-reuse workload (every key touched
   once) ARC, LRU and 2Q must produce *identical* metrics — with no
   reuse there is nothing for adaptivity or ghost lists to exploit, so
@@ -68,45 +67,24 @@ def check_policies(log: TraceLog, seed: int | str = 0) -> str | None:
     # every policy's victim logic (CLOCK's hand, ARC's REPLACE, 2Q's
     # A1in drain) under constant pressure.
     caps = sorted({1, 2, rng.randrange(1, 64), rng.randrange(1, 512)})
-    knobs = {
-        "read_elision": rng.random() < 0.5,
-        "invalidate_on_delete": rng.random() < 0.5,
-    }
-    checkpoint_time = None
-    if rng.random() < 0.5 and len(packed.times):
-        lo = packed.times[0]
-        hi = packed.times[-1]
-        checkpoint_time = lo + rng.random() * (hi - lo)
     for name in REPLACEMENT_NAMES:
         for cap in caps:
             cache_bytes = cap * _BLOCK_SIZE
             write_policy = _WRITE_POLICIES[rng.randrange(len(_WRITE_POLICIES))]
             label = f"policy[{name},{write_policy.label},cap={cap}]"
             sim = BlockCacheSimulator(
-                cache_bytes,
-                _BLOCK_SIZE,
-                write_policy,
-                replacement=name,
-                **knobs,
+                cache_bytes, _BLOCK_SIZE, write_policy, replacement=name
             )
-            sim.run(
-                stream,
-                checkpoint_time=checkpoint_time,
-                flush_epoch=log.start_time,
-            )
+            sim.run(stream, flush_epoch=log.start_time)
             run = simulate_packed(
                 packed,
                 cache_bytes,
                 write_policy,
                 replacement=name,
-                checkpoint_time=checkpoint_time,
                 flush_epoch=log.start_time,
-                **knobs,
             )
             if run.metrics != sim.metrics:
                 return f"{label}: packed replay diverges from the full simulator"
-            if run.checkpoint != sim.checkpoint:
-                return f"{label}: packed replay checkpoint diverges"
     # Three-way no-reuse oracle: nothing to adapt to, so the adaptive
     # policies must collapse onto plain LRU's numbers exactly.
     no_reuse = _no_reuse_stream(rng)

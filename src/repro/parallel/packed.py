@@ -197,7 +197,6 @@ class PackedRun:
     """Result of one packed replay."""
 
     metrics: CacheMetrics
-    checkpoint: CacheMetrics | None = None
 
 
 def simulate_packed(
@@ -206,9 +205,6 @@ def simulate_packed(
     policy: PolicySpec = DELAYED_WRITE,
     *,
     replacement: str = "lru",
-    read_elision: bool = True,
-    invalidate_on_delete: bool = True,
-    checkpoint_time: float | None = None,
     flush_epoch: float | None = None,
 ) -> PackedRun:
     """Replay *packed* through one cache configuration.
@@ -218,7 +214,7 @@ def simulate_packed(
     (touch on hit, insert on fill, victim/remove on eviction, remove on
     invalidation), so every policy makes the same victim choices there
     and here.  Semantically identical to ``BlockCacheSimulator(...).run(
-    stream, checkpoint_time, flush_epoch)`` with the same knobs (the
+    stream, flush_epoch)`` with the same replacement policy (the
     differential suite asserts equality field by field), minus the
     residency/exposure trackers, which need per-event hooks the tight
     loop does not pay for.
@@ -244,14 +240,12 @@ def simulate_packed(
     reads = writes = disk_reads = disk_writes = 0
     evictions = invalidated = 0
     dirty_created = dirty_discarded = elisions = 0
-    checkpoint: CacheMetrics | None = None
 
     dirty_add = dirty_set.add
     dirty_has = dirty_set.__contains__
     dirty_drop = dirty_set.discard
 
     inf = float("inf")
-    cp_at = checkpoint_time if checkpoint_time is not None else inf
     interval = policy.flush_interval or 0.0
     if flushing:
         if flush_epoch is not None:
@@ -263,43 +257,29 @@ def simulate_packed(
     else:
         next_flush = inf
 
-    # With no flush and no checkpoint both clocks stay at infinity.
+    # With no flush the clock stays at infinity.
     for op, key, t in zip(packed.ops, packed.keys.tolist(), packed.times.tolist()):
-        if t >= cp_at:
-            checkpoint = CacheMetrics(
-                read_accesses=reads,
-                write_accesses=writes,
-                disk_reads=disk_reads,
-                disk_writes=disk_writes,
-                evictions=evictions,
-                invalidated_blocks=invalidated,
-                dirty_blocks_created=dirty_created,
-                dirty_blocks_discarded=dirty_discarded,
-                read_elisions=elisions,
-            )
-            cp_at = inf
         while t >= next_flush:
             if dirty_set:
                 disk_writes += len(dirty_set)
                 dirty_set.clear()
             next_flush += interval
         if op == OP_INVALIDATE:
-            if invalidate_on_delete:
-                fid = key >> KEY_SHIFT
-                s = by_file.get(fid)
-                if s:
-                    doomed = sorted(k for k in s if k >= key)
-                    if doomed:
-                        for k in doomed:
-                            resident.discard(k)
-                            expel(k)
-                            if dirty_has(k):
-                                dirty_drop(k)
-                                dirty_discarded += 1
-                            s.discard(k)
-                        invalidated += len(doomed)
-                        if not s:
-                            del by_file[fid]
+            fid = key >> KEY_SHIFT
+            s = by_file.get(fid)
+            if s:
+                doomed = sorted(k for k in s if k >= key)
+                if doomed:
+                    for k in doomed:
+                        resident.discard(k)
+                        expel(k)
+                        if dirty_has(k):
+                            dirty_drop(k)
+                            dirty_discarded += 1
+                        s.discard(k)
+                    invalidated += len(doomed)
+                    if not s:
+                        del by_file[fid]
             continue
         if key in resident:
             # Hit.
@@ -317,7 +297,7 @@ def simulate_packed(
         # Miss.
         if op:
             writes += 1
-            if op == OP_WRITE_COVERED and read_elision:
+            if op == OP_WRITE_COVERED:
                 elisions += 1
             else:
                 disk_reads += 1
@@ -361,4 +341,4 @@ def simulate_packed(
         dirty_blocks_discarded=dirty_discarded,
         read_elisions=elisions,
     )
-    return PackedRun(metrics=metrics, checkpoint=checkpoint)
+    return PackedRun(metrics=metrics)

@@ -47,13 +47,11 @@ analysis of write-back and sector memories", ACM TOCS 7(1), 1989):
   so does the end of the trace for a block still resident and
   unflushed, so disk writes = periods - discards - periods open at the
   end, and no depth-at-flush query is needed;
-* flush boundaries are the simulator's own floats (``epoch + interval``,
-  then repeated ``+= interval``, which a sequential ``np.cumsum``
-  reproduces); "a flush ran between rows r and s" means more
-  boundaries lie at or below the running-maximum time of row s than of
-  row r;
-* a checkpoint cuts like the end of the trace: flushes count when
-  their row precedes the cut.
+* flush boundaries are the simulator's own floats (the stream's
+  ``start_time + interval``, then repeated ``+= interval``, which a
+  sequential ``np.cumsum`` reproduces); "a flush ran between rows r
+  and s" means more boundaries lie at or below the running-maximum
+  time of row s than of row r.
 
 **The kernel.**  :func:`stack_curve_numpy` computes the curve with
 whole-column numpy passes.  Every per-op decision of the hole stack
@@ -68,8 +66,8 @@ reduces to *counting stamps*:
   a prefix dominance count over the removal sequence.
 * A hit's histogram region, an eviction's boundary test
   (``caps[j] < depth``), an invalidated block's region and a live
-  block's region at the end of the trace (or a checkpoint) are all
-  instances of that one formula.
+  block's region at the end of the trace are all instances of that
+  one formula.
 
 The pipeline: previous/next occurrence per key via one stable argsort;
 per-file "first invalidation at or past this block after row *i*"
@@ -136,7 +134,7 @@ def _require(condition: bool, why: str) -> None:
 class StackCurve:
     """Per-cache-size metrics of one LRU curve, for each write policy."""
 
-    __slots__ = ("block_size", "cache_sizes", "policies", "_index", "_final", "_checkpoint")
+    __slots__ = ("block_size", "cache_sizes", "policies", "_index", "_final")
 
     def __init__(
         self,
@@ -145,14 +143,12 @@ class StackCurve:
         policies: tuple[PolicySpec, ...],
         index: dict[int, int],
         final: dict[PolicySpec, list[CacheMetrics]],
-        checkpoint: dict[PolicySpec, list[CacheMetrics]] | None,
     ):
         self.block_size = block_size
         self.cache_sizes = cache_sizes
         self.policies = policies
         self._index = index
         self._final = final
-        self._checkpoint = checkpoint
 
     def metrics(
         self, cache_bytes: int, policy: PolicySpec | None = None
@@ -162,15 +158,6 @@ class StackCurve:
         if policy is None:
             policy = self.policies[0]
         return self._final[policy][self._index[cache_bytes]]
-
-    def checkpoint(
-        self, cache_bytes: int, policy: PolicySpec | None = None
-    ) -> CacheMetrics | None:
-        if self._checkpoint is None:
-            return None
-        if policy is None:
-            policy = self.policies[0]
-        return self._checkpoint[policy][self._index[cache_bytes]]
 
 
 def _distinct(policies: tuple[PolicySpec, ...]) -> tuple[PolicySpec, ...]:
@@ -197,43 +184,28 @@ def stack_curve(
     packed: PackedStream,
     cache_sizes: tuple[int, ...],
     policies: tuple[PolicySpec, ...] = (WRITE_THROUGH,),
-    *,
-    read_elision: bool = True,
-    invalidate_on_delete: bool = True,
-    checkpoint_time: float | None = None,
-    flush_epoch: float | None = None,
 ) -> StackCurve:
     """LRU metrics for every size in *cache_sizes* and every write
     policy in *policies*.
 
     The numpy kernel computes the curve; :func:`stack_curve_python`
     reruns it only when the kernel declines the input (the curves are
-    bit-identical).  *flush_epoch* anchors flush-back scans as in
-    :func:`simulate_packed` (``None``: the first row's time).
+    bit-identical).  Flush-back scans are anchored at
+    ``packed.start_time``, the *flush_epoch* the sweeps pass to
+    :func:`simulate_packed`.
     """
     from ..analysis.vectorized import VectorFallback
 
-    knobs = dict(
-        read_elision=read_elision,
-        invalidate_on_delete=invalidate_on_delete,
-        checkpoint_time=checkpoint_time,
-        flush_epoch=flush_epoch,
-    )
     try:
-        return stack_curve_numpy(packed, cache_sizes, policies, **knobs)
+        return stack_curve_numpy(packed, cache_sizes, policies)
     except VectorFallback:
-        return stack_curve_python(packed, cache_sizes, policies, **knobs)
+        return stack_curve_python(packed, cache_sizes, policies)
 
 
 def stack_curve_python(
     packed: PackedStream,
     cache_sizes: tuple[int, ...],
     policies: tuple[PolicySpec, ...] = (WRITE_THROUGH,),
-    *,
-    read_elision: bool = True,
-    invalidate_on_delete: bool = True,
-    checkpoint_time: float | None = None,
-    flush_epoch: float | None = None,
 ) -> StackCurve:
     """The pure-Python specification of :func:`stack_curve_numpy`: one
     LRU :func:`simulate_packed` replay per capacity and policy."""
@@ -241,26 +213,16 @@ def stack_curve_python(
     sizes = tuple(cache_sizes)
     specs = _distinct(policies)
     caps, index = _curve_capacities(bs, sizes)
-    final = {}
-    checkpoint = {}
-    for policy in specs:
-        runs = [
+    final = {
+        policy: [
             simulate_packed(
-                packed,
-                cap * bs,
-                policy,
-                read_elision=read_elision,
-                invalidate_on_delete=invalidate_on_delete,
-                checkpoint_time=checkpoint_time,
-                flush_epoch=flush_epoch,
-            )
+                packed, cap * bs, policy, flush_epoch=packed.start_time
+            ).metrics
             for cap in caps
         ]
-        final[policy] = [run.metrics for run in runs]
-        checkpoint[policy] = [run.checkpoint for run in runs]
-    if runs[0].checkpoint is None:  # no row reached checkpoint_time
-        checkpoint = None
-    return StackCurve(bs, sizes, specs, index, final, checkpoint)
+        for policy in specs
+    }
+    return StackCurve(bs, sizes, specs, index, final)
 
 
 #: One configuration replay.  The name is kept for the pipeline
@@ -272,11 +234,6 @@ def stack_curve_numpy(
     packed: PackedStream,
     cache_sizes: tuple[int, ...],
     policies: tuple[PolicySpec, ...] = (WRITE_THROUGH,),
-    *,
-    read_elision: bool = True,
-    invalidate_on_delete: bool = True,
-    checkpoint_time: float | None = None,
-    flush_epoch: float | None = None,
 ) -> StackCurve:
     """The curve of :func:`stack_curve_python`, from whole-column passes
     over the hole stack described in the module docstring."""
@@ -300,48 +257,32 @@ def stack_curve_numpy(
     times = np.frombuffer(packed.times, dtype=np.float64)
     _require(len(times) == n, "ops/times row counts disagree")
 
-    # Checkpoint cut: a replay snapshots before the first row whose
-    # timestamp reaches checkpoint_time (NaN never compares true there,
-    # matching `t >= cp_at`).  Every counter below increments at a known
-    # row, so the snapshot is the same histogram restricted to rows < cut.
-    cut = None
-    if checkpoint_time is not None:
-        reached = times >= checkpoint_time
-        if bool(reached.any()):
-            cut = int(reached.argmax())
-        del reached
-
     # Flushes run by the end of each row, per flush-back policy; only
-    # write-back policies need the dirty-period points at the cuts.
+    # write-back policies need the dirty-period points.
     flushes = {
-        p: _flush_counts(times, p.flush_interval, flush_epoch)
+        p: _flush_counts(times, p.flush_interval, packed.start_time)
         for p in specs
         if p.policy is WritePolicy.FLUSH_BACK
     }
-    cuts = ()
-    if any(p.policy is not WritePolicy.WRITE_THROUGH for p in specs):
-        cuts = (n,) if cut is None else (n, cut)
-    state = _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts)
-    final = _assemble(state, None, m, read_elision, specs, flushes)
-    cp = None
-    if cut is not None:
-        cp = _assemble(state, cut, m, read_elision, specs, flushes)
-    return StackCurve(bs, sizes, specs, index, final, cp)
+    write_back = any(p.policy is not WritePolicy.WRITE_THROUGH for p in specs)
+    state = _curve_rows(ops, keys, n, caps, m, write_back)
+    final = _assemble(state, m, specs, flushes)
+    return StackCurve(bs, sizes, specs, index, final)
 
 
-def _flush_counts(times, interval: float, flush_epoch: float | None):
+def _flush_counts(times, interval: float, epoch: float):
     """Flush scans run by the end of each row (int32 per row).
 
-    The boundaries are the simulator's own floats: ``epoch + interval``
-    (the first row's time when *flush_epoch* is None), then repeated
-    ``+= interval`` — a sequential cumsum.  A row at time t has run
-    every scan whose boundary lies at or below the largest time so far.
+    The boundaries are the simulator's own floats: ``epoch + interval``,
+    then repeated ``+= interval`` — a sequential cumsum.  A row at time
+    t has run every scan whose boundary lies at or below the largest
+    time so far.
     """
     n = len(times)
     if n == 0:
         return np.zeros(0, dtype=np.int32)
     _require(not bool(np.isnan(times).any()), "NaN row times")
-    first = (float(times[0]) if flush_epoch is None else flush_epoch) + interval
+    first = epoch + interval
     reach = np.maximum.accumulate(times)
     last = float(reach[-1])
     if not first <= last:  # no scan is ever due (NaN epochs included)
@@ -428,14 +369,12 @@ def _pushes_before(rows_a, p_after, rows):
     return np.where(k > 0, p_after[np.maximum(k - 1, 0)], 0)
 
 
-def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts):
+def _curve_rows(ops, keys, n, caps, m, write_back):
     """Per-row curve contributions (regions, eviction depths, kills).
 
     Returns arrays carrying, for every access row, its histogram class
-    and region, and for every push/kill, the row it lands on — enough
-    to histogram both the final state and any row-prefix (checkpoint)
-    without a second pass.  With *cuts* (row counts: the end of the
-    trace, a checkpoint) it also returns the write-back points of
+    and region, and for every push/kill, its eviction or kill region.
+    With *write_back* it also returns the write-back points of
     :func:`_dirty_points`.  Arrays are dropped once their last use is
     behind, so the write-back pass runs in the memory the write-through
     curve frees.
@@ -443,10 +382,7 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts):
     inv_full = ops == OP_INVALIDATE
     rows_a = np.flatnonzero(~inv_full)
     na = len(rows_a)
-    if invalidate_on_delete:
-        rows_i = np.flatnonzero(inv_full)
-    else:
-        rows_i = np.zeros(0, dtype=np.intp)
+    rows_i = np.flatnonzero(inv_full)
     del inv_full
     ni = len(rows_i)
     keys_a = keys[rows_a]
@@ -493,10 +429,11 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts):
     kill_stamps = p_after[killed]
 
     # Write-back: each access's latest write of its key at or before it
-    # (key-order position, -1 if none), and the live blocks at each cut
-    # that have one — their depth there joins the query batch below.
-    live_at = []
-    if cuts:
+    # (key-order position, -1 if none), and the blocks live at the end
+    # of the trace that have one — their depth there joins the query
+    # batch below.
+    live = np.zeros(0, dtype=np.intp)
+    if write_back:
         wkey = ops_a[order] != OP_READ
         pos = np.arange(na, dtype=np.int64)
         last_w = np.maximum.accumulate(np.where(wkey, pos, -1))
@@ -504,15 +441,9 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts):
         inv_order = np.empty(na, dtype=np.int64)
         inv_order[order] = pos
         del pos
-        live_at = [
-            np.flatnonzero(
-                (rows_a < c)
-                & (next_row >= c)
-                & (first_inv_row >= c)
-                & (last_w[inv_order] >= 0)
-            )
-            for c in cuts
-        ]
+        live = np.flatnonzero(
+            (next_row == n) & (first_inv_row == n) & (last_w[inv_order] >= 0)
+        )
     del next_row, first_inv_row
 
     lvl_acc = _hole_levels(rows_a, miss, kill_rows, n)
@@ -565,7 +496,7 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts):
     #   hit region      d = (u - a) - T(u-1, a)
     #   eviction bound  D = (u - r_u) - T(u-1, r_u)   (r_u >= 0)
     #   kill region     d = 1 + (q - a) - T(q, a)
-    #   cut region      d = 1 + (q - a) - T(q, a)     (q: pushes before the cut)
+    #   end region      d = 1 + (P - a) - T(P, a)     (P: every push)
     # where T(q, a) = #{w <= q : r_w > a}.  Two filters keep the batch
     # small: T >= 0 bounds every depth by u - a (or u - r_u), so any
     # query bounded by caps[0] is region 0 / a bin-0 eviction without
@@ -590,20 +521,18 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts):
     q_kill = q_kill_all[sel_kill]
     a_kill = kill_stamps[sel_kill]
     del q_kill_all
-    cut_queries = []
-    for c, live in zip(cuts, live_at):
-        stamps = p_after[live]
-        q_cut = int(_pushes_before(rows_a, p_after, np.array([c]))[0])
-        sel = np.flatnonzero(1 + q_cut - stamps > c0)
-        cut_queries.append((sel, np.full(len(sel), q_cut), stamps[sel]))
+    a_live = p_after[live]
+    sel_end = np.flatnonzero(1 + n_push - a_live > c0)
+    a_end = a_live[sel_end]
+    q_end = np.full(len(sel_end), n_push)
 
-    t_ev, t_hit, t_kill, *t_cuts = _dominance_batch(
+    t_ev, t_hit, t_kill, t_end = _dominance_batch(
         r_arr[1:],
         n_push,
         (q_ev, a_ev),
         (q_hit, a_hit),
         (q_kill, a_kill),
-        *((q, a) for _, q, a in cut_queries),
+        (q_end, a_end),
     )
 
     # Eviction depth per push: consumed-hole depth (band-filtered pushes
@@ -642,34 +571,29 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete, cuts):
         caps, 1 + (q_kill - a_kill) - t_kill, side="left"
     )
     state = {
-        "rows_a": rows_a,
         "ops_a": ops_a,
         "reg_acc": reg_acc,
-        "push_rows": rows_a[push],
         "idx_ev": idx_ev,
-        "kill_rows": kill_rows,
         "reg_kill": reg_kill,
     }
-    if cuts:
-        ends = []
-        for c, live, (sel, q_cut, stamps), t in zip(
-            cuts, live_at, cut_queries, t_cuts
-        ):
-            reg = np.zeros(len(live), dtype=np.int32)
-            reg[sel] = np.searchsorted(caps, 1 + (q_cut - stamps) - t, side="left")
-            ends.append((np.full(len(live), c - 1, dtype=np.int64), live, reg))
+    if write_back:
+        reg_end = np.zeros(len(live), dtype=np.int32)
+        reg_end[sel_end] = np.searchsorted(
+            caps, 1 + (q_end - a_end) - t_end, side="left"
+        )
+        end = (np.full(len(live), n - 1, dtype=np.int64), live, reg_end)
         kills = (kill_rows, np.flatnonzero(killed), reg_kill)
         state.update(
             _dirty_points(
                 order, key_start, wkey, last_w, inv_order, rows_a, reg_acc, m,
-                kills, ends,
+                kills, end,
             )
         )
     return state
 
 
 def _dirty_points(
-    order, key_start, wkey, last_w, inv_order, rows_a, reg_acc, m, kills, ends
+    order, key_start, wkey, last_w, inv_order, rows_a, reg_acc, m, kills, end
 ):
     """The write-back pass: every point where a block may be dirty.
 
@@ -683,13 +607,13 @@ def _dirty_points(
       dirty period where the block is still dirty;
     * ``discards``: a kill (*kills*), which discards a dirty resident
       block;
-    * ``open``: per cut (*ends*), the live blocks still dirty there, at
-      row ``cut - 1``: flushes count when their row precedes the cut.
+    * ``open``: the blocks still dirty at the end of the trace (*end*),
+      at the last row.
 
-    *kills* and each of *ends* give rows, the access each point follows
-    and the block's region at the point.  Points whose block has no
-    write yet, or that are past every capacity (reach == m), can never
-    count and are dropped here.
+    *kills* and *end* give rows, the access each point follows and the
+    block's region at the point.  Points whose block has no write yet,
+    or that are past every capacity (reach == m), can never count and
+    are dropped here.
     """
     # Running region maximum since the latest write, in key order (the
     # write itself contributes 0): one accumulate over group-offset
@@ -718,37 +642,24 @@ def _dirty_points(
     return {
         "starts": point(rows_a[order[st]], st - 1, reg_sorted[st]),
         "discards": after(*kills),
-        "open": [after(*end) for end in ends],
+        "open": after(*end),
     }
 
 
-def _dirty_at(points, m, flushes, limit=None):
+def _dirty_at(points, m, flushes):
     """Per capacity index: the points whose block is dirty there."""
     rows, write_rows, reach = points
-    keep = np.ones(len(rows), dtype=bool)
-    if limit is not None:
-        keep &= rows < limit
     if flushes is not None:
-        keep &= flushes[rows] == flushes[write_rows]
-    return np.bincount(reach[keep], minlength=m)[:m].cumsum()
+        reach = reach[flushes[rows] == flushes[write_rows]]
+    return np.bincount(reach, minlength=m)[:m].cumsum()
 
 
-def _assemble(state, cut, m, read_elision, policies, flushes):
-    """Histogram + fold into CacheMetrics per policy, optionally
-    row-limited (a checkpoint)."""
-    rows_a = state["rows_a"]
+def _assemble(state, m, policies, flushes):
+    """Histogram + fold into CacheMetrics per policy."""
     ops_a = state["ops_a"]
     reg_acc = state["reg_acc"]
-    push_rows = state["push_rows"]
     idx_ev = state["idx_ev"]
-    kill_rows = state["kill_rows"]
     reg_kill = state["reg_kill"]
-    if cut is not None:
-        keep = rows_a < cut
-        ops_a = ops_a[keep]
-        reg_acc = reg_acc[keep]
-        idx_ev = idx_ev[push_rows < cut]
-        reg_kill = reg_kill[kill_rows < cut]
     is_read = ops_a == OP_READ
     is_cov = ops_a == OP_WRITE_COVERED
     is_unc = ~(is_read | is_cov)
@@ -766,21 +677,17 @@ def _assemble(state, cut, m, read_elision, policies, flushes):
     um = h_unc[::-1].cumsum()[::-1][1 : m + 1].tolist()
     ev = ev_cnt[::-1].cumsum()[::-1][1 : m + 1].tolist()
     inv = h_inv.cumsum()[:m].tolist()
-    extra = 0 if read_elision else 1
     out: dict[PolicySpec, list[CacheMetrics]] = {}
     for policy in policies:
         if policy.policy is WritePolicy.WRITE_THROUGH:
             disk_writes = [writes] * m  # one per write
             created = discarded = [0] * m
         else:
-            # Periods: starts - discards - those still open at the cut.
+            # Periods: starts - discards - those still open at the end.
             flush = flushes.get(policy)
-            dirty = _dirty_at(state["starts"], m, flush, cut)
-            created_a = writes - dirty
-            discarded_a = _dirty_at(state["discards"], m, flush, cut)
-            # state["open"] follows the cuts: the end, then the checkpoint.
-            ends = state["open"][0 if cut is None else 1]
-            still_open = _dirty_at(ends, m, flush)
+            created_a = writes - _dirty_at(state["starts"], m, flush)
+            discarded_a = _dirty_at(state["discards"], m, flush)
+            still_open = _dirty_at(state["open"], m, flush)
             disk_writes = (created_a - discarded_a - still_open).tolist()
             created = created_a.tolist()
             discarded = discarded_a.tolist()
@@ -788,13 +695,13 @@ def _assemble(state, cut, m, read_elision, policies, flushes):
             CacheMetrics(
                 read_accesses=reads,
                 write_accesses=writes,
-                disk_reads=rm[j] + um[j] + extra * cm[j],
+                disk_reads=rm[j] + um[j],
                 disk_writes=disk_writes[j],
                 evictions=ev[j],
                 invalidated_blocks=inv[j],
                 dirty_blocks_created=created[j],
                 dirty_blocks_discarded=discarded[j],
-                read_elisions=cm[j] if read_elision else 0,
+                read_elisions=cm[j],
             )
             for j in range(m)
         ]

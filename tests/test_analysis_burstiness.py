@@ -1,11 +1,8 @@
-"""Tests for the burstiness analysis and the simulator warmup checkpoint."""
+"""Tests for the burstiness analysis."""
 
 import pytest
 
 from repro.analysis.burstiness import analyze_burstiness
-from repro.cache.metrics import CacheMetrics
-from repro.cache.simulator import BlockCacheSimulator
-from repro.cache.stream import build_stream
 from repro.trace.log import TraceLog
 from repro.trace.records import AccessMode, CloseEvent, OpenEvent
 
@@ -61,45 +58,3 @@ class TestBurstiness:
     def test_render(self, small_trace):
         assert "peak" in analyze_burstiness(small_trace).render()
 
-
-class TestWarmupCheckpoint:
-    def test_delta_subtracts_counters(self):
-        a = CacheMetrics(read_accesses=10, disk_reads=6)
-        b = CacheMetrics(read_accesses=25, disk_reads=8)
-        warm = b.delta(a)
-        assert warm.read_accesses == 15
-        assert warm.disk_reads == 2
-        assert warm.miss_ratio == pytest.approx(2 / 15)
-
-    def test_snapshot_is_independent_copy(self):
-        a = CacheMetrics(read_accesses=1)
-        snap = a.snapshot()
-        a.read_accesses = 99
-        assert snap.read_accesses == 1
-
-    def test_checkpoint_taken_at_time(self, small_trace):
-        stream = build_stream(small_trace)
-        sim = BlockCacheSimulator(1024 * 1024)
-        total = sim.run(stream, checkpoint_time=300.0)
-        assert sim.checkpoint is not None
-        warm = total.delta(sim.checkpoint)
-        assert warm.block_accesses < total.block_accesses
-        assert warm.block_accesses > 0
-
-    def test_warm_read_misses_not_worse_than_cold_phase(self, medium_trace):
-        # Note: the *total* miss ratio can legitimately rise in the warm
-        # phase under delayed-write (writebacks only begin once the cache
-        # fills); the cold-start effect proper shows in the read misses.
-        stream = build_stream(medium_trace)
-        sim = BlockCacheSimulator(4 * 1024 * 1024)
-        total = sim.run(stream, checkpoint_time=1800.0)
-        cold = sim.checkpoint
-        warm = total.delta(cold)
-        cold_read_miss = cold.disk_reads / max(1, cold.read_accesses)
-        warm_read_miss = warm.disk_reads / max(1, warm.read_accesses)
-        assert warm_read_miss <= cold_read_miss + 0.02
-
-    def test_no_checkpoint_without_request(self, small_trace):
-        sim = BlockCacheSimulator(1024 * 1024)
-        sim.run(build_stream(small_trace))
-        assert sim.checkpoint is None

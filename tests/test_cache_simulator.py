@@ -12,7 +12,8 @@ from repro.cache.policies import (
     WritePolicy,
 )
 from repro.cache.simulator import BlockCacheSimulator
-from repro.cache.stream import Invalidation
+from repro.cache.stream import Invalidation, build_stream
+from repro.cache.sweep import PAPER_POLICIES
 
 BS = 4096
 
@@ -121,6 +122,20 @@ class TestWritePolicies:
         m = s.run([write(0, 1, 0, BS), write(1, 1, 0, BS), write(2, 1, 0, BS)])
         assert m.disk_ios == 0
         assert m.dirty_blocks_created == 1
+
+    @pytest.mark.parametrize("policy", PAPER_POLICIES, ids=lambda p: p.label)
+    @pytest.mark.parametrize("anchored", [False, True], ids=["first-item", "start"])
+    def test_item_by_item_equals_whole_stream(self, small_trace, policy, anchored):
+        # The flush clock carries across run() calls, so a caller that
+        # feeds one item per call (two-level clients, netfs) still
+        # flushes on schedule.
+        stream = build_stream(small_trace)
+        epoch = small_trace.start_time if anchored else None
+        whole = sim(cache_blocks=100, policy=policy).run(stream, epoch)
+        s = sim(cache_blocks=100, policy=policy)
+        for item in stream:
+            s.run([item], flush_epoch=epoch)
+        assert s.metrics == whole
 
 
 class TestReadElision:

@@ -150,6 +150,16 @@ class TestSimulation:
         assert main(["sweep", trace_file, "--kind", "blocksize"]) == 0
         assert "No Cache" in capsys.readouterr().out
 
+    def test_twolevel_flush_back_clients_flush(self, trace_file, capsys):
+        # Clients see one item per run() call; a flush-back client must
+        # still write its dirty blocks back every 30 s.
+        flushed = _printed(
+            capsys, ["twolevel", trace_file, "--client-policy", "flush-30s"]
+        )
+        assert flushed != _printed(
+            capsys, ["twolevel", trace_file, "--client-policy", "delayed-write"]
+        )
+
 
 class TestExperiments:
     def test_single_experiment(self, trace_file, capsys):

@@ -4,8 +4,8 @@ The packed fast path and the one-pass LRU curve are only
 worth having if they are *bit-identical* to the reference
 :class:`~repro.cache.simulator.BlockCacheSimulator` — the sweeps run
 them at every ``jobs`` value, so any divergence would corrupt exhibits.
-These tests pin that equivalence across policies, sizes, knobs,
-checkpoints and flush anchoring, plus the executor's ordering/fallback
+These tests pin that equivalence across policies, sizes, replacement
+and flush anchoring, plus the executor's ordering/fallback
 contracts, that every caller of the executor really runs on a spawned
 pool, and the CLI's ``--jobs`` plumbing.
 """
@@ -42,6 +42,7 @@ from repro.parallel.executor import (
     run_jobs,
 )
 from repro.parallel.packed import (
+    OP_INVALIDATE,
     cached_packed_stream,
     pack_stream,
     simulate_packed,
@@ -97,6 +98,37 @@ class TestPackedStream:
         assert packed.n_accesses == count_block_accesses(stream, 4096)
         assert len(packed) >= packed.n_accesses  # invalidation rows extra
 
+    @pytest.mark.parametrize("cut", ["event", "between", "before", "after"])
+    def test_slice_stream_is_a_prefix(self, small_trace, cut):
+        # A warm-up is the full run minus a replay of
+        # log.slice(log.start_time, T), which holds because the slice's
+        # stream is exactly the full stream's rows before T.
+        events = small_trace.events
+        mid = len(events) // 2
+        while events[mid + 1].time == events[mid].time:
+            mid += 1
+        t = {
+            "event": events[mid].time,
+            "between": (events[mid].time + events[mid + 1].time) / 2,
+            "before": events[0].time - 1.0,
+            "after": events[-1].time + 1.0,
+        }[cut]
+        full = cached_packed_stream(small_trace, 4096)
+        sliced = small_trace.slice(small_trace.start_time, t)
+        part = cached_packed_stream(sliced, 4096)
+        rows = len(part)
+        assert rows == sum(1 for time in full.times if time < t)
+        assert part.ops == full.ops[:rows]
+        assert part.keys == full.keys[:rows]
+        assert part.times == full.times[:rows]
+        assert part.n_accesses == rows - part.ops.count(OP_INVALIDATE)
+        if sliced.events:
+            assert part.start_time == full.start_time
+        if cut == "after":
+            assert rows == len(full)
+        elif cut != "before":
+            assert 0 < rows < len(full)
+
     def test_memoized_per_log_and_block_size(self, small_trace):
         a = cached_packed_stream(small_trace, 4096)
         assert cached_packed_stream(small_trace, 4096) is a
@@ -148,33 +180,12 @@ class TestPackedEquivalence:
         )
         assert got.metrics == ref
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.label)
-    def test_checkpoint_and_warm_delta(self, small_trace, stream, packed, policy):
-        cp = small_trace.start_time + small_trace.duration / 2
-        sim = BlockCacheSimulator(cache_bytes=390 * 1024, policy=policy)
-        ref = sim.run(stream, checkpoint_time=cp,
-                      flush_epoch=small_trace.start_time)
-        got = simulate_packed(packed, 390 * 1024, policy,
-                              checkpoint_time=cp,
-                              flush_epoch=packed.start_time)
-        assert got.metrics == ref
-        assert got.checkpoint == sim.checkpoint
-        # The warm (post-checkpoint) delta is what Figure 5 plots.
-        assert (got.metrics.disk_reads - got.checkpoint.disk_reads
-                == ref.disk_reads - sim.checkpoint.disk_reads)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(read_elision=False),
-        dict(invalidate_on_delete=False),
-        dict(replacement="fifo"),
-        dict(read_elision=False, invalidate_on_delete=False,
-             replacement="fifo"),
-    ])
-    def test_knobs_identical(self, stream, packed, kwargs):
+    def test_fifo_identical(self, stream, packed):
         sim = BlockCacheSimulator(cache_bytes=128 * 1024,
-                                  policy=DELAYED_WRITE, **kwargs)
+                                  policy=DELAYED_WRITE, replacement="fifo")
         ref = sim.run(stream)
-        got = simulate_packed(packed, 128 * 1024, DELAYED_WRITE, **kwargs)
+        got = simulate_packed(packed, 128 * 1024, DELAYED_WRITE,
+                              replacement="fifo")
         assert got.metrics == ref
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.label)
@@ -216,22 +227,17 @@ class TestPackedEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def _assert_curve_is_simulator(items, packed, sizes, *, checkpoint_time=None,
-                               flush_epoch=None, **knobs):
+def _assert_curve_is_simulator(items, packed, sizes):
     """Every (size, policy) cell of one four-policy kernel curve equals
-    its own BlockCacheSimulator run, checkpoint included; returns the
-    curve.  The kernel is called directly, so a decline fails the test."""
-    curve = stack_curve_numpy(packed, sizes, ALL_POLICIES,
-                              checkpoint_time=checkpoint_time,
-                              flush_epoch=flush_epoch, **knobs)
+    its own BlockCacheSimulator run, flush-anchored at the stream's
+    start time; returns the curve.  The kernel is called directly, so a
+    decline fails the test."""
+    curve = stack_curve_numpy(packed, sizes, ALL_POLICIES)
     for policy in ALL_POLICIES:
         for size in sizes:
-            sim = BlockCacheSimulator(cache_bytes=size, policy=policy, **knobs)
-            ref = sim.run(items, checkpoint_time=checkpoint_time,
-                          flush_epoch=flush_epoch)
+            sim = BlockCacheSimulator(cache_bytes=size, policy=policy)
+            ref = sim.run(items, flush_epoch=packed.start_time)
             assert curve.metrics(size, policy) == ref, (policy.label, size)
-            assert curve.checkpoint(size, policy) == sim.checkpoint, (
-                policy.label, size)
     return curve
 
 
@@ -242,15 +248,6 @@ class TestStackCurve:
             sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
             assert curve.metrics(size) == sim.run(stream)
 
-    def test_checkpoints_match(self, small_trace, stream, packed):
-        cp = small_trace.start_time + small_trace.duration / 2
-        curve = stack_curve(packed, PAPER_CACHE_SIZES, checkpoint_time=cp)
-        for size in (PAPER_CACHE_SIZES[0], PAPER_CACHE_SIZES[-1]):
-            sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
-            ref = sim.run(stream, checkpoint_time=cp)
-            assert curve.metrics(size) == ref
-            assert curve.checkpoint(size) == sim.checkpoint
-
     def test_invalidation_heavy(self):
         items = _invalidation_heavy_stream()
         packed = pack_stream(items, 4096)
@@ -260,59 +257,31 @@ class TestStackCurve:
             sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
             assert curve.metrics(size) == sim.run(items)
 
-    def test_no_read_elision(self, stream, packed):
-        curve = stack_curve(packed, (390 * 1024,), read_elision=False)
-        sim = BlockCacheSimulator(cache_bytes=390 * 1024,
-                                  policy=WRITE_THROUGH, read_elision=False)
-        assert curve.metrics(390 * 1024) == sim.run(stream)
-
     def test_write_back_policies_at_paper_sizes(self, small_trace, stream, packed):
         # Every Table VI cell, all four write policies, from one curve.
-        curve = stack_curve(
-            packed, PAPER_CACHE_SIZES, ALL_POLICIES,
-            flush_epoch=packed.start_time,
-        )
+        curve = stack_curve(packed, PAPER_CACHE_SIZES, ALL_POLICIES)
         for policy in ALL_POLICIES:
             for size in PAPER_CACHE_SIZES:
                 assert curve.metrics(size, policy) == _simulated(
                     small_trace, size, policy
                 ), (policy.label, size)
 
-    def test_write_back_checkpoint(self, small_trace, stream, packed):
-        cp = small_trace.start_time + small_trace.duration / 2
-        _assert_curve_is_simulator(
-            stream, packed, PAPER_CACHE_SIZES, checkpoint_time=cp,
-            flush_epoch=small_trace.start_time,
-        )
-
-    @pytest.mark.parametrize("knobs", [
-        dict(read_elision=False),
-        dict(invalidate_on_delete=False),
-        dict(read_elision=False, invalidate_on_delete=False),
-    ])
-    def test_write_back_knobs(self, small_trace, stream, packed, knobs):
-        _assert_curve_is_simulator(
-            stream, packed, (16 * 1024, 390 * 1024, 4 * 1024 * 1024),
-            flush_epoch=small_trace.start_time, **knobs,
-        )
-
     @pytest.mark.parametrize("anchored", [True, False], ids=["start", "first-row"])
     def test_write_back_flush_anchors(self, small_trace, stream, packed, anchored):
-        _assert_curve_is_simulator(
-            stream, packed, PAPER_CACHE_SIZES,
-            flush_epoch=small_trace.start_time if anchored else None,
-        )
+        # The curve anchors flush scans at the stream's start time: the
+        # trace start, or the first row's time for a stream packed so.
+        if not anchored:
+            packed = pack_stream(stream, 4096, start_time=stream[0].time)
+        _assert_curve_is_simulator(stream, packed, PAPER_CACHE_SIZES)
 
-    @pytest.mark.parametrize("knobs", [{}, dict(invalidate_on_delete=False)])
+    @pytest.mark.parametrize("knobs", [{}])
     def test_write_back_invalidation_heavy(self, knobs):
         items = _invalidation_heavy_stream()
-        packed = pack_stream(items, 4096)
+        packed = pack_stream(items, 4096, **knobs)
         curve = _assert_curve_is_simulator(
-            items, packed, (8 * 1024, 16 * 1024, 64 * 1024, 1 << 20),
-            checkpoint_time=items[len(items) // 2].time, **knobs,
+            items, packed, (8 * 1024, 16 * 1024, 64 * 1024, 1 << 20)
         )
-        if not knobs:
-            assert curve.metrics(1 << 20, DELAYED_WRITE).dirty_blocks_discarded > 0
+        assert curve.metrics(1 << 20, DELAYED_WRITE).dirty_blocks_discarded > 0
 
     def test_trace_ending_with_dirty_blocks(self):
         # Five blocks written in the last seconds: at 1 MB they are all
@@ -327,9 +296,7 @@ class TestStackCurve:
             for i in range(5)
         ]
         packed = pack_stream(items, 4096, start_time=0.0)
-        curve = _assert_curve_is_simulator(
-            items, packed, (4096, 3 * 4096, 1 << 20), flush_epoch=0.0
-        )
+        curve = _assert_curve_is_simulator(items, packed, (4096, 3 * 4096, 1 << 20))
         big = curve.metrics(1 << 20, DELAYED_WRITE)
         assert big.dirty_blocks_created > big.disk_writes == 0
 
@@ -342,9 +309,7 @@ class TestStackCurve:
             for t in (1.0, 2.0, 3.0, 203.0, 204.0, 215.5)
         ]
         packed = pack_stream(items, 4096, start_time=0.0)
-        curve = _assert_curve_is_simulator(
-            items, packed, (4096, 1 << 20), flush_epoch=0.0
-        )
+        curve = _assert_curve_is_simulator(items, packed, (4096, 1 << 20))
         flushed = curve.metrics(1 << 20, FLUSH_30S)
         assert flushed.dirty_blocks_created == 6
         assert flushed.disk_writes == 4
@@ -359,14 +324,11 @@ class TestStackCurve:
         ]
         packed = pack_stream(items, 4096, start_time=0.0)
         _assert_curve_is_simulator(
-            items, packed, (4096, 2 * 4096, 5 * 4096, 64 * 4096),
-            flush_epoch=0.0,
+            items, packed, (4096, 2 * 4096, 5 * 4096, 64 * 4096)
         )
 
-    def test_single_size(self, small_trace, stream, packed):
-        _assert_curve_is_simulator(
-            stream, packed, (390 * 1024,), flush_epoch=small_trace.start_time
-        )
+    def test_single_size(self, stream, packed):
+        _assert_curve_is_simulator(stream, packed, (390 * 1024,))
 
     def test_unknown_size_rejected(self, packed):
         curve = stack_curve(packed, (64 * 1024,))

@@ -213,26 +213,19 @@ class TestEnsemble:
 def test_packed_replay_matches_full_simulator(small_trace, name, write_policy):
     stream = cached_stream(small_trace)
     packed = cached_packed_stream(small_trace, 4096)
-    checkpoint = small_trace.start_time + 600.0
     for cache_bytes in (399360, 2 * 1024 * 1024):
         sim = BlockCacheSimulator(
             cache_bytes, 4096, write_policy, replacement=name
         )
-        sim.run(
-            stream,
-            checkpoint_time=checkpoint,
-            flush_epoch=small_trace.start_time,
-        )
+        sim.run(stream, flush_epoch=small_trace.start_time)
         run = simulate_packed(
             packed,
             cache_bytes,
             write_policy,
             replacement=name,
-            checkpoint_time=checkpoint,
             flush_epoch=small_trace.start_time,
         )
         assert run.metrics == sim.metrics
-        assert run.checkpoint == sim.checkpoint
 
 
 def test_policies_actually_differ(small_trace):

@@ -106,26 +106,20 @@ def _pack_stream(tmp_path):
 
 def _stack_curve(tmp_path):
     packed = _wide_file_ids_packed()
-    knobs = dict(checkpoint_time=20.0, flush_epoch=0.0)
 
     def dispatched():
-        curve = stack_curve(packed, SIZES, PAPER_POLICIES, **knobs)
-        return [
-            (curve.metrics(s, p), curve.checkpoint(s, p))
-            for p in PAPER_POLICIES
-            for s in SIZES
-        ]
+        curve = stack_curve(packed, SIZES, PAPER_POLICIES)
+        return [curve.metrics(s, p) for p in PAPER_POLICIES for s in SIZES]
 
     def replayed():
-        runs = [
-            simulate_packed(packed, s, p, **knobs)
+        return [
+            simulate_packed(packed, s, p, flush_epoch=packed.start_time).metrics
             for p in PAPER_POLICIES
             for s in SIZES
         ]
-        return [(run.metrics, run.checkpoint) for run in runs]
 
     return (
-        lambda: stack_curve_numpy(packed, SIZES, PAPER_POLICIES, **knobs),
+        lambda: stack_curve_numpy(packed, SIZES, PAPER_POLICIES),
         dispatched,
         replayed,
     )
