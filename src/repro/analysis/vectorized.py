@@ -1,6 +1,6 @@
 """numpy-vectorized fast paths for the hot trace-scan kernels.
 
-Three kernels ride here, each a whole-column reimplementation of a
+Four kernels ride here, each a whole-column reimplementation of a
 pure-Python reference that stays in the tree as the differential oracle
 (fuzz pillar 5 compares them continuously):
 
@@ -17,15 +17,21 @@ pure-Python reference that stays in the tree as the differential oracle
   (:func:`~repro.trace.validate.validate_columns_into`).  Every check is
   a boolean reduction; problem rows are recovered with ``np.nonzero``
   and only the first ``max_problems + 1`` messages are ever formatted.
+* :func:`build_stream_numpy` — the cache simulator's item stream
+  (:func:`~repro.cache.stream.build_stream`).  Sessions are matched by
+  the same oid-grouped cumulative maximum as the analyzer's, and the
+  items come back as :class:`~repro.cache.stream.StreamArrays`.
 * :func:`pack_stream_numpy` — the packed-stream compiler
-  (:func:`~repro.parallel.packed.pack_stream_python`).  The per-item Python
-  loop survives only to evolve the known-size table; the inner
-  per-block expansion becomes repeat/arange arithmetic.
+  (:func:`~repro.parallel.packed.pack_stream_python`), over those
+  arrays or over a list of item objects.  The per-file known-size fold
+  is a prefix scan and the per-block expansion is repeat/arange
+  arithmetic.
 
 **Bit-identity is the contract.**  Where exact replication would need
 per-event Python semantics the kernels cannot afford (NaN timestamps,
 unsorted times, integer magnitudes past the float53 exactness window,
-open rows with no mode bits), they raise :class:`VectorFallback` and the
+open rows with no mode bits, unknown kind tags), they raise
+:class:`VectorFallback` and the
 dispatch site reruns the pure-Python path — falling back is always
 correct, only slower.  Sequential dict semantics that are cheap because
 their domain is small (file lifetimes, cross-segment session carry) run
@@ -1557,21 +1563,169 @@ def analyze_columns_numpy(
     return collector.finish()
 
 
-# -- packed-stream compiler ----------------------------------------------------
+# -- cache stream and packed-stream compiler ---------------------------------
+
+_I64_MIN = np.iinfo(np.int64).min
+_I64_MAX = np.iinfo(np.int64).max
 
 
-def pack_stream_numpy(stream, block_size: int, start_time: float = 0.0):
+def build_stream_numpy(cols: TraceColumns, include_paging: bool = False):
+    """Vectorized :func:`~repro.cache.stream.build_stream` over columns.
+
+    Returns the stream as :class:`~repro.cache.stream.StreamArrays`.
+    Every row yields at most one item, so the items are filled in row-
+    indexed arrays and selected at the end:
+
+    * Sessions: open/close/seek rows are grouped by ``open_id`` (one
+      stable sort); a row belongs to the last open at or before it in its
+      group (a segmented cumulative maximum), and rows before their
+      group's first open are orphans.  A close or seek is live when no
+      close of its group falls between its open and itself; a live row
+      bills from the previous row's position (the open's ``initial_pos``
+      or a seek's ``new_pos``) to its own ``prev_pos`` or ``final_pos``,
+      with its open's file, user and mode.
+    * Invalidations: creating opens and unlinks from byte 0, truncates
+      from ``new_length``; with paging, each exec of positive size reads
+      ``[0, size)``.
+    * Order: a stable sort of the items' times, which are in row order,
+      is the reference's (time, row) tuple sort for every non-NaN time.
+
+    Declines NaN times (the tuple sort is not a total order there), and
+    rows whose event objects cannot be built (an unknown kind tag, an
+    open with no mode bits), so the reference raises its usual error.
+    """
+    from ..cache.stream import StreamArrays
+
+    v = column_views(cols)
+    n = len(v)
+    kinds = v.kinds
+    times = v.times
+    flags = v.flags
+    _require(not bool(np.isnan(times).any()), "NaN timestamps")
+    _require(
+        bool(((kinds >= KIND_OPEN) & (kinds <= KIND_EXEC)).all()),
+        "unknown kind tag",
+    )
+    open_mask = kinds == KIND_OPEN
+    _require(
+        not bool((open_mask & ((flags & FLAG_MODE_MASK) == 0)).any()),
+        "open row with no mode bits",
+    )
+
+    source = np.arange(n)  # the row whose file, user and mode an item takes
+    starts = np.zeros(n, np.int64)
+    ends = np.zeros(n, np.int64)
+    is_write = np.zeros(n, dtype=bool)
+    billed = np.zeros(n, dtype=bool)
+
+    sub = np.nonzero((kinds >= KIND_OPEN) & (kinds <= KIND_SEEK))[0]
+    m = len(sub)
+    if m:
+        rows = sub[np.argsort(v.open_ids[sub], kind="stable")]
+        oids = v.open_ids[rows]
+        k = kinds[rows]
+        gstart = np.empty(m, dtype=bool)
+        gstart[0] = True
+        np.not_equal(oids[1:], oids[:-1], out=gstart[1:])
+        base = (np.cumsum(gstart) - 1) * np.int64(m + 1)
+        at = np.arange(1, m + 1, dtype=np.int64)
+        owner = _segmented_cummax(np.where(k == KIND_OPEN, at, 0), base)
+        closed = _shift_down(
+            _segmented_cummax(np.where(k == KIND_CLOSE, at, 0), base), gstart
+        )
+        pos = v.positions[rows]
+        run_start = _shift_down(pos, gstart)
+        run_end = np.where(k == KIND_SEEK, v.sizes[rows], pos)
+        bill = (k != KIND_OPEN) & (owner > closed) & (run_end > run_start)
+        at_rows = rows[bill]
+        openers = rows[owner[bill] - 1]
+        source[at_rows] = openers
+        starts[at_rows] = run_start[bill]
+        ends[at_rows] = run_end[bill]
+        is_write[at_rows] = (flags[openers] & FLAG_MODE_MASK) != AccessMode.READ
+        billed[at_rows] = True
+
+    truncs = kinds == KIND_TRUNC
+    starts[truncs] = v.sizes[truncs]
+    invalidate = (
+        (open_mask & ((flags & FLAG_CREATED) != 0))
+        | (kinds == KIND_UNLINK)
+        | truncs
+    )
+    emit = invalidate | billed
+    if include_paging:
+        paged = (kinds == KIND_EXEC) & (v.sizes > 0)
+        ends[paged] = v.sizes[paged]
+        emit |= paged
+
+    out = np.nonzero(emit)[0]
+    out = out[np.argsort(times[out], kind="stable")]
+    src = source[out]
+    return StreamArrays(
+        invalidate=invalidate[out],
+        is_write=is_write[out],
+        file_ids=v.file_ids[src],
+        user_ids=v.user_ids[src],
+        starts=starts[out],
+        ends=ends[out],
+        times=times[out],
+    )
+
+
+def _known_before(fids, invalidate, starts, ends):
+    """Each item's known file size just before it: the reference's
+    per-file ``known`` fold (0 at first sight, ``min`` with an
+    invalidation's from-byte, ``max`` with a transfer's end).
+
+    Each item maps the size x to ``max(min(x, lo), hi)`` (an
+    invalidation has ``hi`` = -inf, a transfer ``lo`` = +inf), and such
+    clamps compose to clamps, so a Hillis-Steele prefix scan over each
+    file's items takes log2(items per file) whole-array steps.
+    """
+    n = len(fids)
+    known = np.zeros(n, np.int64)
+    if n == 0:
+        return known
+    order = np.argsort(fids, kind="stable")
+    f = fids[order]
+    lo = np.where(invalidate, starts, _I64_MAX)[order]
+    hi = np.where(invalidate, _I64_MIN, ends)[order]
+    heads = np.empty(n, dtype=bool)
+    heads[0] = True
+    np.not_equal(f[1:], f[:-1], out=heads[1:])
+    # A file's first item sees size 0, so it becomes the constant clamp
+    # of its result; a constant absorbs whatever the scan composes
+    # before it, which keeps files apart without a mask.
+    first = np.maximum(np.minimum(lo[heads], 0), hi[heads])
+    lo[heads] = first
+    hi[heads] = first
+    longest = int(np.diff(np.append(np.nonzero(heads)[0], n)).max())
+    step = 1
+    while step < longest:
+        new_hi = np.maximum(np.minimum(hi[:-step], lo[step:]), hi[step:])
+        lo[step:] = np.minimum(lo[:-step], lo[step:])
+        hi[step:] = new_hi
+        step *= 2
+    # Every prefix now starts at its file's constant, so its clamp is
+    # constant too, with value ``hi``: the size after each item.
+    known[order] = _shift_down(hi, heads)
+    return known
+
+
+def pack_stream_numpy(stream, block_size: int, start_time: float | None = None):
     """Vectorized :func:`~repro.parallel.packed.pack_stream`.
 
-    The per-item Python loop survives only to evolve the per-fid
-    known-size watermark — an order-dependent min/max fold the coverage
-    test depends on — and to record one scalar row per item.  The per-
-    block expansion, where the reference spends its time (``for block in
-    range(first, last + 1)`` with three appends per block), becomes one
-    ``repeat``/``arange`` pass over all items at once, and the coverage
-    test one boolean expression over the expanded rows.
+    *stream* is a list of items or a
+    :class:`~repro.cache.stream.StreamArrays`, which is used as it is.
+    A list costs one pass over its objects to read them into arrays.
+    The rest is whole-array work: the per-file known-size fold is a
+    prefix scan (:func:`_known_before`), the per-block expansion, where
+    the reference spends its time (``for block in range(first, last +
+    1)`` with three appends per block), is one ``repeat``/``arange``
+    pass over all items at once, and the coverage test one boolean
+    expression over the expanded rows.
     """
-    from ..cache.stream import Invalidation
+    from ..cache.stream import Invalidation, StreamArrays
     from ..parallel.packed import (
         _BLOCK_LIMIT,
         KEY_SHIFT,
@@ -1587,67 +1741,38 @@ def pack_stream_numpy(stream, block_size: int, start_time: float = 0.0):
     bs = block_size
     _require(bs <= 1 << 32, "oversized block size")
 
-    n_items = len(stream)
-    it_kind: list[int] = []  # OP_READ / OP_WRITE / OP_INVALIDATE
-    it_fid: list[int] = []
-    it_first: list[int] = []
-    it_last: list[int] = []
-    it_start: list[int] = []
-    it_end: list[int] = []
-    it_known: list[int] = []
-    it_time: list[float] = []
-    known: dict[int, int] = {}
-    get = known.get
-    for item in stream:
-        if isinstance(item, Invalidation):
-            fid = item.file_id
-            k = get(fid, 0)
-            fb = item.from_byte
-            known[fid] = k if k < fb else fb
-            first_dead = -(-fb // bs)
-            if first_dead > _BLOCK_LIMIT:
-                first_dead = _BLOCK_LIMIT
-            it_kind.append(OP_INVALIDATE)
-            it_fid.append(fid)
-            it_first.append(first_dead)
-            it_last.append(first_dead)
-            it_start.append(0)
-            it_end.append(0)
-            it_known.append(0)
-            it_time.append(item.time)
-            continue
-        fid = item.file_id
-        start = item.start
-        end = item.end
-        last = (end - 1) // bs
-        if last >= _BLOCK_LIMIT:
-            raise ValueError(
-                f"block index {last} does not fit a packed key "
-                f"(file {fid}, {bs}-byte blocks); use the item-stream path"
+    if isinstance(stream, StreamArrays):
+        invalidate = stream.invalidate
+        writes = stream.is_write
+        fids = stream.file_ids
+        starts = stream.starts
+        ends = stream.ends
+        tms = stream.times
+    else:
+        invalidate = [isinstance(item, Invalidation) for item in stream]
+        try:
+            fids = np.asarray([item.file_id for item in stream], np.int64)
+            starts = np.asarray(
+                [
+                    item.from_byte if inv else item.start
+                    for item, inv in zip(stream, invalidate)
+                ],
+                np.int64,
             )
-        k = get(fid, 0)
-        it_kind.append(OP_WRITE if item.is_write else OP_READ)
-        it_fid.append(fid)
-        it_first.append(start // bs)
-        it_last.append(last)
-        it_start.append(start)
-        it_end.append(end)
-        it_known.append(k)
-        it_time.append(item.time)
-        if end > k:
-            known[fid] = end
+            ends = np.asarray(
+                [0 if inv else item.end for item, inv in zip(stream, invalidate)],
+                np.int64,
+            )
+        except OverflowError as exc:  # beyond int64: let the reference decide
+            raise VectorFallback(str(exc)) from None
+        writes = np.asarray(
+            [not inv and item.is_write for item, inv in zip(stream, invalidate)],
+            dtype=bool,
+        )
+        invalidate = np.asarray(invalidate, dtype=bool)
+        tms = np.asarray([item.time for item in stream], np.float64)
 
-    try:
-        fids = np.asarray(it_fid, np.int64)
-        firsts = np.asarray(it_first, np.int64)
-        lasts = np.asarray(it_last, np.int64)
-        starts = np.asarray(it_start, np.int64)
-        ends = np.asarray(it_end, np.int64)
-        ks = np.asarray(it_known, np.int64)
-    except OverflowError as exc:  # beyond int64: let the reference decide
-        raise VectorFallback(str(exc)) from None
-    kindcol = np.asarray(it_kind, np.uint8)
-    tms = np.asarray(it_time, np.float64)
+    n_items = len(fids)
     if n_items:
         # Keep every intermediate (fid << KEY_SHIFT, block * bs ± bs)
         # inside int64 so the arithmetic below cannot wrap.
@@ -1660,9 +1785,25 @@ def pack_stream_numpy(stream, block_size: int, start_time: float = 0.0):
             "byte offset out of int64-safe range",
         )
 
+    # An invalidation's one row keys its first dead block (clamped: no
+    # real block index reaches past the limit, so nothing more is lost).
+    first_dead = np.minimum(-(-starts // bs), _BLOCK_LIMIT)
+    firsts = np.where(invalidate, first_dead, starts // bs)
+    lasts = np.where(invalidate, first_dead, (ends - 1) // bs)
+    too_far = np.nonzero(~invalidate & (lasts >= _BLOCK_LIMIT))[0]
+    if len(too_far):
+        i = too_far[0]
+        raise ValueError(
+            f"block index {lasts[i]} does not fit a packed key "
+            f"(file {fids[i]}, {bs}-byte blocks); use the item-stream path"
+        )
+    ks = _known_before(fids, invalidate, starts, ends)
+    kindcol = np.where(
+        invalidate, OP_INVALIDATE, np.where(writes, OP_WRITE, OP_READ)
+    ).astype(np.uint8)
+
     raw_counts = lasts - firsts + 1
-    is_invalidate = kindcol == OP_INVALIDATE
-    n_accesses = int(raw_counts[~is_invalidate].sum())
+    n_accesses = int(raw_counts[~invalidate].sum())
     counts = np.maximum(raw_counts, 0)
     total = int(counts.sum())
     rep = np.repeat(np.arange(n_items, dtype=np.int64), counts)
@@ -1679,10 +1820,13 @@ def pack_stream_numpy(stream, block_size: int, start_time: float = 0.0):
         ) | (bstart >= ks[rep])
         ops = np.where(is_write & covered, np.uint8(OP_WRITE_COVERED), ops)
 
+    row_times = tms[rep]
+    if start_time is None:
+        start_time = float(row_times[0]) if total else 0.0
     keys_arr = array("q")
     keys_arr.frombytes(keys.tobytes())
     times_arr = array("d")
-    times_arr.frombytes(tms[rep].tobytes())
+    times_arr.frombytes(row_times.tobytes())
     return PackedStream(
         block_size=bs,
         start_time=start_time,

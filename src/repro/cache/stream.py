@@ -16,14 +16,22 @@ Section 6.4's paging approximation is implemented here too: with
 read of the program image at exec time ("we simulated paging activity by
 forcing a whole-file read to each program file at the time the program was
 executed").
+
+:func:`build_stream` is the specification.  :func:`derive_stream` is what
+the memoized products use: it runs the numpy kernel
+(:func:`~repro.analysis.vectorized.build_stream_numpy`) over the trace's
+columns and gets the stream as :class:`StreamArrays`, which
+:func:`cached_stream` turns into objects and
+:func:`~repro.parallel.packed.cached_packed_stream` packs directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from ..analysis.accesses import Run, Transfer  # noqa: F401 (Run re-exported)
+from ..trace.columns import TraceColumns
 from ..trace.log import TraceLog
 from ..trace.memo import memoize_per_log
 from ..trace.records import (
@@ -36,11 +44,16 @@ from ..trace.records import (
     UnlinkEvent,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import numpy as np
+
 __all__ = [
     "Invalidation",
+    "StreamArrays",
     "StreamItem",
     "build_stream",
     "cached_stream",
+    "derive_stream",
 ]
 
 
@@ -54,6 +67,49 @@ class Invalidation:
 
 
 StreamItem = Union[Transfer, Invalidation]
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class StreamArrays:
+    """An item stream as parallel arrays, one entry per item in stream
+    order.
+
+    An entry is an :class:`Invalidation` where ``invalidate`` is set (its
+    ``from_byte`` is in ``starts``) and a :class:`Transfer` elsewhere.
+    Iterating yields the items as objects, so anything that takes a
+    stream takes this too.
+    """
+
+    invalidate: np.ndarray  # bool
+    is_write: np.ndarray  # bool
+    file_ids: np.ndarray  # int64
+    user_ids: np.ndarray  # int64
+    starts: np.ndarray  # int64: a transfer's start, an invalidation's from_byte
+    ends: np.ndarray  # int64
+    times: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self):
+        return iter(self.items())
+
+    def items(self) -> list[StreamItem]:
+        """The stream as :class:`Transfer`/:class:`Invalidation` objects."""
+        return [
+            Invalidation(t, fid, start)
+            if inv
+            else Transfer(t, fid, uid, start, end, write)
+            for inv, write, fid, uid, start, end, t in zip(
+                self.invalidate.tolist(),
+                self.is_write.tolist(),
+                self.file_ids.tolist(),
+                self.user_ids.tolist(),
+                self.starts.tolist(),
+                self.ends.tolist(),
+                self.times.tolist(),
+            )
+        ]
 
 
 def build_stream(log: TraceLog, include_paging: bool = False) -> list[StreamItem]:
@@ -138,10 +194,34 @@ def build_stream(log: TraceLog, include_paging: bool = False) -> list[StreamItem
     return [item for _, _, item in items]
 
 
+def derive_stream(
+    log: TraceLog, include_paging: bool = False
+) -> StreamArrays | list[StreamItem]:
+    """The stream of *log*, computed from columns.
+
+    The numpy kernel runs on the columns *log* was loaded from, or, for
+    a log of events, on a :meth:`TraceColumns.from_log` pass that is not
+    kept.  :func:`build_stream` reruns the derivation only when the
+    kernel declines the input, or when an event holds an integer past
+    the int64 columns; both give the same items (fuzz pillar 5 checks
+    this).
+    """
+    from ..analysis.vectorized import VectorFallback, build_stream_numpy
+
+    try:
+        cols = log.columns
+        if cols is None:
+            cols = TraceColumns.from_log(log)
+        return build_stream_numpy(cols, include_paging)
+    except (OverflowError, VectorFallback):
+        return build_stream(log, include_paging=include_paging)
+
+
 def cached_stream(log: TraceLog, include_paging: bool = False) -> list[StreamItem]:
-    """Memoized :func:`build_stream` (one build per log and paging flag)."""
+    """Memoized :func:`derive_stream` as objects (one build per log and
+    paging flag)."""
     return memoize_per_log(
         log,
         ("stream", include_paging),
-        lambda: build_stream(log, include_paging=include_paging),
+        lambda: list(derive_stream(log, include_paging)),
     )

@@ -16,9 +16,13 @@ of that claim on every seeded trace:
   out-of-range and NaN times, unknown kinds, bad flag bytes, negative
   fields, duplicated open ids), at several ``max_problems`` including
   the suppression boundary;
+* :func:`~repro.analysis.vectorized.build_stream_numpy` vs
+  :func:`~repro.cache.stream.build_stream`, item for item, with paging
+  off and on;
 * :func:`~repro.analysis.vectorized.pack_stream_numpy` vs
   :func:`~repro.parallel.packed.pack_stream_python`, row for row, at two
-  block sizes;
+  block sizes with paging off and on, packing both the reference's
+  objects and the stream kernel's arrays;
 * the vectorized cache engine (:mod:`repro.parallel.veccache`) vs
   :func:`~repro.parallel.veccache.stack_curve_python` (one
   :func:`~repro.parallel.packed.simulate_packed` replay per size and
@@ -42,6 +46,7 @@ from ..analysis.vectorized import (
     VectorFallback,
     VectorizedCollector,
     analyze_columns_numpy,
+    build_stream_numpy,
     pack_stream_numpy,
     validate_columns_numpy,
 )
@@ -217,19 +222,36 @@ def check_engines(log: TraceLog, seed: int | str = 0) -> str | None:
             if detail is not None:
                 return detail
 
-    # Packed-stream compiler: row-for-row equality at two block sizes.
-    stream = build_stream(log)
-    for bs in _PACK_BLOCK_SIZES:
-        ref_p = pack_stream_python(stream, bs, start_time=log.start_time)
+    # Stream kernel and packed-stream compiler, paging off and on: the
+    # kernel's items, then the rows packed from the reference's objects
+    # and from the kernel's arrays, against the references.
+    for paging in (False, True):
+        stream = build_stream(log, include_paging=paging)
+        sources = [stream]
         try:
-            fast = pack_stream_numpy(stream, bs, start_time=log.start_time)
+            arrays = build_stream_numpy(cols, paging)
         except VectorFallback:
-            fast = ref_p
-        if fast != ref_p:
-            return f"pack_stream(block_size={bs}): numpy engine diverges"
-        detail = _curves_differ(ref_p, rng, f"veccache[bs={bs}]")
-        if detail is not None:
-            return detail
+            pass
+        else:
+            if arrays.items() != stream:
+                return f"build_stream(include_paging={paging}): numpy kernel diverges"
+            sources.append(arrays)
+        for bs in _PACK_BLOCK_SIZES:
+            ref_p = pack_stream_python(stream, bs, start_time=log.start_time)
+            for source in sources:
+                try:
+                    fast = pack_stream_numpy(source, bs, start_time=log.start_time)
+                except VectorFallback:
+                    continue
+                if fast != ref_p:
+                    return (
+                        f"pack_stream(block_size={bs}, paging={paging}, "
+                        f"{type(source).__name__}): numpy engine diverges"
+                    )
+            if not paging:
+                detail = _curves_differ(ref_p, rng, f"veccache[bs={bs}]")
+                if detail is not None:
+                    return detail
     return None
 
 

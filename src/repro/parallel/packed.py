@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from ..cache.metrics import CacheMetrics
 from ..cache.policies import DELAYED_WRITE, PolicySpec, WritePolicy
 from ..cache.replacement import make_replacement
-from ..cache.stream import Invalidation, StreamItem, cached_stream
+from ..cache.stream import Invalidation, StreamArrays, StreamItem, derive_stream
 from ..trace.log import TraceLog
 from ..trace.memo import memoize_per_log
 
@@ -72,7 +72,8 @@ class PackedStream:
     """
 
     block_size: int
-    #: Trace start time — the flush-epoch anchor for flush-back policies.
+    #: Trace start time — the flush-epoch anchor for flush-back policies
+    #: (the first row's time unless the packer was given one).
     start_time: float
     ops: bytes
     keys: array  # 'q': (file_id << KEY_SHIFT) | block
@@ -86,15 +87,19 @@ class PackedStream:
 
 
 def pack_stream(
-    stream: list[StreamItem],
+    stream: list[StreamItem] | StreamArrays,
     block_size: int,
-    start_time: float = 0.0,
+    start_time: float | None = None,
 ) -> PackedStream:
-    """Compile *stream* (from ``build_stream``) for *block_size*.
+    """Compile *stream* (from ``build_stream`` or ``derive_stream``) for
+    *block_size*.
 
-    The numpy kernel expands the blocks; :func:`pack_stream_python`
-    reruns the compile only when the kernel declines the input (the
-    packed streams are bit-identical; fuzz pillar 5 checks this).
+    *start_time* anchors the flush-back scans of every replay of the
+    result; ``None`` means the first row's time (0.0 for an empty
+    stream), the same default as ``BlockCacheSimulator.run``.  The numpy
+    kernel expands the blocks; :func:`pack_stream_python` reruns the
+    compile only when the kernel declines the input (the packed streams
+    are bit-identical; fuzz pillar 5 checks this).
     """
     from ..analysis.vectorized import VectorFallback, pack_stream_numpy
 
@@ -105,9 +110,9 @@ def pack_stream(
 
 
 def pack_stream_python(
-    stream: list[StreamItem],
+    stream: list[StreamItem] | StreamArrays,
     block_size: int,
-    start_time: float = 0.0,
+    start_time: float | None = None,
 ) -> PackedStream:
     """The pure-Python reference of
     :func:`~repro.analysis.vectorized.pack_stream_numpy`."""
@@ -165,6 +170,8 @@ def pack_stream_python(
         n_accesses += last - first + 1
         if end > k:
             known[fid] = end
+    if start_time is None:
+        start_time = times[0] if times else 0.0
     return PackedStream(
         block_size=bs,
         start_time=start_time,
@@ -180,12 +187,16 @@ def cached_packed_stream(
     block_size: int,
     include_paging: bool = False,
 ) -> PackedStream:
-    """Memoized :func:`pack_stream` per ``(log, block_size, paging)``."""
+    """Memoized :func:`pack_stream` per ``(log, block_size, paging)``.
+
+    It packs :func:`~repro.cache.stream.derive_stream`'s arrays, so no
+    stream object is built on the way.
+    """
     return memoize_per_log(
         log,
         ("packed", block_size, include_paging),
         lambda: pack_stream(
-            cached_stream(log, include_paging=include_paging),
+            derive_stream(log, include_paging),
             block_size,
             start_time=log.start_time,
         ),

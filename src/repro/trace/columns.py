@@ -30,8 +30,12 @@ These buffers are the binary format: a ``.bcorpus`` segment
 straight into columns — and serializes straight out of them — without
 ever materializing event objects.
 Code that still wants objects gets them lazily: :meth:`TraceColumns.event`
-builds one row's dataclass on demand, and iteration yields them one at a
-time.
+builds one row's dataclass on demand, iteration yields them one at a
+time, and :meth:`TraceColumns.to_log` returns a log that keeps these
+columns and builds its event list only when ``log.events`` is first read.
+Until then the log's derived products come from the columns:
+:func:`cached_columns` returns them as they are, and the cache stream and
+packed streams are computed from them by numpy kernels.
 """
 
 from __future__ import annotations
@@ -277,12 +281,9 @@ class TraceColumns:
         raise ValueError(f"unknown kind tag {kind} at row {i}")
 
     def to_log(self) -> TraceLog:
-        """Materialize every row; the fully object-based view."""
-        return TraceLog(
-            name=self.name,
-            description=self.description,
-            events=[self.event(i) for i in range(len(self.kinds))],
-        )
+        """A log over these columns; it builds its events (one
+        :meth:`event` per row) on the first read of ``log.events``."""
+        return TraceLog._backed_by(self)
 
     # -- simple derived properties ------------------------------------------
 
@@ -349,5 +350,9 @@ class TraceColumns:
 
 
 def cached_columns(log: TraceLog) -> TraceColumns:
-    """Memoized :meth:`TraceColumns.from_log` (one build per log)."""
+    """The columns of *log*: the ones it was loaded from while its events
+    are unbuilt (no pass, no copy), else a memoized
+    :meth:`TraceColumns.from_log` (one build per log)."""
+    if log.columns is not None:
+        return log.columns
     return memoize_per_log(log, ("columns",), lambda: TraceColumns.from_log(log))

@@ -8,7 +8,13 @@ streams, metadata streams, packed streams, column views) are memoized per
 :class:`~repro.trace.log.TraceLog`.
 
 The table is keyed by object identity with a weakref for cleanup, and
-validated against a cheap *stamp* of the event list:
+validated against a cheap *stamp*.  A log loaded from columns whose
+events are still unbuilt (:meth:`~repro.trace.columns.TraceColumns.to_log`)
+is stamped by its columns' identity and row count, so stamping it builds
+no event.  Once its events are built, the event stamp below applies; it
+differs from the column stamp, so each product requested after that is
+rebuilt once, from the events.  An event-backed log is stamped by its
+event list:
 
 * the event count — ``TraceLog``'s mutation API is append-only, so a
   changed length is exactly a changed log;
@@ -41,6 +47,9 @@ _MEMO: dict[int, tuple[weakref.ref, tuple, dict[Hashable, object]]] = {}
 
 
 def _stamp(log: "TraceLog") -> tuple:
+    cols = log.columns
+    if cols is not None:
+        return (id(cols), len(cols))
     events = log.events
     return (len(events), id(events), sum(map(id, events)))
 

@@ -1,7 +1,15 @@
 """Tests for the columnar trace store."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro.analysis.onepass import analyze_onepass
+from repro.cache.stream import cached_stream
+from repro.cache.sweep import cache_size_policy_sweep
+from repro.corpus import pack_trace, read_corpus_columns
+from repro.parallel.packed import cached_packed_stream
 from repro.trace.columns import (
     KIND_LABELS,
     KIND_OPEN,
@@ -78,3 +86,70 @@ class TestColumnarView:
 
     def test_cached_columns_memoized(self, small_trace):
         assert cached_columns(small_trace) is cached_columns(small_trace)
+
+
+class TestLoadedLog:
+    """A log read from a corpus keeps its columns until ``events`` is read."""
+
+    @pytest.fixture
+    def loaded(self, small_trace, tmp_path):
+        path = tmp_path / "small.bcorpus"
+        pack_trace(small_trace, path)
+        return read_corpus_columns(path)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The rows whose event objects get built."""
+        rows = []
+        event = TraceColumns.event
+
+        def counting(cols, i):
+            rows.append(i)
+            return event(cols, i)
+
+        monkeypatch.setattr(TraceColumns, "event", counting)
+        return rows
+
+    def test_paper_path_builds_no_event(self, loaded, built, small_trace):
+        log = loaded.to_log()
+        assert len(log) == len(small_trace)
+        assert log.start_time == small_trace.start_time
+        assert log.end_time == small_trace.end_time
+        assert log.summary_line() == small_trace.summary_line()
+        assert log.count("open") == small_trace.count("open")
+        assert cached_columns(log) is loaded
+        assert cached_stream(log) == cached_stream(small_trace)
+        packed = cached_packed_stream(log, 4096)
+        assert packed == cached_packed_stream(small_trace, 4096)
+        sweep = cache_size_policy_sweep(log, jobs=1)
+        assert sweep.results == cache_size_policy_sweep(small_trace, jobs=1).results
+        assert analyze_onepass(log).render() == analyze_onepass(small_trace).render()
+        assert log.columns is loaded
+        assert built == []
+
+    def test_events_equal_the_generated_trace(self, loaded, small_trace):
+        log = loaded.to_log()
+        assert log.events == small_trace.events
+        assert log.columns is None  # now an ordinary event-backed log
+        assert log == small_trace
+        assert repr(log) == repr(small_trace)
+
+    def test_products_rebuilt_once_after_events_are_built(self, loaded):
+        log = loaded.to_log()
+        before = cached_packed_stream(log, 4096)
+        log.events
+        after = cached_packed_stream(log, 4096)
+        assert after is not before
+        assert after == before
+        assert cached_packed_stream(log, 4096) is after
+
+    @pytest.mark.parametrize("read_events", [False, True])
+    def test_copies_round_trip(self, loaded, small_trace, read_events):
+        log = loaded.to_log()
+        if read_events:
+            log.events
+        copies = [copy.deepcopy(log), pickle.loads(pickle.dumps(log))]
+        for other in copies:
+            assert (other.columns is None) == read_events
+            assert other == small_trace
+        assert log == small_trace

@@ -12,11 +12,16 @@ pool, and the CLI's ``--jobs`` plumbing.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import multiprocessing
+import random
+import time
 from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis.vectorized import pack_stream_numpy
 from repro.cache.policies import (
     DELAYED_WRITE,
     FLUSH_5MIN,
@@ -33,6 +38,7 @@ from repro.cache.sweep import (
     paging_comparison,
 )
 from repro.cli.main import main
+from repro.corpus import pack_trace, read_corpus_columns
 from repro.experiments import run_one
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
@@ -45,6 +51,7 @@ from repro.parallel.packed import (
     OP_INVALIDATE,
     cached_packed_stream,
     pack_stream,
+    pack_stream_python,
     simulate_packed,
 )
 from repro.parallel.veccache import stack_curve, stack_curve_numpy
@@ -98,6 +105,26 @@ class TestPackedStream:
         assert packed.n_accesses == count_block_accesses(stream, 4096)
         assert len(packed) >= packed.n_accesses  # invalidation rows extra
 
+    def test_numpy_pack_folds_signed_offsets_like_the_reference(self):
+        # A hand-built stream may hold negative offsets and truncations;
+        # the known-size scan must still fold each file from size 0.
+        rng = random.Random(5)
+        items = []
+        for i in range(300):
+            fid = rng.randrange(4)
+            if rng.random() < 0.3:
+                items.append(
+                    Invalidation(float(i), fid, rng.randrange(-3 * 4096, 3 * 4096))
+                )
+            else:
+                start = rng.randrange(-4 * 4096, 4 * 4096)
+                end = start + rng.randrange(1, 3 * 4096)
+                items.append(
+                    Transfer(float(i), fid, 1, start, end, rng.random() < 0.6)
+                )
+        for bs in (512, 4096):
+            assert pack_stream_numpy(items, bs) == pack_stream_python(items, bs)
+
     @pytest.mark.parametrize("cut", ["event", "between", "before", "after"])
     def test_slice_stream_is_a_prefix(self, small_trace, cut):
         # A warm-up is the full run minus a replay of
@@ -138,10 +165,20 @@ class TestPackedStream:
     def test_cached_stream_identity(self, small_trace):
         assert cached_stream(small_trace) is cached_stream(small_trace)
 
-    def test_append_invalidates_memo(self, small_trace, stream):
-        import copy
+    @pytest.fixture(params=["events", "loaded"])
+    def own_log(self, request, small_trace, tmp_path):
+        """A log of the small trace's events to mutate: a copy, or one
+        loaded from a corpus whose events were read before the test."""
+        if request.param == "events":
+            return copy.deepcopy(small_trace)
+        path = tmp_path / "small.bcorpus"
+        pack_trace(small_trace, path)
+        log = read_corpus_columns(path).to_log()
+        assert log.events == small_trace.events
+        return log
 
-        log = copy.deepcopy(small_trace)
+    def test_append_invalidates_memo(self, own_log):
+        log = own_log
         before = cached_packed_stream(log, 4096)
         assert cached_packed_stream(log, 4096) is before
         log.append(UnlinkEvent(time=log.events[-1].time + 1.0, file_id=1))
@@ -149,13 +186,10 @@ class TestPackedStream:
         assert after is not before
         assert len(after) >= len(before)
 
-    def test_in_place_replacement_invalidates_memo(self, small_trace):
+    def test_in_place_replacement_invalidates_memo(self, own_log):
         # Same length, same list object — only one element swapped for a
         # different event.  The stamp's id-sum term must catch this.
-        import copy
-        import dataclasses
-
-        log = copy.deepcopy(small_trace)
+        log = own_log
         before = cached_stream(log)
         original = log.events[-1]  # keep alive so ids cannot collide
         log.events[-1] = dataclasses.replace(original)
@@ -273,6 +307,27 @@ class TestStackCurve:
         if not anchored:
             packed = pack_stream(stream, 4096, start_time=stream[0].time)
         _assert_curve_is_simulator(stream, packed, PAPER_CACHE_SIZES)
+
+    def test_unanchored_pack_flushes_from_its_first_row(self):
+        # Absolute (strace-style) times, packed without a start time: an
+        # anchor at 0.0 would put ~57 million empty 30 s flush boundaries
+        # before the first row, and the simulator would disagree.
+        items = [
+            Transfer(time=1.7e9 + 7.0 * i, file_id=i % 3, user_id=1,
+                     start=(i % 4) * 4096, end=(i % 4 + 2) * 4096,
+                     is_write=i % 3 == 0)
+            for i in range(20)
+        ]
+        packed = pack_stream(items, 4096)
+        assert len(packed) == 40
+        assert packed.start_time == items[0].time
+        for policy in (FLUSH_30S, FLUSH_5MIN):
+            began = time.perf_counter()
+            curve = stack_curve(packed, SIZES, (policy,))
+            assert time.perf_counter() - began < 1.0
+            for size in SIZES:
+                sim = BlockCacheSimulator(cache_bytes=size, policy=policy)
+                assert curve.metrics(size, policy) == sim.run(items)
 
     @pytest.mark.parametrize("knobs", [{}])
     def test_write_back_invalidation_heavy(self, knobs):

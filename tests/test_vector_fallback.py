@@ -5,7 +5,8 @@ specification only when the kernel raises :class:`VectorFallback` on an
 input it cannot reproduce bit for bit.  For every dispatcher, one input
 here makes the kernel decline; the test checks that it does, and that
 the dispatcher's answer equals the specification's: the per-module
-analyzers (:func:`analyze_columns_python`), :func:`pack_stream_python`,
+analyzers (:func:`analyze_columns_python`), :func:`build_stream` (for
+the stream kernel :func:`build_stream_numpy`), :func:`pack_stream_python`,
 or one :func:`simulate_packed` replay per cache size and write policy.
 An inventory of ``src/repro`` keeps the list of dispatchers complete.
 """
@@ -13,6 +14,7 @@ An inventory of ``src/repro`` keeps the list of dispatchers complete.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import random
 from array import array
 from pathlib import Path
@@ -23,10 +25,11 @@ from repro.analysis.onepass import analyze_columns_python, analyze_onepass
 from repro.analysis.vectorized import (
     VectorFallback,
     analyze_columns_numpy,
+    build_stream_numpy,
     pack_stream_numpy,
 )
 from repro.cache.sweep import PAPER_POLICIES
-from repro.cache.stream import Transfer, build_stream
+from repro.cache.stream import Transfer, build_stream, derive_stream
 from repro.corpus import CorpusReader, analyze_corpus
 from repro.corpus.stream import analyze_corpus_numpy
 from repro.corpus.writer import pack_columns
@@ -34,6 +37,7 @@ from repro.fuzz.gen import random_trace
 from repro.parallel.packed import pack_stream, pack_stream_python, simulate_packed
 from repro.parallel.veccache import stack_curve, stack_curve_numpy
 from repro.trace.columns import TraceColumns
+from repro.trace.log import TraceLog
 
 SIZES = (4096, 8 * 4096, 64 * 4096)
 REPO_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -94,6 +98,20 @@ def _analyze_corpus(tmp_path):
     )
 
 
+def _derive_stream(tmp_path):
+    # A NaN time has no place in the (time, row) order the kernel sorts
+    # by; the reference's tuple sort still gives a deterministic answer.
+    events = list(random_trace(random.Random("fallback-stream"), 80).events)
+    mid = len(events) // 2
+    events[mid] = dataclasses.replace(events[mid], time=float("nan"))
+    log = TraceLog(name="nan", events=events)
+    return (
+        lambda: build_stream_numpy(TraceColumns.from_log(log)),
+        lambda: derive_stream(log),
+        lambda: build_stream(log),
+    )
+
+
 def _pack_stream(tmp_path):
     stream = build_stream(random_trace(random.Random("fallback-pack"), 80))
     block_size = (1 << 32) + 4096
@@ -129,6 +147,7 @@ def _stack_curve(tmp_path):
 CASES = {
     "analyze_onepass": _analyze_onepass,
     "analyze_corpus": _analyze_corpus,
+    "derive_stream": _derive_stream,
     "pack_stream": _pack_stream,
     "stack_curve": _stack_curve,
 }
