@@ -83,12 +83,14 @@ class OnePassReport:
     # The vectorized engine defers the object-heavy fields (accesses,
     # transfers, lifetimes, popularity) behind thunks in ``_lazy``:
     # building tens of thousands of dataclass instances eagerly would
-    # cost more than its entire scan.  Reports built by the pure-Python
-    # path never carry ``_lazy`` and never enter this hook.
+    # cost more than its entire scan.  A thunk takes the report as its
+    # argument (it never closes over it, so the report is no reference
+    # cycle).  Reports built by the pure-Python path never carry
+    # ``_lazy`` and never enter this hook.
     def __getattr__(self, name: str):
         lazy = self.__dict__.get("_lazy")
         if lazy and name in lazy:
-            value = lazy.pop(name)()
+            value = lazy.pop(name)(self)
             setattr(self, name, value)
             return value
         raise AttributeError(name)

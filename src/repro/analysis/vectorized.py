@@ -1056,7 +1056,10 @@ class VectorizedCollector:
         users = self._build_users(uid, fid, tclose, abytes, mode)
 
         # ---- lazy object materialization ------------------------------
-        def make_accesses() -> list[FileAccess]:
+        # Each thunk takes the report as its argument rather than closing
+        # over it, so the report is no reference cycle: it and the arrays
+        # its thunks pin are freed at its last reference.
+        def make_accesses(_report) -> list[FileAccess]:
             order_l = np.argsort(tclose, kind="stable").tolist()
             oid_l = oid.tolist()
             fid_l = fid.tolist()
@@ -1091,7 +1094,7 @@ class VectorizedCollector:
                 ))
             return out
 
-        def make_lifetimes() -> list[Lifetime]:
+        def make_lifetimes(_report) -> list[Lifetime]:
             births_all = np.concatenate([done_birth_a, alive_birth_a])
             fid_lt = np.concatenate([done_fid_a, alive_fid_a]).tolist()
             bytes_lt = np.concatenate([done_bytes_a, alive_bytes_a]).tolist()
@@ -1119,9 +1122,9 @@ class VectorizedCollector:
         report.daemon_spike = daemon_spike
         report._lazy = {
             "accesses": make_accesses,
-            "transfers": lambda: transfers_from_accesses(report.accesses),
+            "transfers": lambda r: transfers_from_accesses(r.accesses),
             "lifetimes": make_lifetimes,
-            "popularity": lambda: popularity_from_accesses(report.accesses),
+            "popularity": lambda r: popularity_from_accesses(r.accesses),
         }
         return report
 
@@ -1250,16 +1253,6 @@ def _cdf_counts(values, censored: float = 0.0) -> Cdf:
     """``Cdf.from_samples(values)`` as whole-array arithmetic."""
     xs, cnt = np.unique(values, return_counts=True)
     cum = np.cumsum(cnt.astype(np.float64))
-    total = float(cum[-1]) + censored if len(xs) else censored
-    return Cdf(xs=tuple(xs.tolist()), cum=tuple(cum.tolist()), total=total)
-
-
-def _cdf_weighted(values, weights, censored: float = 0.0) -> Cdf:
-    """``Cdf.from_samples(values, weights)``: per-value weight sums are
-    exact because every caller bounds total weight below 2**53."""
-    xs, inv = np.unique(values, return_inverse=True)
-    sums = np.bincount(inv, weights=weights, minlength=len(xs))
-    cum = np.cumsum(sums)
     total = float(cum[-1]) + censored if len(xs) else censored
     return Cdf(xs=tuple(xs.tolist()), cum=tuple(cum.tolist()), total=total)
 

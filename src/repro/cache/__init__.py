@@ -37,7 +37,6 @@ from .sweep import (
     PagingComparison,
     block_size_sweep,
     cache_size_policy_sweep,
-    count_block_accesses,
     paging_comparison,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "cache_size_policy_sweep",
     "block_size_sweep",
     "paging_comparison",
-    "count_block_accesses",
     "CachePolicySweep",
     "BlockSizeSweep",
     "PagingComparison",

@@ -27,6 +27,8 @@ Two semantics knobs exist purely for the ablation benchmarks:
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..trace.log import TraceLog
 from .metrics import CacheMetrics, ExposureTracker, ResidencyTracker
 from .policies import DELAYED_WRITE, PolicySpec, WritePolicy
@@ -236,9 +238,10 @@ class BlockCacheSimulator:
             self._insert(key, dirty=False)
 
     def run(
-        self, stream: list[StreamItem], flush_epoch: float | None = None
+        self, stream: Iterable[StreamItem], flush_epoch: float | None = None
     ) -> CacheMetrics:
-        """Replay *stream* (from :func:`~repro.cache.stream.build_stream`).
+        """Replay *stream* (from :func:`~repro.cache.stream.build_stream`
+        or :func:`~repro.cache.stream.cached_stream`).
 
         *flush_epoch* anchors the flush-back scan schedule.  Flush scans
         happen at ``epoch + k * flush_interval``.  Passing

@@ -20,15 +20,16 @@ executed").
 :func:`build_stream` is the specification.  :func:`derive_stream` is what
 the memoized products use: it runs the numpy kernel
 (:func:`~repro.analysis.vectorized.build_stream_numpy`) over the trace's
-columns and gets the stream as :class:`StreamArrays`, which
-:func:`cached_stream` turns into objects and
-:func:`~repro.parallel.packed.cached_packed_stream` packs directly.
+columns and gets the stream as :class:`StreamArrays`.
+:func:`cached_stream` memoizes those arrays as they are, and
+:func:`~repro.parallel.packed.cached_packed_stream` packs them, so no
+item object lives longer than the loop that iterates the stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from ..analysis.accesses import Run, Transfer  # noqa: F401 (Run re-exported)
 from ..trace.columns import TraceColumns
@@ -68,6 +69,9 @@ class Invalidation:
 
 StreamItem = Union[Transfer, Invalidation]
 
+#: Rows :class:`StreamArrays` turns into objects per step of an iteration.
+_SLICE_ROWS = 4096
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class StreamArrays:
@@ -77,7 +81,8 @@ class StreamArrays:
     An entry is an :class:`Invalidation` where ``invalidate`` is set (its
     ``from_byte`` is in ``starts``) and a :class:`Transfer` elsewhere.
     Iterating yields the items as objects, so anything that takes a
-    stream takes this too.
+    stream takes this too; each iteration builds them afresh, and a
+    caller that needs a list says ``list(...)``.
     """
 
     invalidate: np.ndarray  # bool
@@ -91,25 +96,21 @@ class StreamArrays:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __iter__(self):
-        return iter(self.items())
-
-    def items(self) -> list[StreamItem]:
-        """The stream as :class:`Transfer`/:class:`Invalidation` objects."""
-        return [
-            Invalidation(t, fid, start)
-            if inv
-            else Transfer(t, fid, uid, start, end, write)
-            for inv, write, fid, uid, start, end, t in zip(
-                self.invalidate.tolist(),
-                self.is_write.tolist(),
-                self.file_ids.tolist(),
-                self.user_ids.tolist(),
-                self.starts.tolist(),
-                self.ends.tolist(),
-                self.times.tolist(),
-            )
-        ]
+    def __iter__(self) -> Iterator[StreamItem]:
+        # One slice of rows at a time: converting whole columns up front
+        # would hold seven stream-long lists while the caller iterates.
+        columns = (
+            self.invalidate, self.is_write, self.file_ids, self.user_ids,
+            self.starts, self.ends, self.times,
+        )
+        for lo in range(0, len(self), _SLICE_ROWS):
+            hi = lo + _SLICE_ROWS
+            rows = zip(*(c[lo:hi].tolist() for c in columns))
+            for inv, write, fid, uid, start, end, t in rows:
+                if inv:
+                    yield Invalidation(t, fid, start)
+                else:
+                    yield Transfer(t, fid, uid, start, end, write)
 
 
 def build_stream(log: TraceLog, include_paging: bool = False) -> list[StreamItem]:
@@ -217,11 +218,17 @@ def derive_stream(
         return build_stream(log, include_paging=include_paging)
 
 
-def cached_stream(log: TraceLog, include_paging: bool = False) -> list[StreamItem]:
-    """Memoized :func:`derive_stream` as objects (one build per log and
-    paging flag)."""
+def cached_stream(
+    log: TraceLog, include_paging: bool = False
+) -> StreamArrays | list[StreamItem]:
+    """Memoized :func:`derive_stream` (one build per log and paging flag).
+
+    The memo holds what :func:`derive_stream` returns: the kernel's
+    :class:`StreamArrays`, or :func:`build_stream`'s list when the kernel
+    declines.  Either iterates as the same items, any number of times.
+    """
     return memoize_per_log(
         log,
         ("stream", include_paging),
-        lambda: list(derive_stream(log, include_paging)),
+        lambda: derive_stream(log, include_paging),
     )

@@ -39,7 +39,6 @@ from .policies import (
     PolicySpec,
 )
 from .replacement import validate_replacement
-from .stream import StreamItem, Transfer
 
 __all__ = [
     "PAPER_CACHE_SIZES",
@@ -52,7 +51,6 @@ __all__ = [
     "cache_size_policy_sweep",
     "block_size_sweep",
     "paging_comparison",
-    "count_block_accesses",
 ]
 
 #: Cache sizes of Figure 5 / Table VI (first entry is the UNIX default).
@@ -206,16 +204,6 @@ def cache_size_policy_sweep(
     for _, size, policy, metrics in _run_cells(jobs_list, payload, jobs):
         sweep.results[(size, policy.label)] = metrics
     return sweep
-
-
-def count_block_accesses(stream: list[StreamItem], block_size: int) -> int:
-    """Total logical block accesses — the paper's "no cache" column in
-    Table VII (with no cache every access is a disk I/O)."""
-    total = 0
-    for item in stream:
-        if isinstance(item, Transfer):
-            total += (item.end - 1) // block_size - item.start // block_size + 1
-    return total
 
 
 @dataclass

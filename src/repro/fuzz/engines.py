@@ -233,7 +233,7 @@ def check_engines(log: TraceLog, seed: int | str = 0) -> str | None:
         except VectorFallback:
             pass
         else:
-            if arrays.items() != stream:
+            if list(arrays) != stream:
                 return f"build_stream(include_paging={paging}): numpy kernel diverges"
             sources.append(arrays)
         for bs in _PACK_BLOCK_SIZES:

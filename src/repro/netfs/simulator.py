@@ -17,6 +17,7 @@ how the design examples push the network past its knee.
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from ..analysis.accesses import Transfer
 from ..cache.metrics import CacheMetrics
@@ -43,7 +44,7 @@ _STAGGER_STEP_S = 7.3
 _STAGGER_WINDOW_S = 60.0
 
 
-def _replicate(stream: list[StreamItem], copies: int) -> list[StreamItem]:
+def _replicate(stream: Iterable[StreamItem], copies: int) -> Iterable[StreamItem]:
     """*copies* disjoint communities replaying the same trace in parallel."""
     if copies <= 1:
         return stream

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..cache.metrics import CacheMetrics
 from ..cache.policies import DELAYED_WRITE, PolicySpec, WritePolicy
 from ..cache.replacement import make_replacement
-from ..cache.stream import Invalidation, StreamArrays, StreamItem, derive_stream
+from ..cache.stream import Invalidation, StreamArrays, StreamItem, cached_stream
 from ..trace.log import TraceLog
 from ..trace.memo import memoize_per_log
 
@@ -78,8 +79,8 @@ class PackedStream:
     ops: bytes
     keys: array  # 'q': (file_id << KEY_SHIFT) | block
     times: array  # 'd': item timestamps (every row of an item shares one)
-    #: Block-access rows (equals ``count_block_accesses`` on the source
-    #: stream; invalidation rows are not counted).
+    #: Block-access rows: the blocks every transfer spans, the paper's
+    #: "no cache" disk I/Os (invalidation rows are not counted).
     n_accesses: int
 
     def __len__(self) -> int:
@@ -87,11 +88,11 @@ class PackedStream:
 
 
 def pack_stream(
-    stream: list[StreamItem] | StreamArrays,
+    stream: Iterable[StreamItem],
     block_size: int,
     start_time: float | None = None,
 ) -> PackedStream:
-    """Compile *stream* (from ``build_stream`` or ``derive_stream``) for
+    """Compile *stream* (from ``build_stream`` or ``cached_stream``) for
     *block_size*.
 
     *start_time* anchors the flush-back scans of every replay of the
@@ -103,6 +104,8 @@ def pack_stream(
     """
     from ..analysis.vectorized import VectorFallback, pack_stream_numpy
 
+    if not isinstance(stream, (list, StreamArrays)):
+        stream = list(stream)  # the kernel may decline after reading it
     try:
         return pack_stream_numpy(stream, block_size, start_time)
     except VectorFallback:
@@ -110,7 +113,7 @@ def pack_stream(
 
 
 def pack_stream_python(
-    stream: list[StreamItem] | StreamArrays,
+    stream: Iterable[StreamItem],
     block_size: int,
     start_time: float | None = None,
 ) -> PackedStream:
@@ -189,14 +192,15 @@ def cached_packed_stream(
 ) -> PackedStream:
     """Memoized :func:`pack_stream` per ``(log, block_size, paging)``.
 
-    It packs :func:`~repro.cache.stream.derive_stream`'s arrays, so no
-    stream object is built on the way.
+    It packs the memoized :func:`~repro.cache.stream.cached_stream`, so
+    the stream kernel runs once per log and paging flag, whatever the
+    block sizes, and packing its arrays builds no stream object.
     """
     return memoize_per_log(
         log,
         ("packed", block_size, include_paging),
         lambda: pack_stream(
-            derive_stream(log, include_paging),
+            cached_stream(log, include_paging),
             block_size,
             start_time=log.start_time,
         ),

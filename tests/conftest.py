@@ -3,6 +3,7 @@
 ``small_trace`` is a fast, deterministic synthetic trace shared by the
 analysis/cache/experiment test modules (session-scoped: generation costs
 a few hundred milliseconds and many modules want the same trace).
+``count_block_accesses`` is the cache tests' no-cache oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from repro.analysis.accesses import Transfer
 from repro.clock import Clock
 from repro.trace.log import TraceLog
 from repro.trace.records import (
@@ -93,3 +95,13 @@ def make_simple_trace() -> TraceLog:
 @pytest.fixture
 def simple_trace() -> TraceLog:
     return make_simple_trace()
+
+
+def count_block_accesses(stream, block_size: int) -> int:
+    """Total logical block accesses — the paper's "no cache" column in
+    Table VII (with no cache every access is a disk I/O)."""
+    total = 0
+    for item in stream:
+        if isinstance(item, Transfer):
+            total += (item.end - 1) // block_size - item.start // block_size + 1
+    return total

@@ -1,8 +1,17 @@
 """Tests for the cache simulator's input stream builder."""
 
+import pytest
+
 from repro.analysis.accesses import Transfer
 from repro.analysis.vectorized import build_stream_numpy
-from repro.cache.stream import Invalidation, build_stream, cached_stream
+from repro.cache.stream import (
+    _SLICE_ROWS,
+    Invalidation,
+    StreamArrays,
+    build_stream,
+    cached_stream,
+)
+from repro.corpus import pack_trace, read_corpus_columns
 from repro.parallel.packed import pack_stream, pack_stream_python
 from repro.trace.columns import TraceColumns
 from repro.trace.log import TraceLog
@@ -28,7 +37,7 @@ def _agree(log, include_paging=False):
     specification's; returns the specification's items."""
     ref = build_stream(log, include_paging=include_paging)
     arrays = build_stream_numpy(TraceColumns.from_log(log), include_paging)
-    assert arrays.items() == ref
+    assert list(arrays) == ref
     for bs in (1, 100, 4096):
         expected = pack_stream_python(ref, bs, start_time=log.start_time)
         assert pack_stream(arrays, bs, start_time=log.start_time) == expected
@@ -206,7 +215,46 @@ def test_ids_past_int64_take_the_specification():
                   mode=AccessMode.READ, initial_pos=0),
         CloseEvent(time=1.0, open_id=1, final_pos=10),
     ])
-    assert cached_stream(log) == build_stream(log)
+    stream = cached_stream(log)
+    assert type(stream) is list  # the memo holds build_stream's list
+    assert stream == build_stream(log)
+
+
+def test_nan_times_take_the_specification():
+    # The kernel's stable sort is the (time, row) order only when no
+    # time is NaN.
+    log = TraceLog(events=[
+        _open(0.0, 1, size=10),
+        UnlinkEvent(time=float("nan"), file_id=2),
+        CloseEvent(time=1.0, open_id=1, final_pos=10),
+    ])
+    stream = cached_stream(log)
+    assert type(stream) is list
+    assert repr(stream) == repr(build_stream(log))  # NaN != NaN
+
+
+# -- the memo: the kernel's arrays, or the specification's list ---------------
+
+
+def test_memo_holds_the_kernel_arrays(small_trace, tmp_path):
+    path = tmp_path / "small.bcorpus"
+    pack_trace(small_trace, path)
+    loaded = read_corpus_columns(path).to_log()
+    for log in (loaded, small_trace):
+        stream = cached_stream(log)
+        assert isinstance(stream, StreamArrays)
+        assert cached_stream(log) is stream
+
+
+@pytest.mark.parametrize("include_paging", [False, True])
+def test_memo_iterates_as_the_specification_every_time(
+    medium_trace, include_paging
+):
+    stream = cached_stream(medium_trace, include_paging)
+    assert len(stream) > _SLICE_ROWS  # more than one slice of rows
+    expected = build_stream(medium_trace, include_paging=include_paging)
+    assert list(stream) == expected
+    assert list(stream) == expected
 
 
 def test_kernel_on_an_empty_trace():

@@ -7,9 +7,10 @@ from repro.cache.stream import build_stream
 from repro.cache.sweep import (
     block_size_sweep,
     cache_size_policy_sweep,
-    count_block_accesses,
     paging_comparison,
 )
+
+from .conftest import count_block_accesses
 
 SIZES = (256 * 1024, 1024 * 1024, 4 * 1024 * 1024)
 

@@ -1,6 +1,8 @@
 """Tests for the columnar trace store."""
 
+import collections
 import copy
+import gc
 import pickle
 
 import pytest
@@ -8,7 +10,12 @@ import pytest
 from repro.analysis.onepass import analyze_onepass
 from repro.cache.stream import cached_stream
 from repro.cache.sweep import cache_size_policy_sweep
-from repro.corpus import pack_trace, read_corpus_columns
+from repro.corpus import (
+    analyze_corpus,
+    pack_trace,
+    read_corpus_columns,
+    validate_corpus,
+)
 from repro.parallel.packed import cached_packed_stream
 from repro.trace.columns import (
     KIND_LABELS,
@@ -118,7 +125,7 @@ class TestLoadedLog:
         assert log.summary_line() == small_trace.summary_line()
         assert log.count("open") == small_trace.count("open")
         assert cached_columns(log) is loaded
-        assert cached_stream(log) == cached_stream(small_trace)
+        assert list(cached_stream(log)) == list(cached_stream(small_trace))
         packed = cached_packed_stream(log, 4096)
         assert packed == cached_packed_stream(small_trace, 4096)
         sweep = cache_size_policy_sweep(log, jobs=1)
@@ -126,6 +133,37 @@ class TestLoadedLog:
         assert analyze_onepass(log).render() == analyze_onepass(small_trace).render()
         assert log.columns is loaded
         assert built == []
+
+    def test_paper_path_leaves_no_cyclic_garbage(self, small_trace, tmp_path):
+        # The chain as the pipeline benchmark's paper-a5 round calls it.
+        # Whatever it makes must be freed at its last reference: a cycle
+        # waits for a generation-2 collection and holds the trace's
+        # arrays until then.
+        path = tmp_path / "small.bcorpus"
+        pack_trace(small_trace, path)
+
+        def chain():
+            assert validate_corpus(path).ok
+            analyze_corpus(path).render()
+            log = read_corpus_columns(path).to_log()
+            for _ in cached_stream(log):
+                pass
+            cached_packed_stream(log, 4096)
+            cache_size_policy_sweep(log, jobs=2, replacement="lru")
+
+        chain()  # first calls may import, and imports leave cycles
+        gc.collect()
+        gc.disable()
+        try:
+            chain()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = collections.Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == {}
 
     def test_events_equal_the_generated_trace(self, loaded, small_trace):
         log = loaded.to_log()

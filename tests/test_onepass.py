@@ -6,6 +6,9 @@ compare against them; any divergence — even in the last bit of a float —
 is a bug in the fast path.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.accesses import iter_transfers, reconstruct_accesses
@@ -190,6 +193,25 @@ class TestRender:
         assert "lifetimes" in r.__dict__["_lazy"]
         dead = [lt for lt in r.lifetimes if lt.lifetime is not None]
         assert f"{len(r.lifetimes)} new files, {len(dead)} died" in text
+
+    def test_kernel_report_freed_at_its_last_reference(self, small_trace):
+        # A lazy thunk that closed over the report would make it a
+        # reference cycle, which only a cyclic collection frees.
+        gc.disable()
+        try:
+            r = analyze_onepass(small_trace)
+            assert "_lazy" in r.__dict__
+            ref = weakref.ref(r)
+            r.render()
+            del r
+            assert ref() is None
+            r = analyze_onepass(small_trace)
+            ref = weakref.ref(r)
+            r.accesses, r.transfers, r.popularity
+            del r
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_simple_trace_spot_checks():

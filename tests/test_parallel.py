@@ -21,6 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import vectorized
 from repro.analysis.vectorized import pack_stream_numpy
 from repro.cache.policies import (
     DELAYED_WRITE,
@@ -34,7 +35,6 @@ from repro.cache.sweep import (
     PAPER_CACHE_SIZES,
     block_size_sweep,
     cache_size_policy_sweep,
-    count_block_accesses,
     paging_comparison,
 )
 from repro.cli.main import main
@@ -58,6 +58,8 @@ from repro.parallel.veccache import stack_curve, stack_curve_numpy
 from repro.trace.records import UnlinkEvent
 from repro.workload import UCBARPA, UCBCAD
 from repro.workload.generator import generate, generate_many
+
+from .conftest import count_block_accesses
 
 ALL_POLICIES = (WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE)
 SIZES = (64 * 1024, 390 * 1024, 4 * 1024 * 1024)
@@ -104,6 +106,11 @@ class TestPackedStream:
     def test_access_count_matches_reference(self, stream, packed):
         assert packed.n_accesses == count_block_accesses(stream, 4096)
         assert len(packed) >= packed.n_accesses  # invalidation rows extra
+
+    def test_packs_a_one_shot_iterator(self, small_trace, stream, packed):
+        assert pack_stream(
+            iter(stream), 4096, start_time=small_trace.start_time
+        ) == packed
 
     def test_numpy_pack_folds_signed_offsets_like_the_reference(self):
         # A hand-built stream may hold negative offsets and truncations;
@@ -164,6 +171,28 @@ class TestPackedStream:
 
     def test_cached_stream_identity(self, small_trace):
         assert cached_stream(small_trace) is cached_stream(small_trace)
+
+    def test_packs_reuse_the_memoized_stream(self, small_trace, monkeypatch):
+        # The kernel runs once per (log, paging flag), not once per pack.
+        log = copy.deepcopy(small_trace)
+        calls = []
+        kernel = vectorized.build_stream_numpy
+
+        def counting(cols, include_paging=False):
+            calls.append(include_paging)
+            return kernel(cols, include_paging)
+
+        monkeypatch.setattr(vectorized, "build_stream_numpy", counting)
+        stream = cached_stream(log)
+        for bs in (1024, 4096, 16384):
+            packed = cached_packed_stream(log, bs)
+            assert packed == pack_stream_python(
+                stream, bs, start_time=log.start_time
+            )
+        assert calls == [False]
+        cached_stream(log, include_paging=True)
+        cached_packed_stream(log, 4096, include_paging=True)
+        assert calls == [False, True]
 
     @pytest.fixture(params=["events", "loaded"])
     def own_log(self, request, small_trace, tmp_path):

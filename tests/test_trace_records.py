@@ -65,10 +65,13 @@ class TestEventKinds:
             assert cls.kind == kind
 
     def test_per_event_records_are_slotted(self):
-        # The seed-7 64 h A5 trace holds 396,692 events and as many
-        # transfers: with a __dict__ per event, peak RSS after .to_log()
-        # rose from 128 to 146 MB, and with one per Transfer, after
-        # cached_stream from 167 to 178 MB.
+        # The seed-7 64 h A5 trace holds 396,692 events and 240,299
+        # stream items: with a __dict__ per event, peak RSS after
+        # .to_log() rose from 128 to 146 MB, and with one per Transfer,
+        # after a cached_stream that memoized objects from 167 to
+        # 178 MB.  The memo now holds arrays, but Transfers are still
+        # built in bulk: by build_stream when the kernel declines, by
+        # twolevel and netfs, and by every iteration of the arrays.
         unslotted = [
             cls.__name__
             for cls in (*EVENT_KINDS.values(), Transfer)
