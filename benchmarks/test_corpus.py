@@ -1,16 +1,17 @@
-"""Bench: the out-of-core corpus — pack, streamed analyze, bounded memory.
+"""Bench: the out-of-core corpus — pack, analyze, bounded-memory checks.
 
 Two jobs ride here, mirroring ``test_streaming.py``:
 
 * **Timing** — ``test_corpus_pack_throughput`` and
-  ``test_corpus_streamed_analyze_throughput`` record their rates.  They
-  have no committed baseline: the pipeline benchmark
-  (``benchmarks/pipeline``) times ``corpus.validate`` and
-  ``corpus.analyze`` end to end.
-* **Acceptance** — ``test_corpus_streaming_memory_bounded`` asserts the
-  streamed analyzer's peak Python heap stays far below the corpus size:
-  the whole point of segment streaming is that analyzing N events costs
-  O(segment + distinct ids), not O(N).
+  ``test_corpus_analyze_throughput`` record their rates.  They have no
+  committed baseline: the pipeline benchmark (``benchmarks/pipeline``)
+  times ``corpus.validate`` and ``corpus.analyze`` end to end.
+* **Acceptance** — ``test_corpus_streaming_memory_bounded`` asserts that
+  the streamed checks (``verify`` and ``validate_corpus``) peak far below
+  the corpus size: checking N events costs O(segment + live opens), not
+  O(N).  Analysis is O(N) by nature (its report holds per-access
+  arrays), so ``analyze_corpus`` loads the corpus whole and has no such
+  bound.
 
 Scale: the default run packs ``BASE_EVENTS * REPEATS`` (~200k) events so
 CI stays fast.  Set ``BENCH_CORPUS_FULL=1`` to run the acceptance scale
@@ -49,9 +50,9 @@ def base_columns() -> TraceColumns:
 @pytest.fixture(scope="module")
 def tiles(base_columns) -> list[TraceColumns]:
     """*base_columns* repeated end to end, each copy shifted in time past
-    the previous one.  Sorted times keep the corpus on the numpy
-    collector's streaming path; unshifted copies would make it decline
-    (unsorted timestamps) and fall back to loading the whole corpus."""
+    the previous one.  Sorted times keep the analysis on the numpy
+    kernel; unshifted copies would make it decline (unsorted
+    timestamps) and rerun the pure-Python specification."""
     base = base_columns
     span = base.times[-1] - base.times[0] + 1.0
     return [
@@ -99,9 +100,9 @@ def test_corpus_pack_throughput(base_columns, tiles, tmp_path, benchmark):
     assert events == len(base_columns) * REPEATS
 
 
-def test_corpus_streamed_analyze_throughput(corpus_path, benchmark):
-    """Timed, no baseline: the full one-pass report off the corpus,
-    segment-streamed (mmap + zero-copy views), events/s per core."""
+def test_corpus_analyze_throughput(corpus_path, benchmark):
+    """Timed, no baseline: the full one-pass report off the corpus (the
+    columns loaded whole, then one numpy scan), events/s per core."""
     with CorpusReader(corpus_path) as reader:
         events = len(reader)
     report = benchmark.pedantic(
@@ -124,14 +125,10 @@ def _traced_peak(fn):
 
 
 def test_corpus_streaming_memory_bounded(corpus_path, bench_once):
-    """Acceptance: the streamed passes never materialize the corpus.
+    """Acceptance: the streamed checks never materialize the corpus.
 
     ``verify`` + ``validate`` are strictly O(segment + live opens):
-    their peak heap is bounded far below the corpus size.  ``analyze``
-    necessarily returns an O(accesses) report (it *contains* the access
-    and transfer lists), so for it the assertion is comparative: the
-    streamed pass must peak below the in-RAM pass, which pays the same
-    report *plus* the fully materialized columns.
+    their peak heap is bounded far below the corpus size.
     """
     corpus_bytes = os.path.getsize(corpus_path)
     with CorpusReader(corpus_path) as reader:
@@ -150,25 +147,7 @@ def test_corpus_streaming_memory_bounded(corpus_path, bench_once):
         f"verify+validate peaked at {checked_peak} bytes for a "
         f"{corpus_bytes}-byte corpus"
     )
-
-    _streamed, streamed_peak = _traced_peak(
-        lambda: analyze_corpus(corpus_path)
-    )
-
-    def in_ram():
-        from repro.analysis.onepass import analyze_onepass
-        from repro.corpus import read_corpus_columns
-
-        return analyze_onepass(read_corpus_columns(corpus_path))
-
-    _materialized, in_ram_peak = _traced_peak(in_ram)
-    assert streamed_peak < in_ram_peak, (
-        f"streamed analyze peaked at {streamed_peak} bytes, in-RAM at "
-        f"{in_ram_peak}"
-    )
     print(
         f"{expected_events} events, corpus {corpus_bytes / 1e6:.1f} MB: "
-        f"verify+validate peak {checked_peak / 1e6:.1f} MB, analyze peak "
-        f"{streamed_peak / 1e6:.1f} MB streamed vs "
-        f"{in_ram_peak / 1e6:.1f} MB in-RAM"
+        f"verify+validate peak {checked_peak / 1e6:.1f} MB"
     )

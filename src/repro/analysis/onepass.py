@@ -105,11 +105,6 @@ class OnePassReport:
     def render(self) -> str:
         """The full report, section for section what ``repro-fs analyze
         all`` prints."""
-        # Both counts come from the lifetime CDF (every new file is in its
-        # total, every death in its cumulative weight), so rendering
-        # never materializes a kernel report's lifetime objects.
-        by_files = self.lifetime_by_files
-        died = int(by_files.cum[-1]) if by_files.cum else 0
         return "\n".join(
             [
                 self.activity.render(),
@@ -118,10 +113,21 @@ class OnePassReport:
                 size_summary(self.size_by_accesses, self.size_by_bytes),
                 render_user_table(self.users),
                 self.burstiness.render(),
-                f"{int(by_files.total)} new files, {died} died during "
-                f"the trace; {100 * self.daemon_spike:.0f}% of lifetimes in "
-                "the 179-181 s daemon band",
+                self.lifetime_summary(),
             ]
+        )
+
+    def lifetime_summary(self) -> str:
+        """The one-line lifetimes section."""
+        # Both counts come from the lifetime CDF (every new file is in its
+        # total, every death in its cumulative weight), so the line never
+        # materializes a kernel report's lifetime objects.
+        by_files = self.lifetime_by_files
+        died = int(by_files.cum[-1]) if by_files.cum else 0
+        return (
+            f"{int(by_files.total)} new files, {died} died during the "
+            f"trace; {100 * self.daemon_spike:.0f}% of lifetimes in the "
+            "179-181 s daemon band"
         )
 
 

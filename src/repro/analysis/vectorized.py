@@ -33,9 +33,14 @@ unsorted times, integer magnitudes past the float53 exactness window,
 open rows with no mode bits, unknown kind tags), they raise
 :class:`VectorFallback` and the
 dispatch site reruns the pure-Python path — falling back is always
-correct, only slower.  Sequential dict semantics that are cheap because
-their domain is small (file lifetimes, cross-segment session carry) run
-as bounded Python mini-loops over pre-extracted rows.
+correct, only slower.
+
+The analyzer takes one whole trace: its report holds per-access arrays,
+so analysis is O(events) however the trace is fed, and a corpus is
+loaded whole before it runs (:func:`~repro.corpus.analyze_corpus`).
+The validator's state between rows is two sets of open ids, so
+:func:`~repro.corpus.validate_corpus` feeds it one corpus segment at a
+time, in O(segment) memory.
 
 Dict/iteration order is replicated, not just values: users appear in
 first open/exec order, finished accesses in close order then a stable
@@ -97,7 +102,7 @@ _F64_EXACT = 1 << 53
 #: Open-row mode bits -> AccessMode (bit pattern 0 never reaches here).
 _MODE = (None, AccessMode.READ, AccessMode.WRITE, AccessMode.READ_WRITE)
 
-# Lifetime mini-loop event tags (merged in row order).
+# Lifetime event tags (replayed in row order).
 _LT_KILL = 0  # unlink / truncate-to-zero / truncating open
 _LT_BIRTH = 1  # close of a creating open
 
@@ -155,114 +160,44 @@ def _shift_down(values, group_start):
     return out
 
 
-class _LiveSession:
-    """One open carried across a chunk boundary (reference
-    ``in_progress[oid]`` plus its ``position``/``creating`` entries)."""
-
-    __slots__ = (
-        "open_id",
-        "file_id",
-        "user_id",
-        "flag",
-        "open_time",
-        "size_at_open",
-        "initial_pos",
-        "pos",
-        "seeks",
-        "seek_after_data",
-        "run_starts",
-        "run_ends",
-        "run_times",
-        "creating_fid",
-    )
-
-    def __init__(self, open_id, file_id, user_id, flag, open_time,
-                 size_at_open, initial_pos):
-        self.open_id = open_id
-        self.file_id = file_id
-        self.user_id = user_id
-        self.flag = flag
-        self.open_time = open_time
-        self.size_at_open = size_at_open
-        self.initial_pos = initial_pos
-        self.pos = initial_pos
-        self.seeks = 0
-        self.seek_after_data = False
-        self.run_starts: list[int] = []
-        self.run_ends: list[int] = []
-        self.run_times: list[float] = []
-        self.creating_fid: int | None = None
-
-
 class VectorizedCollector:
-    """The reference-pattern analyzer, fed one columnar chunk at a time.
+    """The reference-pattern analyzer over one columnar trace.
 
-    *start*/*duration* describe the whole trace that will be fed (they
-    size the burstiness windows before the first event arrives).  ``feed`` may be called once (the in-RAM
-    path) or per corpus segment; cross-segment session state is carried
-    in Python dicts that are only consolidated when a second ``feed``
-    actually arrives, so the single-chunk hot path never pays for them.
+    The constructor scans *cols* once (session matching, run
+    extraction, lifetime events, activity marks) and keeps the results
+    as whole arrays; :meth:`finish` derives the report from them.
     """
 
     def __init__(
         self,
-        name: str,
-        start: float,
-        duration: float,
+        cols: TraceColumns,
         long_window: float = 600.0,
         short_window: float = 10.0,
         burst_window: float = 10.0,
     ):
         if burst_window <= 0:
             raise ValueError(f"window must be positive, got {burst_window}")
-        self.name = name
-        self.start = start
-        self.duration = duration
+        n = len(cols.kinds)
+        self.name = cols.name
+        self.start = cols.times[0] if n else 0.0
+        self.duration = (cols.times[-1] - self.start) if n else 0.0
         self.long_window = long_window
         self.short_window = short_window
         self.burst_window = burst_window
-        self.events_fed = 0
-
-        self.b_duration = max(duration, burst_window)
+        self.b_duration = max(self.duration, burst_window)
         self.nb = max(1, math.ceil(self.b_duration / burst_window))
-        self.opens_w = np.zeros(self.nb, dtype=np.int64)
-        self.busy = np.zeros(self.nb, dtype=bool)
+        # The scan's per-access, per-run, lifetime and mark arrays.
+        self._a: dict = {}
+        self._scan(column_views(cols))
 
-        # Per-chunk array bundles, concatenated once at finish().
-        self._chunks: list[dict] = []
-        self._last_time: float | None = None
+    # -- scanning -------------------------------------------------------------
 
-        # Cross-chunk carry (reference dict state).  ``_deferred`` holds
-        # the previous chunk's group-final arrays; it is folded into the
-        # dicts below only when another feed arrives.
-        self._open_owner: dict[int, int] = {}  # oid -> uid of last open
-        self._live: dict[int, _LiveSession] = {}
-        self._deferred: dict | None = None
-
-        # Carried creating-open state (mini-loop only; within a chunk the
-        # creating dict is replicated by the created-open cummax).
-        self._creating: dict[int, int] = {}  # oid -> fid
-
-    # -- feeding ------------------------------------------------------------
-
-    def feed(self, cols: TraceColumns) -> None:
-        v = column_views(cols)
+    def _scan(self, v) -> None:
         n = len(v)
-        self.events_fed += n
-        if n == 0:
-            return
-        if self._deferred is not None:
-            self._consolidate()
-
         kinds = v.kinds
         times = v.times
         _require(not bool(np.isnan(times).any()), "NaN timestamps")
         _require(bool((np.diff(times) >= 0).all()), "unsorted timestamps")
-        t_first = float(times[0])
-        _require(t_first >= self.start, "timestamp precedes trace start")
-        if self._last_time is not None:
-            _require(t_first >= self._last_time, "chunk times regress")
-        self._last_time = float(times[-1])
         _require(
             _within_exact(v.sizes) and _within_exact(v.positions),
             "sizes/positions exceed the float64-exact window",
@@ -278,9 +213,9 @@ class VectorizedCollector:
         # Burstiness windows: every row marks busy, open rows count.
         bslot_f = (times - self.start) / self.burst_window
         bslot = np.minimum(bslot_f, self.nb - 1).astype(np.int64)
+        self.busy = np.zeros(self.nb, dtype=bool)
         self.busy[bslot] = True
-        if open_mask.any():
-            self.opens_w += np.bincount(bslot[open_mask], minlength=self.nb)
+        self.opens_w = np.bincount(bslot[open_mask], minlength=self.nb)
 
         # Event marks: opens/creates/execs mark their own user ...
         uid_arr = np.zeros(n, dtype=np.int64)
@@ -289,22 +224,19 @@ class VectorizedCollector:
         uid_arr[direct] = v.user_ids[direct]
         mark[direct] = True
 
-        chunk: dict = {}
-        base = self.events_fed - n  # global row offset of this chunk
-        self._feed_sessions(v, kinds, open_mask, uid_arr, mark, chunk, base)
+        self._scan_sessions(v, kinds, open_mask, uid_arr, mark)
 
-        chunk["mark_times"] = times[mark]
-        chunk["mark_uids"] = uid_arr[mark]
+        a = self._a
+        a["mark_times"] = times[mark]
+        a["mark_uids"] = uid_arr[mark]
         oe = open_mask | (kinds == KIND_EXEC)
-        chunk["user_uids"] = v.user_ids[oe]
-        chunk["user_times"] = times[oe]
-        chunk["user_is_open"] = open_mask[oe]
-        self._chunks.append(chunk)
+        a["user_uids"] = v.user_ids[oe]
+        a["user_times"] = times[oe]
+        a["user_is_open"] = open_mask[oe]
 
-    def _feed_sessions(self, v, kinds, open_mask, uid_arr, mark, chunk,
-                       row_base) -> None:
-        """Session matching, run extraction, and lifetime events for one
-        chunk; fills *chunk* with the per-access arrays."""
+    def _scan_sessions(self, v, kinds, open_mask, uid_arr, mark) -> None:
+        """Session matching, run extraction, and lifetime events; stores
+        the per-access, per-run and lifetime arrays."""
         sub_mask = (kinds >= KIND_OPEN) & (kinds <= KIND_SEEK)
         sub_rows = np.nonzero(sub_mask)[0]
         m = len(sub_rows)
@@ -317,23 +249,6 @@ class VectorizedCollector:
         kill_rows = np.nonzero(
             (kinds == KIND_UNLINK) | ((kinds == KIND_TRUNC) & (v.sizes == 0))
         )[0]
-        lt_rows = [co_rows, kill_rows]
-        lt_tags = [
-            np.full(len(co_rows), _LT_KILL, np.int64),
-            np.full(len(kill_rows), _LT_KILL, np.int64),
-        ]
-        lt_fids = [v.file_ids[co_rows], v.file_ids[kill_rows]]
-        lt_bytes = [
-            np.zeros(len(co_rows), np.int64),
-            np.zeros(len(kill_rows), np.int64),
-        ]
-
-        if m == 0:
-            self._empty_access_chunk(chunk)
-            self._store_lifetimes(
-                chunk, v, row_base, lt_rows, lt_tags, lt_fids, lt_bytes, []
-            )
-            return
 
         sub_oids = v.open_ids[sub_rows]
         sub_kinds = kinds[sub_rows]
@@ -348,20 +263,20 @@ class VectorizedCollector:
         is_close_s = k_ord == KIND_CLOSE
         is_seek_s = k_ord == KIND_SEEK
         gstart = np.empty(m, dtype=bool)
-        gstart[0] = True
+        gstart[:1] = True
         gstart[1:] = oid_ord[1:] != oid_ord[:-1]
-        uniq_oids = oid_ord[gstart]
         base = (np.cumsum(gstart) - 1) * np.int64(m + 1)
 
         last_open = _segmented_cummax(np.where(is_open_s, rplus, 0), base)
-        close_incl = _segmented_cummax(np.where(is_close_s, rplus, 0), base)
-        prev_close = _shift_down(close_incl, gstart)
+        prev_close = _shift_down(
+            _segmented_cummax(np.where(is_close_s, rplus, 0), base), gstart
+        )
         created_s = (flags[sub_rows[order]] & FLAG_CREATED) != 0
         last_copen = _segmented_cummax(
             np.where(is_open_s & created_s, rplus, 0), base
         )
 
-        # uid marks for closes/seeks: the last open of the oid, ever.
+        # ... and closes/seeks mark the user of their oid's last open.
         cs = ~is_open_s
         owners_cs = last_open[cs]
         rows_cs = sub_rows[order[cs]]
@@ -369,27 +284,11 @@ class VectorizedCollector:
         hit_rows = rows_cs[have]
         uid_arr[hit_rows] = v.user_ids[sub_rows[owners_cs[have] - 1]]
         mark[hit_rows] = True
-        if self._open_owner:
-            oo = self._open_owner
-            virgin_rows = rows_cs[~have].tolist()
-            virgin_oids = v.open_ids[rows_cs[~have]].tolist()
-            for row, oid in zip(virgin_rows, virgin_oids):
-                uid = oo.get(oid)
-                if uid is not None:
-                    uid_arr[row] = uid
-                    mark[row] = True
-
-        # Route oids with a live carried session through the reference
-        # per-event mini-loop; everything else is vectorized.
-        if self._live:
-            mini = np.isin(oid_ord, np.array(list(self._live), np.int64))
-        else:
-            mini = np.zeros(m, dtype=bool)
 
         active = last_open > prev_close
-        matched_close = is_close_s & active & ~mini
-        creating_close = is_close_s & (last_copen > prev_close) & ~mini
-        active_seek = is_seek_s & active & ~mini
+        matched_close = is_close_s & active
+        creating_close = is_close_s & (last_copen > prev_close)
+        active_seek = is_seek_s & active
 
         # ---- seek runs, grouped per owning open ------------------------
         seek_pos = np.nonzero(active_seek)[0]
@@ -439,7 +338,7 @@ class VectorizedCollector:
             seek_maxend_per = np.zeros(0, np.int64)
             last_new_per = np.zeros(0, np.int64)
 
-        # ---- matched accesses (vectorized sessions closed in-chunk) ----
+        # ---- matched accesses (sessions closed in the trace) ----------
         mc = np.nonzero(matched_close)[0]
         acc_owner = last_open[mc] - 1
         acc_close_sub = order[mc]
@@ -522,303 +421,47 @@ class VectorizedCollector:
             r_ends[cdst] = fpos[close_run]
             r_times[cdst] = times[close_rows[close_run]]
 
-        # ---- lifetime births from creating closes ----------------------
+        # ---- per-access arrays, in close-row order ---------------------
+        a = self._a
+        a["acc_oid"] = v.open_ids[open_rows]
+        a["acc_fid"] = v.file_ids[open_rows]
+        a["acc_uid"] = v.user_ids[open_rows]
+        a["acc_flag"] = flags[open_rows]
+        a["acc_topen"] = times[open_rows]
+        a["acc_tclose"] = times[close_rows]
+        a["acc_szopen"] = v.sizes[open_rows]
+        a["acc_ipos"] = v.positions[open_rows]
+        a["acc_seeks"] = a_seeks
+        a["acc_sad"] = a_seekruns > 0
+        a["acc_nruns"] = a_nruns
+        a["acc_bytes"] = a_bytes
+        a["acc_maxend"] = a_maxend
+        a["acc_runstart"] = run_off[:-1]
+        a["run_starts"] = r_starts
+        a["run_ends"] = r_ends
+        a["run_times"] = r_times
+
+        # ---- lifetime events, replayed at once by finish() -------------
+        # Kills from creating opens, unlinks and zero-truncates; births
+        # from creating closes.
         cc = np.nonzero(creating_close)[0]
         cc_rows = sub_rows[order[cc]]
-        cc_fids = v.file_ids[sub_rows[last_copen[cc] - 1]]
-        cc_bytes = np.maximum(v.positions[cc_rows], 0)
-        lt_rows.append(cc_rows)
-        lt_tags.append(np.full(len(cc_rows), _LT_BIRTH, np.int64))
-        lt_fids.append(cc_fids)
-        lt_bytes.append(cc_bytes)
-
-        # ---- carried sessions: reference per-event mini-loop -----------
-        mini_records: list[tuple] = []
-        mini_births: list[tuple] = []
-        if self._live and bool(mini.any()):
-            mini_records, mini_births = self._run_mini(v, sub_rows[order[mini]])
-
-        self._assemble_chunk(
-            chunk, v, open_rows, close_rows, a_seeks, a_seekruns,
-            a_nruns, a_bytes, a_maxend, run_off,
-            r_starts, r_ends, r_times, mini_records,
-        )
-        self._store_lifetimes(
-            chunk, v, row_base, lt_rows, lt_tags, lt_fids, lt_bytes, mini_births
-        )
-
-        # ---- defer group-final state for the next feed -----------------
-        # The views in *v* are kept alive until the next feed (or finish);
-        # the buffers they wrap must stay valid that long — in-RAM arrays
-        # always are, and corpus readers keep each segment mapped until
-        # the next one is requested.
-        gend = np.empty(m, dtype=bool)
-        gend[-1] = True
-        gend[:-1] = gstart[1:]
-        self._deferred = {
-            "uniq_oids": uniq_oids,
-            "final_open": last_open[gend],
-            "final_close": close_incl[gend],
-            "final_copen": last_copen[gend],
-            "sub_rows": sub_rows,
-            "mini_codes": mini[gend],
-            "v": v,
-            "own_uniq": own_uniq,
-            "own_off": own_off,
-            "own_cnt": own_cnt,
-            "s_entry": s_entry,
-            "s_prev": s_prev,
-            "s_new": s_new,
-            "s_time": s_time,
-            "s_exists": s_exists,
-        }
-
-    def _consolidate(self) -> None:
-        """Fold the previous chunk's group-final state into the carry
-        dicts (runs only when a second feed actually arrives)."""
-        d = self._deferred
-        self._deferred = None
-        uniq = d["uniq_oids"]
-        fo = d["final_open"]
-        fc = d["final_close"]
-        fcc = d["final_copen"]
-        sr = d["sub_rows"]
-        vv = d["v"]
-
-        has_open = fo > 0
-        if bool(has_open.any()):
-            self._open_owner.update(
-                zip(
-                    uniq[has_open].tolist(),
-                    vv.user_ids[sr[fo[has_open] - 1]].tolist(),
-                )
-            )
-
-        live_mask = (fo > fc) & ~d["mini_codes"]
-        if not bool(live_mask.any()):
-            return
-        owners = fo[live_mask] - 1  # sub index of the live open
-        orows = sr[owners]  # global rows of the live opens
-        own_uniq = d["own_uniq"]
-        if len(own_uniq):
-            pos_in = np.minimum(
-                np.searchsorted(own_uniq, owners), len(own_uniq) - 1
-            )
-            found = own_uniq[pos_in] == owners
-        else:
-            pos_in = np.zeros(len(owners), np.int64)
-            found = np.zeros(len(owners), dtype=bool)
-        off_l = d["own_off"]
-        cnt_l = d["own_cnt"]
-        s_entry = d["s_entry"]
-        s_prev = d["s_prev"]
-        s_new = d["s_new"]
-        s_time = d["s_time"]
-        s_exists = d["s_exists"]
-
-        live_oids = uniq[live_mask].tolist()
-        o_fid = vv.file_ids[orows].tolist()
-        o_uid = vv.user_ids[orows].tolist()
-        o_flag = vv.flags[orows].tolist()
-        o_time = vv.times[orows].tolist()
-        o_size = vv.sizes[orows].tolist()
-        o_pos = vv.positions[orows].tolist()
-        fcc_live = fcc[live_mask]
-        copen_l = fcc_live.tolist()
-        close_l = fc[live_mask].tolist()
-        c_fid = vv.file_ids[sr[np.maximum(fcc_live - 1, 0)]].tolist()
-        found_l = found.tolist()
-        pos_l = pos_in.tolist()
-        for j, oid in enumerate(live_oids):
-            rec = _LiveSession(
-                oid, o_fid[j], int(o_uid[j]), int(o_flag[j]),
-                float(o_time[j]), int(o_size[j]), int(o_pos[j]),
-            )
-            if found_l[j]:
-                lo = int(off_l[pos_l[j]])
-                hi = lo + int(cnt_l[pos_l[j]])
-                rec.seeks = hi - lo
-                rec.pos = int(s_new[hi - 1])
-                ex = s_exists[lo:hi]
-                if bool(ex.any()):
-                    rec.seek_after_data = True
-                    rec.run_starts = s_entry[lo:hi][ex].tolist()
-                    rec.run_ends = s_prev[lo:hi][ex].tolist()
-                    rec.run_times = s_time[lo:hi][ex].tolist()
-            if copen_l[j] > close_l[j]:
-                self._creating[oid] = c_fid[j]
-            self._live[oid] = rec
-
-    def _run_mini(self, v, mini_sub_rows):
-        """Reference per-event transitions for oids whose session was
-        live at the last chunk boundary (and any later sessions those
-        oids start this chunk).  Returns finished-access records and the
-        lifetime births their closes emitted."""
-        live = self._live
-        creating = self._creating
-        records: list[tuple] = []
-        births: list[tuple] = []
-        rows = np.sort(mini_sub_rows)
-        rows_l = rows.tolist()
-        kinds_l = v.kinds[rows].tolist()
-        oids_l = v.open_ids[rows].tolist()
-        fids_l = v.file_ids[rows].tolist()
-        uids_l = v.user_ids[rows].tolist()
-        sizes_l = v.sizes[rows].tolist()
-        pos_l = v.positions[rows].tolist()
-        times_l = v.times[rows].tolist()
-        flags_l = v.flags[rows].tolist()
-        for j, row in enumerate(rows_l):
-            kind = kinds_l[j]
-            oid = oids_l[j]
-            if kind == KIND_OPEN:
-                rec = _LiveSession(
-                    oid, fids_l[j], uids_l[j], flags_l[j], times_l[j],
-                    sizes_l[j], pos_l[j],
-                )
-                live[oid] = rec
-                if flags_l[j] & FLAG_CREATED:
-                    # The pending-kill this open causes is emitted by the
-                    # vectorized created-open extraction (kind-based).
-                    creating[oid] = fids_l[j]
-            elif kind == KIND_CLOSE:
-                fpos = pos_l[j]
-                t = times_l[j]
-                rec = live.pop(oid, None)
-                if rec is not None:
-                    if fpos > rec.pos:
-                        rec.run_starts.append(rec.pos)
-                        rec.run_ends.append(fpos)
-                        rec.run_times.append(t)
-                    records.append((row, rec, t))
-                fidc = creating.pop(oid, None)
-                if fidc is not None:
-                    births.append((row, fidc, fpos if fpos > 0 else 0))
-            else:  # KIND_SEEK
-                rec = live.get(oid)
-                if rec is not None:
-                    prev = sizes_l[j]
-                    if prev > rec.pos:
-                        rec.run_starts.append(rec.pos)
-                        rec.run_ends.append(prev)
-                        rec.run_times.append(times_l[j])
-                    rec.seeks += 1
-                    if rec.run_starts:
-                        rec.seek_after_data = True
-                    rec.pos = pos_l[j]
-        return records, births
-
-    def _empty_access_chunk(self, chunk: dict) -> None:
-        zi = np.zeros(0, np.int64)
-        zf = np.zeros(0, np.float64)
-        for key in ("acc_oid", "acc_fid", "acc_uid", "acc_szopen",
-                    "acc_ipos", "acc_seeks", "acc_nruns", "acc_bytes",
-                    "acc_maxend", "acc_runstart", "run_starts", "run_ends"):
-            chunk[key] = zi
-        chunk["acc_flag"] = np.zeros(0, np.uint8)
-        chunk["acc_sad"] = np.zeros(0, dtype=bool)
-        for key in ("acc_topen", "acc_tclose", "run_times"):
-            chunk[key] = zf
-
-    def _assemble_chunk(
-        self, chunk, v, open_rows, close_rows, a_seeks, a_seekruns,
-        a_nruns, a_bytes, a_maxend, run_off,
-        r_starts, r_ends, r_times, mini_records,
-    ) -> None:
-        """Store the chunk's per-access arrays, interleaving any
-        mini-loop records into close-row order."""
-        fields = {
-            "acc_oid": v.open_ids[open_rows],
-            "acc_fid": v.file_ids[open_rows],
-            "acc_uid": v.user_ids[open_rows],
-            "acc_flag": v.flags[open_rows],
-            "acc_topen": v.times[open_rows],
-            "acc_tclose": v.times[close_rows],
-            "acc_szopen": v.sizes[open_rows],
-            "acc_ipos": v.positions[open_rows],
-            "acc_seeks": a_seeks,
-            "acc_sad": a_seekruns > 0,
-            "acc_nruns": a_nruns,
-            "acc_bytes": a_bytes,
-            "acc_maxend": a_maxend,
-            "acc_runstart": run_off[:-1],
-        }
-        if not mini_records:
-            chunk.update(fields)
-            chunk["run_starts"] = r_starts
-            chunk["run_ends"] = r_ends
-            chunk["run_times"] = r_times
-            return
-
-        int_min = np.iinfo(np.int64).min
-        base = len(r_starts)
-        nm = len(mini_records)
-        mf: dict[str, list] = {k: [] for k in fields}
-        m_rows = []
-        m_rs: list[int] = []
-        m_re: list[int] = []
-        m_rt: list[float] = []
-        for row, rec, t_close in mini_records:
-            m_rows.append(row)
-            mf["acc_oid"].append(rec.open_id)
-            mf["acc_fid"].append(rec.file_id)
-            mf["acc_uid"].append(rec.user_id)
-            mf["acc_flag"].append(rec.flag)
-            mf["acc_topen"].append(rec.open_time)
-            mf["acc_tclose"].append(t_close)
-            mf["acc_szopen"].append(rec.size_at_open)
-            mf["acc_ipos"].append(rec.initial_pos)
-            mf["acc_seeks"].append(rec.seeks)
-            mf["acc_sad"].append(rec.seek_after_data)
-            mf["acc_nruns"].append(len(rec.run_starts))
-            mf["acc_bytes"].append(
-                sum(e - s for s, e in zip(rec.run_starts, rec.run_ends))
-            )
-            mf["acc_maxend"].append(
-                max(rec.run_ends) if rec.run_ends else int_min
-            )
-            mf["acc_runstart"].append(base + len(m_rs))
-            m_rs.extend(rec.run_starts)
-            m_re.extend(rec.run_ends)
-            m_rt.extend(rec.run_times)
-
-        vec_rows = close_rows
-        all_rows = np.concatenate([vec_rows, np.array(m_rows, np.int64)])
-        perm = np.argsort(all_rows, kind="stable")
-        for key, vec_arr in fields.items():
-            dtype = vec_arr.dtype if key != "acc_sad" else bool
-            mini_arr = np.array(mf[key], dtype=dtype)
-            chunk[key] = np.concatenate([vec_arr, mini_arr])[perm]
-        chunk["run_starts"] = np.concatenate(
-            [r_starts, np.array(m_rs, np.int64)]
-        )
-        chunk["run_ends"] = np.concatenate([r_ends, np.array(m_re, np.int64)])
-        chunk["run_times"] = np.concatenate(
-            [r_times, np.array(m_rt, np.float64)]
-        )
-        _require(
-            nm == 0
-            or len(chunk["acc_bytes"]) == 0
-            or int(np.abs(chunk["acc_bytes"]).max()) < _F64_EXACT,
-            "carried-access bytes exceed the exact window",
-        )
-
-    def _store_lifetimes(self, chunk, v, row_base, lt_rows, lt_tags, lt_fids,
-                         lt_bytes, mini_births) -> None:
-        """Stash the chunk's lifetime events (kills from creating opens /
-        unlinks / zero-truncates, births from creating closes) with global
-        row numbers; :meth:`finish` replays them all at once."""
-        if mini_births:
-            lt_rows.append(np.array([b[0] for b in mini_births], np.int64))
-            lt_tags.append(np.full(len(mini_births), _LT_BIRTH, np.int64))
-            lt_fids.append(np.array([b[1] for b in mini_births], np.int64))
-            lt_bytes.append(np.array([b[2] for b in mini_births], np.int64))
-        rows = np.concatenate(lt_rows)
-        chunk["lt_rows"] = rows + row_base
-        chunk["lt_tags"] = np.concatenate(lt_tags)
-        chunk["lt_fids"] = np.concatenate(lt_fids)
-        chunk["lt_bytes"] = np.concatenate(lt_bytes)
-        chunk["lt_times"] = v.times[rows]
+        lt_rows = np.concatenate([co_rows, kill_rows, cc_rows])
+        a["lt_rows"] = lt_rows
+        a["lt_tags"] = np.concatenate([
+            np.full(len(co_rows) + len(kill_rows), _LT_KILL, np.int64),
+            np.full(len(cc_rows), _LT_BIRTH, np.int64),
+        ])
+        a["lt_fids"] = np.concatenate([
+            v.file_ids[co_rows],
+            v.file_ids[kill_rows],
+            v.file_ids[sub_rows[last_copen[cc] - 1]],
+        ])
+        a["lt_bytes"] = np.concatenate([
+            np.zeros(len(co_rows) + len(kill_rows), np.int64),
+            np.maximum(v.positions[cc_rows], 0),
+        ])
+        a["lt_times"] = times[lt_rows]
 
     def _lifetime_scan(self):
         """Replay every stored lifetime event at once.
@@ -835,19 +478,20 @@ class VectorizedCollector:
         position — so sorting survivors by that row reproduces the
         reference's iteration order exactly.
         """
-        lrows = self._cat("lt_rows")
+        a = self._a
+        lrows = a["lt_rows"]
         ne = len(lrows)
         zi = np.zeros(0, np.int64)
         zf = np.zeros(0, np.float64)
         if not ne:
             return zi, zf, zi, zf, zi, zf.copy(), zi.copy()
-        lfids = self._cat("lt_fids")
+        lfids = a["lt_fids"]
         lg = np.lexsort((lrows, lfids))
         f_s = lfids[lg]
         r_s = lrows[lg]
-        t_s = self._cat("lt_times")[lg]
-        b_s = self._cat("lt_bytes")[lg]
-        is_birth = self._cat("lt_tags")[lg] == _LT_BIRTH
+        t_s = a["lt_times"][lg]
+        b_s = a["lt_bytes"][lg]
+        is_birth = a["lt_tags"][lg] == _LT_BIRTH
         lstart = np.empty(ne, dtype=bool)
         lstart[0] = True
         lstart[1:] = f_s[1:] != f_s[:-1]
@@ -878,52 +522,27 @@ class VectorizedCollector:
 
     # -- finishing ----------------------------------------------------------
 
-    def _cat(self, key: str):
-        arrs = [c[key] for c in self._chunks]
-        if not arrs:
-            if key in ("acc_topen", "acc_tclose", "run_times", "mark_times",
-                       "user_times", "lt_times"):
-                return np.zeros(0, np.float64)
-            if key == "acc_flag":
-                return np.zeros(0, np.uint8)
-            if key in ("acc_sad", "user_is_open"):
-                return np.zeros(0, dtype=bool)
-            return np.zeros(0, np.int64)
-        if len(arrs) == 1:
-            return arrs[0]
-        return np.concatenate(arrs)
-
     def finish(self) -> OnePassReport:
-        # Rebase each chunk's run offsets into the concatenated run arrays.
-        run_base = 0
-        for c in self._chunks:
-            if run_base:
-                c["acc_runstart"] = c["acc_runstart"] + run_base
-            run_base += len(c["run_starts"])
-
-        oid = self._cat("acc_oid")
-        fid = self._cat("acc_fid")
-        uid = self._cat("acc_uid")
-        flag = self._cat("acc_flag")
-        topen = self._cat("acc_topen")
-        tclose = self._cat("acc_tclose")
-        szopen = self._cat("acc_szopen")
-        ipos = self._cat("acc_ipos")
-        seeks = self._cat("acc_seeks")
-        sad = self._cat("acc_sad")
-        nruns = self._cat("acc_nruns")
-        abytes = self._cat("acc_bytes")
-        maxend = self._cat("acc_maxend")
-        runstart = self._cat("acc_runstart")
-        rs_all = self._cat("run_starts")
-        re_all = self._cat("run_ends")
-        rt_all = self._cat("run_times")
+        a = self._a
+        oid = a["acc_oid"]
+        fid = a["acc_fid"]
+        uid = a["acc_uid"]
+        flag = a["acc_flag"]
+        topen = a["acc_topen"]
+        tclose = a["acc_tclose"]
+        szopen = a["acc_szopen"]
+        ipos = a["acc_ipos"]
+        seeks = a["acc_seeks"]
+        sad = a["acc_sad"]
+        nruns = a["acc_nruns"]
+        abytes = a["acc_bytes"]
+        maxend = a["acc_maxend"]
+        runstart = a["acc_runstart"]
+        rs_all = a["run_starts"]
+        re_all = a["run_ends"]
+        rt_all = a["run_times"]
         n_acc = len(oid)
         total_runs = len(rs_all)
-
-        max_bytes = int(abytes.max()) if n_acc else 0
-        _require(n_acc * max(1, max_bytes) < _F64_EXACT,
-                 "total transferred bytes exceed the exact window")
 
         # ---- derived per-access facts ---------------------------------
         mode = flag & FLAG_MODE_MASK
@@ -989,8 +608,8 @@ class VectorizedCollector:
             daemon_spike = 0.0
 
         # ---- activity (Table IV) --------------------------------------
-        em_t = self._cat("mark_times")
-        em_u = self._cat("mark_uids")
+        em_t = a["mark_times"]
+        em_u = a["mark_uids"]
         # Per-run byte marks; runs are stored in disjoint per-access
         # slices covering [0, total_runs), so sorting accesses by their
         # run offset lets repeat() rebuild the per-run owner.
@@ -1131,9 +750,9 @@ class VectorizedCollector:
     def _build_users(self, acc_uid, acc_fid, acc_tclose, acc_bytes, mode):
         """The users dict, in first open/exec appearance order, with the
         reference's access-folding applied per uid."""
-        u_uids = self._cat("user_uids")
-        u_times = self._cat("user_times")
-        u_isopen = self._cat("user_is_open")
+        u_uids = self._a["user_uids"]
+        u_times = self._a["user_times"]
+        u_isopen = self._a["user_is_open"]
         users: dict[int, UserSummary] = {}
         nn = len(u_uids)
         if not nn:
@@ -1544,16 +1163,9 @@ def analyze_columns_numpy(
     """Vectorized :func:`~repro.analysis.onepass.analyze_onepass` over an
     in-RAM columnar trace.  Raises :class:`VectorFallback` when the input
     needs the pure-Python path."""
-    n = len(cols.kinds)
-    start = cols.times[0] if n else 0.0
-    duration = (cols.times[-1] - start) if n else 0.0
-    collector = VectorizedCollector(
-        cols.name, start, duration,
-        long_window=long_window, short_window=short_window,
-        burst_window=burst_window,
-    )
-    collector.feed(cols)
-    return collector.finish()
+    return VectorizedCollector(
+        cols, long_window, short_window, burst_window
+    ).finish()
 
 
 # -- cache stream and packed-stream compiler ---------------------------------

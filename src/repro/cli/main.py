@@ -25,9 +25,9 @@ Subcommands::
 Traces are stored as a sharded corpus (``repro.corpus``) when the filename
 ends in ``.bcorpus`` and in the text format otherwise; every command that
 reads or writes a trace takes both.  ``generate`` spools a ``.bcorpus``
-output in segments of ``--spool-buffer`` events; ``validate`` and
-``analyze`` stream one segment by segment, and the other commands load it
-whole.  A damaged trace file is reported as one line on stderr, exit 1.
+output in segments of ``--spool-buffer`` events; ``validate`` streams one
+segment by segment, and the other commands load it whole.  A damaged
+trace file is reported as one line on stderr, exit 1.
 """
 
 from __future__ import annotations
@@ -37,14 +37,9 @@ import os
 import sys
 
 from ..analysis import (
-    analyze_activity,
     analyze_onepass,
-    analyze_sequentiality,
-    collect_lifetimes,
-    daemon_spike_fraction,
-    open_time_cdf,
     open_time_summary,
-    file_size_cdfs,
+    render_user_table,
     size_summary,
 )
 from ..cache.policies import (
@@ -206,16 +201,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     if args.trace.endswith(".bcorpus"):
-        # Streaming path: segments fold through the same tracker the
-        # in-RAM validator uses, so the report is identical.
+        # Streaming path: segments fold through the same validator the
+        # in-RAM path runs, so the report is identical.
         from ..corpus import validate_corpus
 
         report = validate_corpus(args.trace, max_problems=args.max_problems)
-        print(report)
-        for problem in report.problems:
-            print(f"  {problem}")
-        return 0 if report.ok else 1
-    report = validate(_load_trace(args.trace), max_problems=args.max_problems)
+    else:
+        report = validate(_load_trace(args.trace), max_problems=args.max_problems)
     print(report)
     for problem in report.problems:
         print(f"  {problem}")
@@ -235,58 +227,15 @@ def _render_onepass_section(report, wanted: str) -> str:
     if wanted == "sizes":
         return size_summary(report.size_by_accesses, report.size_by_bytes)
     if wanted == "users":
-        from ..analysis import render_user_table
-
         return render_user_table(report.users)
     if wanted == "burstiness":
         return report.burstiness.render()
-    dead = [lt for lt in report.lifetimes if lt.lifetime is not None]
-    return (
-        f"{len(report.lifetimes)} new files, {len(dead)} died during the "
-        f"trace; {100 * report.daemon_spike:.0f}% of lifetimes in the "
-        "179-181 s daemon band"
-    )
+    return report.lifetime_summary()
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.trace.endswith(".bcorpus"):
-        # Out-of-core path: one streamed pass, then print the requested
-        # section — every section is a field of the fused report.
-        from ..corpus import analyze_corpus
-
-        print(_render_onepass_section(analyze_corpus(args.trace), args.report))
-        return 0
-    log = _load_trace(args.trace)
-    wanted = args.report
-    if wanted == "all":
-        # The full report comes from the fused single-pass analyzer; the
-        # per-report branches below keep exercising the reference modules.
-        print(analyze_onepass(log).render())
-        return 0
-    if wanted in ("activity", "all"):
-        print(analyze_activity(log).render())
-    if wanted in ("sequentiality", "all"):
-        print(analyze_sequentiality(log).render())
-    if wanted in ("opentimes", "all"):
-        print(open_time_summary(open_time_cdf(log)))
-    if wanted in ("sizes", "all"):
-        print(size_summary(*file_size_cdfs(log)))
-    if wanted in ("users", "all"):
-        from ..analysis import per_user_summary, render_user_table
-
-        print(render_user_table(per_user_summary(log)))
-    if wanted in ("burstiness", "all"):
-        from ..analysis import analyze_burstiness
-
-        print(analyze_burstiness(log).render())
-    if wanted in ("lifetimes", "all"):
-        lifetimes = collect_lifetimes(log)
-        dead = [lt for lt in lifetimes if lt.lifetime is not None]
-        spike = 100 * daemon_spike_fraction(lifetimes)
-        print(
-            f"{len(lifetimes)} new files, {len(dead)} died during the trace; "
-            f"{spike:.0f}% of lifetimes in the 179-181 s daemon band"
-        )
+    report = analyze_onepass(_load_trace(args.trace))
+    print(_render_onepass_section(report, args.report))
     return 0
 
 

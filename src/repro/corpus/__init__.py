@@ -13,9 +13,10 @@ readers can seek, skip, shard, and verify without materializing events:
   ``TraceColumns`` views of individual segments; its
   :meth:`~CorpusReader.verify` re-derives every segment's footer
   statistics in one pass (``repro-fs corpus verify``).
-- :func:`analyze_corpus` / :func:`validate_corpus` stream segments
-  through the one-pass analyzer and validator, bit-identical to the
-  in-RAM paths.
+- :func:`validate_corpus` streams segments through the validator in
+  O(segment) memory; :func:`analyze_corpus` loads the corpus whole and
+  runs the one-pass analyzer, whose report is O(events) however the
+  trace is fed.  Both are bit-identical to the in-RAM paths.
 
 Format spec: ``DESIGN.md`` §11 and :mod:`repro.corpus.format`.
 """

@@ -278,8 +278,8 @@ class CorpusReader:
     def to_columns(self) -> TraceColumns:
         """Materialize the whole corpus as one in-RAM ``TraceColumns``.
 
-        The oracle path for tests and small corpora — deliberately NOT
-        bounded-memory.
+        O(events) memory, 50 bytes per event: what every whole-trace
+        consumer reads, ``analyze_corpus`` included.
         """
         kinds = bytearray()
         flags = bytearray()

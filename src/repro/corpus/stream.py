@@ -1,19 +1,16 @@
-"""Streaming analysis and validation over a corpus, segment by segment.
+"""Analysis and validation over a corpus.
 
-Both entry points fold segments through the same state machines the
-in-RAM paths use — :class:`~repro.analysis.vectorized.VectorizedCollector`
-and :class:`~repro.analysis.vectorized.VectorizedValidator` — so their
-results are **bit-identical** to loading the whole corpus into one
-``TraceColumns`` and running ``analyze_onepass`` / ``validate_columns``
-on it, while peak memory stays O(segment) plus O(live analysis state).
-The whole-trace facts the analyzer needs up front (start time and
-duration, which size the burstiness windows) come from the footer
-index, not from event data.
+:func:`validate_corpus` streams: it folds segments through
+:class:`~repro.analysis.vectorized.VectorizedValidator`, the validator
+``validate_columns`` runs, with a running global event index, so its
+report is **bit-identical** to validating the whole corpus in RAM while
+its memory stays O(segment).
 
-The one deliberate exception: when the numpy collector declines a
-corpus, :func:`analyze_corpus` loads it whole and runs the pure-Python
-specification (:func:`~repro.analysis.onepass.analyze_columns_python`),
-so memory is then O(corpus).
+:func:`analyze_corpus` does not: the one-pass report holds per-access
+arrays, so analysis is O(events) however a trace is fed.  It loads the
+corpus into one ``TraceColumns`` and runs
+:func:`~repro.analysis.onepass.analyze_onepass` on it, which reruns the
+pure-Python specification when the numpy kernel declines the input.
 """
 
 from __future__ import annotations
@@ -21,12 +18,8 @@ from __future__ import annotations
 import os
 from typing import Union
 
-from ..analysis.onepass import OnePassReport, analyze_columns_python
-from ..analysis.vectorized import (
-    VectorFallback,
-    VectorizedCollector,
-    VectorizedValidator,
-)
+from ..analysis.onepass import OnePassReport, analyze_onepass
+from ..analysis.vectorized import VectorizedValidator
 from ..trace.validate import DEFAULT_MAX_PROBLEMS, ValidationReport
 from .reader import CorpusReader
 
@@ -47,59 +40,19 @@ def analyze_corpus(
     short_window: float = 10.0,
     burst_window: float = 10.0,
 ) -> OnePassReport:
-    """Run the full one-pass analysis over a corpus without loading it.
+    """Run the full one-pass analysis over a corpus.
 
     *src* is a :class:`CorpusReader` (left open) or a path (opened and
-    closed here).  The report is bit-identical to
-    ``analyze_onepass(reader.to_columns())`` — checked continuously by
-    the fuzz harness's corpus pillar.  :func:`analyze_corpus_numpy`
-    streams the segments; when it cannot replicate the input bit for
-    bit, the whole corpus is loaded and the pure-Python specification
-    runs on it.
+    closed here).  The report is ``analyze_onepass(reader.to_columns())``;
+    the reader is closed before the analysis runs.
     """
     reader, own = _open(src)
     try:
-        try:
-            return analyze_corpus_numpy(
-                reader, long_window, short_window, burst_window
-            )
-        except VectorFallback:
-            # Degraded mode, declined inputs only: O(corpus) memory.
-            return analyze_columns_python(
-                reader.to_columns(), long_window, short_window, burst_window
-            )
+        cols = reader.to_columns()
     finally:
         if own:
             reader.close()
-
-
-def analyze_corpus_numpy(
-    reader: CorpusReader,
-    long_window: float = 600.0,
-    short_window: float = 10.0,
-    burst_window: float = 10.0,
-) -> OnePassReport:
-    """Fold every segment through one :class:`VectorizedCollector`.
-
-    Each segment's columns are viewed zero-copy (straight into the
-    mmap); the burstiness windows are sized from the footer index.
-    Raises :class:`VectorFallback` when the input needs the pure-Python
-    path.
-    """
-    stats = reader.stats
-    start = stats[0].time_first if stats else 0.0
-    duration = (stats[-1].time_last - start) if stats else 0.0
-    collector = VectorizedCollector(
-        reader.name,
-        start,
-        duration,
-        long_window=long_window,
-        short_window=short_window,
-        burst_window=burst_window,
-    )
-    for cols in reader.iter_segments():
-        collector.feed(cols)
-    return collector.finish()
+    return analyze_onepass(cols, long_window, short_window, burst_window)
 
 
 def validate_corpus(

@@ -7,11 +7,10 @@ Three oracles, mirroring the standing claims of ``repro.corpus``:
   zero-copy segment views must reproduce the original columns bit for
   bit (including event materialization straight off the mmap-style
   views);
-* :func:`check_corpus_streaming` — the segment-streamed
-  :func:`~repro.corpus.analyze_corpus` and
+* :func:`check_corpus_streaming` — :func:`~repro.corpus.analyze_corpus`
+  (which loads the corpus whole) and the segment-streamed
   :func:`~repro.corpus.validate_corpus` must agree field-for-field with
-  the in-RAM ``analyze_onepass`` / ``validate_columns`` on the same
-  data;
+  the in-RAM Python specifications on the same data;
 * :func:`check_corpus_corruption` — a :class:`CorpusFaultPlan` damages a
   pristine corpus.  Guaranteed-detection corruptions (truncation
   anywhere, bad magics, index lies) must raise a
@@ -114,7 +113,8 @@ def check_corpus_roundtrip(
 def check_corpus_streaming(
     log: TraceLog, segment_events: int = CORPUS_SEGMENT_EVENTS
 ) -> str | None:
-    """Segment-streamed analyze/validate vs the in-RAM Python references."""
+    """Corpus analyze and segment-streamed validate vs the in-RAM Python
+    references."""
     cols = TraceColumns.from_log(log)
     data = _pack_via_columns(cols, segment_events)
     with CorpusReader(data) as reader:

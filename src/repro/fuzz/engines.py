@@ -6,9 +6,7 @@ of that claim on every seeded trace:
 
 * :func:`~repro.analysis.vectorized.analyze_columns_numpy` vs
   :func:`~repro.analysis.onepass.analyze_columns_python` (the per-module
-  analyzers), field for field including the users dict order —
-  single-shot and chunk-fed (the corpus segment shape) at seed-chosen
-  chunk sizes;
+  analyzers), field for field including the users dict order;
 * :func:`~repro.analysis.vectorized.validate_columns_numpy` vs
   :func:`~repro.trace.validate.validate_columns_python` on the clean
   trace *and* on a deterministically spoiled copy (mutations drawn from
@@ -44,7 +42,6 @@ from array import array
 from ..analysis.onepass import analyze_columns_python
 from ..analysis.vectorized import (
     VectorFallback,
-    VectorizedCollector,
     analyze_columns_numpy,
     build_stream_numpy,
     pack_stream_numpy,
@@ -99,30 +96,6 @@ def _reports_differ(fast, ref, label: str) -> str | None:
     if list(fast.users) != list(ref.users):
         return f"{label}: numpy engine orders the users dict differently"
     return None
-
-
-def _slice_columns(cols: TraceColumns, lo: int, hi: int) -> TraceColumns:
-    return TraceColumns(
-        name=cols.name,
-        kinds=cols.kinds[lo:hi],
-        times=cols.times[lo:hi],
-        open_ids=cols.open_ids[lo:hi],
-        file_ids=cols.file_ids[lo:hi],
-        user_ids=cols.user_ids[lo:hi],
-        sizes=cols.sizes[lo:hi],
-        positions=cols.positions[lo:hi],
-        flags=cols.flags[lo:hi],
-    )
-
-
-def _chunked_report(cols: TraceColumns, size: int):
-    n = len(cols)
-    start = cols.times[0] if n else 0.0
-    duration = (cols.times[-1] - start) if n else 0.0
-    collector = VectorizedCollector(cols.name, start, duration)
-    for lo in range(0, n, size):
-        collector.feed(_slice_columns(cols, lo, lo + size))
-    return collector.finish()
 
 
 def _spoiled_copy(cols: TraceColumns, rng: random.Random) -> TraceColumns:
@@ -194,15 +167,10 @@ def check_engines(log: TraceLog, seed: int | str = 0) -> str | None:
     cols = TraceColumns.from_log(log)
     n = len(cols)
 
-    # Analyzer: single shot, then chunk-fed like a segmented corpus.
+    # Analyzer: the kernel against the per-module specification.
     ref = analyze_columns_python(cols)
-    size = rng.randrange(1, n) if n > 1 else 0
     try:
         detail = _reports_differ(analyze_columns_numpy(cols), ref, "analyze")
-        if detail is None and size:
-            detail = _reports_differ(
-                _chunked_report(cols, size), ref, f"analyze[chunk={size}]"
-            )
     except VectorFallback:
         detail = None  # production reruns the reference: nothing to compare
     if detail is not None:

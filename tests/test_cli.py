@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli.main import main
+from repro.analysis.onepass import analyze_columns_python
+from repro.cli.main import _render_onepass_section, main
 from repro.corpus import CorpusReader, CorpusSpool, pack_trace
 from repro.fuzz.gen import random_trace
+from repro.trace.columns import TraceColumns
 from repro.trace.io_text import read_text
 
 
@@ -248,6 +250,20 @@ class TestBcorpusEverywhere:
         assert _printed(capsys, [command, corpus, *options]) == _printed(
             capsys, [command, text, *options]
         )
+
+    @pytest.mark.parametrize(
+        "report",
+        ["activity", "sequentiality", "opentimes", "sizes", "lifetimes",
+         "users", "burstiness", "all"],
+    )
+    def test_analyze_reads_bcorpus(self, twin_traces, capsys, report):
+        # Both formats print the same bytes, and those bytes are the
+        # section of the per-module specification's report.
+        corpus, text = twin_traces
+        printed = _printed(capsys, ["analyze", text, "--report", report])
+        assert _printed(capsys, ["analyze", corpus, "--report", report]) == printed
+        spec = analyze_columns_python(TraceColumns.from_log(read_text(text)))
+        assert printed == _render_onepass_section(spec, report) + "\n"
 
     def test_exhibit_commands_read_bcorpus(self, twin_traces, capsys, tmp_path):
         corpus, text = twin_traces

@@ -8,8 +8,9 @@ Coverage map:
 * diagnostics: every corruption is a :class:`CorpusError` naming a byte
   offset — never a bare ``struct.error`` / ``IndexError`` — and a footer
   statistic that lies under a valid footer crc fails ``verify()``;
-* streaming: ``analyze_corpus`` / ``validate_corpus`` field-identical to
-  the in-RAM references;
+* streaming: ``validate_corpus`` (segment by segment) and
+  ``analyze_corpus`` (the corpus loaded whole) field-identical to the
+  in-RAM references;
 * spool: the ``TraceLog``-shaped sink contract, and a spool torn before
   ``close()`` raising in every reader;
 * CLI: ``corpus pack/info/verify`` plus ``validate``/``analyze`` on

@@ -16,7 +16,7 @@ import pytest
 from repro.trace.columns import TraceColumns
 from repro.trace.log import TraceLog
 from repro.trace.npview import resolve_engine
-from repro.trace.records import AccessMode, CloseEvent, OpenEvent
+from repro.trace.records import AccessMode, CloseEvent, OpenEvent, SeekEvent
 
 
 def _tiny_log() -> TraceLog:
@@ -169,6 +169,22 @@ class TestVectorizedKernelEdges:
         assert analyze_columns_numpy(empty) == analyze_columns_python(empty)
         assert validate_columns_numpy(empty) == validate_columns_python(empty)
         assert pack_stream_numpy([], 1024) == pack_stream_python([], 1024)
+
+    def test_trace_without_sessions_matches_python(self):
+        # No open, seek or close rows: the analyzer's session scan gets
+        # empty arrays, while its lifetime and activity scans have rows.
+        import random
+
+        from repro.fuzz.engines import check_engines
+        from repro.fuzz.gen import random_trace
+
+        events = [
+            e for e in random_trace(random.Random("no-sessions"), 80).events
+            if not isinstance(e, (OpenEvent, SeekEvent, CloseEvent))
+        ]
+        assert events
+        log = TraceLog(name="no-sessions", events=events)
+        assert check_engines(log, seed="no-sessions") is None
 
     def test_fuzz_traces_match_python(self):
         import random

@@ -30,8 +30,7 @@ from repro.analysis.vectorized import (
 )
 from repro.cache.sweep import PAPER_POLICIES
 from repro.cache.stream import Transfer, build_stream, derive_stream
-from repro.corpus import CorpusReader, analyze_corpus
-from repro.corpus.stream import analyze_corpus_numpy
+from repro.corpus import analyze_corpus
 from repro.corpus.writer import pack_columns
 from repro.fuzz.gen import random_trace
 from repro.parallel.packed import pack_stream, pack_stream_python, simulate_packed
@@ -78,22 +77,6 @@ def _analyze_onepass(tmp_path):
     return (
         lambda: analyze_columns_numpy(cols),
         lambda: analyze_onepass(cols),
-        lambda: analyze_columns_python(cols),
-    )
-
-
-def _analyze_corpus(tmp_path):
-    cols = _regressing_columns()
-    path = tmp_path / "regress.bcorpus"
-    pack_columns(cols, path, segment_events=32)
-
-    def kernel():
-        with CorpusReader(path) as reader:
-            return analyze_corpus_numpy(reader)
-
-    return (
-        kernel,
-        lambda: analyze_corpus(path),
         lambda: analyze_columns_python(cols),
     )
 
@@ -146,7 +129,6 @@ def _stack_curve(tmp_path):
 #: Each dispatcher that catches VectorFallback, and its declining case.
 CASES = {
     "analyze_onepass": _analyze_onepass,
-    "analyze_corpus": _analyze_corpus,
     "derive_stream": _derive_stream,
     "pack_stream": _pack_stream,
     "stack_curve": _stack_curve,
@@ -161,6 +143,15 @@ def test_declined_input_gets_the_reference_answer(case, tmp_path):
     with pytest.raises(VectorFallback):
         kernel()
     assert dispatcher() == reference()
+
+
+def test_analyze_corpus_of_a_declined_corpus(tmp_path):
+    # analyze_corpus catches nothing itself: the corpus is loaded whole
+    # and analyze_onepass's fallback answers with the specification.
+    cols = _regressing_columns()
+    path = tmp_path / "regress.bcorpus"
+    pack_columns(cols, path, segment_events=32)
+    assert analyze_corpus(path) == analyze_columns_python(cols)
 
 
 def _catches_vector_fallback(node: ast.AST) -> bool:
