@@ -17,8 +17,15 @@ The coverage test can be hoisted out of the simulator because the known
 file size evolves deterministically from the stream alone (transfers
 extend it, invalidations shrink it), independent of cache contents or
 policy.  The packed key is ``(file_id << KEY_SHIFT) | block``, which
-keeps per-access hashing to a single int and turns the "drop blocks at
-or past the truncation point" scan into a plain integer comparison.
+keeps per-access hashing to a single int and turns "a block at or past
+the truncation point" into a plain integer comparison.
+
+Which blocks an invalidation row may drop is policy-free too: the keys
+of its file at or past its cut that were accessed since an invalidation
+last covered them.  Every block resident at the row is among them,
+whatever the cache, so :meth:`PackedStream.drop_index` lists them once
+per stream (numpy, on the first replay) and the replay keeps no
+per-file index; it drops the candidates that are resident.
 
 :func:`simulate_packed` is differentially tested to produce *bit-identical*
 :class:`~repro.cache.metrics.CacheMetrics` against the reference
@@ -28,7 +35,7 @@ simulator (``tests/test_parallel.py``), which stays the specification.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..cache.metrics import CacheMetrics
@@ -59,7 +66,11 @@ OP_INVALIDATE = 3
 
 #: Bits reserved for the block index inside a packed key.
 KEY_SHIFT = 30
-_BLOCK_LIMIT = 1 << KEY_SHIFT
+#: Access blocks lie below this index.  The field's top value is kept
+#: for invalidation cuts past every block: a cut clamped to it drops
+#: nothing and stays inside its own file's keys (a cut of 1 << KEY_SHIFT
+#: would read as the next file's block 0).
+_BLOCK_LIMIT = (1 << KEY_SHIFT) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,9 +78,10 @@ class PackedStream:
     """One item stream compiled for one block size.
 
     ``ops``/``keys``/``times`` are parallel arrays, one row per block
-    access or invalidation.  The whole object pickles compactly (flat
-    buffers, no per-item Python objects), which is what lets the sweep
-    executor ship it to worker processes once instead of per job.
+    access or invalidation.  They pickle compactly (flat buffers, no
+    per-item Python objects), which is what lets the sweep executor ship
+    a stream to worker processes once instead of per job; a drop index
+    built before pickling travels with it.
     """
 
     block_size: int
@@ -82,9 +94,32 @@ class PackedStream:
     #: Block-access rows: the blocks every transfer spans, the paper's
     #: "no cache" disk I/Os (invalidation rows are not counted).
     n_accesses: int
+    #: :meth:`drop_index`, once built; derived, so not part of the
+    #: stream's identity.
+    _drops: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ops)
+
+    def drop_index(self) -> tuple[array, array]:
+        """The keys each invalidation row may drop, as ``(keys, bounds)``:
+        the m-th invalidation row's candidates are
+        ``keys[bounds[m]:bounds[m + 1]]``, sorted — the keys of its file
+        at or past its cut that were accessed since an invalidation last
+        covered them.
+
+        Every block resident when the row runs is among them, whatever
+        the cache, so a replay drops the resident ones.  Built by
+        :func:`~repro.parallel.veccache.drop_index_numpy` on first use
+        and kept on the stream (two flat ``'q'`` arrays).
+        """
+        drops = self._drops
+        if drops is None:
+            from .veccache import drop_index_numpy
+
+            drops = drop_index_numpy(self)
+            object.__setattr__(self, "_drops", drops)
+        return drops
 
 
 def pack_stream(
@@ -138,8 +173,8 @@ def pack_stream_python(
             known[fid] = k if k < item.from_byte else item.from_byte
             first_dead = -(-item.from_byte // bs)
             if first_dead > _BLOCK_LIMIT:
-                # No real block index can reach this, so the comparison
-                # below already drops nothing; clamp to keep fid bits clean.
+                # No access block reaches the limit, so the cut still
+                # drops nothing; clamping keeps the fid bits clean.
                 first_dead = _BLOCK_LIMIT
             ops_append(OP_INVALIDATE)
             keys_append((fid << KEY_SHIFT) + first_dead)
@@ -233,6 +268,12 @@ def simulate_packed(
     differential suite asserts equality field by field), minus the
     residency/exposure trackers, which need per-event hooks the tight
     loop does not pay for.
+
+    Where the simulator scans its per-file index at an invalidation,
+    the loop walks the row's :meth:`PackedStream.drop_index` candidates
+    in the same sorted order and drops the resident ones.  Read and
+    write access counts do not depend on the cache, so they come from
+    ``packed.ops`` rather than the loop.
     """
     capacity = cache_bytes // packed.block_size
     if capacity < 1:
@@ -251,10 +292,14 @@ def simulate_packed(
     # 16 MB cache otherwise dominate the whole replay.
     resident: set[int] = set()  # membership only; ordering is the policy's
     dirty_set: set[int] = set()
-    by_file: dict[int, set[int]] = {}
-    reads = writes = disk_reads = disk_writes = 0
-    evictions = invalidated = 0
+    disk_reads = disk_writes = evictions = invalidated = 0
     dirty_created = dirty_discarded = elisions = 0
+    # Every row is a read, an invalidation or a write, hit or miss.
+    reads = packed.ops.count(OP_READ)
+    writes = len(packed.ops) - reads - packed.ops.count(OP_INVALIDATE)
+    # The invalidation rows' candidate spans, consumed in row order.
+    candidates, bounds = packed.drop_index()
+    spans = zip(bounds, bounds[1:])
 
     dirty_add = dirty_set.add
     dirty_has = dirty_set.__contains__
@@ -280,38 +325,28 @@ def simulate_packed(
                 dirty_set.clear()
             next_flush += interval
         if op == OP_INVALIDATE:
-            fid = key >> KEY_SHIFT
-            s = by_file.get(fid)
-            if s:
-                doomed = sorted(k for k in s if k >= key)
-                if doomed:
-                    for k in doomed:
-                        resident.discard(k)
-                        expel(k)
-                        if dirty_has(k):
-                            dirty_drop(k)
-                            dirty_discarded += 1
-                        s.discard(k)
-                    invalidated += len(doomed)
-                    if not s:
-                        del by_file[fid]
+            lo, hi = next(spans)
+            for k in candidates[lo:hi]:
+                if k in resident:
+                    resident.discard(k)
+                    expel(k)
+                    invalidated += 1
+                    if dirty_has(k):
+                        dirty_drop(k)
+                        dirty_discarded += 1
             continue
         if key in resident:
             # Hit.
             touch(key)
             if op:
-                writes += 1
                 if write_through:
                     disk_writes += 1
                 elif not dirty_has(key):
                     dirty_add(key)
                     dirty_created += 1
-            else:
-                reads += 1
             continue
         # Miss.
         if op:
-            writes += 1
             if op == OP_WRITE_COVERED:
                 elisions += 1
             else:
@@ -322,15 +357,9 @@ def simulate_packed(
                 dirty_created += 1
                 dirty_add(key)
         else:
-            reads += 1
             disk_reads += 1
         resident.add(key)
         admit(key)
-        fid = key >> KEY_SHIFT
-        s = by_file.get(fid)
-        if s is None:
-            s = by_file[fid] = set()
-        s.add(key)
         if len(resident) > capacity:
             vkey = choose()
             resident.discard(vkey)
@@ -339,11 +368,6 @@ def simulate_packed(
             if dirty_has(vkey):
                 dirty_drop(vkey)
                 disk_writes += 1
-            vfid = vkey >> KEY_SHIFT
-            vs = by_file[vfid]
-            vs.discard(vkey)
-            if not vs:
-                del by_file[vfid]
 
     metrics = CacheMetrics(
         read_accesses=reads,

@@ -95,6 +95,7 @@ fixed cost (sorts, the wavelet matrix) being about one loop's time.
 from __future__ import annotations
 
 import math
+from array import array
 from heapq import heappop, heappush
 
 from ..cache.metrics import CacheMetrics
@@ -111,6 +112,7 @@ from .packed import (
 
 __all__ = [
     "StackCurve",
+    "drop_index_numpy",
     "replay_packed",
     "stack_curve",
     "stack_curve_numpy",
@@ -346,6 +348,39 @@ def _first_kill_rows(keys, rows_i, keys_a, rows_a, n):
             found, s_row[np.minimum(pos, ni - 1)], np.int64(n)
         )
     return first_inv_row
+
+
+def drop_index_numpy(packed: PackedStream) -> tuple[array, array]:
+    """:meth:`~repro.parallel.packed.PackedStream.drop_index` from one
+    :func:`_first_kill_rows` pass: an access's key is a candidate of the
+    first invalidation row that covers it, and nowhere else."""
+    ops = np.frombuffer(packed.ops, dtype=np.uint8)
+    keys = np.frombuffer(packed.keys, dtype=np.int64)
+    n = len(ops)
+    if n >= _ROW_LIMIT:
+        raise ValueError(
+            f"{n} rows do not fit the drop index's row encoding; "
+            "use the item-stream path"
+        )
+    inv = ops == OP_INVALIDATE
+    rows_i = np.flatnonzero(inv)
+    rows_a = np.flatnonzero(~inv)
+    keys_a = keys[rows_a]
+    kill = _first_kill_rows(keys, rows_i, keys_a, rows_a, n)
+    covered = kill < n
+    kill = kill[covered]
+    cand = keys_a[covered]
+    order = np.lexsort((cand, kill))
+    kill = kill[order]
+    cand = cand[order]
+    fresh = np.ones(len(kill), dtype=bool)
+    fresh[1:] = (kill[1:] != kill[:-1]) | (cand[1:] != cand[:-1])
+    kill = kill[fresh]
+    bounds = np.append(np.searchsorted(kill, rows_i, side="left"), len(kill))
+    return (
+        array("q", cand[fresh].astype(np.int64).tobytes()),
+        array("q", bounds.astype(np.int64).tobytes()),
+    )
 
 
 def _hole_levels(rows_a, miss, kill_rows, n):

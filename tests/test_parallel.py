@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import multiprocessing
+import pickle
 import random
 import time
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from repro.cache.policies import (
     FLUSH_30S,
     WRITE_THROUGH,
 )
+from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.cache.simulator import BlockCacheSimulator
 from repro.cache.stream import Invalidation, Transfer, build_stream, cached_stream
 from repro.cache.sweep import (
@@ -40,7 +42,7 @@ from repro.cache.sweep import (
 from repro.cli.main import main
 from repro.corpus import pack_trace, read_corpus_columns
 from repro.experiments import run_one
-from repro.parallel import executor as executor_module
+from repro.parallel import executor as executor_module, veccache
 from repro.parallel.executor import (
     auto_jobs,
     jobs_context,
@@ -48,6 +50,7 @@ from repro.parallel.executor import (
     run_jobs,
 )
 from repro.parallel.packed import (
+    KEY_SHIFT,
     OP_INVALIDATE,
     cached_packed_stream,
     pack_stream,
@@ -283,6 +286,161 @@ class TestPackedEquivalence:
         for epoch, expected in ((0.0, anchored), (None, legacy)):
             sim = BlockCacheSimulator(cache_bytes=1 << 20, policy=FLUSH_30S)
             assert sim.run(items, flush_epoch=epoch) == expected.metrics
+
+
+# ---------------------------------------------------------------------------
+# The drop index
+# ---------------------------------------------------------------------------
+
+
+def _drops_by_scan(packed):
+    """The drop index by a per-file scan in row order: per invalidation
+    row, the sorted keys of its file at or past its cut that were
+    accessed since an invalidation last covered them."""
+    live = {}
+    drops = []
+    for op, key in zip(packed.ops, packed.keys):
+        keys = live.setdefault(key >> KEY_SHIFT, set())
+        if op != OP_INVALIDATE:
+            keys.add(key)
+            continue
+        doomed = sorted(k for k in keys if k >= key)
+        keys.difference_update(doomed)
+        drops.append(doomed)
+    return drops
+
+
+def _index_rows(packed):
+    """``packed.drop_index()`` as one list of keys per invalidation row."""
+    keys, bounds = packed.drop_index()
+    return [list(keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _read(time, fid, first, last=None):
+    """A read of blocks *first*..*last* (4 KB) of file *fid*."""
+    last = first if last is None else last
+    return Transfer(time=time, file_id=fid, user_id=1, start=first * 4096,
+                    end=(last + 1) * 4096, is_write=False)
+
+
+def _write(time, fid, first, last=None):
+    return dataclasses.replace(_read(time, fid, first, last), is_write=True)
+
+
+def _cut(time, fid, from_byte=0):
+    return Invalidation(time=time, file_id=fid, from_byte=from_byte)
+
+
+def _key(fid, block):
+    return (fid << KEY_SHIFT) + block
+
+
+class TestDropIndex:
+    """``simulate_packed``'s policy-free drop index.  Each stream's index
+    is pinned, matches a per-file scan, and replays to the simulator's
+    metrics under every zoo policy at capacities small enough to evict
+    between the accesses and the cuts."""
+
+    def _check(self, items, expected):
+        packed = pack_stream(items, 4096)
+        assert _index_rows(packed) == expected
+        assert _drops_by_scan(packed) == expected
+        for name in REPLACEMENT_NAMES:
+            for cap in (1, 2, 8):
+                for policy in (WRITE_THROUGH, FLUSH_30S, DELAYED_WRITE):
+                    sim = BlockCacheSimulator(
+                        cap * 4096, 4096, policy, replacement=name
+                    )
+                    got = simulate_packed(
+                        packed, cap * 4096, policy, replacement=name
+                    )
+                    assert got.metrics == sim.run(items), (name, cap, policy)
+        return packed
+
+    def test_cut_with_no_earlier_access_to_its_file(self):
+        self._check(
+            [_write(0.0, 1, 0, 1), _cut(1.0, 2), _read(2.0, 2, 0)], [[]]
+        )
+
+    def test_cut_at_block_zero_and_mid_file(self):
+        self._check(
+            [
+                _write(0.0, 1, 0, 2),
+                _read(1.0, 2, 0),
+                _cut(2.0, 1, 5000),  # first dead block: 2
+                _cut(3.0, 1, 0),
+            ],
+            [[_key(1, 2)], [_key(1, 0), _key(1, 1)]],
+        )
+
+    def test_cut_clamped_to_the_block_limit(self):
+        # A cut past every block drops nothing, and its clamped key must
+        # not read as the next file's block 0.
+        packed = self._check(
+            [_read(0.0, 2, 0, 1), _read(1.0, 1, 0), _cut(2.0, 1, 1 << 50)],
+            [[]],
+        )
+        assert packed.keys[-1] >> KEY_SHIFT == 1
+        assert simulate_packed(packed, 1 << 20).metrics.invalidated_blocks == 0
+
+    def test_two_cuts_of_one_file_in_a_row(self):
+        self._check(
+            [_write(0.0, 1, 0, 3), _cut(1.0, 1, 8192), _cut(2.0, 1, 0)],
+            [[_key(1, 2), _key(1, 3)], [_key(1, 0), _key(1, 1)]],
+        )
+
+    def test_reaccess_after_a_drop(self):
+        self._check(
+            [
+                _write(0.0, 1, 0, 1),
+                _cut(1.0, 1),
+                _read(2.0, 1, 1),
+                _read(3.0, 3, 0, 2),
+                _cut(4.0, 1),
+            ],
+            [[_key(1, 0), _key(1, 1)], [_key(1, 1)]],
+        )
+
+    def test_empty_stream(self):
+        self._check([], [])
+
+    def test_invalidations_only(self):
+        self._check([_cut(0.0, 1), _cut(1.0, 2, 4096), _cut(2.0, 1)], [[], [], []])
+
+    def test_invalidation_heavy_stream_matches_the_scan(self):
+        packed = pack_stream(_invalidation_heavy_stream(), 4096)
+        assert _index_rows(packed) == _drops_by_scan(packed)
+
+    def test_index_is_not_part_of_the_stream(self):
+        items = _invalidation_heavy_stream()
+        built, fresh = pack_stream(items, 4096), pack_stream(items, 4096)
+        shown = repr(built)
+        index = built.drop_index()
+        assert built.drop_index() is index  # built once, then kept
+        assert built == fresh and repr(built) == shown
+
+    @pytest.mark.parametrize("build_first", [False, True])
+    def test_pickle_round_trip(self, build_first):
+        # Sweep workers receive their streams pickled, through the pool
+        # initializer, with or without an index the parent built.
+        packed = pack_stream(_invalidation_heavy_stream(), 4096)
+        if build_first:
+            packed.drop_index()
+        clone = pickle.loads(pickle.dumps(packed))
+        assert clone == packed
+        for name in REPLACEMENT_NAMES:
+            for size in (8 * 1024, 32 * 1024):
+                assert (
+                    simulate_packed(clone, size, DELAYED_WRITE, replacement=name)
+                    == simulate_packed(packed, size, DELAYED_WRITE, replacement=name)
+                ), (name, size)
+        assert clone.drop_index() == packed.drop_index()
+
+    def test_overlong_stream_is_refused(self, monkeypatch):
+        packed = pack_stream(_invalidation_heavy_stream(), 4096)
+        monkeypatch.setattr(veccache, "_ROW_LIMIT", len(packed))
+        with pytest.raises(ValueError, match="row encoding"):
+            simulate_packed(packed, 8 * 1024)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ below were captured from the *pre-refactor* simulator on the shared
 ``small_trace`` fixture (A5, seed 42, 1200 s): ``policy="lru"`` must
 keep reproducing them bit for bit, forever — they are this repo's
 Table VI.  The FIFO grid pins the other pre-existing policy the same
-way.  A drift in any counter means the refactor changed semantics, not
-just structure.
+way, and the zoo grid pins CLOCK, LFU, 2Q, ARC and the ensemble.  A
+drift in any counter means the refactor changed semantics, not just
+structure.
 """
 
 from __future__ import annotations
@@ -57,7 +58,33 @@ FIFO_GOLDEN = {
     (2097152, "delayed-write"): (2738, 1661, 884, 291, 849, 559, 1081, 464, 1030),
 }
 
-_FIFO_POLICIES = {"write-through": WRITE_THROUGH, "delayed-write": DELAYED_WRITE}
+# Spot checks for the other five zoo policies, captured the same way
+# before the LFU and ensemble rewrites (bucketed LFU, lazily replayed
+# ensemble arms): key (policy, cache_bytes, write-policy label).
+ZOO_GOLDEN = {
+    ("clock", 399360, "write-through"): (2738, 1661, 1539, 1661, 2127, 407, 0, 0, 1086),
+    ("clock", 399360, "delayed-write"): (2738, 1661, 1539, 833, 2127, 407, 1190, 311, 1086),
+    ("clock", 2097152, "write-through"): (2738, 1661, 818, 1661, 780, 559, 0, 0, 1027),
+    ("clock", 2097152, "delayed-write"): (2738, 1661, 818, 292, 780, 559, 1078, 474, 1027),
+    ("lfu", 399360, "write-through"): (2738, 1661, 1893, 1661, 2791, 188, 0, 0, 1183),
+    ("lfu", 399360, "delayed-write"): (2738, 1661, 1893, 1239, 2791, 188, 1402, 126, 1183),
+    ("lfu", 2097152, "write-through"): (2738, 1661, 877, 1661, 916, 520, 0, 0, 1066),
+    ("lfu", 2097152, "delayed-write"): (2738, 1661, 877, 507, 916, 520, 1148, 367, 1066),
+    ("2q", 399360, "write-through"): (2738, 1661, 1431, 1661, 2080, 409, 0, 0, 1149),
+    ("2q", 399360, "delayed-write"): (2738, 1661, 1431, 908, 2080, 409, 1268, 288, 1149),
+    ("2q", 2097152, "write-through"): (2738, 1661, 843, 1661, 807, 559, 0, 0, 1029),
+    ("2q", 2097152, "delayed-write"): (2738, 1661, 843, 337, 807, 559, 1081, 464, 1029),
+    ("arc", 399360, "write-through"): (2738, 1661, 1466, 1661, 2097, 417, 0, 0, 1139),
+    ("arc", 399360, "delayed-write"): (2738, 1661, 1466, 850, 2097, 417, 1219, 324, 1139),
+    ("arc", 2097152, "write-through"): (2738, 1661, 774, 1661, 783, 547, 0, 0, 1062),
+    ("arc", 2097152, "delayed-write"): (2738, 1661, 774, 398, 783, 547, 1122, 432, 1062),
+    ("ensemble", 399360, "write-through"): (2738, 1661, 1537, 1661, 2145, 408, 0, 0, 1107),
+    ("ensemble", 399360, "delayed-write"): (2738, 1661, 1537, 872, 2145, 408, 1205, 287, 1107),
+    ("ensemble", 2097152, "write-through"): (2738, 1661, 828, 1661, 798, 551, 0, 0, 1027),
+    ("ensemble", 2097152, "delayed-write"): (2738, 1661, 828, 302, 798, 551, 1080, 447, 1027),
+}
+
+_SPOT_POLICIES = {"write-through": WRITE_THROUGH, "delayed-write": DELAYED_WRITE}
 
 
 def test_lru_sweep_matches_pre_refactor_goldens(small_trace):
@@ -84,7 +111,18 @@ def test_fifo_spot_goldens(small_trace):
         metrics = simulate_cache(
             small_trace,
             cache_bytes,
-            policy=_FIFO_POLICIES[label],
+            policy=_SPOT_POLICIES[label],
             replacement="fifo",
         )
         assert astuple(metrics) == expected, (cache_bytes, label)
+
+
+def test_zoo_spot_goldens(small_trace):
+    for (name, cache_bytes, label), expected in ZOO_GOLDEN.items():
+        metrics = simulate_cache(
+            small_trace,
+            cache_bytes,
+            policy=_SPOT_POLICIES[label],
+            replacement=name,
+        )
+        assert astuple(metrics) == expected, (name, cache_bytes, label)

