@@ -14,7 +14,7 @@ pure-Python reference that stays in the tree as the differential oracle
   eagerly building tens of thousands of dataclass instances would cost
   more than the entire vectorized scan.
 * :class:`VectorizedValidator` — the columnar validator
-  (:func:`~repro.trace.validate.validate_columns_into`).  Every check is
+  (:func:`~repro.trace.validate.validate_columns_python`).  Every check is
   a boolean reduction; problem rows are recovered with ``np.nonzero``
   and only the first ``max_problems + 1`` messages are ever formatted.
 * :func:`build_stream_numpy` — the cache simulator's item stream
@@ -906,7 +906,7 @@ _KNOWN_KIND_LUT[np.array(sorted(KIND_LABELS), np.int64)] = True
 
 class VectorizedValidator:
     """Streaming vectorized twin of
-    :func:`~repro.trace.validate.validate_columns_into` + ``_OpenTracker``.
+    :func:`~repro.trace.validate.validate_columns_python`.
 
     Every check is a whole-column boolean reduction; a problem is carried
     as the integer key ``(row << 4) | rank`` where *rank* is the check's
@@ -921,8 +921,8 @@ class VectorizedValidator:
     membership facts, both computable from the oid-grouped sub-sequence
     of open/seek/close rows: an oid is *present* before a row iff the
     previous such op on it was not a close (seeks re-add unknown oids,
-    exactly as the reference's unconditional ``open_positions[oid] =
-    new_pos`` does), and *ever-closed* iff any earlier close named it.
+    exactly as the reference's unconditional ``present.add(oid)`` does),
+    and *ever-closed* iff any earlier close named it.
     Group heads consult the carry sets ``_present``/``_closed``, which
     also stream the state across corpus segments.
     """
@@ -946,7 +946,7 @@ class VectorizedValidator:
         self.open_count = 0
         self.total_problems = 0
         self.formatted: list[str] = []
-        self._present: set[int] = set()  # reference open_positions keys
+        self._present: set[int] = set()  # reference present set
         self._closed: set[int] = set()  # reference closed set
         self._last_time = float("-inf")
 

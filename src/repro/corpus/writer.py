@@ -2,22 +2,24 @@
 
 :class:`CorpusWriter` is strictly sequential — header, segments, footer,
 trailer — so it needs no seeks and can target a pipe-like object as well
-as a path.  Events (or bulk column slices) accumulate in typed column
-buffers; each time the buffer reaches ``segment_events`` rows it is
-flushed as one segment, its statistics computed column-at-a-time at C
-speed (``min``/``max`` over the typed arrays, ``count`` over the flag
-bytes, one ``crc32`` per column chunk) and recorded for the footer.
+as a path.  It takes columns only (:meth:`CorpusWriter.append_columns`):
+column slices accumulate in typed buffers; each time the buffer reaches
+``segment_events`` rows it is flushed as one segment, its statistics
+computed column-at-a-time at C speed (``min``/``max`` over the typed
+arrays, ``count`` over the flag bytes, one ``crc32`` per column chunk)
+and recorded for the footer.
 
-:class:`CorpusSpool` is a ``TraceLog``-shaped sink the workload
-generator writes through with O(segment) memory, so
-``generate(..., spool="out.bcorpus")`` emits a sharded corpus directly
-without ever holding the whole trace.  The kernel tracer hands it
-rows (:meth:`CorpusSpool.append_row`), which wait in a flat list and
-reach the writer a segment at a time as columns, so a spooled trace
-builds no event objects at all.
+:class:`CorpusSpool` is the sink the workload generator writes through
+with O(segment) memory, so ``generate(..., spool="out.bcorpus")`` emits
+a sharded corpus directly without ever holding the whole trace.  The
+kernel tracer hands it rows (:meth:`CorpusSpool.append_row`), which wait
+in a flat list and reach the writer a segment at a time as columns, so a
+spooled trace builds no event objects at all.
 
 :func:`pack_trace` packs an in-memory log or columns, or a text trace
-file, into a corpus.
+file, into a corpus; a log is written as its
+:func:`~repro.trace.columns.cached_columns`, the one event-to-row
+mapping.
 """
 
 from __future__ import annotations
@@ -27,31 +29,11 @@ import os
 import sys
 import zlib
 from array import array
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
-from ..trace.columns import (
-    FLAG_CREATED,
-    FLAG_NEW_FILE,
-    KIND_CLOSE,
-    KIND_CREATE,
-    KIND_EXEC,
-    KIND_OPEN,
-    KIND_SEEK,
-    KIND_TRUNC,
-    KIND_UNLINK,
-    TraceColumns,
-)
+from ..trace.columns import TraceColumns, cached_columns
+from ..trace.io_text import read_text
 from ..trace.log import TraceLog
-from ..trace.records import (
-    CloseEvent,
-    CreateEvent,
-    ExecEvent,
-    OpenEvent,
-    SeekEvent,
-    TraceEvent,
-    TruncateEvent,
-    UnlinkEvent,
-)
 from .format import (
     COLUMN_LAYOUT,
     DEFAULT_SEGMENT_EVENTS,
@@ -86,52 +68,6 @@ def _le_bytes(column: array | bytearray) -> bytes:
         swapped.byteswap()
         return swapped.tobytes()
     return bytes(column)
-
-
-def _event_row(event: TraceEvent) -> tuple:
-    """*event* as its corpus row: (kind, time, open_id, file_id, user_id,
-    size, position, flags), the ``TraceColumns.from_log`` mapping."""
-    kind = oid = fid = uid = size = pos = fl = 0
-    if isinstance(event, OpenEvent):
-        kind = KIND_OPEN
-        oid = event.open_id
-        fid = event.file_id
-        uid = event.user_id
-        size = event.size
-        pos = event.initial_pos
-        fl = (
-            int(event.mode)
-            | (FLAG_CREATED if event.created else 0)
-            | (FLAG_NEW_FILE if event.new_file else 0)
-        )
-    elif isinstance(event, CloseEvent):
-        kind = KIND_CLOSE
-        oid = event.open_id
-        pos = event.final_pos
-    elif isinstance(event, SeekEvent):
-        kind = KIND_SEEK
-        oid = event.open_id
-        size = event.prev_pos
-        pos = event.new_pos
-    elif isinstance(event, CreateEvent):
-        kind = KIND_CREATE
-        fid = event.file_id
-        uid = event.user_id
-    elif isinstance(event, UnlinkEvent):
-        kind = KIND_UNLINK
-        fid = event.file_id
-    elif isinstance(event, TruncateEvent):
-        kind = KIND_TRUNC
-        fid = event.file_id
-        size = event.new_length
-    elif isinstance(event, ExecEvent):
-        kind = KIND_EXEC
-        fid = event.file_id
-        uid = event.user_id
-        size = event.size
-    else:
-        raise CorpusError(f"cannot serialize event of type {type(event).__name__}")
-    return (kind, event.time, oid, fid, uid, size, pos, fl)
 
 
 class CorpusWriter:
@@ -198,40 +134,6 @@ class CorpusWriter:
         self._positions = array("q")
 
     # -- appending ----------------------------------------------------------
-
-    def append(self, event: TraceEvent) -> None:
-        """Append one event (same column mapping as ``TraceColumns.from_log``)."""
-        self.append_row(*_event_row(event))
-
-    def append_row(
-        self,
-        kind: int,
-        time: float,
-        open_id: int,
-        file_id: int,
-        user_id: int,
-        size: int,
-        position: int,
-        flags: int,
-    ) -> None:
-        """Append one event given as its column values."""
-        if self._closed:
-            raise CorpusError("corpus writer is closed")
-        self._kinds.append(kind)
-        self._flags.append(flags)
-        self._times.append(time)
-        self._open_ids.append(open_id)
-        self._file_ids.append(file_id)
-        self._user_ids.append(user_id)
-        self._sizes.append(size)
-        self._positions.append(position)
-        self.events_written += 1
-        if len(self._kinds) >= self.segment_events:
-            self.flush_segment()
-
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        for event in events:
-            self.append(event)
 
     def append_columns(self, cols: TraceColumns) -> None:
         """Bulk-append a columnar trace, slicing it into segments.
@@ -336,19 +238,18 @@ class CorpusWriter:
 
 
 class CorpusSpool:
-    """A ``TraceLog``-shaped sink that spools events into a corpus.
+    """A sink that spools rows into a corpus.
 
-    Quacks like a log for producers (``name``/``description``, a time-ordered
-    ``append``) while its :class:`CorpusWriter` drains each full segment,
-    so memory stays O(segment) however long the synthesis runs.  The
-    buffer *is* one segment: ``buffer_events`` doubles as the corpus
-    ``segment_events``, and events wait as flat rows until a full
-    buffer drains to the writer as one column slice.  :meth:`append_row`
-    takes an event as its row, which is how
-    :class:`~repro.unixfs.tracer.KernelTracer` spools without building
-    event objects.  The writer opens at the first drain (a full buffer
-    or :meth:`close`), so a description set before then still reaches
-    the header.
+    Takes what a producer knows of a log (``name``/``description``) and
+    its events as time-ordered rows (:meth:`append_row`, the
+    :class:`~repro.unixfs.tracer.KernelTracer` path, which builds no
+    event objects), while its :class:`CorpusWriter` drains each full
+    segment, so memory stays O(segment) however long the synthesis runs.
+    The buffer *is* one segment: ``buffer_events`` doubles as the corpus
+    ``segment_events``, and rows wait in a flat list until a full buffer
+    drains to the writer as one column slice.  The writer opens at the
+    first drain (a full buffer or :meth:`close`), so a description set
+    before then still reaches the header.
     """
 
     def __init__(
@@ -379,9 +280,6 @@ class CorpusSpool:
             segment_events=self.buffer_events,
         )
         return self._writer
-
-    def append(self, event: TraceEvent) -> None:
-        self.append_row(*_event_row(event))
 
     def append_row(
         self,
@@ -433,10 +331,6 @@ class CorpusSpool:
             )
         return writer
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        for event in events:
-            self.append(event)
-
     def __len__(self) -> int:
         written = self._writer.events_written if self._writer is not None else 0
         return written + len(self._rows) // _ROW
@@ -478,14 +372,7 @@ def pack_columns(
     segment_events: int = DEFAULT_SEGMENT_EVENTS,
 ) -> CorpusWriter:
     """Pack an in-memory columnar trace into a corpus at *dest*."""
-    with CorpusWriter(
-        dest,
-        name=cols.name,
-        description=cols.description,
-        segment_events=segment_events,
-    ) as writer:
-        writer.append_columns(cols)
-    return writer
+    return pack_trace(cols, dest, segment_events=segment_events)
 
 
 def pack_trace(
@@ -496,20 +383,17 @@ def pack_trace(
     """Pack *src* into a corpus at *dest*; returns the closed writer.
 
     *src* may be a :class:`TraceLog`, a :class:`TraceColumns`, or a path
-    to a text trace, which loads through ``read_text`` first.
+    to a text trace, which loads through ``read_text`` first.  A log is
+    written as its :func:`~repro.trace.columns.cached_columns`.
     """
-    if isinstance(src, TraceColumns):
-        return pack_columns(src, dest, segment_events=segment_events)
-    if isinstance(src, TraceLog):
-        writer = CorpusWriter(
-            dest,
-            name=src.name,
-            description=src.description,
-            segment_events=segment_events,
-        )
-        with writer:
-            writer.extend(src.events)
-        return writer
-    from ..trace.io_text import read_text
-
-    return pack_trace(read_text(src), dest, segment_events=segment_events)
+    if not isinstance(src, (TraceLog, TraceColumns)):
+        src = read_text(src)
+    cols = src if isinstance(src, TraceColumns) else cached_columns(src)
+    with CorpusWriter(
+        dest,
+        name=src.name,
+        description=src.description,
+        segment_events=segment_events,
+    ) as writer:
+        writer.append_columns(cols)
+    return writer

@@ -23,8 +23,8 @@ and seeding replay any failure:
 * :mod:`repro.fuzz.faults` — pillar 3, netfs fault injection
   (dropped/duplicated RPCs, disk stalls) with a convergence check;
 * :mod:`repro.fuzz.corpus` — pillar 4, the out-of-core corpus codec:
-  write-path equivalence, bit-exact segment round-trips,
-  corpus-vs-in-RAM analyze/validate differentials, and
+  bit-exact segment round-trips, corpus-vs-in-RAM analyze/validate
+  differentials, and
   :class:`CorpusFaultPlan` corruption schedules;
 * :mod:`repro.fuzz.engines` — pillar 5, the numpy kernels of
   :mod:`repro.analysis.vectorized` and :mod:`repro.parallel.veccache`

@@ -25,6 +25,13 @@ trunc   .         file_id  .        new_length  .            .
 exec    .         file_id  user_id  size        .            .
 ======  ========  =======  =======  ==========  ===========  =====
 
+This module is the one place that maps between events and rows:
+:meth:`TraceColumns.from_log` turns events into rows, and
+:func:`row_event` turns one row back into its event (a row with an
+unknown kind tag, or an open row with no mode bits, names no event and
+raises :class:`~repro.trace.io_text.TraceFormatError`).  The kernel
+tracer emits rows and builds its events through :func:`row_event`.
+
 These buffers are the binary format: a ``.bcorpus`` segment
 (:mod:`repro.corpus`) stores them verbatim, so a corpus deserializes
 straight into columns — and serializes straight out of them — without
@@ -43,6 +50,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterator
 
+from .io_text import TraceFormatError
 from .log import TraceLog
 from .memo import memoize_per_log
 from .records import (
@@ -71,6 +79,7 @@ __all__ = [
     "FLAG_NEW_FILE",
     "TraceColumns",
     "cached_columns",
+    "row_event",
 ]
 
 KIND_OPEN = 1
@@ -95,6 +104,56 @@ KIND_LABELS = {
 FLAG_MODE_MASK = 0x3
 FLAG_CREATED = 0x4
 FLAG_NEW_FILE = 0x8
+
+#: An open row's mode bits to its access mode (``None``: no mode bits).
+_ROW_MODES = (None, AccessMode.READ, AccessMode.WRITE, AccessMode.READ_WRITE)
+
+
+def row_event(
+    kind: int,
+    time: float,
+    open_id: int,
+    file_id: int,
+    user_id: int,
+    size: int,
+    position: int,
+    flags: int,
+) -> TraceEvent:
+    """The event one row describes (the inverse of
+    :meth:`TraceColumns.from_log`; see the module docstring's table).
+
+    Raises :class:`TraceFormatError` for a row that names no event: an
+    unknown kind tag, or an open row with no mode bits.
+    """
+    # Event fields in declaration order (see repro.trace.records).
+    if kind == KIND_OPEN:
+        mode = _ROW_MODES[flags & FLAG_MODE_MASK]
+        if mode is None:
+            raise TraceFormatError(f"open flag byte {flags:#04x} has no mode bits")
+        return OpenEvent(
+            time,
+            open_id,
+            file_id,
+            user_id,
+            size,
+            mode,
+            bool(flags & FLAG_CREATED),
+            bool(flags & FLAG_NEW_FILE),
+            position,
+        )
+    if kind == KIND_CLOSE:
+        return CloseEvent(time, open_id, position)
+    if kind == KIND_SEEK:
+        return SeekEvent(time, open_id, size, position)
+    if kind == KIND_CREATE:
+        return CreateEvent(time, file_id, user_id)
+    if kind == KIND_UNLINK:
+        return UnlinkEvent(time, file_id)
+    if kind == KIND_TRUNC:
+        return TruncateEvent(time, file_id, size)
+    if kind == KIND_EXEC:
+        return ExecEvent(time, file_id, user_id, size)
+    raise TraceFormatError(f"unknown kind tag {kind}")
 
 
 class TraceColumns:
@@ -235,50 +294,19 @@ class TraceColumns:
 
     def event(self, i: int) -> TraceEvent:
         """Materialize row *i* as its event dataclass (lazy objects)."""
-        kind = self.kinds[i]
-        t = self.times[i]
-        if kind == KIND_OPEN:
-            fl = self.flags[i]
-            return OpenEvent(
-                time=t,
-                open_id=self.open_ids[i],
-                file_id=self.file_ids[i],
-                user_id=self.user_ids[i],
-                size=self.sizes[i],
-                mode=AccessMode(fl & FLAG_MODE_MASK),
-                created=bool(fl & FLAG_CREATED),
-                new_file=bool(fl & FLAG_NEW_FILE),
-                initial_pos=self.positions[i],
+        try:
+            return row_event(
+                self.kinds[i],
+                self.times[i],
+                self.open_ids[i],
+                self.file_ids[i],
+                self.user_ids[i],
+                self.sizes[i],
+                self.positions[i],
+                self.flags[i],
             )
-        if kind == KIND_CLOSE:
-            return CloseEvent(
-                time=t, open_id=self.open_ids[i], final_pos=self.positions[i]
-            )
-        if kind == KIND_SEEK:
-            return SeekEvent(
-                time=t,
-                open_id=self.open_ids[i],
-                prev_pos=self.sizes[i],
-                new_pos=self.positions[i],
-            )
-        if kind == KIND_CREATE:
-            return CreateEvent(
-                time=t, file_id=self.file_ids[i], user_id=self.user_ids[i]
-            )
-        if kind == KIND_UNLINK:
-            return UnlinkEvent(time=t, file_id=self.file_ids[i])
-        if kind == KIND_TRUNC:
-            return TruncateEvent(
-                time=t, file_id=self.file_ids[i], new_length=self.sizes[i]
-            )
-        if kind == KIND_EXEC:
-            return ExecEvent(
-                time=t,
-                file_id=self.file_ids[i],
-                user_id=self.user_ids[i],
-                size=self.sizes[i],
-            )
-        raise ValueError(f"unknown kind tag {kind} at row {i}")
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"row {i}: {exc}") from None
 
     def to_log(self) -> TraceLog:
         """A log over these columns; it builds its events (one

@@ -8,6 +8,9 @@ instead of reading back as a shorter trace.  The format is meant to be
 greppable and diffable; the binary format is the sharded corpus
 (:mod:`repro.corpus`).
 
+Integer fields must fit the corpus's signed 64-bit columns; a value
+outside that range makes its line a malformed record.
+
 Field layouts (after the kind tag)::
 
     open   time open_id file_id user_id size mode created new_file initial_pos
@@ -52,6 +55,18 @@ _PathOrFile = Union[str, os.PathLike, IO[str]]
 
 class TraceFormatError(ValueError):
     """Raised when a trace file cannot be parsed."""
+
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+
+def _int(field: str) -> int:
+    """An integer field, which must fit a signed 64-bit column."""
+    value = int(field)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"{value} does not fit 64 bits")
+    return value
 
 
 def format_event(event: TraceEvent) -> str:
@@ -99,42 +114,48 @@ def parse_event_line(line: str) -> TraceEvent:
         if kind == "open":
             return OpenEvent(
                 time=float(fields[1]),
-                open_id=int(fields[2]),
-                file_id=int(fields[3]),
-                user_id=int(fields[4]),
-                size=int(fields[5]),
+                open_id=_int(fields[2]),
+                file_id=_int(fields[3]),
+                user_id=_int(fields[4]),
+                size=_int(fields[5]),
                 mode=AccessMode.from_label(fields[6]),
                 created=fields[7] == "1",
                 new_file=fields[8] == "1",
-                initial_pos=int(fields[9]),
+                initial_pos=_int(fields[9]),
             )
         if kind == "close":
             return CloseEvent(
-                time=float(fields[1]), open_id=int(fields[2]), final_pos=int(fields[3])
+                time=float(fields[1]),
+                open_id=_int(fields[2]),
+                final_pos=_int(fields[3]),
             )
         if kind == "seek":
             return SeekEvent(
                 time=float(fields[1]),
-                open_id=int(fields[2]),
-                prev_pos=int(fields[3]),
-                new_pos=int(fields[4]),
+                open_id=_int(fields[2]),
+                prev_pos=_int(fields[3]),
+                new_pos=_int(fields[4]),
             )
         if kind == "create":
             return CreateEvent(
-                time=float(fields[1]), file_id=int(fields[2]), user_id=int(fields[3])
+                time=float(fields[1]),
+                file_id=_int(fields[2]),
+                user_id=_int(fields[3]),
             )
         if kind == "unlink":
-            return UnlinkEvent(time=float(fields[1]), file_id=int(fields[2]))
+            return UnlinkEvent(time=float(fields[1]), file_id=_int(fields[2]))
         if kind == "trunc":
             return TruncateEvent(
-                time=float(fields[1]), file_id=int(fields[2]), new_length=int(fields[3])
+                time=float(fields[1]),
+                file_id=_int(fields[2]),
+                new_length=_int(fields[3]),
             )
         if kind == "exec":
             return ExecEvent(
                 time=float(fields[1]),
-                file_id=int(fields[2]),
-                user_id=int(fields[3]),
-                size=int(fields[4]),
+                file_id=_int(fields[2]),
+                user_id=_int(fields[3]),
+                size=_int(fields[4]),
             )
     except (IndexError, ValueError) as exc:
         raise TraceFormatError(f"malformed {kind!r} record: {line!r}") from exc

@@ -7,17 +7,19 @@ and positions never go negative.  The workload generator is tested against
 these invariants, and traces converted from foreign sources (strace) are
 validated before analysis.
 
-Two entry points share the checks: :func:`validate` walks a
-:class:`~repro.trace.log.TraceLog`'s event objects, and
-:func:`validate_columns` walks a
-:class:`~repro.trace.columns.TraceColumns` view directly — flat typed
-columns, no event-object materialization — which is how ``repro-fs
-validate`` checks each segment of a ``.bcorpus`` without paying a
-per-event dataclass.  The columnar path additionally checks the
-storage-level invariants the object view cannot express: every time must
-lie in ``0..MAX_TRACE_TIME`` (which also rejects NaN), kind tags must be
-known, and flag bytes must hold only defined bits (open rows: a valid
-mode plus the created/new-file bits; every other row: zero).
+Every trace is checked through its columns.  :func:`validate` takes a
+:class:`~repro.trace.log.TraceLog` (checked as its
+:func:`~repro.trace.columns.cached_columns`) or a
+:class:`~repro.trace.columns.TraceColumns`, and :func:`validate_columns`
+runs the numpy validator over them — the validator that
+:func:`repro.corpus.validate_corpus` folds a ``.bcorpus`` through segment
+by segment — so a trace gets the same report whichever format it was read
+from.  Besides the tracer invariants, the rows must meet the storage-level
+ones: every time must lie in ``0..MAX_TRACE_TIME`` (which also rejects
+NaN), kind tags must be known, and flag bytes must hold only defined bits
+(open rows: a valid mode plus the created/new-file bits; every other row:
+zero).  :func:`validate_columns_python` is the one Python specification
+of all these checks, a single loop over the rows.
 """
 
 from __future__ import annotations
@@ -34,21 +36,15 @@ from .columns import (
     KIND_SEEK,
     KIND_TRUNC,
     TraceColumns,
+    cached_columns,
 )
 from .log import TraceLog
-from .records import (
-    MAX_TRACE_TIME,
-    CloseEvent,
-    OpenEvent,
-    SeekEvent,
-    TruncateEvent,
-)
+from .records import MAX_TRACE_TIME
 
 __all__ = [
     "ValidationReport",
     "validate",
     "validate_columns",
-    "validate_columns_into",
     "validate_columns_python",
 ]
 
@@ -90,96 +86,19 @@ class ValidationReport:
         )
 
 
-class _OpenTracker:
-    """Shared open/close/seek bookkeeping for both validation paths."""
-
-    __slots__ = ("report", "open_positions", "closed", "last_time")
-
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        self.open_positions: dict[int, int] = {}
-        self.closed: set[int] = set()
-        self.last_time = float("-inf")
-
-    def time(self, i: int, t: float) -> None:
-        if t < self.last_time:
-            self.report.add(
-                f"event {i}: time {t} precedes previous {self.last_time}"
-            )
-        self.last_time = t
-
-    def open(self, i: int, open_id: int, size: int, initial_pos: int) -> None:
-        report = self.report
-        report.open_count += 1
-        if open_id in self.open_positions:
-            report.add(f"event {i}: open_id {open_id} opened twice")
-        if open_id in self.closed:
-            report.add(f"event {i}: open_id {open_id} reused after close")
-        if size < 0 or initial_pos < 0:
-            report.add(f"event {i}: negative size/position on open")
-        if initial_pos > size:
-            report.add(
-                f"event {i}: open initial_pos {initial_pos} beyond "
-                f"size {size}"
-            )
-        self.open_positions[open_id] = initial_pos
-
-    def seek(self, i: int, open_id: int, prev_pos: int, new_pos: int) -> None:
-        if open_id not in self.open_positions:
-            self.report.add(f"event {i}: seek on unknown open_id {open_id}")
-        if prev_pos < 0 or new_pos < 0:
-            self.report.add(f"event {i}: negative seek position")
-        self.open_positions[open_id] = new_pos
-
-    def close(self, i: int, open_id: int, final_pos: int) -> None:
-        if open_id not in self.open_positions:
-            self.report.add(f"event {i}: close on unknown open_id {open_id}")
-        else:
-            del self.open_positions[open_id]
-        if open_id in self.closed:
-            self.report.add(f"event {i}: open_id {open_id} closed twice")
-        self.closed.add(open_id)
-        if final_pos < 0:
-            self.report.add(f"event {i}: negative final position on close")
-
-    def truncate(self, i: int, new_length: int) -> None:
-        if new_length < 0:
-            self.report.add(f"event {i}: truncate to negative length")
-
-    def finish(self) -> ValidationReport:
-        self.report.unmatched_opens = len(self.open_positions)
-        return self.report
-
-
 def validate(
     log: TraceLog | TraceColumns,
     max_problems: int = DEFAULT_MAX_PROBLEMS,
 ) -> ValidationReport:
     """Check *log* against the tracer invariants and return a report.
 
-    Accepts either an event-object :class:`TraceLog` or a columnar
-    :class:`TraceColumns` view (dispatched to :func:`validate_columns`,
-    which never materializes event objects).  The event-object walk has
-    no flat buffers to vectorize and runs in Python.
+    *log* is a :class:`TraceLog`, checked as its
+    :func:`~repro.trace.columns.cached_columns`, or a
+    :class:`TraceColumns`; either way :func:`validate_columns` checks
+    the rows, so a text trace and its corpus get the same report.
     """
-    if isinstance(log, TraceColumns):
-        return validate_columns(log, max_problems=max_problems)
-    report = ValidationReport(
-        event_count=len(log.events), max_problems=max_problems
-    )
-    tracker = _OpenTracker(report)
-
-    for i, event in enumerate(log.events):
-        tracker.time(i, event.time)
-        if isinstance(event, OpenEvent):
-            tracker.open(i, event.open_id, event.size, event.initial_pos)
-        elif isinstance(event, SeekEvent):
-            tracker.seek(i, event.open_id, event.prev_pos, event.new_pos)
-        elif isinstance(event, CloseEvent):
-            tracker.close(i, event.open_id, event.final_pos)
-        elif isinstance(event, TruncateEvent):
-            tracker.truncate(i, event.new_length)
-    return tracker.finish()
+    cols = log if isinstance(log, TraceColumns) else cached_columns(log)
+    return validate_columns(cols, max_problems=max_problems)
 
 
 def validate_columns(
@@ -188,11 +107,11 @@ def validate_columns(
 ) -> ValidationReport:
     """Check a columnar trace directly against the tracer invariants.
 
-    Checks the flat columns — no event objects are built — and layers on
-    the storage-level checks: the valid time range, known kind tags, and
-    flag bytes holding only defined bits.  The numpy kernel accepts every
-    input; :func:`validate_columns_python` is its Python reference (fuzz
-    pillar 5 checks that they agree).
+    Checks the flat columns — no event objects are built — against the
+    tracer invariants and the storage-level checks: the valid time range,
+    known kind tags, and flag bytes holding only defined bits.  The numpy
+    kernel accepts every input; :func:`validate_columns_python` is its
+    Python specification (fuzz pillar 5 checks that they agree).
     """
     # Imported lazily: analysis.vectorized imports this module.
     from ..analysis.vectorized import validate_columns_numpy
@@ -204,66 +123,63 @@ def validate_columns_python(
     cols: TraceColumns,
     max_problems: int = DEFAULT_MAX_PROBLEMS,
 ) -> ValidationReport:
-    """The pure-Python reference of :func:`validate_columns`: one
-    :func:`validate_columns_into` pass over *cols*."""
+    """The pure-Python specification of :func:`validate_columns`: one
+    loop over the rows, emitting each row's problems in check order."""
     report = ValidationReport(event_count=len(cols), max_problems=max_problems)
-    tracker = _OpenTracker(report)
-    validate_columns_into(cols, tracker)
-    return tracker.finish()
-
-
-def validate_columns_into(
-    cols: TraceColumns,
-    tracker: _OpenTracker,
-    base: int = 0,
-) -> None:
-    """Fold one columnar chunk into an ongoing validation.
-
-    The streaming building block behind :func:`validate_columns` (and the
-    corpus path, :func:`repro.corpus.validate_corpus`): *tracker* carries
-    the open/close state across chunks and *base* is the chunk's global
-    index of row 0, so problem messages name the same event numbers the
-    in-RAM path would.  The caller owns ``tracker.finish()``.
-    """
-    report = tracker.report
-    kinds = cols.kinds
-    times = cols.times
-    open_ids = cols.open_ids
-    sizes = cols.sizes
-    positions = cols.positions
-    flags = cols.flags
-
-    for row in range(len(kinds)):
-        i = base + row
-        kind = kinds[row]
-        t = times[row]
-        tracker.time(i, t)
+    add = report.add
+    present: set[int] = set()  # open ids opened (or sought) and not closed
+    closed: set[int] = set()  # open ids ever closed
+    last_time = float("-inf")
+    rows = zip(
+        cols.kinds, cols.times, cols.open_ids, cols.sizes, cols.positions, cols.flags
+    )
+    for i, (kind, t, oid, size, pos, fl) in enumerate(rows):
+        if t < last_time:
+            add(f"event {i}: time {t} precedes previous {last_time}")
+        last_time = t
         if not 0.0 <= t <= MAX_TRACE_TIME:
-            report.add(
+            add(
                 f"event {i}: time {t} s outside the valid trace time "
                 f"range (0..{MAX_TRACE_TIME:.2f} s)"
             )
         if kind not in KIND_LABELS:
-            report.add(f"event {i}: unknown kind tag {kind}")
+            add(f"event {i}: unknown kind tag {kind}")
             continue
-        fl = flags[row]
         if kind == KIND_OPEN:
-            mode = fl & FLAG_MODE_MASK
-            if mode == 0:
-                report.add(f"event {i}: open flag byte {fl:#04x} has no mode bits")
+            if (fl & FLAG_MODE_MASK) == 0:
+                add(f"event {i}: open flag byte {fl:#04x} has no mode bits")
             if fl & ~_VALID_FLAG_BITS:
-                report.add(
-                    f"event {i}: open flag byte {fl:#04x} sets undefined bits"
-                )
-            tracker.open(i, open_ids[row], sizes[row], positions[row])
-        else:
-            if fl != 0:
-                report.add(
-                    f"event {i}: non-open row has nonzero flag byte {fl:#04x}"
-                )
-            if kind == KIND_SEEK:
-                tracker.seek(i, open_ids[row], sizes[row], positions[row])
-            elif kind == KIND_CLOSE:
-                tracker.close(i, open_ids[row], positions[row])
-            elif kind == KIND_TRUNC:
-                tracker.truncate(i, sizes[row])
+                add(f"event {i}: open flag byte {fl:#04x} sets undefined bits")
+            report.open_count += 1
+            if oid in present:
+                add(f"event {i}: open_id {oid} opened twice")
+            if oid in closed:
+                add(f"event {i}: open_id {oid} reused after close")
+            if size < 0 or pos < 0:
+                add(f"event {i}: negative size/position on open")
+            if pos > size:
+                add(f"event {i}: open initial_pos {pos} beyond size {size}")
+            present.add(oid)
+            continue
+        if fl != 0:
+            add(f"event {i}: non-open row has nonzero flag byte {fl:#04x}")
+        if kind == KIND_SEEK:
+            if oid not in present:
+                add(f"event {i}: seek on unknown open_id {oid}")
+            if size < 0 or pos < 0:
+                add(f"event {i}: negative seek position")
+            present.add(oid)
+        elif kind == KIND_CLOSE:
+            if oid in present:
+                present.remove(oid)
+            else:
+                add(f"event {i}: close on unknown open_id {oid}")
+            if oid in closed:
+                add(f"event {i}: open_id {oid} closed twice")
+            closed.add(oid)
+            if pos < 0:
+                add(f"event {i}: negative final position on close")
+        elif kind == KIND_TRUNC and size < 0:
+            add(f"event {i}: truncate to negative length")
+    report.unmatched_opens = len(present)
+    return report

@@ -12,7 +12,8 @@ Every hook emits one *row* — the corpus column layout of
 that takes rows (``append_row``: the corpus spool that
 ``generate(..., spool="x.bcorpus")`` writes through) receives them as
 they are, so spooling builds no per-event objects; any other log
-receives the event object the row describes.
+receives the event :func:`~repro.trace.columns.row_event` builds from
+the row.
 
 Crucially, there are **no hooks for read and write** — exactly the paper's
 design.  Positions captured at open, seek and close are the only record of
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from ..trace.columns import (
     FLAG_CREATED,
-    FLAG_MODE_MASK,
     FLAG_NEW_FILE,
     KIND_CLOSE,
     KIND_CREATE,
@@ -32,24 +32,12 @@ from ..trace.columns import (
     KIND_SEEK,
     KIND_TRUNC,
     KIND_UNLINK,
+    row_event,
 )
 from ..trace.log import TraceLog
-from ..trace.records import (
-    AccessMode,
-    CloseEvent,
-    CreateEvent,
-    ExecEvent,
-    OpenEvent,
-    SeekEvent,
-    TruncateEvent,
-    UnlinkEvent,
-    quantize_time,
-)
+from ..trace.records import AccessMode, quantize_time
 
 __all__ = ["NullTracer", "KernelTracer"]
-
-#: Flag bits back to the access mode (a lookup, not an enum call).
-_MODES = {int(mode): mode for mode in AccessMode}
 
 
 class NullTracer:
@@ -131,33 +119,10 @@ class KernelTracer(NullTracer):
         self._last_time = t
         if self._rows is not None:
             self._rows(kind, t, open_id, file_id, user_id, size, position, flags)
-        # Event fields in declaration order (see repro.trace.records).
-        elif kind == KIND_OPEN:
-            self.log.append(
-                OpenEvent(
-                    t,
-                    open_id,
-                    file_id,
-                    user_id,
-                    size,
-                    _MODES[flags & FLAG_MODE_MASK],
-                    bool(flags & FLAG_CREATED),
-                    bool(flags & FLAG_NEW_FILE),
-                    position,
-                )
-            )
-        elif kind == KIND_CLOSE:
-            self.log.append(CloseEvent(t, open_id, position))
-        elif kind == KIND_SEEK:
-            self.log.append(SeekEvent(t, open_id, size, position))
-        elif kind == KIND_CREATE:
-            self.log.append(CreateEvent(t, file_id, user_id))
-        elif kind == KIND_UNLINK:
-            self.log.append(UnlinkEvent(t, file_id))
-        elif kind == KIND_TRUNC:
-            self.log.append(TruncateEvent(t, file_id, size))
         else:
-            self.log.append(ExecEvent(t, file_id, user_id, size))
+            self.log.append(
+                row_event(kind, t, open_id, file_id, user_id, size, position, flags)
+            )
 
     def on_open(
         self,

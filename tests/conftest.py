@@ -3,7 +3,8 @@
 ``small_trace`` is a fast, deterministic synthetic trace shared by the
 analysis/cache/experiment test modules (session-scoped: generation costs
 a few hundred milliseconds and many modules want the same trace).
-``count_block_accesses`` is the cache tests' no-cache oracle.
+``count_block_accesses`` is the cache tests' no-cache oracle, and
+``append_rows`` feeds a log to a row sink the way the kernel tracer does.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from hypothesis import settings
 
 from repro.analysis.accesses import Transfer
 from repro.clock import Clock
+from repro.trace.columns import TraceColumns
 from repro.trace.log import TraceLog
 from repro.trace.records import (
     AccessMode,
@@ -105,3 +107,20 @@ def count_block_accesses(stream, block_size: int) -> int:
         if isinstance(item, Transfer):
             total += (item.end - 1) // block_size - item.start // block_size + 1
     return total
+
+
+def append_rows(sink, log: TraceLog) -> None:
+    """Hand *log*'s rows (``TraceColumns.from_log``) to ``sink.append_row``
+    one at a time, as the kernel tracer hands a spool its rows."""
+    cols = TraceColumns.from_log(log)
+    for row in zip(
+        cols.kinds,
+        cols.times,
+        cols.open_ids,
+        cols.file_ids,
+        cols.user_ids,
+        cols.sizes,
+        cols.positions,
+        cols.flags,
+    ):
+        sink.append_row(*row)

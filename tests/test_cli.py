@@ -12,10 +12,18 @@ import pytest
 import repro
 from repro.analysis.onepass import analyze_columns_python
 from repro.cli.main import _render_onepass_section, main
-from repro.corpus import CorpusReader, CorpusSpool, pack_trace
+from repro.corpus import (
+    CorpusReader,
+    CorpusSpool,
+    pack_columns,
+    pack_trace,
+    read_corpus_columns,
+)
 from repro.fuzz.gen import random_trace
-from repro.trace.columns import TraceColumns
+from repro.trace.columns import KIND_OPEN, TraceColumns
 from repro.trace.io_text import read_text
+
+from .conftest import append_rows
 
 
 @pytest.fixture(scope="module")
@@ -218,9 +226,33 @@ def _printed(capsys, argv) -> str:
 
 
 def _corpus_events(path) -> list:
-    from repro.corpus import read_corpus_columns
-
     return read_corpus_columns(path).to_log().events
+
+
+def _spoiled(src, dest, case: str) -> None:
+    """Copy text trace *src* to *dest* with one record spoiled by *case*."""
+    lines = Path(src).read_text().splitlines(keepends=True)
+    rows = [
+        (at, line.split("\t"))
+        for at, line in enumerate(lines)
+        if not line.startswith("#")
+    ]
+
+    def first(kind):
+        return next(fields for _, fields in rows if fields[0] == kind)
+
+    if case == "negative first time":
+        rows[0][1][1] = "-5.00"
+    elif case == "time going backwards":
+        mid = len(rows) // 2
+        rows[mid][1][1] = f"{float(rows[mid - 1][1][1]) - 1:.2f}"
+    elif case == "seek on unknown open_id":
+        first("seek")[2] = "999999"
+    elif case == "size past 64 bits":
+        first("open")[5] = str(2**64)
+    for at, fields in rows:
+        lines[at] = "\t".join(fields)
+    Path(dest).write_text("".join(lines))
 
 
 class TestBcorpusEverywhere:
@@ -282,6 +314,28 @@ class TestBcorpusEverywhere:
             ).read_bytes()
 
     @pytest.mark.parametrize(
+        "case",
+        [
+            "clean",
+            "negative first time",
+            "time going backwards",
+            "seek on unknown open_id",
+        ],
+    )
+    def test_validate_gives_one_verdict(self, twin_traces, capsys, tmp_path, case):
+        # Every trace is validated through its columns, so a text trace
+        # and its packed copy print the same report and exit code.
+        text, corpus = tmp_path / "v.trace", tmp_path / "v.bcorpus"
+        _spoiled(twin_traces[1], text, case)
+        _printed(capsys, ["corpus", "pack", str(text), "-o", str(corpus)])
+        verdicts = []
+        for path in (text, corpus):
+            capsys.readouterr()
+            verdicts.append((main(["validate", str(path)]), capsys.readouterr()))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][0] == (0 if case == "clean" else 1)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["slice", "{src}", "--start", "60", "--end", "300"],
@@ -341,7 +395,7 @@ class TestDamagedFiles:
     def test_torn_bcorpus(self, tmp_path, capsys):
         path = tmp_path / "torn.bcorpus"
         spool = CorpusSpool(str(path), buffer_events=64)
-        spool.extend(random_trace(random.Random("trace:torn"), 200).events)
+        append_rows(spool, random_trace(random.Random("trace:torn"), 200))
         spool._writer._fh.flush()  # a segment reached the file; no close()
         try:
             for command in ("stats", "validate", "analyze"):
@@ -350,6 +404,39 @@ class TestDamagedFiles:
                 assert "does not end with" in line
         finally:
             spool._writer._fh.close()
+
+    def test_integer_past_64_bits(self, twin_traces, tmp_path, capsys):
+        # The corpus columns hold signed 64-bit integers; the text reader
+        # rejects a wider field instead of letting a command overflow.
+        path, out = tmp_path / "wide.trace", tmp_path / "wide.bcorpus"
+        _spoiled(twin_traces[1], path, "size past 64 bits")
+        for argv in (["validate"], ["analyze"], ["stats"], ["corpus", "pack"]):
+            extra = ["-o", str(out)] if argv[0] == "corpus" else []
+            line = self._one_line_error(capsys, [*argv, str(path), *extra])
+            assert line.startswith(f"repro-fs {argv[0]}: malformed 'open' record")
+        assert not out.exists()
+
+    def test_row_naming_no_event(self, twin_traces, tmp_path, capsys):
+        # A crc-valid corpus whose open row has no mode bits: validate
+        # reports it, and a command that builds events names the row.
+        cols = read_corpus_columns(twin_traces[0])
+        row = cols.kinds.index(KIND_OPEN)
+        flags = bytearray(cols.flags)
+        flags[row] = 0
+        cols.flags = bytes(flags)
+        path = tmp_path / "nomode.bcorpus"
+        pack_columns(cols, path)
+        for command in ("analyze", "stats", "simulate"):
+            line = self._one_line_error(capsys, [command, str(path)])
+            assert line == (
+                f"repro-fs {command}: row {row}: open flag byte 0x00 has no "
+                "mode bits"
+            )
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 1
+        assert f"event {row}: open flag byte 0x00 has no mode bits" in (
+            capsys.readouterr().out
+        )
 
     def test_retired_binary_format(self, tmp_path, capsys):
         path = tmp_path / "old.btrace"

@@ -24,6 +24,7 @@ import io
 import random
 import struct
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,6 +60,8 @@ from repro.trace.log import TraceLog
 from repro.trace.records import CloseEvent, UnlinkEvent
 from repro.trace.validate import validate_columns
 
+from .conftest import append_rows
+
 SEG = 8  # tiny segments so small traces span many of them
 
 
@@ -70,6 +73,13 @@ def pack_bytes(log: TraceLog, segment_events: int = SEG) -> bytes:
     buf = io.BytesIO()
     pack_columns(TraceColumns.from_log(log), buf, segment_events=segment_events)
     return buf.getvalue()
+
+
+def _unlinks(*times: float) -> TraceLog:
+    """A log of one unlink at each of *times* (in the order given)."""
+    return TraceLog(
+        events=[UnlinkEvent(time=t, file_id=k + 1) for k, t in enumerate(times)]
+    )
 
 
 # -- format -----------------------------------------------------------------
@@ -153,7 +163,7 @@ class TestRoundTrip:
         log = fuzz_log("unicode", 5)
         buf = io.BytesIO()
         with CorpusWriter(buf, name="trace éé", description="☃") as w:
-            w.extend(log.events)
+            w.append_columns(TraceColumns.from_log(log))
         with CorpusReader(buf.getvalue()) as reader:
             assert reader.name == "trace éé"
             assert reader.description == "☃"
@@ -223,11 +233,13 @@ class TestRoundTrip:
         writer = CorpusWriter(io.BytesIO(), segment_events=SEG)
         writer.close()
         with pytest.raises(CorpusError, match="closed"):
-            writer.append(UnlinkEvent(time=1.0, file_id=1))
+            writer.append_columns(TraceColumns.from_log(fuzz_log("closed", 1)))
 
     def test_writer_rejects_unknown_event_type(self):
-        with pytest.raises(CorpusError, match="cannot serialize"):
-            CorpusWriter(io.BytesIO()).append(object())  # type: ignore[arg-type]
+        # A log is packed as its columns, so from_log meets the non-event.
+        log = TraceLog(events=[SimpleNamespace(time=1.0)])  # type: ignore[list-item]
+        with pytest.raises(TypeError, match="cannot columnarize"):
+            pack_trace(log, io.BytesIO())
 
     def test_writer_rejects_bad_segment_size(self):
         with pytest.raises(ValueError, match="segment_events"):
@@ -490,17 +502,16 @@ class TestSpool:
         log = fuzz_log("spool", 4 * SEG + 1)
         buf = io.BytesIO()
         with CorpusSpool(buf, name=log.name, buffer_events=SEG) as spool:
-            for event in log.events:
-                spool.append(event)
+            append_rows(spool, log)
             assert spool.peak_buffered <= SEG
         with CorpusReader(buf.getvalue()) as reader:
             assert list(reader.iter_events()) == log.events
 
     def test_spool_rejects_time_disorder(self):
         spool = CorpusSpool(io.BytesIO(), buffer_events=SEG)
-        spool.append(UnlinkEvent(time=2.0, file_id=1))
+        append_rows(spool, _unlinks(2.0))
         with pytest.raises(ValueError, match="time order"):
-            spool.append(UnlinkEvent(time=1.0, file_id=2))
+            append_rows(spool, _unlinks(1.0))
 
     def test_empty_spool_close_writes_valid_corpus(self):
         # Satellite regression: a synthesis that emits zero events must
@@ -513,7 +524,7 @@ class TestSpool:
             assert reader.name == "nothing"
         spool.close()  # idempotent
         with pytest.raises(CorpusError, match="closed"):
-            spool.append(UnlinkEvent(time=0.0, file_id=1))
+            append_rows(spool, _unlinks(0.0))
 
     def test_late_name_and_description_reach_header(self):
         # The generator constructs its tracer first and assigns the
@@ -522,7 +533,7 @@ class TestSpool:
         spool = CorpusSpool(buf, buffer_events=4)
         spool.name = "late-name"
         spool.description = "late description"
-        spool.extend(fuzz_log("late", 9).events)
+        append_rows(spool, fuzz_log("late", 9))
         spool.close()
         with CorpusReader(buf.getvalue()) as reader:
             assert (reader.name, reader.description) == (
@@ -537,7 +548,7 @@ class TestSpool:
         log = fuzz_log("spool-one", 5)
         buf = io.BytesIO()
         with CorpusSpool(buf, buffer_events=1) as spool:
-            spool.extend(log.events)
+            append_rows(spool, log)
         with CorpusReader(buf.getvalue()) as reader:
             assert reader.segment_count == len(log.events)
             assert all(stat.count == 1 for stat in reader.stats)
@@ -562,7 +573,7 @@ class TestTornTrace:
         path = tmp_path / "torn.bcorpus"
         spool = CorpusSpool(str(path), buffer_events=256)
         try:
-            spool.extend(fuzz_log("torn", 5000).events)
+            append_rows(spool, fuzz_log("torn", 5000))
             assert spool.segments_spooled >= 1
             spool._writer._fh.flush()  # the drained segments reached the file
             with pytest.raises(
@@ -577,7 +588,7 @@ class TestTornTrace:
         log = fuzz_log("whole", 3 * SEG + 1)
         path = tmp_path / "whole.bcorpus"
         with CorpusSpool(str(path), name=log.name, buffer_events=SEG) as spool:
-            spool.extend(log.events)
+            append_rows(spool, log)
         assert _CORPUS_READERS[reader](str(path)) == _CORPUS_READERS[reader](
             pack_bytes(log)
         )
