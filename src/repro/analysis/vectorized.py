@@ -6,8 +6,8 @@ pure-Python reference that stays in the tree as the differential oracle
 
 * :class:`VectorizedCollector` — the reference-pattern analyzer
   (:func:`~repro.analysis.onepass.analyze_columns_python`).  Open/close/seek
-  session matching runs as a segmented cumulative-maximum over the
-  oid-grouped sub-rows; runs, per-access statistics, window activity,
+  session matching runs as a segmented forward fill of positions over
+  the oid-grouped sub-rows; runs, per-access statistics, window activity,
   burstiness and every CDF are whole-column arithmetic.  The report's
   object-heavy fields (``accesses``, ``transfers``, ``lifetimes``,
   ``popularity``) are materialized lazily on first attribute access —
@@ -19,7 +19,7 @@ pure-Python reference that stays in the tree as the differential oracle
   and only the first ``max_problems + 1`` messages are ever formatted.
 * :func:`build_stream_numpy` — the cache simulator's item stream
   (:func:`~repro.cache.stream.build_stream`).  Sessions are matched by
-  the same oid-grouped cumulative maximum as the analyzer's, and the
+  the same oid-grouped forward fill as the analyzer's, and the
   items come back as :class:`~repro.cache.stream.StreamArrays`.
 * :func:`pack_stream_numpy` — the packed-stream compiler
   (:func:`~repro.parallel.packed.pack_stream_python`), over those
@@ -99,6 +99,10 @@ __all__ = [
 #: the reference's mixed int/float arithmetic bit for bit.
 _F64_EXACT = 1 << 53
 
+#: Row numbers, positions in a sorted order and per-row counts are held
+#: in int32, so every kernel here declines inputs of this many rows.
+_ROW_LIMIT = 1 << 31
+
 #: Open-row mode bits -> AccessMode (bit pattern 0 never reaches here).
 _MODE = (None, AccessMode.READ, AccessMode.WRITE, AccessMode.READ_WRITE)
 
@@ -140,24 +144,70 @@ def _sorted_unique(values):
     return s[mask]
 
 
-def _segmented_cummax(values, base):
-    """Inclusive running maximum of *values* with resets at group
-    boundaries, for rows sorted by group.  *base* must be
-    ``group_code * OFF`` with every value in ``[0, OFF)``; leakage from
-    the previous group appears as ``-1`` and is clipped to 0."""
-    out = np.maximum.accumulate(values + base) - base
-    np.maximum(out, 0, out=out)
-    return out
-
-
-def _shift_down(values, group_start):
-    """The previous row's value within each group (group starts get 0)."""
+def _shift_down(values, group_start, fill=0):
+    """The previous row's value within each group (group starts get
+    *fill*)."""
     out = np.empty_like(values)
     if len(values):
-        out[0] = 0
+        out[0] = fill
         out[1:] = values[:-1]
-        out[group_start] = 0
+        out[group_start] = fill
     return out
+
+
+def _group_heads(group_start):
+    """Per position of a grouped order, its group's first position
+    (int32)."""
+    head = np.where(
+        group_start, np.arange(len(group_start), dtype=np.int32), np.int32(0)
+    )
+    np.maximum.accumulate(head, out=head)
+    return head
+
+
+def _last_where(mask, head):
+    """Per position of a grouped order (*head* from :func:`_group_heads`):
+    the last position at or before it, within its group, where *mask*
+    holds, or -1.  A forward fill of int32 positions; a fill that
+    reaches back past the group's head belongs to an earlier group."""
+    last = np.where(mask, np.arange(len(mask), dtype=np.int32), np.int32(-1))
+    np.maximum.accumulate(last, out=last)
+    last[last < head] = -1
+    return last
+
+
+def _open_id_groups(open_ids, rows):
+    """Group *rows* (the ascending row numbers of the open/seek/close
+    rows) by open id with one stable sort, which keeps row order within
+    each group.  Returns the rows in that order and a mask of each
+    group's first position.  The analyzer, the stream kernel and the
+    validator all group their sessions this way."""
+    oids = open_ids[rows]
+    order = np.argsort(oids, kind="stable")
+    oids = oids[order]
+    rows = rows[order]
+    del order
+    group_start = np.empty(len(rows), dtype=bool)
+    if len(rows):
+        group_start[0] = True
+        np.not_equal(oids[1:], oids[:-1], out=group_start[1:])
+    return rows, group_start
+
+
+def _match_sessions(k, group_start):
+    """Sessions of the open-id grouped rows (kinds *k*).
+
+    Returns, per position, its group's first position, its session's
+    open (the group's last open at or before it, -1 for none) and the
+    group's last close before it (-1 for none).  A session is live at a
+    position where its open comes after that close.
+    """
+    head = _group_heads(group_start)
+    last_open = _last_where(k == KIND_OPEN, head)
+    prev_close = _shift_down(
+        _last_where(k == KIND_CLOSE, head), group_start, np.int32(-1)
+    )
+    return head, last_open, prev_close
 
 
 class VectorizedCollector:
@@ -194,6 +244,7 @@ class VectorizedCollector:
 
     def _scan(self, v) -> None:
         n = len(v)
+        _require(n < _ROW_LIMIT, "too many rows for int32 row numbers")
         kinds = v.kinds
         times = v.times
         _require(not bool(np.isnan(times).any()), "NaN timestamps")
@@ -204,102 +255,125 @@ class VectorizedCollector:
         )
 
         open_mask = kinds == KIND_OPEN
-        flags = v.flags
         _require(
-            not bool((open_mask & ((flags & FLAG_MODE_MASK) == 0)).any()),
+            not bool((open_mask & ((v.flags & FLAG_MODE_MASK) == 0)).any()),
             "open row with no mode bits",
         )
+        self._scan_bursts(times, open_mask)
 
-        # Burstiness windows: every row marks busy, open rows count.
-        bslot_f = (times - self.start) / self.burst_window
-        bslot = np.minimum(bslot_f, self.nb - 1).astype(np.int64)
-        self.busy = np.zeros(self.nb, dtype=bool)
-        self.busy[bslot] = True
-        self.opens_w = np.bincount(bslot[open_mask], minlength=self.nb)
-
-        # Event marks: opens/creates/execs mark their own user ...
-        uid_arr = np.zeros(n, dtype=np.int64)
-        mark = np.zeros(n, dtype=bool)
-        direct = open_mask | (kinds == KIND_CREATE) | (kinds == KIND_EXEC)
-        uid_arr[direct] = v.user_ids[direct]
-        mark[direct] = True
-
-        self._scan_sessions(v, kinds, open_mask, uid_arr, mark)
-
+        # Event marks: each marking row names the row whose user it
+        # marks (-1: no mark).  Opens/creates/execs mark their own ...
+        marker = np.where(
+            open_mask | (kinds == KIND_CREATE) | (kinds == KIND_EXEC),
+            np.arange(n, dtype=np.int32),
+            np.int32(-1),
+        )
+        self._scan_sessions(v, marker)
+        mark = marker >= 0
         a = self._a
         a["mark_times"] = times[mark]
-        a["mark_uids"] = uid_arr[mark]
+        a["mark_uids"] = v.user_ids[marker[mark]]
         oe = open_mask | (kinds == KIND_EXEC)
         a["user_uids"] = v.user_ids[oe]
         a["user_times"] = times[oe]
         a["user_is_open"] = open_mask[oe]
 
-    def _scan_sessions(self, v, kinds, open_mask, uid_arr, mark) -> None:
-        """Session matching, run extraction, and lifetime events; stores
-        the per-access, per-run and lifetime arrays."""
-        sub_mask = (kinds >= KIND_OPEN) & (kinds <= KIND_SEEK)
-        sub_rows = np.nonzero(sub_mask)[0]
-        m = len(sub_rows)
-        times = v.times
+    def _scan_bursts(self, times, open_mask) -> None:
+        """Burstiness windows: every row marks busy, open rows count."""
+        bslot = np.minimum(
+            (times - self.start) / self.burst_window, self.nb - 1
+        ).astype(np.int64)
+        self.busy = np.zeros(self.nb, dtype=bool)
+        self.busy[bslot] = True
+        self.opens_w = np.bincount(bslot[open_mask], minlength=self.nb)
+
+    def _scan_sessions(self, v, marker) -> None:
+        """Session matching and lifetime events: stores the lifetime
+        arrays, hands the matched sessions to :meth:`_scan_accesses`, and
+        points each close's and seek's mark at its session's open row."""
+        kinds = v.kinds
         flags = v.flags
-
-        # Lifetime events visible without session state: truncating
-        # opens kill the previous data, unlinks and zero-truncates kill.
-        co_rows = np.nonzero(open_mask & ((flags & FLAG_CREATED) != 0))[0]
-        kill_rows = np.nonzero(
-            (kinds == KIND_UNLINK) | ((kinds == KIND_TRUNC) & (v.sizes == 0))
-        )[0]
-
-        sub_oids = v.open_ids[sub_rows]
-        sub_kinds = kinds[sub_rows]
-        # A single stable sort groups rows by oid while keeping row order
-        # within each group; group codes are then just a boundary cumsum.
-        order = np.argsort(sub_oids, kind="stable")
-        oid_ord = sub_oids[order]
-        k_ord = sub_kinds[order]
-        rplus = (order + 1).astype(np.int64)
-
-        is_open_s = k_ord == KIND_OPEN
-        is_close_s = k_ord == KIND_CLOSE
-        is_seek_s = k_ord == KIND_SEEK
-        gstart = np.empty(m, dtype=bool)
-        gstart[:1] = True
-        gstart[1:] = oid_ord[1:] != oid_ord[:-1]
-        base = (np.cumsum(gstart) - 1) * np.int64(m + 1)
-
-        last_open = _segmented_cummax(np.where(is_open_s, rplus, 0), base)
-        prev_close = _shift_down(
-            _segmented_cummax(np.where(is_close_s, rplus, 0), base), gstart
+        # Sessions are positions in the oid-grouped order of the
+        # open/close/seek rows.
+        rows, gstart = _open_id_groups(
+            v.open_ids,
+            np.flatnonzero((kinds >= KIND_OPEN) & (kinds <= KIND_SEEK)).astype(
+                np.int32
+            ),
         )
-        created_s = (flags[sub_rows[order]] & FLAG_CREATED) != 0
-        last_copen = _segmented_cummax(
-            np.where(is_open_s & created_s, rplus, 0), base
+        k = kinds[rows]
+        is_open = k == KIND_OPEN
+        head, last_open, prev_close = _match_sessions(k, gstart)
+        del gstart
+        live = last_open > prev_close
+        # A close ends a creating session when a creating open of its
+        # group follows the group's previous close.
+        last_copen = _last_where(
+            is_open & ((flags[rows] & FLAG_CREATED) != 0), head
         )
+        del head
+        cc = np.flatnonzero((k == KIND_CLOSE) & (last_copen > prev_close))
+        cc_open = last_copen[cc]
+        del last_copen, prev_close
 
         # ... and closes/seeks mark the user of their oid's last open.
-        cs = ~is_open_s
-        owners_cs = last_open[cs]
-        rows_cs = sub_rows[order[cs]]
-        have = owners_cs > 0
-        hit_rows = rows_cs[have]
-        uid_arr[hit_rows] = v.user_ids[sub_rows[owners_cs[have] - 1]]
-        mark[hit_rows] = True
+        owned = ~is_open & (last_open >= 0)
+        marker[rows[owned]] = rows[last_open[owned]]
+        del owned, is_open
 
-        active = last_open > prev_close
-        matched_close = is_close_s & active
-        creating_close = is_close_s & (last_copen > prev_close)
-        active_seek = is_seek_s & active
+        seeks = np.flatnonzero((k == KIND_SEEK) & live)
+        closes = np.flatnonzero((k == KIND_CLOSE) & live)
+        del k, live
+        self._scan_accesses(
+            v, rows, last_open[seeks], rows[seeks], last_open[closes],
+            rows[closes],
+        )
 
+        # ---- lifetime events, replayed at once by finish() -------------
+        # Kills from creating opens, unlinks and zero-truncates; births
+        # from creating closes.
+        co_rows = np.flatnonzero(
+            (kinds == KIND_OPEN) & ((flags & FLAG_CREATED) != 0)
+        ).astype(np.int32)
+        kill_rows = np.flatnonzero(
+            (kinds == KIND_UNLINK) | ((kinds == KIND_TRUNC) & (v.sizes == 0))
+        ).astype(np.int32)
+        cc_rows = rows[cc]
+        lt_rows = np.concatenate([co_rows, kill_rows, cc_rows])
+        a = self._a
+        a["lt_rows"] = lt_rows
+        a["lt_tags"] = np.concatenate([
+            np.full(len(co_rows) + len(kill_rows), _LT_KILL, np.int64),
+            np.full(len(cc_rows), _LT_BIRTH, np.int64),
+        ])
+        a["lt_fids"] = np.concatenate([
+            v.file_ids[co_rows],
+            v.file_ids[kill_rows],
+            v.file_ids[rows[cc_open]],
+        ])
+        a["lt_bytes"] = np.concatenate([
+            np.zeros(len(co_rows) + len(kill_rows), np.int64),
+            np.maximum(v.positions[cc_rows], 0),
+        ])
+        a["lt_times"] = v.times[lt_rows]
+
+    def _scan_accesses(
+        self, v, rows, seek_owner, seek_rows, acc_owner, close_rows
+    ) -> None:
+        """Runs and per-access statistics of the matched sessions; stores
+        the per-access and per-run arrays.
+
+        *rows* is the grouped order of :meth:`_scan_sessions`; each live
+        seek and close comes with its row and its session's open (a
+        position in that order).  Live seeks come in grouped order, so
+        they are already grouped by open, each open's in row order.
+        """
+        times = v.times
         # ---- seek runs, grouped per owning open ------------------------
-        seek_pos = np.nonzero(active_seek)[0]
-        seek_owner = last_open[seek_pos] - 1  # original sub index of owner
-        seek_rows = sub_rows[order[seek_pos]]
-        sk_order = np.lexsort((seek_rows, seek_owner))
-        seek_owner = seek_owner[sk_order]
-        seek_rows = seek_rows[sk_order]
         s_prev = v.sizes[seek_rows]  # prev_pos
         s_new = v.positions[seek_rows]  # new_pos
         s_time = times[seek_rows]
+        del seek_rows
         own_start = np.empty(len(seek_owner), dtype=bool)
         if len(seek_owner):
             own_start[0] = True
@@ -313,7 +387,7 @@ class VectorizedCollector:
         if len(seek_owner):
             s_entry[0] = 0
             s_entry[1:] = s_new[:-1]
-            s_entry[own_start] = v.positions[sub_rows[own_uniq]]
+            s_entry[own_start] = v.positions[rows[own_uniq]]
         s_exists = s_prev > s_entry
         s_len = s_prev - s_entry
         if len(seek_owner):
@@ -337,16 +411,14 @@ class VectorizedCollector:
             seek_bytes_per = np.zeros(0, np.int64)
             seek_maxend_per = np.zeros(0, np.int64)
             last_new_per = np.zeros(0, np.int64)
+        del s_len, own_start, seek_owner
 
         # ---- matched accesses (sessions closed in the trace) ----------
-        mc = np.nonzero(matched_close)[0]
-        acc_owner = last_open[mc] - 1
-        acc_close_sub = order[mc]
-        close_rows = sub_rows[acc_close_sub]
         row_sort = np.argsort(close_rows, kind="stable")
         acc_owner = acc_owner[row_sort]
         close_rows = close_rows[row_sort]
-        open_rows = sub_rows[acc_owner]
+        del row_sort
+        open_rows = rows[acc_owner]
 
         # Gather this owner's seek-group aggregates (default: none).
         if len(own_uniq):
@@ -363,6 +435,7 @@ class VectorizedCollector:
                 found, last_new_per[pos_in], v.positions[open_rows]
             )
             a_skoff = np.where(found, own_off[pos_in], 0)
+            del pos_in, found
         else:
             na = len(acc_owner)
             a_seekruns = np.zeros(na, np.int64)
@@ -371,6 +444,7 @@ class VectorizedCollector:
             a_seeks = np.zeros(na, np.int64)
             a_entry = v.positions[open_rows]
             a_skoff = np.zeros(na, np.int64)
+        del acc_owner
 
         fpos = v.positions[close_rows]
         close_run = fpos > a_entry
@@ -380,8 +454,9 @@ class VectorizedCollector:
         a_maxend = np.maximum(
             a_seekmax, np.where(close_run, fpos, np.iinfo(np.int64).min)
         )
+        del close_len, a_seekbytes, a_seekmax
 
-        n_acc = len(acc_owner)
+        n_acc = len(open_rows)
         _require(
             n_acc * max(1, int(np.abs(a_bytes).max()) if n_acc else 1)
             < _F64_EXACT,
@@ -426,7 +501,7 @@ class VectorizedCollector:
         a["acc_oid"] = v.open_ids[open_rows]
         a["acc_fid"] = v.file_ids[open_rows]
         a["acc_uid"] = v.user_ids[open_rows]
-        a["acc_flag"] = flags[open_rows]
+        a["acc_flag"] = v.flags[open_rows]
         a["acc_topen"] = times[open_rows]
         a["acc_tclose"] = times[close_rows]
         a["acc_szopen"] = v.sizes[open_rows]
@@ -440,28 +515,6 @@ class VectorizedCollector:
         a["run_starts"] = r_starts
         a["run_ends"] = r_ends
         a["run_times"] = r_times
-
-        # ---- lifetime events, replayed at once by finish() -------------
-        # Kills from creating opens, unlinks and zero-truncates; births
-        # from creating closes.
-        cc = np.nonzero(creating_close)[0]
-        cc_rows = sub_rows[order[cc]]
-        lt_rows = np.concatenate([co_rows, kill_rows, cc_rows])
-        a["lt_rows"] = lt_rows
-        a["lt_tags"] = np.concatenate([
-            np.full(len(co_rows) + len(kill_rows), _LT_KILL, np.int64),
-            np.full(len(cc_rows), _LT_BIRTH, np.int64),
-        ])
-        a["lt_fids"] = np.concatenate([
-            v.file_ids[co_rows],
-            v.file_ids[kill_rows],
-            v.file_ids[sub_rows[last_copen[cc] - 1]],
-        ])
-        a["lt_bytes"] = np.concatenate([
-            np.zeros(len(co_rows) + len(kill_rows), np.int64),
-            np.maximum(v.positions[cc_rows], 0),
-        ])
-        a["lt_times"] = times[lt_rows]
 
     def _lifetime_scan(self):
         """Replay every stored lifetime event at once.
@@ -479,19 +532,22 @@ class VectorizedCollector:
         reference's iteration order exactly.
         """
         a = self._a
-        lrows = a["lt_rows"]
+        lrows = a.pop("lt_rows")
+        lfids = a.pop("lt_fids")
+        ltimes = a.pop("lt_times")
+        lbytes = a.pop("lt_bytes")
+        ltags = a.pop("lt_tags")
         ne = len(lrows)
         zi = np.zeros(0, np.int64)
         zf = np.zeros(0, np.float64)
         if not ne:
             return zi, zf, zi, zf, zi, zf.copy(), zi.copy()
-        lfids = a["lt_fids"]
         lg = np.lexsort((lrows, lfids))
         f_s = lfids[lg]
         r_s = lrows[lg]
-        t_s = a["lt_times"][lg]
-        b_s = a["lt_bytes"][lg]
-        is_birth = a["lt_tags"][lg] == _LT_BIRTH
+        t_s = ltimes[lg]
+        b_s = lbytes[lg]
+        is_birth = ltags[lg] == _LT_BIRTH
         lstart = np.empty(ne, dtype=bool)
         lstart[0] = True
         lstart[1:] = f_s[1:] != f_s[:-1]
@@ -499,22 +555,19 @@ class VectorizedCollector:
         prev_birth[0] = False
         prev_birth[1:] = is_birth[:-1]
         prev_birth[lstart] = False
-        lbase = (np.cumsum(lstart) - 1) * np.int64(ne + 1)
-        idx1 = np.arange(1, ne + 1, dtype=np.int64)
-        last_birth = _segmented_cummax(np.where(is_birth, idx1, 0), lbase)
+        head = _group_heads(lstart)
 
         kidx = np.nonzero(~is_birth & prev_birth)[0]
         kidx = kidx[np.argsort(r_s[kidx], kind="stable")]  # global order
-        bidx = last_birth[kidx] - 1
+        bidx = _last_where(is_birth, head)[kidx]
 
         lend = np.empty(ne, dtype=bool)
         lend[-1] = True
         lend[:-1] = lstart[1:]
         gpos = np.nonzero(lend)[0]
         sv = gpos[is_birth[gpos]]
-        run_head = is_birth & ~prev_birth
-        last_head = _segmented_cummax(np.where(run_head, idx1, 0), lbase)
-        sv = sv[np.argsort(r_s[last_head[sv] - 1], kind="stable")]
+        last_head = _last_where(is_birth & ~prev_birth, head)
+        sv = sv[np.argsort(r_s[last_head[sv]], kind="stable")]
         return (
             f_s[kidx], t_s[bidx], b_s[bidx], t_s[kidx],
             f_s[sv], t_s[sv], b_s[sv],
@@ -523,6 +576,8 @@ class VectorizedCollector:
     # -- finishing ----------------------------------------------------------
 
     def finish(self) -> OnePassReport:
+        """The report.  Call it once: the arrays only it reads leave the
+        collector as each step ends, so their memory goes with them."""
         a = self._a
         oid = a["acc_oid"]
         fid = a["acc_fid"]
@@ -535,140 +590,41 @@ class VectorizedCollector:
         seeks = a["acc_seeks"]
         sad = a["acc_sad"]
         nruns = a["acc_nruns"]
-        abytes = a["acc_bytes"]
-        maxend = a["acc_maxend"]
+        abytes = a.pop("acc_bytes")
         runstart = a["acc_runstart"]
         rs_all = a["run_starts"]
         re_all = a["run_ends"]
         rt_all = a["run_times"]
-        n_acc = len(oid)
-        total_runs = len(rs_all)
-
-        # ---- derived per-access facts ---------------------------------
         mode = flag & FLAG_MODE_MASK
-        created = (flag & FLAG_CREATED) != 0
-        furthest = np.where(nruns > 0, maxend, 0)
-        szclose = np.maximum(np.where(created, 0, szopen), furthest)
-        whole = np.zeros(n_acc, dtype=bool)
-        sidx = np.nonzero(nruns == 1)[0]
-        if len(sidx):
-            r0s = rs_all[runstart[sidx]]
-            r0e = re_all[runstart[sidx]]
-            tail = np.where(mode[sidx] == 1, szopen[sidx], szclose[sidx])
-            whole[sidx] = (r0s == 0) & (r0e == tail)
-        sequential = whole | ((nruns <= 1) & ~sad)
 
-        # ---- sequentiality (Table V) ----------------------------------
-        seq_report = SequentialityReport(trace_name=self.name)
-        for mcode, counts in ((1, seq_report.read), (2, seq_report.write),
-                              (3, seq_report.read_write)):
-            sel = mode == mcode
-            counts.accesses = int(sel.sum())
-            counts.bytes_total = int(abytes[sel].sum())
-            sw = sel & whole
-            counts.whole_file = int(sw.sum())
-            counts.bytes_whole_file = int(abytes[sw].sum())
-            ss = sel & sequential
-            counts.sequential = int(ss.sum())
-            counts.bytes_sequential = int(abytes[ss].sum())
-
-        # ---- CDFs over runs, sizes, open times ------------------------
-        lengths = re_all - rs_all
-        run_by_runs, run_by_bytes = _cdf_pair(
-            lengths, lengths.astype(np.float64)
+        # ---- sequentiality (Table V) and the size CDFs -----------------
+        seq_report, szclose = self._sequentiality(
+            mode, flag, szopen, nruns, a.pop("acc_maxend"), sad, runstart,
+            rs_all, re_all, abytes,
         )
         size_by_accesses, size_by_bytes = _cdf_pair(
             szclose.astype(np.float64), abytes.astype(np.float64)
         )
+        del szclose
+
+        # ---- CDFs over runs and open times ----------------------------
+        lengths = re_all - rs_all
+        run_len = lengths.astype(np.float64)
+        run_by_runs, run_by_bytes = _cdf_pair(lengths, run_len)
+        del lengths
         open_times = _cdf_counts(tclose - topen)
 
         # ---- lifetimes ------------------------------------------------
         (done_fid_a, done_birth_a, done_bytes_a, done_death_a,
          alive_fid_a, alive_birth_a, alive_bytes_a) = self._lifetime_scan()
-        nd = len(done_fid_a)
-        n_lt = nd + len(alive_fid_a)
-        max_ltb = max(
-            int(done_bytes_a.max()) if nd else 0,
-            int(alive_bytes_a.max()) if len(alive_bytes_a) else 0,
-        )
-        _require(n_lt * max(1, max_ltb) < _F64_EXACT,
-                 "lifetime bytes exceed the exact window")
-        lt_dead = np.maximum(0.0, done_death_a - done_birth_a)
-        censored_count = float(n_lt - nd)
-        censored_bytes = float(int(alive_bytes_a.sum()))
-        lt_by_files, lt_by_bytes = _cdf_pair(
-            lt_dead,
-            done_bytes_a.astype(np.float64),
-            censored=(censored_count, censored_bytes),
-        )
-        if n_lt:
-            in_band = int(((lt_dead >= 179.0) & (lt_dead <= 181.0)).sum())
-            daemon_spike = in_band / n_lt
-        else:
-            daemon_spike = 0.0
-
-        # ---- activity (Table IV) --------------------------------------
-        em_t = a["mark_times"]
-        em_u = a["mark_uids"]
-        # Per-run byte marks; runs are stored in disjoint per-access
-        # slices covering [0, total_runs), so sorting accesses by their
-        # run offset lets repeat() rebuild the per-run owner.
-        if total_runs:
-            by_off = np.argsort(runstart, kind="stable")
-            run_uid = np.repeat(uid[by_off], nruns[by_off])
-            run_t = rt_all
-            run_len_o = lengths
-        else:
-            run_uid = np.zeros(0, np.int64)
-            run_t = np.zeros(0, np.float64)
-            run_len_o = np.zeros(0, np.int64)
-        total_bytes = int(abytes.sum())
-        # Both window sizes see the same (time, uid) mark streams.  The
-        # interval keys use raw uid values — only distinctness and
-        # ascending order matter, and for nonnegative uids the composite
-        # key sorts exactly like (interval, uid); byte-mark uids are a
-        # subset of event-mark uids (every access's open row marks its
-        # user), so the event marks alone span the users_seen set.
-        all_mt = np.concatenate([em_t, run_t])
-        all_mu = np.concatenate([em_u, run_uid])
-        if len(all_mu):
-            _require(int(all_mu.min()) >= 0, "negative user id in marks")
-            nu_m = int(all_mu.max()) + 1
-        else:
-            nu_m = 1
-        total_users = int(_sorted_unique(em_u).size) if len(em_u) else 0
-        blen_f = run_len_o.astype(np.float64)
-        activity = ActivityReport(
-            trace_name=self.name,
-            duration=self.duration,
-            total_bytes=total_bytes,
-            total_users=total_users,
-            ten_minute=self._vec_window(
-                self.long_window, all_mt, all_mu, len(em_t), nu_m, blen_f
-            ),
-            ten_second=self._vec_window(
-                self.short_window, all_mt, all_mu, len(em_t), nu_m, blen_f
-            ),
+        lt_by_files, lt_by_bytes, daemon_spike = _lifetime_cdfs(
+            done_birth_a, done_bytes_a, done_death_a, alive_bytes_a
         )
 
-        # ---- burstiness -----------------------------------------------
-        if total_runs:
-            bslot_r = np.minimum(
-                (run_t - self.start) / self.burst_window, self.nb - 1
-            ).astype(np.int64)
-            _require(self.nb * nu_m < (1 << 62), "burst key space too large")
-            rkey = bslot_r * np.int64(nu_m) + run_uid
-            rkeys = _sorted_unique(rkey)
-            kinv = np.searchsorted(rkeys, rkey)
-            ksums = np.bincount(kinv, weights=blen_f)
-            # assemble_burstiness only reads max(user_bytes.values());
-            # the full (window, user) -> bytes table is never consulted.
-            user_bytes = {(0, 0): int(ksums.max())}
-        else:
-            user_bytes = {}
-        burstiness = assemble_burstiness(
-            self.burst_window, self.b_duration, self.opens_w.tolist(),
-            self.busy.tolist(), user_bytes,
+        # ---- activity (Table IV) and burstiness -----------------------
+        activity, burstiness = self._activity_bursts(
+            a.pop("mark_times"), a.pop("mark_uids"), uid, nruns, runstart,
+            rt_all, run_len, int(abytes.sum()),
         )
 
         # ---- users ----------------------------------------------------
@@ -747,12 +703,100 @@ class VectorizedCollector:
         }
         return report
 
+    def _sequentiality(
+        self, mode, flag, szopen, nruns, maxend, sad, runstart, rs_all,
+        re_all, abytes,
+    ):
+        """Table V's report, and each access's file size at close."""
+        created = (flag & FLAG_CREATED) != 0
+        furthest = np.where(nruns > 0, maxend, 0)
+        szclose = np.maximum(np.where(created, 0, szopen), furthest)
+        whole = np.zeros(len(mode), dtype=bool)
+        sidx = np.nonzero(nruns == 1)[0]
+        if len(sidx):
+            r0s = rs_all[runstart[sidx]]
+            r0e = re_all[runstart[sidx]]
+            tail = np.where(mode[sidx] == 1, szopen[sidx], szclose[sidx])
+            whole[sidx] = (r0s == 0) & (r0e == tail)
+        sequential = whole | ((nruns <= 1) & ~sad)
+
+        seq_report = SequentialityReport(trace_name=self.name)
+        for mcode, counts in ((1, seq_report.read), (2, seq_report.write),
+                              (3, seq_report.read_write)):
+            sel = mode == mcode
+            counts.accesses = int(sel.sum())
+            counts.bytes_total = int(abytes[sel].sum())
+            sw = sel & whole
+            counts.whole_file = int(sw.sum())
+            counts.bytes_whole_file = int(abytes[sw].sum())
+            ss = sel & sequential
+            counts.sequential = int(ss.sum())
+            counts.bytes_sequential = int(abytes[ss].sum())
+        return seq_report, szclose
+
+    def _activity_bursts(
+        self, mark_t, mark_u, uid, nruns, runstart, run_t, run_len,
+        total_bytes,
+    ):
+        """Table IV's windowed activity and the burstiness report.
+
+        Every window sees the event marks (*mark_t*, *mark_u*) and one
+        byte mark per run, at the run's time with its access's user.
+        """
+        # Runs are stored in disjoint per-access slices covering
+        # [0, total_runs), so sorting accesses by their run offset lets
+        # repeat() rebuild the per-run owner.
+        by_off = np.argsort(runstart, kind="stable")
+        run_u = np.repeat(uid[by_off], nruns[by_off])
+        del by_off
+        # The interval keys use raw uid values — only distinctness and
+        # ascending order matter, and for nonnegative uids the composite
+        # key sorts exactly like (interval, uid); byte-mark uids are a
+        # subset of event-mark uids (every access's open row marks its
+        # user), so the event marks alone span the users_seen set.
+        uids = [u for u in (mark_u, run_u) if len(u)]
+        if uids:
+            _require(
+                min(int(u.min()) for u in uids) >= 0,
+                "negative user id in marks",
+            )
+            nu = max(int(u.max()) for u in uids) + 1
+        else:
+            nu = 1
+        marks = (mark_t, mark_u, run_t, run_u, nu, run_len)
+        activity = ActivityReport(
+            trace_name=self.name,
+            duration=self.duration,
+            total_bytes=total_bytes,
+            total_users=int(_sorted_unique(mark_u).size) if len(mark_u) else 0,
+            ten_minute=self._vec_window(self.long_window, *marks),
+            ten_second=self._vec_window(self.short_window, *marks),
+        )
+
+        if len(run_t):
+            _require(self.nb * nu < (1 << 62), "burst key space too large")
+            rkey = _window_keys(
+                run_t, run_u, self.start, self.burst_window, self.nb - 1, nu
+            )
+            rkeys = _sorted_unique(rkey)
+            ksums = np.bincount(np.searchsorted(rkeys, rkey), weights=run_len)
+            # assemble_burstiness only reads max(user_bytes.values());
+            # the full (window, user) -> bytes table is never consulted.
+            user_bytes = {(0, 0): int(ksums.max())}
+        else:
+            user_bytes = {}
+        burstiness = assemble_burstiness(
+            self.burst_window, self.b_duration, self.opens_w.tolist(),
+            self.busy.tolist(), user_bytes,
+        )
+        return activity, burstiness
+
     def _build_users(self, acc_uid, acc_fid, acc_tclose, acc_bytes, mode):
         """The users dict, in first open/exec appearance order, with the
         reference's access-folding applied per uid."""
-        u_uids = self._a["user_uids"]
-        u_times = self._a["user_times"]
-        u_isopen = self._a["user_is_open"]
+        u_uids = self._a.pop("user_uids")
+        u_times = self._a.pop("user_times")
+        u_isopen = self._a.pop("user_is_open")
         users: dict[int, UserSummary] = {}
         nn = len(u_uids)
         if not nn:
@@ -831,12 +875,13 @@ class VectorizedCollector:
             users[s.user_id] = s
         return users
 
-    def _vec_window(self, window, all_mt, all_mu, n_em, nu, blen_f):
+    def _vec_window(self, window, mark_t, mark_u, run_t, run_u, nu, run_len):
         """Vectorized :func:`~repro.analysis.activity._window_analysis`,
         feeding the identical per-interval lists to the reference
-        ``_mean_std``.  *all_mt*/*all_mu* are the event marks followed by
-        the byte marks (*n_em* of the former); uids are nonnegative and
-        below *nu*, so ``slot * nu + uid`` sorts as (interval, uid)."""
+        ``_mean_std``: the event marks (*mark_t*, *mark_u*) and the byte
+        marks (*run_t*, *run_u*, weighing *run_len* bytes) share one key
+        space; uids are nonnegative and below *nu*, so
+        ``slot * nu + uid`` sorts as (interval, uid)."""
         _require(window > 0, "non-positive activity window")
         duration = self.duration
         n_intervals = (
@@ -844,16 +889,16 @@ class VectorizedCollector:
         )
         last = n_intervals - 1
         _require(n_intervals * nu < (1 << 62), "window key space too large")
-        slots = np.minimum(
-            (all_mt - self.start) / window, last
-        ).astype(np.int64)
-        key = slots * np.int64(nu) + all_mu
+        n_em = len(mark_t)
+        key = np.empty(n_em + len(run_t), np.int64)
+        _window_keys(mark_t, mark_u, self.start, window, last, nu, key[:n_em])
+        _window_keys(run_t, run_u, self.start, window, last, nu, key[n_em:])
         akeys = _sorted_unique(key)
         counts = np.bincount(
             akeys // nu, minlength=n_intervals
         ).astype(np.float64).tolist()
         pos = np.searchsorted(akeys, key[n_em:])
-        sums = np.bincount(pos, weights=blen_f, minlength=len(akeys))
+        sums = np.bincount(pos, weights=run_len, minlength=len(akeys))
         throughputs = (sums / window).tolist()
         mean_active, std_active = _mean_std(counts)
         mean_tp, std_tp = _mean_std(throughputs)
@@ -866,6 +911,47 @@ class VectorizedCollector:
             mean_user_throughput=mean_tp,
             std_user_throughput=std_tp,
         )
+
+
+def _window_keys(times, uids, start, window, last, nu, out=None):
+    """Per mark, its interval ``min((t - start) / window, last)``
+    truncated to int64, times *nu*, plus its uid (into *out*, or a new
+    array)."""
+    slot = np.subtract(times, start)
+    slot /= window
+    np.minimum(slot, last, out=slot)
+    if out is None:
+        out = np.empty(len(slot), np.int64)
+    np.copyto(out, slot, casting="unsafe")
+    out *= nu
+    out += uids
+    return out
+
+
+def _lifetime_cdfs(done_birth, done_bytes, done_death, alive_bytes):
+    """The lifetime CDFs by files and by bytes (the files alive at the
+    end are censored), and the share of lifetimes in the 3-minute
+    daemon band."""
+    nd = len(done_birth)
+    n_lt = nd + len(alive_bytes)
+    max_ltb = max(
+        int(done_bytes.max()) if nd else 0,
+        int(alive_bytes.max()) if len(alive_bytes) else 0,
+    )
+    _require(n_lt * max(1, max_ltb) < _F64_EXACT,
+             "lifetime bytes exceed the exact window")
+    lt_dead = np.maximum(0.0, done_death - done_birth)
+    by_files, by_bytes = _cdf_pair(
+        lt_dead,
+        done_bytes.astype(np.float64),
+        censored=(float(n_lt - nd), float(int(alive_bytes.sum()))),
+    )
+    if n_lt:
+        in_band = int(((lt_dead >= 179.0) & (lt_dead <= 181.0)).sum())
+        daemon_spike = in_band / n_lt
+    else:
+        daemon_spike = 0.0
+    return by_files, by_bytes, daemon_spike
 
 
 def _cdf_counts(values, censored: float = 0.0) -> Cdf:
@@ -997,17 +1083,11 @@ class VectorizedValidator:
         # Stateful open-table checks over the oid-grouped sub-rows.
         sub = np.nonzero(is_open | is_seek | is_close)[0]
         if len(sub):
-            s_oids = oids[sub]
-            order = np.argsort(s_oids, kind="stable")
-            o_ord = s_oids[order]
-            k_ord = kinds[sub][order]
-            rows_ord = sub[order]
+            rows_ord, gstart = _open_id_groups(oids, sub)
+            k_ord = kinds[rows_ord]
             m = len(sub)
-            gstart = np.empty(m, np.bool_)
-            gstart[0] = True
-            gstart[1:] = o_ord[1:] != o_ord[:-1]
             grp = np.cumsum(gstart) - 1
-            uniq = o_ord[gstart]
+            uniq = oids[rows_ord[gstart]]
 
             def carried(oid_set):
                 if not oid_set:
@@ -1183,8 +1263,8 @@ def build_stream_numpy(cols: TraceColumns, include_paging: bool = False):
 
     * Sessions: open/close/seek rows are grouped by ``open_id`` (one
       stable sort); a row belongs to the last open at or before it in its
-      group (a segmented cumulative maximum), and rows before their
-      group's first open are orphans.  A close or seek is live when no
+      group (a forward fill of positions, :func:`_last_where`), and rows
+      before their group's first open are orphans.  A close or seek is live when no
       close of its group falls between its open and itself; a live row
       bills from the previous row's position (the open's ``initial_pos``
       or a seek's ``new_pos``) to its own ``prev_pos`` or ``final_pos``,
@@ -1203,6 +1283,7 @@ def build_stream_numpy(cols: TraceColumns, include_paging: bool = False):
 
     v = column_views(cols)
     n = len(v)
+    _require(n < _ROW_LIMIT, "too many rows for int32 row numbers")
     kinds = v.kinds
     times = v.times
     flags = v.flags
@@ -1217,38 +1298,20 @@ def build_stream_numpy(cols: TraceColumns, include_paging: bool = False):
         "open row with no mode bits",
     )
 
-    source = np.arange(n)  # the row whose file, user and mode an item takes
+    # Every row yields at most one item; billed rows take their file,
+    # user and mode from their session's open row (*source*).
+    at_rows, openers, run_start, run_end = _billed_rows(v)
+    source = np.arange(n, dtype=np.int32)
     starts = np.zeros(n, np.int64)
     ends = np.zeros(n, np.int64)
-    is_write = np.zeros(n, dtype=bool)
     billed = np.zeros(n, dtype=bool)
-
-    sub = np.nonzero((kinds >= KIND_OPEN) & (kinds <= KIND_SEEK))[0]
-    m = len(sub)
-    if m:
-        rows = sub[np.argsort(v.open_ids[sub], kind="stable")]
-        oids = v.open_ids[rows]
-        k = kinds[rows]
-        gstart = np.empty(m, dtype=bool)
-        gstart[0] = True
-        np.not_equal(oids[1:], oids[:-1], out=gstart[1:])
-        base = (np.cumsum(gstart) - 1) * np.int64(m + 1)
-        at = np.arange(1, m + 1, dtype=np.int64)
-        owner = _segmented_cummax(np.where(k == KIND_OPEN, at, 0), base)
-        closed = _shift_down(
-            _segmented_cummax(np.where(k == KIND_CLOSE, at, 0), base), gstart
-        )
-        pos = v.positions[rows]
-        run_start = _shift_down(pos, gstart)
-        run_end = np.where(k == KIND_SEEK, v.sizes[rows], pos)
-        bill = (k != KIND_OPEN) & (owner > closed) & (run_end > run_start)
-        at_rows = rows[bill]
-        openers = rows[owner[bill] - 1]
-        source[at_rows] = openers
-        starts[at_rows] = run_start[bill]
-        ends[at_rows] = run_end[bill]
-        is_write[at_rows] = (flags[openers] & FLAG_MODE_MASK) != AccessMode.READ
-        billed[at_rows] = True
+    is_write = np.zeros(n, dtype=bool)
+    source[at_rows] = openers
+    starts[at_rows] = run_start
+    ends[at_rows] = run_end
+    billed[at_rows] = True
+    is_write[at_rows] = (flags[openers] & FLAG_MODE_MASK) != AccessMode.READ
+    del at_rows, openers, run_start, run_end
 
     truncs = kinds == KIND_TRUNC
     starts[truncs] = v.sizes[truncs]
@@ -1263,9 +1326,11 @@ def build_stream_numpy(cols: TraceColumns, include_paging: bool = False):
         ends[paged] = v.sizes[paged]
         emit |= paged
 
-    out = np.nonzero(emit)[0]
+    out = np.flatnonzero(emit).astype(np.int32)
+    del emit
     out = out[np.argsort(times[out], kind="stable")]
     src = source[out]
+    del source
     return StreamArrays(
         invalidate=invalidate[out],
         is_write=is_write[out],
@@ -1275,6 +1340,30 @@ def build_stream_numpy(cols: TraceColumns, include_paging: bool = False):
         ends=ends[out],
         times=times[out],
     )
+
+
+def _billed_rows(v):
+    """The close and seek rows that bill a transfer (the sessions of
+    :func:`build_stream_numpy`), with their session's open row and the
+    run's start and end."""
+    kinds = v.kinds
+    rows, gstart = _open_id_groups(
+        v.open_ids,
+        np.flatnonzero((kinds >= KIND_OPEN) & (kinds <= KIND_SEEK)).astype(
+            np.int32
+        ),
+    )
+    k = kinds[rows]
+    head, owner, closed = _match_sessions(k, gstart)
+    del head
+    bill = (k != KIND_OPEN) & (owner > closed)
+    del closed
+    pos = v.positions[rows]
+    run_start = _shift_down(pos, gstart)
+    run_end = np.where(k == KIND_SEEK, v.sizes[rows], pos)
+    del pos, gstart, k
+    bill &= run_end > run_start
+    return rows[bill], rows[owner[bill]], run_start[bill], run_end[bill]
 
 
 def _known_before(fids, invalidate, starts, ends):
@@ -1390,11 +1479,13 @@ def pack_stream_numpy(stream, block_size: int, start_time: float | None = None):
             "byte offset out of int64-safe range",
         )
 
+    ks = _known_before(fids, invalidate, starts, ends)
     # An invalidation's one row keys its first dead block (clamped: no
     # real block index reaches past the limit, so nothing more is lost).
     first_dead = np.minimum(-(-starts // bs), _BLOCK_LIMIT)
     firsts = np.where(invalidate, first_dead, starts // bs)
     lasts = np.where(invalidate, first_dead, (ends - 1) // bs)
+    del first_dead
     too_far = np.nonzero(~invalidate & (lasts >= _BLOCK_LIMIT))[0]
     if len(too_far):
         i = too_far[0]
@@ -1402,40 +1493,64 @@ def pack_stream_numpy(stream, block_size: int, start_time: float | None = None):
             f"block index {lasts[i]} does not fit a packed key "
             f"(file {fids[i]}, {bs}-byte blocks); use the item-stream path"
         )
-    ks = _known_before(fids, invalidate, starts, ends)
     kindcol = np.where(
         invalidate, OP_INVALIDATE, np.where(writes, OP_WRITE, OP_READ)
     ).astype(np.uint8)
 
     raw_counts = lasts - firsts + 1
+    del lasts
     n_accesses = int(raw_counts[~invalidate].sum())
     counts = np.maximum(raw_counts, 0)
+    del raw_counts
     total = int(counts.sum())
-    rep = np.repeat(np.arange(n_items, dtype=np.int64), counts)
-    cum = np.cumsum(counts) - counts
-    block = firsts[rep] + (np.arange(total, dtype=np.int64) - cum[rep])
-    keys = (fids[rep] << KEY_SHIFT) + block
+    _require(
+        max(n_items, total) < _ROW_LIMIT, "too many rows for int32 row numbers"
+    )
+    counts = counts.astype(np.int32)
+    # Row r expands item rep[r]; its block is the item's first block
+    # plus r's offset from the item's first row (cum).
+    rep = np.repeat(np.arange(n_items, dtype=np.int32), counts)
+    cum = np.cumsum(counts, dtype=np.int32)
+    cum -= counts
+    del counts
+    off = np.arange(total, dtype=np.int32)
+    off -= cum[rep]
+    del cum
+    block = firsts[rep]
+    del firsts
+    block += off
+    del off
 
     ops = kindcol[rep]
-    is_write = ops == OP_WRITE
-    if is_write.any():
-        bstart = block * bs
+    del kindcol
+    wrows = np.flatnonzero(ops == OP_WRITE)
+    if len(wrows):
+        witem = rep[wrows]
+        bstart = block[wrows] * bs
         covered = (
-            (starts[rep] <= bstart) & (ends[rep] >= bstart + bs)
-        ) | (bstart >= ks[rep])
-        ops = np.where(is_write & covered, np.uint8(OP_WRITE_COVERED), ops)
+            (starts[witem] <= bstart) & (ends[witem] >= bstart + bs)
+        ) | (bstart >= ks[witem])
+        ops[wrows[covered]] = OP_WRITE_COVERED
+    del wrows, ks
 
+    keys = fids[rep]
+    keys <<= KEY_SHIFT
+    keys += block
+    del block
+    # One copy each from the numpy buffers (a uint8 view reads as bytes).
+    keys_arr = array("q")
+    keys_arr.frombytes(keys.view(np.uint8))
+    del keys
     row_times = tms[rep]
+    del rep
     if start_time is None:
         start_time = float(row_times[0]) if total else 0.0
-    keys_arr = array("q")
-    keys_arr.frombytes(keys.tobytes())
     times_arr = array("d")
-    times_arr.frombytes(row_times.tobytes())
+    times_arr.frombytes(row_times.view(np.uint8))
     return PackedStream(
         block_size=bs,
         start_time=start_time,
-        ops=ops.astype(np.uint8).tobytes(),
+        ops=ops.tobytes(),
         keys=keys_arr,
         times=times_arr,
         n_accesses=n_accesses,

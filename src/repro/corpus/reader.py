@@ -246,13 +246,8 @@ class CorpusReader:
             raise IndexError(
                 f"segment {index} out of range ({len(self.stats)} segments)"
             )
-        self._checked_data(index)
-        stat = self.stats[index]
-        buf, n, at = self._buf, stat.count, stat.offset
         columns = {}
-        for name, typecode in COLUMN_LAYOUT:
-            view = buf[at : at + n * struct.calcsize("<" + typecode)]
-            at += len(view)
+        for name, typecode, view in self._raw_columns(index):
             if typecode == "B":
                 columns[name] = bytes(view)
             elif _BIG_ENDIAN:
@@ -266,46 +261,72 @@ class CorpusReader:
             name=self.name, description=self.description, **columns
         )
 
+    def _raw_columns(
+        self, index: int
+    ) -> Iterator[tuple[str, str, memoryview]]:
+        """One segment's columns as ``(name, typecode, bytes)``: views of
+        its little-endian bytes in the mmap, after the crc check."""
+        data = self._checked_data(index)
+        n = self.stats[index].count
+        at = 0
+        for name, typecode in COLUMN_LAYOUT:
+            width = n * struct.calcsize("<" + typecode)
+            yield name, typecode, data[at : at + width]
+            at += width
+
     def iter_segments(self) -> Iterator[TraceColumns]:
         for i in range(len(self.stats)):
             yield self.segment(i)
 
     def iter_events(self) -> Iterator[TraceEvent]:
-        """Event objects one at a time, O(segment) memory."""
+        """Event objects one at a time, O(segment) memory.
+
+        A row that names no event raises ``TraceFormatError`` with its
+        row in the whole corpus, as the loaded columns would.
+        """
+        base = 0
         for cols in self.iter_segments():
-            yield from cols
+            for i in range(len(cols)):
+                yield cols.event(i, base)
+            base += len(cols)
 
     def to_columns(self) -> TraceColumns:
         """Materialize the whole corpus as one in-RAM ``TraceColumns``.
 
         O(events) memory, 50 bytes per event: what every whole-trace
-        consumer reads, ``analyze_corpus`` included.
+        consumer reads, ``analyze_corpus`` included.  Each column is
+        allocated once, at the trailer's event count, and each
+        segment's checked bytes are copied once, into their slice (the
+        byte columns are joined).
         """
-        kinds = bytearray()
-        flags = bytearray()
-        times = array("d")
-        ids = [array("q") for _ in range(5)]
-        for cols in self.iter_segments():
-            kinds += cols.kinds
-            flags += cols.flags
-            times.frombytes(memoryview(cols.times).tobytes())
-            for buffer, column in zip(
-                ids,
-                (cols.open_ids, cols.file_ids, cols.user_ids, cols.sizes,
-                 cols.positions),
-            ):
-                buffer.frombytes(memoryview(column).tobytes())
+        n = self.total_events
+        numeric = {
+            name: array(typecode, [0]) * n
+            for name, typecode in COLUMN_LAYOUT
+            if typecode != "B"
+        }
+        parts: dict[str, list[memoryview]] = {
+            name: [] for name, typecode in COLUMN_LAYOUT if typecode == "B"
+        }
+        at = 0
+        for index, stat in enumerate(self.stats):
+            for name, typecode, view in self._raw_columns(index):
+                if typecode == "B":
+                    parts[name].append(view)
+                    continue
+                column = numeric[name]
+                start = at * column.itemsize
+                with memoryview(column) as out, out.cast("B") as raw:
+                    raw[start : start + len(view)] = view
+            at += stat.count
+        if _BIG_ENDIAN:
+            for column in numeric.values():
+                column.byteswap()
         return TraceColumns(
             name=self.name,
             description=self.description,
-            kinds=bytes(kinds),
-            times=times,
-            open_ids=ids[0],
-            file_ids=ids[1],
-            user_ids=ids[2],
-            sizes=ids[3],
-            positions=ids[4],
-            flags=bytes(flags),
+            **{name: b"".join(views) for name, views in parts.items()},
+            **numeric,
         )
 
     # -- verification --------------------------------------------------------

@@ -259,15 +259,15 @@ def stack_curve_numpy(
     times = np.frombuffer(packed.times, dtype=np.float64)
     _require(len(times) == n, "ops/times row counts disagree")
 
-    # Flushes run by the end of each row, per flush-back policy; only
-    # write-back policies need the dirty-period points.
+    # Only write-back policies need the dirty-period points.
+    write_back = any(p.policy is not WritePolicy.WRITE_THROUGH for p in specs)
+    state = _curve_rows(ops, keys, n, caps, m, write_back)
+    # Flushes run by the end of each row, per flush-back policy.
     flushes = {
         p: _flush_counts(times, p.flush_interval, packed.start_time)
         for p in specs
         if p.policy is WritePolicy.FLUSH_BACK
     }
-    write_back = any(p.policy is not WritePolicy.WRITE_THROUGH for p in specs)
-    state = _curve_rows(ops, keys, n, caps, m, write_back)
     final = _assemble(state, m, specs, flushes)
     return StackCurve(bs, sizes, specs, index, final)
 
@@ -303,18 +303,21 @@ def _flush_counts(times, interval: float, epoch: float):
 
 
 def _stable_key_order(keys_a, na):
-    """Stable sort order by key, via one quicksort when keys pack.
+    """Stable sort order by key (int32), via one quicksort when keys
+    pack.
 
     A stable mergesort on int64 keys is ~2.5x slower than quicksort
     here; packing the access index into the low bits makes quicksort
     order identical to the stable order whenever the keys leave room.
     """
+    if not na:
+        return np.zeros(0, dtype=np.int32)
     shift = int(na - 1).bit_length()
     if shift and int(keys_a.max()) < (1 << (62 - shift)):
-        return np.argsort(
-            (keys_a << shift) + np.arange(na, dtype=np.int64)
-        )
-    return np.argsort(keys_a, kind="stable")
+        order = np.argsort((keys_a << shift) + np.arange(na, dtype=np.int64))
+    else:
+        order = np.argsort(keys_a, kind="stable")
+    return order.astype(np.int32)
 
 
 def _first_kill_rows(keys, rows_i, keys_a, rows_a, n):
@@ -327,7 +330,7 @@ def _first_kill_rows(keys, rows_i, keys_a, rows_a, n):
     """
     na = len(rows_a)
     ni = len(rows_i)
-    first_inv_row = np.full(na, n, dtype=np.int64)
+    first_inv_row = np.full(na, n, dtype=np.int32)
     if not (ni and na):
         return first_inv_row
     inv_keys = keys[rows_i]
@@ -336,16 +339,24 @@ def _first_kill_rows(keys, rows_i, keys_a, rows_a, n):
     s_fid = inv_fid[iorder]
     s_row = rows_i[iorder]
     s_key = inv_keys[iorder]
+    del inv_keys, inv_fid, iorder
+    # (fid, row) pairs encode as one int64: rows are below _ROW_LIMIT.
     acc_fid = keys_a >> KEY_SHIFT
-    enc = s_fid * _ROW_LIMIT + s_row
-    t0 = np.searchsorted(enc, acc_fid * _ROW_LIMIT + rows_a, side="right")
+    enc = s_fid * np.int64(_ROW_LIMIT) + s_row
+    acc_enc = acc_fid * np.int64(_ROW_LIMIT) + rows_a
+    t0 = np.searchsorted(enc, acc_enc, side="right")
+    del enc, acc_enc
     seg_end = np.searchsorted(s_fid, acc_fid, side="right")
+    del s_fid, acc_fid
     live = np.flatnonzero(t0 < seg_end)
     if len(live):
-        pos = _first_leq(s_key, t0[live], seg_end[live], keys_a[live])
-        found = pos < seg_end[live]
+        lo = t0[live]
+        hi = seg_end[live]
+        del t0, seg_end
+        pos = _first_leq(s_key, lo, hi, keys_a[live])
+        found = pos < hi
         first_inv_row[live] = np.where(
-            found, s_row[np.minimum(pos, ni - 1)], np.int64(n)
+            found, s_row[np.minimum(pos, ni - 1)], np.int32(n)
         )
     return first_inv_row
 
@@ -387,10 +398,10 @@ def _hole_levels(rows_a, miss, kill_rows, n):
     """Hole population before each access row, as a reflected walk:
     +kills at inval rows, -1 at miss pushes (a pushing hit swaps its
     old stamp in and one out, so it never changes the level)."""
-    walk = np.zeros(n + 1, dtype=np.int64)
+    walk = np.zeros(n + 1, dtype=np.int32)
     walk[rows_a[miss] + 1] = -1
     if len(kill_rows):
-        walk[1:] += np.bincount(kill_rows, minlength=n)
+        walk[1:] += np.bincount(kill_rows, minlength=n).astype(np.int32)
     np.cumsum(walk, out=walk)
     walk -= np.minimum.accumulate(walk)
     return walk[rows_a]
@@ -400,8 +411,13 @@ def _pushes_before(rows_a, p_after, rows):
     """Pushes made by the access rows strictly before each of *rows*."""
     k = np.searchsorted(rows_a, rows, side="left")
     if not len(p_after):
-        return k
-    return np.where(k > 0, p_after[np.maximum(k - 1, 0)], 0)
+        return k.astype(np.int32)
+    return np.where(k > 0, p_after[np.maximum(k - 1, 0)], np.int32(0))
+
+
+#: Heap mini-loop events converted to lists per slice: whole columns
+#: would hold two stream-long lists of ints.
+_SLICE_EVENTS = 1 << 14
 
 
 def _curve_rows(ops, keys, n, caps, m, write_back):
@@ -410,14 +426,15 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
     Returns arrays carrying, for every access row, its histogram class
     and region, and for every push/kill, its eviction or kill region.
     With *write_back* it also returns the write-back points of
-    :func:`_dirty_points`.  Arrays are dropped once their last use is
-    behind, so the write-back pass runs in the memory the write-through
-    curve frees.
+    :func:`_dirty_points`.  Rows, positions, stamps and depths are
+    int32 (``n < _ROW_LIMIT``), and arrays are dropped once their last
+    use is behind, so the write-back pass runs in the memory the
+    write-through curve frees.
     """
     inv_full = ops == OP_INVALIDATE
-    rows_a = np.flatnonzero(~inv_full)
+    rows_a = np.flatnonzero(~inv_full).astype(np.int32)
     na = len(rows_a)
-    rows_i = np.flatnonzero(inv_full)
+    rows_i = np.flatnonzero(inv_full).astype(np.int32)
     del inv_full
     ni = len(rows_i)
     keys_a = keys[rows_a]
@@ -425,9 +442,9 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
 
     # Previous/next access of the same key, in access-index space, from
     # one stable sort by key (kept for the write-back pass).
-    prev_ai = np.full(na, -1, dtype=np.int64)
-    next_ai = np.full(na, na, dtype=np.int64)
-    order = _stable_key_order(keys_a, na) if na else np.zeros(0, dtype=np.intp)
+    prev_ai = np.full(na, -1, dtype=np.int32)
+    next_ai = np.full(na, na, dtype=np.int32)
+    order = _stable_key_order(keys_a, na)
     key_start = np.ones(na, dtype=bool)  # first access of its key, key order
     if na > 1:
         same = keys_a[order[1:]] == keys_a[order[:-1]]
@@ -447,16 +464,17 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
     hit = prev_ai >= 0
     if ni and na:
         hit &= first_inv_row[np.maximum(prev_ai, 0)] > rows_a
-    head_hit = hit & (prev_ai == np.arange(na, dtype=np.int64) - 1)
+    head_hit = hit & (prev_ai == np.arange(-1, na - 1, dtype=np.int32))
     push = ~head_hit
-    p_after = np.cumsum(push)  # stamp minted by access i (when it pushes)
+    # stamp minted by access i (when it pushes)
+    p_after = np.cumsum(push, dtype=np.int32)
     n_push = int(p_after[-1]) if na else 0
     miss = ~hit
 
     # Kills: access i's block dies at first_inv_row[i] when that comes
     # before the key's next access; the hole keeps the slot's stamp.
     next_row = np.where(
-        next_ai < na, rows_a[np.minimum(next_ai, na - 1)], np.int64(n)
+        next_ai < na, rows_a[np.minimum(next_ai, na - 1)], np.int32(n)
     )
     del next_ai
     killed = first_inv_row < next_row
@@ -469,13 +487,12 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
     # batch below.
     live = np.zeros(0, dtype=np.intp)
     if write_back:
+        from ..analysis.vectorized import _group_heads, _last_where
+
         wkey = ops_a[order] != OP_READ
-        pos = np.arange(na, dtype=np.int64)
-        last_w = np.maximum.accumulate(np.where(wkey, pos, -1))
-        last_w[last_w < np.maximum.accumulate(np.where(key_start, pos, 0))] = -1
-        inv_order = np.empty(na, dtype=np.int64)
-        inv_order[order] = pos
-        del pos
+        last_w = _last_where(wkey, _group_heads(key_start))
+        inv_order = np.empty(na, dtype=np.int32)
+        inv_order[order] = np.arange(na, dtype=np.int32)
         live = np.flatnonzero(
             (next_row == n) & (first_inv_row == n) & (last_w[inv_order] >= 0)
         )
@@ -483,6 +500,7 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
 
     lvl_acc = _hole_levels(rows_a, miss, kill_rows, n)
     growth = miss & (lvl_acc == 0)
+    del miss
 
     # Removal sequence r[1..P]: r_u is the stamp push u takes out of the
     # stack.  Outside hole episodes it's pure column math (hit: the old
@@ -490,40 +508,40 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
     # hole wins, which is genuinely order-dependent: a bounded heap
     # mini-loop walks only the rows where a hole is in play, merged with
     # the kills in one row-ordered event list.
-    r_arr = np.full(n_push + 1, -1, dtype=np.int64)
+    r_arr = np.full(n_push + 1, -1, dtype=np.int32)
     plain = hit & push & (lvl_acc == 0)
     if bool(plain.any()):
-        pl = np.flatnonzero(plain)
-        r_arr[p_after[pl]] = p_after[prev_ai[pl]]
-        del pl
+        r_arr[p_after[plain]] = p_after[prev_ai[plain]]
     del plain
-    ep = np.flatnonzero((lvl_acc > 0) & push)
+    ep = (lvl_acc > 0) & push
     del lvl_acc
-    if len(ep):
-        nk = len(kill_rows)
+    if bool(ep.any()):
         eorder = np.argsort(np.concatenate((kill_rows, rows_a[ep])))
         # One value per event: kills and pushing hits insert a (negated)
         # stamp, miss pushes insert nothing (positive sentinel).  Kill
         # rows never collide with access rows, so a plain quicksort is
         # a valid event order (ties only happen between kills, whose
         # mutual order is irrelevant — they just enter the hole set).
-        enc_val = np.concatenate(
-            (-kill_stamps, np.where(hit[ep], -p_after[np.maximum(prev_ai[ep], 0)], 1))
-        )[eorder].tolist()
+        enc_val = np.concatenate((
+            -kill_stamps,
+            np.where(hit[ep], -p_after[np.maximum(prev_ai[ep], 0)], np.int32(1)),
+        ))[eorder]
         enc_u = np.concatenate(
-            (np.zeros(nk, dtype=np.int64), p_after[ep])
-        )[eorder].tolist()
+            (np.zeros(len(kill_rows), dtype=np.int32), p_after[ep])
+        )[eorder]
         del eorder
         heap: list[int] = []
         out = r_arr  # local alias; scatter via plain int indices
         hpush, hpop = heappush, heappop
-        for v, u in zip(enc_val, enc_u):
-            if u:
-                if v < 0:
+        for lo in range(0, len(enc_u), _SLICE_EVENTS):
+            hi = lo + _SLICE_EVENTS
+            for v, u in zip(enc_val[lo:hi].tolist(), enc_u[lo:hi].tolist()):
+                if u:
+                    if v < 0:
+                        hpush(heap, v)
+                    out[u] = -hpop(heap)
+                else:
                     hpush(heap, v)
-                out[u] = -hpop(heap)
-            else:
-                hpush(heap, v)
         del enc_val, enc_u
     del ep
 
@@ -537,29 +555,33 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
     # query bounded by caps[0] is region 0 / a bin-0 eviction without
     # being asked; and a pushing hit whose removal is its own old stamp
     # (r_u == a — every plain move-to-front) shares its push's query.
-    c0 = int(caps[0])
+    # The selections are masks over their query's candidates.
+    c0 = caps[0]
     pu = p_after[push]
     ru = r_arr[pu]
-    sel_ev = np.flatnonzero((ru >= 0) & (pu - ru > c0))
-    q_ev = pu[sel_ev] - 1
+    sel_ev = (ru >= 0) & (pu - ru > c0)
+    q_ev = pu[sel_ev] - np.int32(1)
     a_ev = ru[sel_ev]
-    del ru
-    nh = np.flatnonzero(hit & push)
+    del pu, ru
+    nh = hit & push
     u_nh = p_after[nh]
     a_nh = p_after[prev_ai[nh]]
     del prev_ai, hit
-    sel_hit = np.flatnonzero((r_arr[u_nh] != a_nh) & (u_nh - a_nh > c0))
-    q_hit = u_nh[sel_hit] - 1
+    shared = r_arr[u_nh] == a_nh
+    sel_hit = ~shared & (u_nh - a_nh > c0)
+    q_hit = u_nh[sel_hit] - np.int32(1)
     a_hit = a_nh[sel_hit]
+    del a_nh
     q_kill_all = _pushes_before(rows_a, p_after, kill_rows)
-    sel_kill = np.flatnonzero(1 + q_kill_all - kill_stamps > c0)
+    sel_kill = np.int32(1) + q_kill_all - kill_stamps > c0
     q_kill = q_kill_all[sel_kill]
     a_kill = kill_stamps[sel_kill]
     del q_kill_all
     a_live = p_after[live]
-    sel_end = np.flatnonzero(1 + n_push - a_live > c0)
+    del p_after
+    sel_end = np.int32(1 + n_push) - a_live > c0
     a_end = a_live[sel_end]
-    q_end = np.full(len(sel_end), n_push)
+    q_end = np.full(len(a_end), n_push, dtype=np.int32)
 
     t_ev, t_hit, t_kill, t_end = _dominance_batch(
         r_arr[1:],
@@ -573,15 +595,14 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
     # Eviction depth per push: consumed-hole depth (band-filtered pushes
     # keep a bin-0 sentinel), or stack size + 1 on growth (a growing
     # stack evicts at every boundary it covers).
-    depth_push = np.ones(len(pu), dtype=np.int64)
-    depth_push[sel_ev] = (q_ev + 1 - a_ev) - t_ev
-    del pu, sel_ev, q_ev, a_ev, t_ev
+    depth_push = np.ones(n_push, dtype=np.int32)
+    depth_push[sel_ev] = (q_ev + np.int32(1) - a_ev) - t_ev
+    del sel_ev, q_ev, a_ev, t_ev
     if bool(growth.any()):
-        g_running = np.cumsum(growth)
-        push_idx = np.flatnonzero(push)
-        g_on_push = growth[push_idx]
-        depth_push[g_on_push] = g_running[push_idx][g_on_push]
-        del g_running, push_idx, g_on_push
+        g_on_push = growth[push]
+        depth_push[g_on_push] = np.cumsum(growth, dtype=np.int32)[push][
+            g_on_push
+        ]
     del growth
     idx_ev = np.searchsorted(caps, depth_push, side="left").astype(np.int32)
 
@@ -589,21 +610,19 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
     # construction, r_u == a hits reuse their push's depth.
     reg_acc = np.full(na, m, dtype=np.int32)
     reg_acc[head_hit] = 0
-    if len(nh):
-        reg_hit = np.zeros(len(nh), dtype=np.int32)
-        shared = np.flatnonzero(r_arr[u_nh] == a_nh)
+    if len(u_nh):
+        reg_hit = np.zeros(len(u_nh), dtype=np.int32)
         reg_hit[shared] = np.searchsorted(
-            caps, depth_push[u_nh[shared] - 1], side="left"
+            caps, depth_push[u_nh[shared] - np.int32(1)], side="left"
         )
         reg_hit[sel_hit] = np.searchsorted(
-            caps, (q_hit + 1 - a_hit) - t_hit, side="left"
+            caps, (q_hit + np.int32(1) - a_hit) - t_hit, side="left"
         )
         reg_acc[nh] = reg_hit
-        del reg_hit, shared
-    del r_arr, depth_push, nh, u_nh, a_nh, sel_hit, q_hit, a_hit, t_hit
+    del depth_push, nh, u_nh, shared, sel_hit, q_hit, a_hit, t_hit
     reg_kill = np.zeros(len(kill_rows), dtype=np.int32)
     reg_kill[sel_kill] = np.searchsorted(
-        caps, 1 + (q_kill - a_kill) - t_kill, side="left"
+        caps, np.int32(1) + (q_kill - a_kill) - t_kill, side="left"
     )
     state = {
         "ops_a": ops_a,
@@ -614,9 +633,9 @@ def _curve_rows(ops, keys, n, caps, m, write_back):
     if write_back:
         reg_end = np.zeros(len(live), dtype=np.int32)
         reg_end[sel_end] = np.searchsorted(
-            caps, 1 + (q_end - a_end) - t_end, side="left"
+            caps, np.int32(1) + (q_end - a_end) - t_end, side="left"
         )
-        end = (np.full(len(live), n - 1, dtype=np.int64), live, reg_end)
+        end = (np.full(len(live), n - 1, dtype=np.int32), live, reg_end)
         kills = (kill_rows, np.flatnonzero(killed), reg_kill)
         state.update(
             _dirty_points(
@@ -780,42 +799,52 @@ def _dominance_batch(removals, n_push, *queries):
     ``O(bits)`` vectorized passes: T = q' - #(values <= a in prefix q'),
     with growth sentinels (-1, never > a) dropped from the sequence and
     every prefix length q remapped to its consuming-only rank q'.  All
-    ranks fit int32 (row counts are capped well below 2**31), which
-    halves the memory traffic of the descent.
+    ranks, and the answers, fit int32 (row counts are capped well below
+    2**31), which halves the memory traffic of the descent.
     """
     sizes = [len(q) for q, _ in queries]
     total = sum(sizes)
     if n_push == 0 or total == 0:
-        return tuple(np.zeros(s, dtype=np.int64) for s in sizes)
+        return tuple(np.zeros(s, dtype=np.int32) for s in sizes)
     consume = removals >= 0
-    cons_pref = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(consume))
-    )
-    cur = removals[consume].astype(np.int32)
-    q_all = cons_pref[np.concatenate([q for q, _ in queries])].astype(np.int32)
-    x = (np.concatenate([a for _, a in queries]) + 1).astype(np.int32)
+    cons_pref = np.zeros(len(removals) + 1, dtype=np.int32)
+    np.cumsum(consume, dtype=np.int32, out=cons_pref[1:])
+    cur = removals[consume].astype(np.int32, copy=False)
+    del consume
+    q_all = cons_pref[np.concatenate([q for q, _ in queries])]
+    del cons_pref
+    x = np.concatenate([a for _, a in queries]).astype(np.int32)
+    x += np.int32(1)
     nbits = max(1, int(n_push + 1).bit_length())
+    # T counts down from q' as the values <= a are found.
+    t = q_all.copy()
     lo = np.zeros(total, dtype=np.int32)
-    hi = q_all.copy()
-    ans = np.zeros(total, dtype=np.int32)
+    hi = q_all
     ones = np.empty(len(cur) + 1, dtype=np.int32)
     ones[0] = 0
+    nxt = np.empty_like(cur)
     for ell in range(nbits - 1, -1, -1):
         bitmask = np.int32(1 << ell)
-        bitb = (cur & bitmask).astype(bool)
+        bitb = (cur & bitmask) != 0
         np.cumsum(bitb, dtype=np.int32, out=ones[1:])
         n_zero = np.int32(len(cur)) - ones[-1]
-        xbb = (x & bitmask).astype(bool)
+        xbb = (x & bitmask) != 0
+        # Each bound moves to its rank among this level's zeros, or,
+        # where the query's bit is set, among its ones (after the zeros).
         ones_lo = ones[lo]
         ones_hi = ones[hi]
-        zeros_lo = lo - ones_lo
-        zeros_hi = hi - ones_hi
-        ans += np.where(xbb, zeros_hi - zeros_lo, 0)
-        lo = np.where(xbb, n_zero + ones_lo, zeros_lo)
-        hi = np.where(xbb, n_zero + ones_hi, zeros_hi)
+        lo -= ones_lo
+        hi -= ones_hi
+        t -= np.where(xbb, hi - lo, np.int32(0))
+        ones_lo += n_zero
+        ones_hi += n_zero
+        np.copyto(lo, ones_lo, where=xbb)
+        np.copyto(hi, ones_hi, where=xbb)
+        del ones_lo, ones_hi, xbb
         if ell:
-            cur = np.concatenate((cur[~bitb], cur[bitb]))
-    t = (q_all - ans).astype(np.int64)
+            np.compress(~bitb, cur, out=nxt[:n_zero])
+            np.compress(bitb, cur, out=nxt[n_zero:])
+            cur, nxt = nxt, cur
     out = []
     start = 0
     for s in sizes:

@@ -17,6 +17,9 @@ Approximations forced by what strace gives us:
   exactly).
 * **User ids** are synthesized from pids, so "per-user" analyses become
   per-process.
+* **Integers past int64** fit no trace row: a call whose pid, return
+  value or integer argument lies outside -2^63..2^63-1, or that would
+  move a position there, emits no event and counts as skipped.
 """
 
 from __future__ import annotations
@@ -45,6 +48,21 @@ _O_TRUNC = 0o1000
 _O_APPEND = 0o2000
 
 _SEEK_SET, _SEEK_CUR, _SEEK_END = 0, 1, 2
+
+#: The integers a trace row can hold (its columns are int64).
+_INT64_RANGE = range(-(1 << 63), 1 << 63)
+
+
+class _Unrepresentable(Exception):
+    """An integer the call carries, or a position it moves to, lies
+    outside int64: the call emits no event."""
+
+
+def _int64(value: int | None) -> int | None:
+    """*value*, unless it is an integer a trace row cannot hold."""
+    if value is not None and value not in _INT64_RANGE:
+        raise _Unrepresentable
+    return value
 
 
 @dataclass
@@ -171,11 +189,11 @@ class _Converter:
         self.stats.opens += 1
 
     def _advance(self, call: StraceCall, write: bool) -> None:
-        state = self._fds.get((call.pid, call.int_arg(0) or 0))
+        state = self._fds.get((call.pid, _int64(call.int_arg(0)) or 0))
         if state is None or call.retval < 0:
             self.stats.skipped += 1
             return
-        state.pos += call.retval
+        state.pos = _int64(state.pos + call.retval)
         key = state.file_key
         if write:
             self.stats.writes_folded += 1
@@ -185,7 +203,7 @@ class _Converter:
             self._sizes[key] = max(self._sizes.get(key, 0), state.pos)
 
     def _lseek(self, call: StraceCall) -> None:
-        state = self._fds.get((call.pid, call.int_arg(0) or 0))
+        state = self._fds.get((call.pid, _int64(call.int_arg(0)) or 0))
         if state is None or call.retval < 0:
             self.stats.skipped += 1
             return
@@ -205,7 +223,7 @@ class _Converter:
             )
 
     def _close(self, call: StraceCall) -> None:
-        state = self._fds.pop((call.pid, call.int_arg(0) or 0), None)
+        state = self._fds.pop((call.pid, _int64(call.int_arg(0)) or 0), None)
         if state is None:
             self.stats.skipped += 1
             return
@@ -238,18 +256,18 @@ class _Converter:
             return
         if call.name == "truncate":
             path = call.path_arg(0)
-            length = call.int_arg(1) or 0
+            length = _int64(call.int_arg(1)) or 0
             if path is None:
                 self.stats.skipped += 1
                 return
             fid = self._file_id(path)
         else:  # ftruncate
-            state = self._fds.get((call.pid, call.int_arg(0) or 0))
+            state = self._fds.get((call.pid, _int64(call.int_arg(0)) or 0))
             if state is None:
                 self.stats.skipped += 1
                 return
             path = state.file_key
-            length = call.int_arg(1) or 0
+            length = _int64(call.int_arg(1)) or 0
             fid = self._file_id(path)
         self._sizes[path] = min(self._sizes.get(path, 0), length)
         self.log.append(
@@ -290,7 +308,7 @@ class _Converter:
         if call.retval < 0:
             self.stats.skipped += 1
             return
-        state = self._fds.get((call.pid, call.int_arg(0) or 0))
+        state = self._fds.get((call.pid, _int64(call.int_arg(0)) or 0))
         if state is None:
             self.stats.skipped += 1
             return
@@ -315,6 +333,16 @@ class _Converter:
 
     def feed(self, call: StraceCall) -> None:
         self.stats.calls += 1
+        try:
+            _int64(call.pid)
+            _int64(call.retval)
+            self._dispatch(call)
+        except _Unrepresentable:
+            # Nothing was emitted or changed: each handler reads every
+            # integer it needs before it acts.
+            self.stats.skipped += 1
+
+    def _dispatch(self, call: StraceCall) -> None:
         name = call.name
         if name in ("open", "creat"):
             self._open(call, call.path_arg(0), _flags_of(call), creat=name == "creat")

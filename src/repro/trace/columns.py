@@ -292,8 +292,13 @@ class TraceColumns:
         for i in range(len(self.kinds)):
             yield self.event(i)
 
-    def event(self, i: int) -> TraceEvent:
-        """Materialize row *i* as its event dataclass (lazy objects)."""
+    def event(self, i: int, base: int = 0) -> TraceEvent:
+        """Materialize row *i* as its event dataclass (lazy objects).
+
+        A row that names no event raises :class:`TraceFormatError` naming
+        row ``base + i``: *base* is the trace row of these columns' first
+        row, for columns that hold one segment of a longer trace.
+        """
         try:
             return row_event(
                 self.kinds[i],
@@ -306,7 +311,7 @@ class TraceColumns:
                 self.flags[i],
             )
         except TraceFormatError as exc:
-            raise TraceFormatError(f"row {i}: {exc}") from None
+            raise TraceFormatError(f"row {base + i}: {exc}") from None
 
     def to_log(self) -> TraceLog:
         """A log over these columns; it builds its events (one

@@ -205,6 +205,26 @@ class TestConvertStrace:
         assert log.count("open") == 1
         assert log.count("close") == 1
 
+    def test_integers_past_int64_emit_no_event(self, tmp_path, capsys):
+        # The lseek's offset fits no trace row: the call is skipped, and
+        # both output formats get the same valid two-event trace.
+        strace = tmp_path / "s.log"
+        strace.write_text(textwrap.dedent("""\
+            1 1.000000 open("/tmp/a", O_RDONLY) = 4
+            1 1.100000 lseek(4, 99999999999999999999, SEEK_SET) = 99999999999999999999
+            1 1.200000 close(4) = 0
+        """))
+        for name in ("x.bcorpus", "x.trace"):
+            out = tmp_path / name
+            printed = _printed(capsys, ["convert-strace", str(strace), "-o", str(out)])
+            assert "skipped 1" in printed
+            assert f"({2} events)" in printed
+            assert "OK; 2 events" in _printed(capsys, ["validate", str(out)])
+        assert capsys.readouterr().err == ""
+        assert read_text(str(tmp_path / "x.trace")).events == _corpus_events(
+            tmp_path / "x.bcorpus"
+        )
+
 
 @pytest.fixture(scope="module")
 def twin_traces(tmp_path_factory):

@@ -54,8 +54,8 @@ from repro.corpus.format import (
 )
 from repro.corpus.stream import analyze_corpus
 from repro.fuzz.gen import random_trace
-from repro.trace.columns import TraceColumns
-from repro.trace.io_text import write_text
+from repro.trace.columns import KIND_OPEN, TraceColumns
+from repro.trace.io_text import TraceFormatError, write_text
 from repro.trace.log import TraceLog
 from repro.trace.records import CloseEvent, UnlinkEvent
 from repro.trace.validate import validate_columns
@@ -251,6 +251,34 @@ class TestRoundTrip:
 
 class TestDiagnostics:
     """Satellite: damaged corpora produce CorpusError naming byte offsets."""
+
+    def test_row_naming_no_event_is_a_corpus_row(self):
+        # Open row 1883 of a 3,947-event corpus in 1,000-event segments
+        # loses its mode bits: streamed or loaded, the error names row
+        # 1883 of the corpus, not row 883 of its segment.
+        full = TraceColumns.from_log(fuzz_log("global-row", 3947))
+        cols = TraceColumns(
+            name=full.name,
+            **{
+                name: getattr(full, name)[:3947]
+                for name in ("kinds", "times", "open_ids", "file_ids",
+                             "user_ids", "sizes", "positions", "flags")
+            },
+        )
+        assert cols.kinds[1883] == KIND_OPEN
+        flags = bytearray(cols.flags)
+        flags[1883] = 0
+        cols.flags = bytes(flags)
+        buf = io.BytesIO()
+        pack_columns(cols, buf, segment_events=1000)
+        data = buf.getvalue()
+        message = "row 1883: open flag byte 0x00 has no mode bits"
+        with CorpusReader(data) as reader:
+            assert reader.segment_count == 4
+            with pytest.raises(TraceFormatError, match=message):
+                list(reader.iter_events())
+        with pytest.raises(TraceFormatError, match=message):
+            read_corpus_columns(data).to_log().events
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bcorpus"

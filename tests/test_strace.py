@@ -164,6 +164,44 @@ class TestConverter:
         assert trunc.new_length == 0
         assert trunc.file_id == log.of_kind("open")[0].file_id
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1 1.200000 ftruncate(3, 18446744073709551616) = 0",
+            '1 1.200000 truncate("/f", -9223372036854775809) = 0',
+            "1 1.200000 lseek(3, 0, SEEK_END) = 9223372036854775808",
+            '18446744073709551616 1.200000 openat(AT_FDCWD, "/g", O_RDONLY) = 5',
+        ],
+    )
+    def test_integer_past_int64_skips_the_call(self, line):
+        # A call whose return value or integer argument fits no trace row
+        # is skipped: it must not become a wrong event (a truncate to 0,
+        # say, from an unreadable length).
+        text = (
+            '1 1.000000 openat(AT_FDCWD, "/f", O_RDWR|O_CREAT) = 3\n'
+            '1 1.100000 write(3, "x", 100) = 100\n'
+            f"{line}\n"
+            "1 1.300000 close(3) = 0\n"
+        )
+        log, stats = convert_calls(parse_lines(io.StringIO(text)))
+        assert [type(e).__name__ for e in log.events] == ["OpenEvent", "CloseEvent"]
+        assert log.of_kind("close")[0].final_pos == 100
+        assert stats.skipped == 1
+        assert validate(log).ok
+
+    def test_position_past_int64_skips_the_read(self):
+        # Each of the two reads fits, but the position they reach does not.
+        text = (
+            '1 1.000000 openat(AT_FDCWD, "/f", O_RDONLY) = 3\n'
+            "1 1.100000 lseek(3, 9223372036854775800, SEEK_SET) = 9223372036854775800\n"
+            '1 1.200000 read(3, "x", 4096) = 4096\n'
+            "1 1.300000 close(3) = 0\n"
+        )
+        log, stats = convert_calls(parse_lines(io.StringIO(text)))
+        assert stats.skipped == 1 and stats.reads_folded == 0
+        assert log.of_kind("close")[0].final_pos == 9223372036854775800
+        assert validate(log).ok
+
     def test_convert_file_from_disk(self, tmp_path):
         path = tmp_path / "s.log"
         path.write_text(SAMPLE)

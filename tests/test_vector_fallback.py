@@ -3,8 +3,10 @@
 Each dispatcher runs its numpy kernel and reruns the pure-Python
 specification only when the kernel raises :class:`VectorFallback` on an
 input it cannot reproduce bit for bit.  For every dispatcher, one input
-here makes the kernel decline; the test checks that it does, and that
-the dispatcher's answer equals the specification's: the per-module
+here makes the kernel decline, and so does a row count at the int32
+limit of each kernel that holds row numbers in int32; the tests check
+that it does, and that the dispatcher's answer equals the
+specification's: the per-module
 analyzers (:func:`analyze_columns_python`), :func:`build_stream` (for
 the stream kernel :func:`build_stream_numpy`), :func:`pack_stream_python`,
 or one :func:`simulate_packed` replay per cache size and write policy.
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import vectorized
 from repro.analysis.onepass import analyze_columns_python, analyze_onepass
 from repro.analysis.vectorized import (
     VectorFallback,
@@ -152,6 +155,61 @@ def test_analyze_corpus_of_a_declined_corpus(tmp_path):
     path = tmp_path / "regress.bcorpus"
     pack_columns(cols, path, segment_events=32)
     assert analyze_corpus(path) == analyze_columns_python(cols)
+
+
+def _rows_of(seed: str) -> TraceColumns:
+    return TraceColumns.from_log(random_trace(random.Random(seed), 120))
+
+
+def _analyzer_rows():
+    cols = _rows_of("rows-analyze")
+    return len(cols), (
+        lambda: analyze_columns_numpy(cols),
+        lambda: analyze_onepass(cols),
+        lambda: analyze_columns_python(cols),
+    )
+
+
+def _stream_rows():
+    log = _rows_of("rows-stream").to_log()
+    return len(log), (
+        lambda: build_stream_numpy(TraceColumns.from_log(log)),
+        lambda: derive_stream(log),
+        lambda: build_stream(log),
+    )
+
+
+def _pack_rows():
+    stream = build_stream(_rows_of("rows-pack").to_log())
+    rows = len(pack_stream_python(stream, 4096))
+    return rows, (
+        lambda: pack_stream_numpy(stream, 4096),
+        lambda: pack_stream(stream, 4096),
+        lambda: pack_stream_python(stream, 4096),
+    )
+
+
+#: The kernels that hold row numbers in int32, each with an input and
+#: its row count (the pack kernel counts its output rows).
+ROW_LIMIT_CASES = {
+    "analyze_onepass": _analyzer_rows,
+    "derive_stream": _stream_rows,
+    "pack_stream": _pack_rows,
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(ROW_LIMIT_CASES.values()), ids=lambda case: case.__name__.lstrip("_")
+)
+def test_rows_at_the_int32_limit_get_the_reference_answer(case, monkeypatch):
+    # Lowering the limit to the input's row count stands in for a
+    # 2**31-row input, which no test can build.
+    rows, (kernel, dispatcher, reference) = case()
+    kernel()  # the input itself is one the kernel takes
+    monkeypatch.setattr(vectorized, "_ROW_LIMIT", rows)
+    with pytest.raises(VectorFallback, match="int32 row numbers"):
+        kernel()
+    assert dispatcher() == reference()
 
 
 def _catches_vector_fallback(node: ast.AST) -> bool:
